@@ -10,7 +10,7 @@ harness measures the convergence order against modal or nested references.
 from .convergence import (ErrorReport, SweepDivergedError, SweepResult,
                           error_norms, pick_reference, sweep)
 from .diagnostics import (EnergyRecord, apriori_monitor, apriori_ratios,
-                          build_interpolants, energy,
+                          build_interpolants, energy, energy_ledger,
                           interpolation_identities_check, lyapunov_check,
                           step_identity_residual, write_energy_csv)
 from .nonlinearity import (Nonlinearity, cubic_nonlinearity, linear_reaction,

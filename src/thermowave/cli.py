@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -27,13 +28,10 @@ import numpy as np
 
 from . import convergence, diagnostics
 from .nonlinearity import Nonlinearity
-from .operators import Grid1D, ProblemPreset, build_bundle
+from .operators import BC_NAMES, PRESET_NAMES, Grid1D, ProblemPreset, build_bundle
 from .oracle import LinearReference
 from .profiles import make_initial
 from .stepper import StepConfig, run
-
-_PRESETS = ("P1", "P2", "P3", "P4", "P5")
-_BCS = ("dirichlet", "neumann")
 
 
 class ConfigError(ValueError):
@@ -42,21 +40,26 @@ class ConfigError(ValueError):
         self.errors = errors
 
 
-def _num(value, field, errors, allow_str=True):
-    """Numeric config fields may be JSON numbers or decimal strings."""
+def _num(value, field, errors):
+    """Numeric config fields may be JSON numbers or decimal strings; either
+    way the value must be finite."""
     if isinstance(value, bool):
         errors.append(f"{field}: expected a number, got a boolean")
         return None
-    if isinstance(value, (int, float)):
-        return float(value)
-    if allow_str and isinstance(value, str):
-        try:
-            return float(value)
-        except ValueError:
-            errors.append(f"{field}: cannot parse {value!r} as a number")
-            return None
-    errors.append(f"{field}: expected a number, got {type(value).__name__}")
-    return None
+    if not isinstance(value, (int, float, str)):
+        errors.append(f"{field}: expected a number, got {type(value).__name__}")
+        return None
+    try:
+        out = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        out = math.inf
+    except ValueError:
+        errors.append(f"{field}: cannot parse {value!r} as a number")
+        return None
+    if not math.isfinite(out):
+        errors.append(f"{field}: must be finite, got {value!r}")
+        return None
+    return out
 
 
 def validate_config(raw: dict, need_h_list: bool = False) -> dict:
@@ -65,14 +68,14 @@ def validate_config(raw: dict, need_h_list: bool = False) -> dict:
     resolved = {}
 
     preset = raw.get("preset")
-    if preset not in _PRESETS:
-        errors.append(f"preset: must be one of {_PRESETS}, got {preset!r}")
+    if preset not in PRESET_NAMES:
+        errors.append(f"preset: must be one of {PRESET_NAMES}, got {preset!r}")
         raise ConfigError(errors)
     resolved["preset"] = preset
 
     bc = raw.get("bc", "dirichlet")
-    if bc not in _BCS:
-        errors.append(f"bc: must be one of {_BCS}, got {bc!r}")
+    if bc not in BC_NAMES:
+        errors.append(f"bc: must be one of {BC_NAMES}, got {bc!r}")
         bc = "dirichlet"
     resolved["bc"] = bc
 
@@ -300,15 +303,14 @@ def cmd_run(resolved: dict, out_dir: str) -> int:
     return 0 if result.complete else 2
 
 
-def cmd_sweep(resolved: dict, out_dir: str, threads: int = 1) -> int:
+def cmd_sweep(resolved: dict, out_dir: str) -> int:
     grid, bundle, nonlin, initial, _ = build_problem(resolved)
     s = resolved["solver"]
     header = _header_lines(resolved, bundle, nonlin)
     payload = _json_meta(resolved, bundle, nonlin)
     try:
         result = convergence.sweep(initial, bundle, nonlin, resolved["T"],
-                                   resolved["h_list"], newton_tol=s["newton_tol"],
-                                   threads=threads)
+                                   resolved["h_list"], newton_tol=s["newton_tol"])
     except convergence.SweepDivergedError as exc:
         rows = [[r.h] + list(r.as_tuple()) + [r.total] for r in exc.partial]
         _write_csv(os.path.join(out_dir, "sweep.csv"), header,
@@ -333,18 +335,16 @@ def cmd_energy_audit(resolved: dict, out_dir: str) -> int:
     result = run(initial, bundle, nonlin, resolved["T"], cfg)
     header = _header_lines(resolved, bundle, nonlin)
 
+    ledger = diagnostics.energy_ledger(result.states, bundle, nonlin)
     pi_zero = nonlin.pi_kind == "zero"
-    violations = diagnostics.lyapunov_check(result.states, bundle, nonlin) if pi_zero else []
+    violations = diagnostics.decay_violations(ledger) if pi_zero else []
 
     rows = []
-    max_resid = 0.0
     for i in range(1, len(result.states)):
-        s0, s1 = result.states[i - 1], result.states[i]
-        resid = diagnostics.step_identity_residual(s0, s1, bundle, nonlin)
-        max_resid = max(max_resid, resid)
-        rec = diagnostics.energy(s1, bundle, nonlin)
+        s1, entry = result.states[i], ledger[i]
         source = cfg.h * grid.dx * float(np.dot(nonlin.pi(s1.phi), s1.v))
-        rows.append([i, i * cfg.h, resid, rec.lyapunov, source])
+        rows.append([i, i * cfg.h, entry.identity_residual, entry.record.lyapunov, source])
+    max_resid = max(entry.identity_residual for entry in ledger)
     _write_csv(os.path.join(out_dir, "audit.csv"), header,
                ["n", "t", "identity_residual", "lyapunov_value", "pi_source_term"], rows)
 
@@ -396,8 +396,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--snapshot-stride", type=int, default=None,
                        help="write every k-th state (run only)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweep members")
     args = parser.parse_args(argv)
 
     try:
@@ -425,7 +423,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return cmd_run(resolved, args.out)
         if args.command == "sweep":
-            return cmd_sweep(resolved, args.out, threads=max(1, args.threads))
+            return cmd_sweep(resolved, args.out)
         if args.command == "energy-audit":
             return cmd_energy_audit(resolved, args.out)
         return cmd_oracle_check(resolved, args.out)

@@ -12,13 +12,13 @@ stays bounded across the sweep.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .nonlinearity import Nonlinearity
-from .operators import Grid1D, OperatorBundle
+from .operators import (OperatorBundle, cross_form_rows, form_rows, h_norm_sq_rows,
+                        v_norm_sq_rows)
 from .oracle import LinearReference, fine_reference
 from .stepper import StepConfig, run
 
@@ -80,29 +80,6 @@ class SweepDivergedError(RuntimeError):
         self.partial = partial
 
 
-def _rows_form(grid: Grid1D, op, rows: np.ndarray) -> np.ndarray:
-    y = op.apply_rows(rows)
-    return grid.dx * np.sum(y * rows, axis=1)
-
-
-def _rows_h2(grid: Grid1D, rows: np.ndarray) -> np.ndarray:
-    return grid.dx * np.sum(rows * rows, axis=1)
-
-
-def _rows_v2(grid: Grid1D, rows: np.ndarray) -> np.ndarray:
-    base = _rows_h2(grid, rows)
-    if grid.bc == "dirichlet":
-        pad = np.zeros((rows.shape[0], 1))
-        d = np.diff(np.hstack([pad, rows, pad]), axis=1)
-    else:
-        d = np.diff(rows, axis=1)
-    return base + np.sum(d * d, axis=1) / grid.dx
-
-
-def _rows_cross(grid: Grid1D, op_a, op_b, rows: np.ndarray) -> np.ndarray:
-    return grid.dx * np.sum(op_a.apply_rows(rows) * op_b.apply_rows(rows), axis=1)
-
-
 def _simpson_pair(q_a, q_m, q_b, length):
     """Exact integral of a quadratic sampled at the ends and midpoint."""
     return length / 6.0 * (q_a + 4.0 * q_m + q_b)
@@ -147,12 +124,12 @@ def error_norms(states, reference, bundle: OperatorBundle,
         return e_nodes, e_mids
 
     ev_n, ev_m = hat_errors("v")
-    e1 = sup_of(ev_n, ev_m, lambda r: _rows_form(grid, bundle.mass, r))
+    e1 = sup_of(ev_n, ev_m, lambda r: form_rows(grid, bundle.mass, r))
     ep_n, ep_m = hat_errors("phi")
-    e3 = sup_of(ep_n, ep_m, lambda r: _rows_v2(grid, r))
+    e3 = sup_of(ep_n, ep_m, lambda r: v_norm_sq_rows(grid, r))
     et_n, et_m = hat_errors("theta")
-    e4 = sup_of(et_n, et_m, lambda r: _rows_h2(grid, r))
-    e6 = sup_of(et_n, et_m, lambda r: _rows_form(grid, bundle.coupling, r))
+    e4 = sup_of(et_n, et_m, lambda r: h_norm_sq_rows(grid, r))
+    e6 = sup_of(et_n, et_m, lambda r: form_rows(grid, bundle.coupling, r))
 
     # Piecewise-constant errors compare against the reference's own
     # piecewise-constant view when it has one (a discrete reference), with
@@ -176,9 +153,9 @@ def error_norms(states, reference, bundle: OperatorBundle,
             total += np.sum(_simpson_pair(q_rows(left), q_rows(mid), q_rows(right), h / 4.0))
         return float(total)
 
-    e2 = math.sqrt(max(l2_bar("v", lambda r: _rows_form(grid, bundle.damping, r)), 0.0))
-    e5 = math.sqrt(max(l2_bar("theta", lambda r: _rows_v2(grid, r)), 0.0))
-    e7 = l2_bar("theta", lambda r: _rows_cross(grid, bundle.coupling, bundle.diffusion, r))
+    e2 = math.sqrt(max(l2_bar("v", lambda r: form_rows(grid, bundle.damping, r)), 0.0))
+    e5 = math.sqrt(max(l2_bar("theta", lambda r: v_norm_sq_rows(grid, r)), 0.0))
+    e7 = l2_bar("theta", lambda r: cross_form_rows(grid, bundle.coupling, bundle.diffusion, r))
 
     return ErrorReport(h=h, e1=e1, e2=e2, e3=e3, e4=e4, e5=e5, e6=e6, e7=e7)
 
@@ -197,7 +174,7 @@ def pick_reference(initial, bundle: OperatorBundle, nonlin: Nonlinearity,
 
 def sweep(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
           h_list, newton_tol: float = 1e-12, reference=None,
-          reference_kind: str = "supplied", threads: int = 1) -> SweepResult:
+          reference_kind: str = "supplied") -> SweepResult:
     """Refinement study over a halving list of step sizes.
 
     Runs every member against one shared reference, fits the slope of
@@ -217,19 +194,14 @@ def sweep(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
     if reference is None:
         reference, reference_kind = pick_reference(initial, bundle, nonlin, T, min(h_list))
 
-    def one(h):
+    reports, failures = [], []
+    for h in h_list:
         result = run(initial, bundle, nonlin, T, StepConfig(h=h, newton_tol=newton_tol))
-        if not result.complete:
-            return h, result.failure_index
-        return error_norms(result.states, reference, bundle)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, h_list))
-    else:
-        outcomes = [one(h) for h in h_list]
-    reports = [o for o in outcomes if isinstance(o, ErrorReport)]
-    failures = [o for o in outcomes if not isinstance(o, ErrorReport)]
+        if result.complete:
+            reports.append(error_norms(result.states, reference, bundle))
+        else:
+            failures.append((h, result.failure_index))
+        del result  # free this member's trajectory before the next run starts
     if failures:
         h_bad, idx = failures[0]
         raise SweepDivergedError(h_bad, idx, reports)

@@ -8,9 +8,10 @@ forcing through the heat equation telescopes the discrete energy
 
 against a sum of nonnegative dissipation terms.  ``step_identity_residual``
 measures how far a computed step is from that algebraic identity (zero in
-exact arithmetic, solver tolerance in practice).  The module also carries
-the piecewise-constant / piecewise-linear time reconstructions of a
-trajectory, their exact norm identities, and the uniform-boundedness
+exact arithmetic, solver tolerance in practice); ``energy_ledger`` pairs
+it with one energy evaluation per state of a trajectory.  The module also
+carries the piecewise-constant / piecewise-linear time reconstructions of
+a trajectory, their exact norm identities, and the uniform-boundedness
 monitors used by the refinement studies.
 """
 
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nonlinearity import Nonlinearity, potential_total
-from .operators import Grid1D, OperatorBundle, h_inner
+from .operators import (Grid1D, OperatorBundle, form_rows, h_inner, h_norm_sq_rows,
+                        v_norm_sq_rows)
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,26 @@ def energy(state, bundle: OperatorBundle, nonlin: Nonlinearity) -> EnergyRecord:
     )
 
 
+def _identity_residual(state_n, state_np1, e0: EnergyRecord, e1: EnergyRecord,
+                       bundle: OperatorBundle, nonlin: Nonlinearity) -> float:
+    """Balance residual of one step from the energy records of its two
+    states; the dissipation terms come from ``e1``."""
+    grid = bundle.grid
+    h = state_np1.h
+    dv = state_np1.v - state_n.v
+    dphi = state_np1.phi - state_n.phi
+    dth = state_np1.theta - state_n.theta
+    total = e1.total - e0.total
+    total += 0.5 * h_inner(grid, bundle.mass.apply(dv), dv)
+    total += 0.5 * h_inner(grid, bundle.stiffness.apply(dphi), dphi)
+    total += 0.5 / bundle.eta * h_inner(grid, bundle.coupling.apply(dth), dth)
+    total += e1.dissipation_b1
+    total += e1.dissipation_cross
+    total += h_inner(grid, nonlin.beta(state_np1.phi), dphi)
+    total += h * h_inner(grid, nonlin.pi(state_np1.phi), state_np1.v)
+    return abs(total)
+
+
 def step_identity_residual(state_n, state_np1, bundle: OperatorBundle,
                            nonlin: Nonlinearity) -> float:
     """Absolute residual of the exact per-step energy balance.
@@ -84,23 +106,39 @@ def step_identity_residual(state_n, state_np1, bundle: OperatorBundle,
     exactly in real arithmetic; numerically the residual reflects solver
     tolerance only.
     """
-    grid = bundle.grid
-    h = state_np1.h
-    dv = state_np1.v - state_n.v
-    dphi = state_np1.phi - state_n.phi
-    dth = state_np1.theta - state_n.theta
-    e0 = energy(state_n, bundle, nonlin)
-    e1 = energy(state_np1, bundle, nonlin)
-    total = e1.total - e0.total
-    total += 0.5 * h_inner(grid, bundle.mass.apply(dv), dv)
-    total += 0.5 * h_inner(grid, bundle.stiffness.apply(dphi), dphi)
-    total += 0.5 / bundle.eta * h_inner(grid, bundle.coupling.apply(dth), dth)
-    total += h * h_inner(grid, bundle.damping.apply(state_np1.v), state_np1.v)
-    total += h / bundle.eta * h_inner(grid, bundle.coupling.apply(state_np1.theta),
-                                      bundle.diffusion.apply(state_np1.theta))
-    total += h_inner(grid, nonlin.beta(state_np1.phi), dphi)
-    total += h * h_inner(grid, nonlin.pi(state_np1.phi), state_np1.v)
-    return abs(total)
+    return _identity_residual(state_n, state_np1, energy(state_n, bundle, nonlin),
+                              energy(state_np1, bundle, nonlin), bundle, nonlin)
+
+
+@dataclass(frozen=True)
+class LedgerEntry:
+    """One state's energy record and the balance residual of the step that
+    produced it (0.0 for the initial state)."""
+
+    record: EnergyRecord
+    identity_residual: float
+
+
+def energy_ledger(states, bundle: OperatorBundle, nonlin: Nonlinearity) -> list:
+    """Energy bookkeeping of a whole trajectory, one ``LedgerEntry`` per state.
+
+    ``energy`` runs exactly once per state; each step's identity residual
+    reuses the records of its two states instead of recomputing them.
+    """
+    ledger = [LedgerEntry(energy(states[0], bundle, nonlin), 0.0)]
+    for s0, s1 in zip(states, states[1:]):
+        e0, e1 = ledger[-1].record, energy(s1, bundle, nonlin)
+        ledger.append(LedgerEntry(e1, _identity_residual(s0, s1, e0, e1, bundle, nonlin)))
+    return ledger
+
+
+def decay_violations(ledger, slack: float = 1e-10):
+    """(index, overshoot) pairs where energy + potential rose by more than
+    ``slack * (1 + E(n))`` from one ledger entry to the next."""
+    records = [entry.record for entry in ledger]
+    return [(n, cur.lyapunov - prev.lyapunov)
+            for n, (prev, cur) in enumerate(zip(records, records[1:]), start=1)
+            if cur.lyapunov > prev.lyapunov + slack * (1.0 + prev.total)]
 
 
 def lyapunov_check(states, bundle: OperatorBundle, nonlin: Nonlinearity,
@@ -114,15 +152,7 @@ def lyapunov_check(states, bundle: OperatorBundle, nonlin: Nonlinearity,
     """
     if nonlin.pi_kind != "zero":
         raise ValueError("lyapunov_check requires pi == 0; run the audit in monitor mode instead")
-    out = []
-    prev = energy(states[0], bundle, nonlin)
-    for n in range(1, len(states)):
-        cur = energy(states[n], bundle, nonlin)
-        allowed = prev.lyapunov + slack * (1.0 + prev.total)
-        if cur.lyapunov > allowed:
-            out.append((n, cur.lyapunov - prev.lyapunov))
-        prev = cur
-    return out
+    return decay_violations(energy_ledger(states, bundle, nonlin), slack)
 
 
 # ----------------------------------------------------------------------
@@ -200,24 +230,6 @@ def build_interpolants(states) -> TrajectoryInterpolants:
     return TrajectoryInterpolants(**fields)
 
 
-def _h_norms(grid: Grid1D, rows: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.maximum(grid.dx * np.sum(rows * rows, axis=1), 0.0))
-
-
-def _v_norms_sq(grid: Grid1D, rows: np.ndarray) -> np.ndarray:
-    base = grid.dx * np.sum(rows * rows, axis=1)
-    if grid.bc == "dirichlet":
-        pad = np.zeros((rows.shape[0], 1))
-        d = np.diff(np.hstack([pad, rows, pad]), axis=1)
-    else:
-        d = np.diff(rows, axis=1)
-    return base + np.sum(d * d, axis=1) / grid.dx
-
-
-def _v_norms(grid: Grid1D, rows: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.maximum(_v_norms_sq(grid, rows), 0.0))
-
-
 def _rel_dev(a: float, b: float) -> float:
     scale = max(abs(a), abs(b))
     if scale == 0.0:
@@ -246,32 +258,32 @@ def interpolation_identities_check(interp: TrajectoryInterpolants, grid: Grid1D)
     devs = []
 
     for field in (interp.phi, interp.v, interp.theta):
-        node_norms = _v_norms(grid, field.nodes)
-        mid_norms = _v_norms(grid, field.midpoints())
+        node_norms = np.sqrt(v_norm_sq_rows(grid, field.nodes))
+        mid_norms = np.sqrt(v_norm_sq_rows(grid, field.midpoints()))
         lhs = max(node_norms.max(), mid_norms.max())
         rhs = max(node_norms[0], node_norms[1:].max())
         devs.append(_rel_dev(lhs, rhs))
 
     # bar - hat gap of phi against the velocity reconstruction, V-norm
     dphi = interp.phi.deltas()
-    lhs = _v_norms(grid, dphi).max()
-    mid = h * _v_norms(grid, dphi / h).max()
-    rhs = h * _v_norms(grid, interp.v.nodes[1:]).max()
+    lhs = np.sqrt(v_norm_sq_rows(grid, dphi)).max()
+    mid = h * np.sqrt(v_norm_sq_rows(grid, dphi / h)).max()
+    rhs = h * np.sqrt(v_norm_sq_rows(grid, interp.v.nodes[1:])).max()
     devs.append(_rel_dev(lhs, mid))
     devs.append(_rel_dev(mid, rhs))
 
     # bar - hat gap of v against the acceleration reconstruction, H-norm
     dv = interp.v.deltas()
-    lhs = _h_norms(grid, dv).max()
-    mid = h * _h_norms(grid, dv / h).max()
-    rhs = h * _h_norms(grid, interp.z.nodes[1:]).max()
+    lhs = np.sqrt(h_norm_sq_rows(grid, dv)).max()
+    mid = h * np.sqrt(h_norm_sq_rows(grid, dv / h)).max()
+    rhs = h * np.sqrt(h_norm_sq_rows(grid, interp.z.nodes[1:])).max()
     devs.append(_rel_dev(lhs, mid))
     devs.append(_rel_dev(mid, rhs))
 
     # squared L2-V gap of theta (exact interval integral of a linear ramp)
     dth = interp.theta.deltas()
-    lhs = float(np.sum(_v_norms_sq(grid, dth)) * h / 3.0)
-    rhs = h * h / 3.0 * float(np.sum(_v_norms_sq(grid, dth / h) * h))
+    lhs = float(np.sum(v_norm_sq_rows(grid, dth)) * h / 3.0)
+    rhs = h * h / 3.0 * float(np.sum(v_norm_sq_rows(grid, dth / h) * h))
     devs.append(_rel_dev(lhs, rhs))
 
     return max(devs)
@@ -279,11 +291,6 @@ def interpolation_identities_check(interp: TrajectoryInterpolants, grid: Grid1D)
 
 # ----------------------------------------------------------------------
 # Uniform-boundedness monitors
-
-
-def _form_rows(grid: Grid1D, op, rows: np.ndarray) -> np.ndarray:
-    """(op u, u) in the grid inner product, rowwise."""
-    return grid.dx * np.sum(op.apply_rows(rows) * rows, axis=1)
 
 
 def apriori_monitor(states, bundle: OperatorBundle, nonlin: Nonlinearity) -> dict:
@@ -303,29 +310,29 @@ def apriori_monitor(states, bundle: OperatorBundle, nonlin: Nonlinearity) -> dic
     dth = np.diff(th, axis=0)
 
     out = {}
-    out["v_sup_H2"] = float(np.max(_h_norms(grid, vv[1:]) ** 2))
-    out["z_L2H2_h"] = h * float(np.sum(h * _h_norms(grid, zz[1:]) ** 2))
-    out["damping_v_form_L2"] = float(np.sum(h * _form_rows(grid, bundle.damping, vv[1:])))
-    out["phi_sup_V2"] = float(np.max(_v_norms_sq(grid, ph[1:])))
-    out["v_L2V2_h"] = h * float(np.sum(h * _v_norms_sq(grid, vv[1:])))
-    out["coupling_theta_form_sup"] = float(np.max(_form_rows(grid, bundle.coupling, th[1:])))
-    out["coupling_dtheta_form_L2_h"] = h * float(np.sum(_form_rows(grid, bundle.coupling, dth) / h))
+    out["v_sup_H2"] = float(np.max(h_norm_sq_rows(grid, vv[1:])))
+    out["z_L2H2_h"] = h * float(np.sum(h * h_norm_sq_rows(grid, zz[1:])))
+    out["damping_v_form_L2"] = float(np.sum(h * form_rows(grid, bundle.damping, vv[1:])))
+    out["phi_sup_V2"] = float(np.max(v_norm_sq_rows(grid, ph[1:])))
+    out["v_L2V2_h"] = h * float(np.sum(h * v_norm_sq_rows(grid, vv[1:])))
+    out["coupling_theta_form_sup"] = float(np.max(form_rows(grid, bundle.coupling, th[1:])))
+    out["coupling_dtheta_form_L2_h"] = h * float(np.sum(form_rows(grid, bundle.coupling, dth) / h))
 
-    out["z_sup_H2"] = float(np.max(_h_norms(grid, zz[1:]) ** 2))
-    out["damping_z_form_L2"] = float(np.sum(h * _form_rows(grid, bundle.damping, zz[1:])))
-    out["v_sup_V2"] = float(np.max(_v_norms_sq(grid, vv[1:])))
-    out["z_L2V2_h"] = h * float(np.sum(h * _v_norms_sq(grid, zz[1:])))
+    out["z_sup_H2"] = float(np.max(h_norm_sq_rows(grid, zz[1:])))
+    out["damping_z_form_L2"] = float(np.sum(h * form_rows(grid, bundle.damping, zz[1:])))
+    out["v_sup_V2"] = float(np.max(v_norm_sq_rows(grid, vv[1:])))
+    out["z_L2V2_h"] = h * float(np.sum(h * v_norm_sq_rows(grid, zz[1:])))
 
-    out["beta_sup_H"] = float(np.max(_h_norms(grid, nonlin.beta(ph[1:]))))
+    out["beta_sup_H"] = float(np.max(np.sqrt(h_norm_sq_rows(grid, nonlin.beta(ph[1:])))))
 
-    out["dtheta_L2H2"] = float(np.sum(_h_norms(grid, dth) ** 2 / h))
-    out["dtheta_L2V2"] = float(np.sum(_v_norms_sq(grid, dth) / h))
-    out["diffusion_theta_sup_H2"] = float(np.max(_h_norms(grid, bundle.diffusion.apply_rows(th[1:])) ** 2))
-    out["theta_sup_V2"] = float(np.max(_v_norms_sq(grid, th[1:])))
+    out["dtheta_L2H2"] = float(np.sum(h_norm_sq_rows(grid, dth) / h))
+    out["dtheta_L2V2"] = float(np.sum(v_norm_sq_rows(grid, dth) / h))
+    out["diffusion_theta_sup_H2"] = float(np.max(h_norm_sq_rows(grid, bundle.diffusion.apply_rows(th[1:]))))
+    out["theta_sup_V2"] = float(np.max(v_norm_sq_rows(grid, th[1:])))
 
-    out["coupling_theta_sup_H2"] = float(np.max(_h_norms(grid, bundle.coupling.apply_rows(th[1:])) ** 2))
-    out["damping_v_L2H2"] = float(np.sum(h * _h_norms(grid, bundle.damping.apply_rows(vv[1:])) ** 2))
-    out["stiffness_phi_L2H2"] = float(np.sum(h * _h_norms(grid, bundle.stiffness.apply_rows(ph[1:])) ** 2))
+    out["coupling_theta_sup_H2"] = float(np.max(h_norm_sq_rows(grid, bundle.coupling.apply_rows(th[1:]))))
+    out["damping_v_L2H2"] = float(np.sum(h * h_norm_sq_rows(grid, bundle.damping.apply_rows(vv[1:]))))
+    out["stiffness_phi_L2H2"] = float(np.sum(h * h_norm_sq_rows(grid, bundle.stiffness.apply_rows(ph[1:]))))
     return out
 
 
@@ -350,15 +357,12 @@ def write_energy_csv(path, states, bundle: OperatorBundle, nonlin: Nonlinearity,
                      header_lines=()) -> None:
     """Per-step energy table; the identity-residual column is 0 at n = 0."""
     h = states[1].h if len(states) > 1 else states[0].h
-    rows = []
-    for n, s in enumerate(states):
-        rec = energy(s, bundle, nonlin)
-        resid = 0.0 if n == 0 else step_identity_residual(states[n - 1], s, bundle, nonlin)
-        rows.append((n, n * h, rec.kinetic, rec.elastic, rec.thermal, rec.potential,
-                     rec.dissipation_b1, rec.dissipation_cross, resid))
     with open(path, "w") as f:
         for line in header_lines:
             f.write(f"# {line}\n")
         f.write("n,t,kinetic,elastic,thermal,potential,dissipation_b1,dissipation_cross,identity_residual\n")
-        for row in rows:
+        for n, entry in enumerate(energy_ledger(states, bundle, nonlin)):
+            rec = entry.record
+            row = (n, n * h, rec.kinetic, rec.elastic, rec.thermal, rec.potential,
+                   rec.dissipation_b1, rec.dissipation_cross, entry.identity_residual)
             f.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")

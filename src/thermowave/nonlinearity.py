@@ -29,15 +29,13 @@ class Nonlinearity:
     for ``odd_poly`` ascending-power coefficients starting at r^1, with
     even-power entries zero and odd-power entries nonnegative so the result
     is odd and nondecreasing.  ``pi_param`` is the slope of a linear pi or
-    the amplitude of a scaled sine.  ``growth`` records the (p, q, C) local
-    growth figures of beta for reporting; they are not enforced at runtime.
+    the amplitude of a scaled sine.
     """
 
     beta_kind: str = "zero"
     beta_coeffs: tuple = ()
     pi_kind: str = "zero"
     pi_param: float = 0.0
-    growth: tuple = (2.0, 2.0, 1.0)
     _poly: tuple = field(init=False, repr=False, default=())
 
     def __post_init__(self):

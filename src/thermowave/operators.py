@@ -25,7 +25,7 @@ import scipy.linalg
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
-_BCS = (DIRICHLET, NEUMANN)
+BC_NAMES = (DIRICHLET, NEUMANN)
 
 ZERO = "zero"
 IDENTITY = "identity"
@@ -52,8 +52,8 @@ class Grid1D:
     def __post_init__(self):
         if int(self.n_interior) != self.n_interior or self.n_interior < 2:
             raise ValueError(f"n_interior must be an integer >= 2, got {self.n_interior}")
-        if self.bc not in _BCS:
-            raise ValueError(f"bc must be one of {_BCS}, got {self.bc!r}")
+        if self.bc not in BC_NAMES:
+            raise ValueError(f"bc must be one of {BC_NAMES}, got {self.bc!r}")
 
     @property
     def dx(self) -> float:
@@ -216,6 +216,34 @@ def v_norm(grid: Grid1D, u: np.ndarray) -> float:
     return math.sqrt(max(v_norm_sq(grid, u), 0.0))
 
 
+# Rowwise variants: one value per row of an (m, n_interior) array.
+
+
+def h_norm_sq_rows(grid: Grid1D, rows: np.ndarray) -> np.ndarray:
+    return grid.dx * np.sum(rows * rows, axis=1)
+
+
+def v_norm_sq_rows(grid: Grid1D, rows: np.ndarray) -> np.ndarray:
+    base = h_norm_sq_rows(grid, rows)
+    if grid.bc == DIRICHLET:
+        pad = np.zeros((rows.shape[0], 1))
+        d = np.diff(np.hstack([pad, rows, pad]), axis=1)
+    else:
+        d = np.diff(rows, axis=1)
+    return base + np.sum(d * d, axis=1) / grid.dx
+
+
+def form_rows(grid: Grid1D, op: DiscreteOperator, rows: np.ndarray) -> np.ndarray:
+    """(op u, u) in the grid inner product, rowwise."""
+    return grid.dx * np.sum(op.apply_rows(rows) * rows, axis=1)
+
+
+def cross_form_rows(grid: Grid1D, op_a: DiscreteOperator, op_b: DiscreteOperator,
+                    rows: np.ndarray) -> np.ndarray:
+    """(op_a u, op_b u) in the grid inner product, rowwise."""
+    return grid.dx * np.sum(op_a.apply_rows(rows) * op_b.apply_rows(rows), axis=1)
+
+
 # ----------------------------------------------------------------------
 # Resolvent solves
 
@@ -316,8 +344,8 @@ class ProblemPreset:
     def __post_init__(self):
         if self.name not in PRESET_NAMES:
             raise ValueError(f"unknown preset {self.name!r}")
-        if self.bc not in _BCS:
-            raise ValueError(f"bc must be one of {_BCS}")
+        if self.bc not in BC_NAMES:
+            raise ValueError(f"bc must be one of {BC_NAMES}")
         if self.gamma <= 1.0:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
         if self.sigma <= 0.0:

@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .diagnostics import EnergyRecord, energy
 from .nonlinearity import Nonlinearity
 from .operators import OperatorBundle, h_norm, resolvent_solve
 
@@ -117,7 +116,6 @@ class StepReport:
     heat_residual: float
     wave_residual: float
     rhs_norm: float
-    energy_snapshot: EnergyRecord
 
 
 @dataclass
@@ -285,8 +283,7 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
     new_state = State(theta1, phi1, v1, z1, state.t_index + 1, h)
     report = StepReport(newton_iters=iters, final_residual=res,
                         theta_residual=theta_res, heat_residual=heat_res,
-                        wave_residual=wave_res, rhs_norm=gn,
-                        energy_snapshot=energy(new_state, bundle, nonlin))
+                        wave_residual=wave_res, rhs_norm=gn)
     return new_state, report
 
 

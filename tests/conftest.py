@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 
 from thermowave import (Grid1D, Nonlinearity, ProblemPreset, StepConfig,
-                        build_bundle, cubic_nonlinearity, linear_reaction,
-                        zero_nonlinearity)
+                        build_bundle, cubic_nonlinearity, diagnostics,
+                        linear_reaction, zero_nonlinearity)
 
 
 def preset_bundle(name, n=32, bc="dirichlet", **kwargs):
@@ -33,3 +34,17 @@ def all_preset_bundles(n=32):
 
 def dirichlet_sine(grid, k):
     return np.sqrt(2.0) * np.sin(k * np.pi * grid.x)
+
+
+@pytest.fixture
+def energy_calls(monkeypatch):
+    """List that grows by one on every diagnostics.energy call in the test."""
+    calls = []
+    real = diagnostics.energy
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(diagnostics, "energy", counted)
+    return calls

@@ -77,6 +77,23 @@ def test_validate_numeric_strings():
     assert resolved["h"] == 0.125
 
 
+@pytest.mark.parametrize("field, text", [
+    ("epsilon", '"nan"'),
+    ("sigma", '"inf"'),
+    ("h", '"nan"'),
+    ("epsilon", "NaN"),
+    ("T", "1" + "0" * 400),
+])
+def test_non_finite_config_number_exits_1(tmp_path, capsys, field, text):
+    cfg = base_config(**{field: "PLACEHOLDER"})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg).replace('"PLACEHOLDER"', text))
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"config error: {field}: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run.json").exists()
+
+
 def test_validate_rejects_non_integer_step_count():
     cfg = base_config(h=0.03)
     with pytest.raises(ConfigError):
@@ -157,6 +174,14 @@ def test_missing_config_file(tmp_path):
     assert rc == 1
 
 
+def test_energy_audit_evaluates_energy_once_per_state(tmp_path, energy_calls):
+    rc = main(["energy-audit", "--config", write_config(tmp_path, base_config()),
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    _, _, rows = read_csv(tmp_path / "out" / "audit.csv")
+    assert len(energy_calls) == len(rows) + 1
+
+
 def test_sweep_outputs(tmp_path):
     cfg = base_config()
     del cfg["h"]
@@ -164,7 +189,7 @@ def test_sweep_outputs(tmp_path):
     cfg["initial"] = {"profile": "single_mode", "mode": 1, "theta_amp": 0.5,
                       "phi_amp": 0.5, "v_amp": 0.0}
     rc = main(["sweep", "--config", write_config(tmp_path, cfg),
-               "--out", str(tmp_path / "out"), "--threads", "2"])
+               "--out", str(tmp_path / "out")])
     assert rc == 0
     meta = json.loads((tmp_path / "out" / "sweep.json").read_text())
     assert meta["fitted_order"] >= 0.45
@@ -188,15 +213,15 @@ def test_sweep_divergence_exit_code(tmp_path):
     assert rc == 2
 
 
-def test_sweep_byte_deterministic_with_threads(tmp_path):
+def test_sweep_byte_deterministic(tmp_path):
     cfg = base_config()
     del cfg["h"]
     cfg["h_list"] = [1.0 / 16, 1.0 / 32]
     cfg["initial"] = {"profile": "single_mode", "mode": 1, "theta_amp": 0.5,
                       "phi_amp": 0.5, "v_amp": 0.0}
     cpath = write_config(tmp_path, cfg)
-    main(["sweep", "--config", cpath, "--out", str(tmp_path / "a"), "--threads", "2"])
-    main(["sweep", "--config", cpath, "--out", str(tmp_path / "b"), "--threads", "1"])
+    main(["sweep", "--config", cpath, "--out", str(tmp_path / "a")])
+    main(["sweep", "--config", cpath, "--out", str(tmp_path / "b")])
     for name in ("sweep.csv", "sweep.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 

@@ -158,16 +158,6 @@ def test_sweep_neumann_variant():
     assert result.fitted_order >= 0.45
 
 
-def test_sweep_threads_match_serial():
-    bundle, nl = p1_defaults(n=32, m=0.0)
-    init = single_mode(bundle.grid, 1, 1.0, 1.0, 0.0)
-    h_list = [1.0 / 16, 1.0 / 32]
-    a = sweep(init, bundle, nl, T=0.25, h_list=h_list, threads=1)
-    b = sweep(init, bundle, nl, T=0.25, h_list=h_list, threads=2)
-    for ra, rb in zip(a.reports, b.reports):
-        assert ra.as_tuple() == rb.as_tuple()
-
-
 def test_sweep_reports_partial_on_divergence():
     from thermowave import SweepDivergedError, cubic_nonlinearity, single_mode
     bundle, _ = p2_defaults(n=16)

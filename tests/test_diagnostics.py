@@ -3,11 +3,12 @@ import pytest
 from conftest import dirichlet_sine, p1_defaults, p2_defaults, preset_bundle
 
 from thermowave import (Grid1D, State, StepConfig, apriori_monitor,
-                        apriori_ratios, build_interpolants, energy, h_norm,
+                        apriori_ratios, build_interpolants, cubic_nonlinearity,
+                        energy, energy_ledger, h_norm,
                         interpolation_identities_check, laplacian_eigenvalues,
                         linear_reaction, lyapunov_check, random_smooth, run,
-                        single_mode, step_identity_residual, zero_nonlinearity,
-                        zero_profile)
+                        single_mode, step_identity_residual, write_energy_csv,
+                        zero_nonlinearity, zero_profile)
 
 
 def make_state(grid, theta, phi, v, h, t_index=0, z=None):
@@ -115,6 +116,54 @@ def test_lyapunov_rejects_nonzero_pi():
     result = run(zero_profile(bundle.grid), bundle, nl, T=0.1, cfg=StepConfig(h=0.01))
     with pytest.raises(ValueError):
         lyapunov_check(result.states, bundle, nl)
+
+
+@pytest.mark.parametrize("preset, bc", [("P2", "dirichlet"), ("P4", "neumann")])
+def test_ledger_matches_per_step_identity_residual(preset, bc):
+    bundle = preset_bundle(preset, n=48, bc=bc)
+    nl = cubic_nonlinearity(1.0)
+    states = run(random_smooth(bundle.grid, 3), bundle, nl, T=0.125,
+                 cfg=StepConfig(h=1 / 128)).states
+    ledger = energy_ledger(states, bundle, nl)
+    assert len(ledger) == len(states)
+    assert ledger[0].identity_residual == 0.0
+    for n, entry in enumerate(ledger):
+        assert entry.record == energy(states[n], bundle, nl)
+        if n > 0:
+            assert entry.identity_residual == step_identity_residual(
+                states[n - 1], states[n], bundle, nl)
+
+
+def test_write_energy_csv_evaluates_energy_once_per_state(tmp_path, energy_calls):
+    bundle, nl = p2_defaults(n=32)
+    states = run(random_smooth(bundle.grid, 5), bundle, nl, T=0.125,
+                 cfg=StepConfig(h=1 / 64)).states
+    write_energy_csv(tmp_path / "energy.csv", states, bundle, nl)
+    assert len(energy_calls) == len(states)
+
+
+def _lyapunov_check_by_pairs(states, bundle, nl, slack=1e-10):
+    """The decay check as a plain walk over consecutive energy pairs."""
+    out = []
+    prev = energy(states[0], bundle, nl)
+    for n in range(1, len(states)):
+        cur = energy(states[n], bundle, nl)
+        if cur.lyapunov > prev.lyapunov + slack * (1.0 + prev.total):
+            out.append((n, cur.lyapunov - prev.lyapunov))
+        prev = cur
+    return out
+
+
+def test_lyapunov_check_matches_pairwise_walk():
+    bundle, nl = p2_defaults(n=32)
+    states = run(random_smooth(bundle.grid, 9), bundle, nl, T=0.25,
+                 cfg=StepConfig(h=1 / 128)).states
+    shuffled = [states[i] for i in np.random.default_rng(0).permutation(len(states))]
+    for traj in (states, shuffled):
+        for slack in (1e-10, 1e-3):
+            want = _lyapunov_check_by_pairs(traj, bundle, nl, slack)
+            assert lyapunov_check(traj, bundle, nl, slack) == want
+    assert lyapunov_check(shuffled, bundle, nl)
 
 
 def test_linear_energy_decrease_equals_dissipation():
