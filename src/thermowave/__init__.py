@@ -16,19 +16,20 @@ from .diagnostics import (EnergyRecord, apriori_monitor, apriori_ratios,
 from .nonlinearity import (Nonlinearity, cubic_nonlinearity, linear_reaction,
                            potential_total, zero_nonlinearity)
 from .operators import (DIRICHLET, NEUMANN, DiscreteOperator, Grid1D,
-                        OperatorBundle, ProblemPreset, assemble_laplacian,
-                        audit_bundle, build_bundle, coupling_relative_bound,
-                        estimate_structural_constants, gradient_inner, h_inner,
-                        h_norm, identity_operator, resolvent_solve,
-                        solvability_threshold, v_coercivity_constant, v_norm,
-                        v_norm_sq, zero_operator)
+                        OperatorBundle, ProblemPreset, Resolvent,
+                        assemble_laplacian, audit_bundle, build_bundle,
+                        coupling_relative_bound, estimate_structural_constants,
+                        gradient_inner, h_inner, h_norm, identity_operator,
+                        resolvent_solve, solvability_threshold,
+                        v_coercivity_constant, v_norm, v_norm_sq, zero_operator)
 from .oracle import (DiscreteReference, FieldSnapshot, LinearReference,
-                     exact_linear_solution, fine_reference,
-                     inverse_modal_transform, laplacian_eigenvalues,
-                     modal_generator, modal_transform)
+                     ReferenceDivergedError, exact_linear_solution,
+                     fine_reference, inverse_modal_transform,
+                     laplacian_eigenvalues, modal_generator, modal_transform)
 from .profiles import make_initial, mode_vector, random_smooth, single_mode, zero_profile
-from .stepper import (NewtonDivergedError, RunResult, State, StepConfig,
-                      StepReport, phi_equation_rhs, run, solve_phi, step)
+from .stepper import (NewtonDivergedError, RunResult, State, StepAuditError,
+                      StepConfig, StepPlan, StepReport, phi_equation_rhs, run,
+                      solve_phi, step)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -29,7 +29,7 @@ import numpy as np
 from . import convergence, diagnostics
 from .nonlinearity import Nonlinearity
 from .operators import BC_NAMES, PRESET_NAMES, Grid1D, ProblemPreset, build_bundle
-from .oracle import LinearReference
+from .oracle import LinearReference, ReferenceDivergedError
 from .profiles import make_initial
 from .stepper import StepConfig, run
 
@@ -257,9 +257,14 @@ def _write_csv(path, header_lines, columns, rows):
 
 
 def _write_json(path, payload):
+    """Strict JSON: a non-finite number is a solver failure (exit 2), and
+    the file is not written."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise RuntimeError(f"{os.path.basename(path)} not written: {exc}") from exc
     with open(path, "w") as f:
-        json.dump(payload, f, sort_keys=True, indent=2)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def _json_meta(resolved, bundle, nonlin):
@@ -308,25 +313,30 @@ def cmd_sweep(resolved: dict, out_dir: str) -> int:
     s = resolved["solver"]
     header = _header_lines(resolved, bundle, nonlin)
     payload = _json_meta(resolved, bundle, nonlin)
+    error = None
     try:
         result = convergence.sweep(initial, bundle, nonlin, resolved["T"],
                                    resolved["h_list"], newton_tol=s["newton_tol"])
+    except ReferenceDivergedError as exc:
+        error, reports = exc, []
+        payload.update({"complete": False, "reference": "fine_step",
+                        "diverged_h": exc.h_ref, "failure_index": exc.failure_index})
     except convergence.SweepDivergedError as exc:
-        rows = [[r.h] + list(r.as_tuple()) + [r.total] for r in exc.partial]
-        _write_csv(os.path.join(out_dir, "sweep.csv"), header,
-                   ["h", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "total"], rows)
+        error, reports = exc, exc.partial
         payload.update({"complete": False, "diverged_h": exc.h,
                         "failure_index": exc.failure_index})
-        _write_json(os.path.join(out_dir, "sweep.json"), payload)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    rows = [[r.h] + list(r.as_tuple()) + [r.total] for r in result.reports]
+    else:
+        reports = result.reports
+        payload.update({"complete": True, "fitted_order": result.fitted_order,
+                        "fitted_M": result.fitted_M, "reference": result.reference_kind,
+                        "totals": {repr(r.h): r.total for r in reports}})
+    rows = [[r.h] + list(r.as_tuple()) + [r.total] for r in reports]
     _write_csv(os.path.join(out_dir, "sweep.csv"), header,
                ["h", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "total"], rows)
-    payload.update({"complete": True, "fitted_order": result.fitted_order,
-                    "fitted_M": result.fitted_M, "reference": result.reference_kind,
-                    "totals": {repr(r.h): r.total for r in result.reports}})
     _write_json(os.path.join(out_dir, "sweep.json"), payload)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -428,8 +438,8 @@ def main(argv=None) -> int:
             return cmd_energy_audit(resolved, args.out)
         return cmd_oracle_check(resolved, args.out)
     except RuntimeError as exc:
-        # solver-raised failures (divergence, residual audits) leave partial
-        # outputs in place and exit 2
+        # solver-raised failures (divergence, residual audits) and
+        # non-finite output values leave partial outputs in place and exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import LinAlgError, get_lapack_funcs
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -33,6 +34,7 @@ LAPLACIAN = "laplacian"
 CUSTOM = "custom"
 
 _EPS = float(np.finfo(float).eps)
+_PTTRF, _PTTRS = get_lapack_funcs(("pttrf", "pttrs"), (np.zeros(1),))
 
 PRESET_NAMES = ("P1", "P2", "P3", "P4", "P5")
 
@@ -248,37 +250,69 @@ def cross_form_rows(grid: Grid1D, op_a: DiscreteOperator, op_b: DiscreteOperator
 # Resolvent solves
 
 
-def resolvent_solve(op: DiscreteOperator, h: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I + h*op) x = rhs by symmetric banded factorization.
+class Resolvent:
+    """(I + h*op) factored once, for any number of solves.
 
-    ``op`` must be monotone so the shifted matrix is positive definite.  A
-    refinement pass plus a residual audit keep the result within
-    1e-13 * |rhs| up to the backward-stable representation floor.
+    ``op`` must be monotone so the shifted matrix is positive definite.  The
+    two bands are factored by LAPACK ``pttrf``; each ``solve`` is one
+    ``pttrs``, plus a refinement pass when the residual is above the
+    representation floor, and a residual audit that keeps the result within
+    1e-13 * |rhs| up to that floor.  ``solveh_banded`` on the same two bands
+    is ``ptsv`` = ``pttrf`` + ``pttrs``, so a solve here returns the same
+    bits as a one-shot banded solve.
     """
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
-    rhs = np.asarray(rhs, dtype=float)
-    if rhs.shape != (op.dim,):
-        raise ValueError(f"dimension mismatch: operator dim {op.dim}, rhs shape {rhs.shape}")
-    ab = np.zeros((2, op.dim))
-    ab[0, 1:] = h * op.offdiag
-    ab[1, :] = 1.0 + h * op.diag
-    x = scipy.linalg.solveh_banded(ab, rhs)
-    res = rhs - (x + h * op.apply(x))
-    rn = float(np.linalg.norm(res))
-    bn = float(np.linalg.norm(rhs))
-    # Representable solutions cannot beat the backward-stable floor
-    # eps * |I + h op| * |x|, which dominates 1e-13 * |rhs| once
-    # h * |op| is large and the data is rough.
-    floor = 8.0 * _EPS * (1.0 + h * op.norm_bound()) * float(np.linalg.norm(x))
-    if rn > max(1e-14 * bn, 0.5 * floor):
-        x = x + scipy.linalg.solveh_banded(ab, res)
+
+    def __init__(self, op: DiscreteOperator, h: float):
+        if h <= 0:
+            raise ValueError(f"h must be positive, got {h}")
+        self.op = op
+        self.h = h
+        self._d, self._e, info = _PTTRF(1.0 + h * op.diag, h * op.offdiag)
+        _check_lapack_info(info, "pttrf", "{info}th leading minor not positive definite")
+        # Representable solutions cannot beat the backward-stable floor
+        # eps * |I + h op| * |x|, which dominates 1e-13 * |rhs| once
+        # h * |op| is large and the data is rough.
+        self._floor_per_x = 8.0 * _EPS * (1.0 + h * op.norm_bound())
+
+    def _pttrs(self, b, overwrite_b=0):
+        x, info = _PTTRS(self._d, self._e, b, overwrite_b=overwrite_b)
+        _check_lapack_info(info, "pttrs", "pttrs failed with info {info}")
+        return x
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with (I + h*op) x = rhs, refined once if needed, audited."""
+        rhs = np.asarray(rhs, dtype=float)
+        op, h = self.op, self.h
+        if rhs.shape != (op.dim,):
+            raise ValueError(f"dimension mismatch: operator dim {op.dim}, rhs shape {rhs.shape}")
+        x = self._pttrs(rhs)
         res = rhs - (x + h * op.apply(x))
-        rn = float(np.linalg.norm(res))
-    if rn > 1e-13 * bn + floor:
-        raise RuntimeError(f"resolvent residual audit failed: {rn:.3e} > "
-                           f"1e-13 * {bn:.3e} + floor {floor:.3e}")
-    return x
+        rn = math.sqrt(res.dot(res))
+        bn = math.sqrt(rhs.dot(rhs))
+        floor = self._floor_per_x * math.sqrt(x.dot(x))
+        if rn > max(1e-14 * bn, 0.5 * floor):
+            x = x + self._pttrs(res, overwrite_b=1)
+            res = rhs - (x + h * op.apply(x))
+            rn = math.sqrt(res.dot(res))
+        if not rn <= 1e-13 * bn + floor:  # also rejects a NaN residual
+            raise RuntimeError(f"resolvent residual audit failed: {rn:.3e} > "
+                               f"1e-13 * {bn:.3e} + floor {floor:.3e}")
+        return x
+
+
+def resolvent_solve(op: DiscreteOperator, h: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I + h*op) x = rhs once; see ``Resolvent`` for repeated solves."""
+    return Resolvent(op, h).solve(rhs)
+
+
+def _check_lapack_info(info: int, routine: str, failure: str) -> None:
+    """Raise as SciPy's LAPACK wrappers do: ``LinAlgError(failure)`` when
+    the routine reports a numerical failure (info > 0), ``ValueError`` for
+    an illegal argument (info < 0)."""
+    if info > 0:
+        raise LinAlgError(failure.format(info=info))
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal {routine}")
 
 
 # ----------------------------------------------------------------------
@@ -444,11 +478,13 @@ def coupling_relative_bound(coupling: DiscreteOperator, diffusion: DiscreteOpera
         vals = np.abs(coupling.symbol(mu)) / (1.0 + diffusion.symbol(mu))
         return float(np.max(vals))
 
+    resolvent = Resolvent(diffusion, 1.0)
+
     def ktk(x):
-        y = resolvent_solve(diffusion, 1.0, np.asarray(x, dtype=float).ravel())
+        y = resolvent.solve(np.asarray(x, dtype=float).ravel())
         y = coupling.apply(y)
         y = coupling.apply(y)
-        return resolvent_solve(diffusion, 1.0, y)
+        return resolvent.solve(y)
 
     lam = _lanczos_top_eigenvalue(ktk, n)
     if lam > 1e24:

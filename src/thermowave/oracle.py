@@ -170,6 +170,15 @@ def exact_linear_solution(initial, bundle: OperatorBundle, nonlin: Nonlinearity,
     return LinearReference(initial, bundle, nonlin).at(t)
 
 
+class ReferenceDivergedError(RuntimeError):
+    """The fine-step reference run stopped early at step ``failure_index``."""
+
+    def __init__(self, h_ref: float, failure_index: int):
+        super().__init__(f"fine reference h = {h_ref} diverged at step {failure_index}")
+        self.h_ref = h_ref
+        self.failure_index = failure_index
+
+
 class DiscreteReference:
     """Fine-step trajectory exposed as a reference for coarse comparisons.
 
@@ -179,7 +188,7 @@ class DiscreteReference:
 
     def __init__(self, result: RunResult, h_ref: float):
         if not result.complete:
-            raise RuntimeError("reference run did not complete")
+            raise ReferenceDivergedError(h_ref, result.failure_index)
         self.h_ref = h_ref
         self.states = result.states
         self._arrays = {

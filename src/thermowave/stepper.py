@@ -14,10 +14,11 @@ equation for phi+,
 
 with g assembled from the previous state.  The solver is a Newton iteration
 whose linear stage eliminates the resolvent through a banded Schur
-complement, keeping every step O(n).  Below the bundle's ``h_threshold``
-the elliptic operator is strictly monotone and the step has a unique
-solution; larger steps are attempted anyway and divergence is reported,
-never silently accepted.
+complement, keeping every step O(n); everything constant for a fixed
+bundle and step size is built once per run in a ``StepPlan``.  Below the
+bundle's ``h_threshold`` the elliptic operator is strictly monotone and the
+step has a unique solution; larger steps are attempted anyway and
+divergence is reported, never silently accepted.
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import get_lapack_funcs
 
 from .nonlinearity import Nonlinearity
-from .operators import OperatorBundle, h_norm, resolvent_solve
+from .operators import OperatorBundle, Resolvent, _check_lapack_info, h_norm
 
 _EPS = float(np.finfo(float).eps)
+_GBSV, _GBTRF, _GBTRS = get_lapack_funcs(("gbsv", "gbtrf", "gbtrs"), (np.zeros(1),))
 
 DEFAULT_YOSIDA_LAMBDAS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 
@@ -129,18 +131,121 @@ class RunResult:
         return self.failure_index is None
 
 
-def phi_equation_rhs(state: State, bundle: OperatorBundle, h: float) -> np.ndarray:
+class StepAuditError(RuntimeError):
+    """A computed step failed the scheme-residual audit."""
+
+
+class StepPlan:
+    """The linear algebra shared by every step of one (bundle, h): built
+    once per run, so no step factors or assembles anything constant.
+
+    It holds the heat resolvent (I + h diffusion) factored once, the
+    constant bands of the Newton Jacobian, one gbsv band buffer that every
+    Newton iteration refills in place, and the operator-norm scales of the
+    step audit.  When ``nonlin`` is linear the Jacobian does not depend on
+    phi, so it is factored once here (gbtrf) and each Newton iteration is a
+    single gbtrs.  ``nonlin`` may be omitted by callers that only need the
+    resolvent (``phi_equation_rhs``).  The band buffer makes a plan
+    single-threaded: concurrent runs each build their own.
+    """
+
+    def __init__(self, bundle: OperatorBundle, h: float, nonlin: Nonlinearity | None = None):
+        self.resolvent = Resolvent(bundle.diffusion, h)  # rejects h <= 0
+        self.bundle = bundle
+        self.h = h
+        self.nonlin = nonlin
+
+        # Newton Jacobian T1 (I + h diffusion) + eta h^2 coupling with
+        # T1 = lin + h^2 (beta' + pi'); see _newton.
+        self.d2 = 1.0 + h * bundle.diffusion.diag
+        self.o2 = h * bundle.diffusion.offdiag
+        self.lin_d = (bundle.mass.diag + h * bundle.damping.diag
+                      + h * h * bundle.stiffness.diag)
+        self.lin_o = (bundle.mass.offdiag + h * bundle.damping.offdiag
+                      + h * h * bundle.stiffness.offdiag)
+        self.cpl_d = bundle.eta * h * h * bundle.coupling.diag
+        self.cpl_o = bundle.eta * h * h * bundle.coupling.offdiag
+        # gbsv band layout: rows 0-1 hold the LU fill-in, rows 2-6 the
+        # pentadiagonal (solve_banded layout); the outermost bands and the
+        # T1-independent products are the same for every iteration.
+        n = bundle.grid.n_interior
+        o1, d2, o2 = self.lin_o, self.d2, self.o2
+        self._template = np.zeros((7, n), order="F")
+        self._template[2, 2:] = o1[:-1] * o2[1:]
+        self._template[6, :-2] = o1[1:] * o2[:-1]
+        self._upper = o1 * d2[1:]
+        self._lower = o1 * d2[:-1]
+        self._cross = o1 * o2
+        self._bands = np.empty((7, n), order="F")
+        self._lu = None
+        if nonlin is not None and nonlin.is_linear:
+            zero = np.zeros(n)
+            self._fill_bands(self.lin_d + h * h * (nonlin.beta_prime(zero)
+                                                   + nonlin.pi_prime(zero)))
+            self._lu, self._piv, info = _GBTRF(self._bands, 2, 2)
+            _check_lapack_info(info, "gbtrf", "singular matrix")
+
+        # Rounding scales of the step audit; see step().
+        self.coupling_norm = bundle.coupling.norm_bound()
+        self.wave_scale = (bundle.mass.norm_bound() / (h * h) + bundle.damping.norm_bound() / h
+                           + bundle.stiffness.norm_bound() + bundle.eta * self.coupling_norm)
+        self.heat_scale = 1.0 / h + bundle.diffusion.norm_bound()
+
+    def _fill_bands(self, d1):
+        """Pentadiagonal bands of T1 (I + h diffusion) + eta h^2 coupling
+        for T1 = (d1, lin_o), written into the gbsv buffer."""
+        P = self._bands
+        P[...] = self._template
+        np.multiply(d1[:-1], self.o2, out=P[3, 1:])
+        P[3, 1:] += self._upper
+        P[3, 1:] += self.cpl_o
+        np.multiply(d1, self.d2, out=P[4])
+        P[4, 1:] += self._cross
+        P[4, :-1] += self._cross
+        P[4] += self.cpl_d
+        np.multiply(d1[1:], self.o2, out=P[5, :-1])
+        P[5, :-1] += self._lower
+        P[5, :-1] += self.cpl_o
+
+    def newton_direction(self, phi, rhs, beta_p, pi_p):
+        """w with J(phi) w = rhs, J the Newton Jacobian in the eliminated
+        form; ``rhs`` is overwritten.  A linear plan reuses its factor and
+        ignores ``beta_p``/``pi_p``."""
+        if self._lu is not None:
+            w, info = _GBTRS(self._lu, 2, 2, rhs, self._piv, overwrite_b=1)
+            _check_lapack_info(info, "gbtrs", "singular matrix")
+            return w
+        h = self.h
+        self._fill_bands(self.lin_d + h * h * (beta_p(phi) + pi_p(phi)))
+        _, _, w, info = _GBSV(2, 2, self._bands, rhs, overwrite_ab=1, overwrite_b=1)
+        _check_lapack_info(info, "gbsv", "singular matrix")
+        return w
+
+
+def _plan_for(plan, bundle, h, nonlin=None) -> StepPlan:
+    """``plan`` once checked against the call's arguments, or a new plan."""
+    if plan is None:
+        return StepPlan(bundle, h, nonlin)
+    if plan.bundle is not bundle or plan.h != h or (
+            nonlin is not None and plan.nonlin is not nonlin and plan.nonlin != nonlin):
+        raise ValueError("step plan was built for another bundle, step size or nonlinearity")
+    return plan
+
+
+def phi_equation_rhs(state: State, bundle: OperatorBundle, h: float,
+                     plan: StepPlan | None = None) -> np.ndarray:
     """Right-hand side g of the per-step elliptic equation for phi+."""
-    shifted = resolvent_solve(bundle.diffusion, h,
-                              bundle.eta * state.phi + state.theta)
+    plan = _plan_for(plan, bundle, h)
+    shifted = plan.resolvent.solve(bundle.eta * state.phi + state.theta)
     return (bundle.mass.apply(state.phi)
             + h * bundle.mass.apply(state.v)
             + h * bundle.damping.apply(state.phi)
             + h * h * bundle.coupling.apply(shifted))
 
 
-def _elliptic_residual(phi, g, bundle, h, beta_f, pi_f):
-    shifted = resolvent_solve(bundle.diffusion, h, phi)
+def _elliptic_residual(phi, g, plan, beta_f, pi_f):
+    bundle, h = plan.bundle, plan.h
+    shifted = plan.resolvent.solve(phi)
     return (bundle.mass.apply(phi)
             + h * bundle.damping.apply(phi)
             + h * h * bundle.stiffness.apply(phi)
@@ -150,22 +255,7 @@ def _elliptic_residual(phi, g, bundle, h, beta_f, pi_f):
             - g)
 
 
-def _tridiag_product_bands(d1, o1, d2, o2):
-    """Pentadiagonal bands (solve_banded layout) of T1 @ T2 for symmetric
-    tridiagonal T1 = (d1, o1), T2 = (d2, o2)."""
-    n = d1.size
-    P = np.zeros((5, n))
-    P[0, 2:] = o1[:-1] * o2[1:]
-    P[1, 1:] = d1[:-1] * o2 + o1 * d2[1:]
-    P[2, :] = d1 * d2
-    P[2, 1:] += o1 * o2
-    P[2, :-1] += o1 * o2
-    P[3, :-1] = o1 * d2[:-1] + d1[1:] * o2
-    P[4, :-2] = o1[1:] * o2[:-1]
-    return P
-
-
-def _newton(g, bundle, cfg, beta_f, beta_p, pi_f, pi_p, phi0):
+def _newton(g, plan, cfg, beta_f, beta_p, pi_f, pi_p, phi0):
     """Newton iteration on the per-step elliptic equation.
 
     The Jacobian is T1 + eta h^2 coupling (I + h diffusion)^{-1} with T1
@@ -174,39 +264,25 @@ def _newton(g, bundle, cfg, beta_f, beta_p, pi_f, pi_p, phi0):
     Iterations continue past the tolerance while the residual still drops
     fast, so accepted steps sit at the attainable floor.
     """
-    grid = bundle.grid
-    h = cfg.h
+    grid = plan.bundle.grid
+    d2, o2 = plan.d2, plan.o2
     gn = h_norm(grid, g)
     target = cfg.newton_tol * (1.0 + gn)
     floor = 8.0 * _EPS * (1.0 + gn)
 
-    d2 = 1.0 + h * bundle.diffusion.diag
-    o2 = h * bundle.diffusion.offdiag
-    lin_d = (bundle.mass.diag + h * bundle.damping.diag
-             + h * h * bundle.stiffness.diag)
-    lin_o = (bundle.mass.offdiag + h * bundle.damping.offdiag
-             + h * h * bundle.stiffness.offdiag)
-    cpl_d = bundle.eta * h * h * bundle.coupling.diag
-    cpl_o = bundle.eta * h * h * bundle.coupling.offdiag
-
     phi = np.array(phi0, dtype=float)
-    res_vec = _elliptic_residual(phi, g, bundle, h, beta_f, pi_f)
+    res_vec = _elliptic_residual(phi, g, plan, beta_f, pi_f)
     res = h_norm(grid, res_vec)
     if res == 0.0:
         return phi, 0, res
     prev = math.inf
     for it in range(1, cfg.newton_max_iter + 1):
-        d1 = lin_d + h * h * (beta_p(phi) + pi_p(phi))
-        P = _tridiag_product_bands(d1, lin_o, d2, o2)
-        P[2, :] += cpl_d
-        P[1, 1:] += cpl_o
-        P[3, :-1] += cpl_o
-        w = scipy.linalg.solve_banded((2, 2), P, -res_vec)
+        w = plan.newton_direction(phi, -res_vec, beta_p, pi_p)
         dphi = d2 * w
         dphi[:-1] += o2 * w[1:]
         dphi[1:] += o2 * w[:-1]
         phi = phi + dphi
-        res_vec = _elliptic_residual(phi, g, bundle, h, beta_f, pi_f)
+        res_vec = _elliptic_residual(phi, g, plan, beta_f, pi_f)
         res = h_norm(grid, res_vec)
         if res <= floor:
             return phi, it, res
@@ -219,7 +295,8 @@ def _newton(g, bundle, cfg, beta_f, beta_p, pi_f, pi_p, phi0):
 
 
 def solve_phi(g: np.ndarray, bundle: OperatorBundle, nonlin: Nonlinearity,
-              cfg: StepConfig, phi0: np.ndarray | None = None):
+              cfg: StepConfig, phi0: np.ndarray | None = None,
+              plan: StepPlan | None = None):
     """Solve the per-step elliptic equation; returns (phi, iters, residual).
 
     The direct path applies Newton to the equation as stated.  The
@@ -228,41 +305,59 @@ def solve_phi(g: np.ndarray, bundle: OperatorBundle, nonlin: Nonlinearity,
     the reported residual is always measured against the unsmoothed
     equation.
     """
+    plan = _plan_for(plan, bundle, cfg.h, nonlin)
     if phi0 is None:
         phi0 = np.zeros(bundle.grid.n_interior)
     if cfg.solve_path == "direct" or not nonlin.has_beta:
-        return _newton(g, bundle, cfg, nonlin.beta, nonlin.beta_prime,
+        return _newton(g, plan, cfg, nonlin.beta, nonlin.beta_prime,
                        nonlin.pi, nonlin.pi_prime, phi0)
     phi = np.array(phi0, dtype=float)
     iters = 0
     for lam in cfg.yosida_lambdas:
         phi, it, _ = _newton(
-            g, bundle, cfg,
+            g, plan, cfg,
             lambda r, lam=lam: nonlin.yosida(lam, r),
             lambda r, lam=lam: nonlin.yosida_prime(lam, r),
             nonlin.pi, nonlin.pi_prime, phi)
         iters += it
     res = h_norm(bundle.grid,
-                 _elliptic_residual(phi, g, bundle, cfg.h, nonlin.beta, nonlin.pi))
+                 _elliptic_residual(phi, g, plan, nonlin.beta, nonlin.pi))
     return phi, iters, res
 
 
 def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
-         cfg: StepConfig) -> tuple[State, StepReport]:
+         cfg: StepConfig, plan: StepPlan | None = None) -> tuple[State, StepReport]:
     """Advance one step and audit both scheme equations on the new state.
 
-    The audit threshold carries a floating-point floor of order
-    eps / h^2 beside the solver tolerance: the acceleration equation is a
-    second difference quotient of phi+, so representation error of phi+
-    alone contributes at that scale.
+    Each audit allows max(10 newton_tol (1 + |g|), floor), the floor being
+    32 eps times the rounding scale of evaluating that equation on the
+    computed state (|.| is the grid H-norm, |op| an operator's
+    ``norm_bound``):
+
+    - wave: h^2 times the wave equation is the elliptic equation, whose
+      evaluation rounds at eps (|g| + |K| |phi+|) with
+      |K| <= |mass| + h |damping| + h^2 |stiffness| + eta h^2 |coupling|;
+      its pointwise terms are bounded by the same sum through the equation
+      itself.  Dividing by h^2 and adding the rounding of coupling(theta+)
+      gives (1 + |g|) / h^2 + (|mass|/h^2 + |damping|/h + |stiffness|
+      + eta |coupling|) |phi+| + |coupling| |theta+|.  The difference
+      quotients z+ and v+ round at the same scale.
+    - heat: h times the heat equation is the resolvent equation of theta+,
+      whose evaluation rounds at eps (1 + h |diffusion|) |theta+| plus
+      eps |theta + eta (phi - phi+)|; dividing by h gives
+      (1/h + |diffusion|) |theta+| + (|theta| + eta (|phi| + |phi+|)) / h.
+
+    A step that fails either audit raises ``StepAuditError``.
     """
+    plan = _plan_for(plan, bundle, cfg.h, nonlin)
     grid = bundle.grid
     h = cfg.h
-    g = phi_equation_rhs(state, bundle, h)
-    phi1, iters, res = solve_phi(g, bundle, nonlin, cfg, phi0=state.phi + h * state.v)
+    g = phi_equation_rhs(state, bundle, h, plan)
+    phi1, iters, res = solve_phi(g, bundle, nonlin, cfg, phi0=state.phi + h * state.v,
+                                 plan=plan)
 
     theta_rhs = state.theta + bundle.eta * (state.phi - phi1)
-    theta1 = resolvent_solve(bundle.diffusion, h, theta_rhs)
+    theta1 = plan.resolvent.solve(theta_rhs)
     theta_res = h_norm(grid, theta1 + h * bundle.diffusion.apply(theta1) - theta_rhs)
 
     v1 = (phi1 - state.phi) / h
@@ -275,10 +370,20 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
                       + nonlin.pi(phi1) - bundle.coupling.apply(theta1))
 
     gn = h_norm(grid, g)
-    audit = max(10.0 * cfg.newton_tol, 32.0 * _EPS / (h * h)) * (1.0 + gn)
-    if wave_res > audit or heat_res > audit:
-        raise RuntimeError(f"scheme residual audit failed at step {state.t_index}: "
-                           f"heat {heat_res:.3e}, wave {wave_res:.3e}, allowed {audit:.3e}")
+    phi1_n = h_norm(grid, phi1)
+    theta1_n = h_norm(grid, theta1)
+    solver_term = 10.0 * cfg.newton_tol * (1.0 + gn)
+    wave_floor = 32.0 * _EPS * ((1.0 + gn) / (h * h) + plan.wave_scale * phi1_n
+                                + plan.coupling_norm * theta1_n)
+    heat_floor = 32.0 * _EPS * (plan.heat_scale * theta1_n
+                                + (h_norm(grid, state.theta) + bundle.eta
+                                   * (h_norm(grid, state.phi) + phi1_n)) / h)
+    wave_allowed = max(solver_term, wave_floor)
+    heat_allowed = max(solver_term, heat_floor)
+    if not (wave_res <= wave_allowed and heat_res <= heat_allowed):
+        raise StepAuditError(f"scheme residual audit failed at step {state.t_index}: "
+                             f"heat {heat_res:.3e} (allowed {heat_allowed:.3e}), "
+                             f"wave {wave_res:.3e} (allowed {wave_allowed:.3e})")
 
     new_state = State(theta1, phi1, v1, z1, state.t_index + 1, h)
     report = StepReport(newton_iters=iters, final_residual=res,
@@ -291,9 +396,11 @@ def run(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
         cfg: StepConfig) -> RunResult:
     """Integrate from t = 0 to T; T / h must be a whole number of steps.
 
-    On Newton divergence the partial trajectory is returned with the index
-    of the failed step.  The initial state's acceleration is backfilled
-    with the first computed one, matching the scheme's startup convention.
+    On Newton divergence or a failed step audit the partial trajectory is
+    returned with the index of the failed step.  The initial state's
+    acceleration is backfilled with the first computed one, matching the
+    scheme's startup convention.  The constant linear algebra of all steps
+    is built once, as one ``StepPlan``.
     """
     theta0, phi0, v0 = (np.array(u, dtype=float) for u in initial)
     for name, u in (("theta0", theta0), ("phi0", phi0), ("v0", v0)):
@@ -312,14 +419,15 @@ def run(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
                       f"{threshold:.6g}; attempting anyway", RuntimeWarning,
                       stacklevel=2)
 
+    plan = StepPlan(bundle, cfg.h, nonlin)
     state = State(theta0, phi0, v0, np.zeros_like(phi0), 0, cfg.h)
     states = [state]
     reports = []
     failure = None
     for n in range(n_steps):
         try:
-            state, report = step(state, bundle, nonlin, cfg)
-        except NewtonDivergedError:
+            state, report = step(state, bundle, nonlin, cfg, plan)
+        except (NewtonDivergedError, StepAuditError):
             failure = n
             break
         states.append(state)

@@ -291,3 +291,68 @@ def test_header_embeds_resolved_config(tmp_path):
     assert embedded["preset"] == "P2"
     assert embedded["h"] == cfg["h"]
     assert embedded["solver"]["newton_tol"] == 1e-12
+
+
+@pytest.mark.parametrize("command,files", [
+    ("run", ("energy.csv", "steps.csv", "run.json")),
+    ("energy-audit", ("audit.csv", "audit.json")),
+])
+def test_step_audit_failure_writes_partial_outputs(tmp_path, monkeypatch, command, files):
+    import thermowave.stepper as stepper
+    # without the rounding floors the audit rejects P3's first step at n = 1024
+    monkeypatch.setattr(stepper, "_EPS", 0.0)
+    cfg = base_config(preset="P3", n_interior=1024, h=1.0 / 256, T=8.0 / 256,
+                      initial={"profile": "random_smooth", "seed": 7})
+    out = tmp_path / "out"
+    rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert rc == 2
+    for name in files:
+        assert (out / name).exists()
+    meta = json.loads((out / files[-1]).read_text())
+    assert meta["complete"] is False
+    assert meta["failure_index"] == 0
+
+
+def test_sweep_reference_divergence_writes_partial_outputs(tmp_path, monkeypatch, capsys):
+    import thermowave.stepper as stepper
+    real_step = stepper.step
+    h_list = [1.0 / 16, 1.0 / 32]
+
+    def failing_reference(state, bundle, nonlin, cfg, plan=None):
+        if cfg.h < h_list[-1] and state.t_index == 5:
+            raise stepper.NewtonDivergedError(cfg.newton_max_iter, 1.0)
+        return real_step(state, bundle, nonlin, cfg, plan)
+
+    monkeypatch.setattr(stepper, "step", failing_reference)
+    cfg = base_config()
+    del cfg["h"]
+    cfg["h_list"] = h_list
+    out = tmp_path / "out"
+    rc = main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert rc == 2
+    assert "error: fine reference" in capsys.readouterr().err
+    meta = json.loads((out / "sweep.json").read_text())
+    assert meta["complete"] is False
+    assert meta["reference"] == "fine_step"
+    assert meta["failure_index"] == 5
+    assert meta["diverged_h"] == h_list[-1] / 32
+    _, _, rows = read_csv(out / "sweep.csv")
+    assert rows == []
+
+
+def test_non_finite_output_value_exits_2(tmp_path, monkeypatch, capsys):
+    import thermowave.cli as cli
+    real_meta = cli._json_meta
+
+    def meta_with_nan(*args):
+        payload = real_meta(*args)
+        payload["coupling_bound"] = float("nan")
+        return payload
+
+    monkeypatch.setattr(cli, "_json_meta", meta_with_nan)
+    out = tmp_path / "out"
+    rc = main(["run", "--config", write_config(tmp_path, base_config()), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: run.json not written") and "Traceback" not in err
+    assert not (out / "run.json").exists()

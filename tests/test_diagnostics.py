@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import dirichlet_sine, p1_defaults, p2_defaults, preset_bundle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thermowave import (Grid1D, State, StepConfig, apriori_monitor,
                         apriori_ratios, build_interpolants, cubic_nonlinearity,
@@ -9,6 +11,7 @@ from thermowave import (Grid1D, State, StepConfig, apriori_monitor,
                         linear_reaction, lyapunov_check, random_smooth, run,
                         single_mode, step_identity_residual, write_energy_csv,
                         zero_nonlinearity, zero_profile)
+from thermowave.diagnostics import decay_violations
 
 
 def make_state(grid, theta, phi, v, h, t_index=0, z=None):
@@ -132,6 +135,29 @@ def test_ledger_matches_per_step_identity_residual(preset, bc):
         if n > 0:
             assert entry.identity_residual == step_identity_residual(
                 states[n - 1], states[n], bundle, nl)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(preset=st.sampled_from(["P1", "P2", "P3", "P4", "P5"]),
+       bc=st.sampled_from(["dirichlet", "neumann"]),
+       n=st.integers(min_value=2, max_value=48),
+       h_fraction=st.floats(min_value=0.01, max_value=0.95),
+       n_steps=st.integers(min_value=1, max_value=6),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_ledger_identity_and_decay_hold_below_threshold(preset, bc, n, h_fraction, n_steps, seed):
+    if preset == "P1":
+        bundle, nl = preset_bundle("P1", n=n, bc=bc, m=1.0), linear_reaction(-1.0)
+    else:
+        bundle, nl = preset_bundle(preset, n=n, bc=bc), cubic_nonlinearity(1.0)
+    h = h_fraction * bundle.h_threshold(nl.lipschitz_const)
+    result = run(random_smooth(bundle.grid, seed), bundle, nl, T=n_steps * h,
+                 cfg=StepConfig(h=h))
+    assert result.complete
+    ledger = energy_ledger(result.states, bundle, nl)
+    for prev, entry in zip(ledger, ledger[1:]):
+        assert entry.identity_residual <= 1e-10 * (1.0 + prev.record.total)
+    if nl.pi_kind == "zero":
+        assert decay_violations(ledger) == []
 
 
 def test_write_energy_csv_evaluates_energy_once_per_state(tmp_path, energy_calls):

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from conftest import all_preset_bundles, dirichlet_sine, preset_bundle
 
-from thermowave import (Grid1D, ProblemPreset, assemble_laplacian, audit_bundle,
+import scipy.linalg
+
+from thermowave import (DiscreteOperator, Grid1D, ProblemPreset, Resolvent,
+                        assemble_laplacian, audit_bundle,
                         build_bundle, coupling_relative_bound,
                         estimate_structural_constants, gradient_inner, h_inner,
                         h_norm, identity_operator, resolvent_solve,
@@ -99,6 +102,64 @@ def test_resolvent_roundtrip_property():
                     assert np.max(np.abs(back - u)) <= 1e-12 * max(1.0, np.max(np.abs(u)))
 
 
+def random_monotone_operator(rng, n):
+    """Custom symmetric tridiagonal operator, diagonally dominant, hence PSD."""
+    off = rng.standard_normal(n - 1) * rng.uniform(0.1, 1e3)
+    pad = np.abs(np.concatenate([[0.0], off])) + np.abs(np.concatenate([off, [0.0]]))
+    return DiscreteOperator(pad + rng.uniform(0.0, 1.0, n), off)
+
+
+def banded_resolvent_reference(op, h, rhs, eps):
+    """The one-shot solveh_banded solve, refinement rule and audit included."""
+    ab = np.zeros((2, op.dim))
+    ab[0, 1:] = h * op.offdiag
+    ab[1, :] = 1.0 + h * op.diag
+    x = scipy.linalg.solveh_banded(ab, rhs)
+    res = rhs - (x + h * op.apply(x))
+    bn = float(np.linalg.norm(rhs))
+    floor = 8.0 * eps * (1.0 + h * op.norm_bound()) * float(np.linalg.norm(x))
+    if float(np.linalg.norm(res)) > max(1e-14 * bn, 0.5 * floor):
+        x = x + scipy.linalg.solveh_banded(ab, res)
+        res = rhs - (x + h * op.apply(x))
+    if float(np.linalg.norm(res)) > 1e-13 * bn + floor:
+        raise RuntimeError("audit failed")
+    return x
+
+
+@pytest.mark.parametrize("n", [2, 64, 1024])
+@pytest.mark.parametrize("zero_floor", [False, True])
+def test_factored_resolvent_matches_solveh_banded_bitwise(n, zero_floor, monkeypatch):
+    # a zero representation floor forces the refinement pass and exercises
+    # the audit; with the real floor these well-conditioned solves never refine
+    import thermowave.operators as operators
+    eps = np.finfo(float).eps
+    if zero_floor:
+        monkeypatch.setattr(operators, "_EPS", 0.0)
+        eps = 0.0
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        op = random_monotone_operator(rng, n)
+        for h in (1e-4, 0.1, 10.0):
+            resolvent = Resolvent(op, h)
+            for _ in range(3):  # one factor, several right-hand sides
+                rhs = rng.standard_normal(n) * rng.uniform(1e-3, 1e3)
+                try:
+                    want = banded_resolvent_reference(op, h, rhs, eps)
+                except RuntimeError:
+                    with pytest.raises(RuntimeError):
+                        resolvent.solve(rhs)
+                    continue
+                assert np.array_equal(resolvent.solve(rhs), want)
+                assert np.array_equal(resolvent_solve(op, h, rhs), want)
+
+
+def test_resolvent_rejects_bad_step():
+    lap = assemble_laplacian(Grid1D(8), 1.0)
+    for h in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            Resolvent(lap, h)
+
+
 def test_resolvent_dimension_mismatch():
     lap = assemble_laplacian(Grid1D(8), 1.0)
     with pytest.raises(ValueError):
@@ -192,6 +253,19 @@ def test_coupling_bound_p1_matches_dense_svd():
         svd = np.linalg.svd(dense, compute_uv=False)[0]
         assert abs(bundle.coupling_bound - svd) <= 1e-8 * svd
         assert bundle.coupling_bound <= c * c / sigma + 1e-10
+
+
+def test_coupling_bound_custom_operators_match_dense_svd():
+    # custom kinds have no modal symbol: the bound comes from Lanczos on
+    # the composed normal operator, with one resolvent factor for all solves
+    rng = np.random.default_rng(5)
+    n = 32
+    for _ in range(3):
+        coupling = random_monotone_operator(rng, n)
+        diffusion = random_monotone_operator(rng, n)
+        dense = coupling.to_dense() @ np.linalg.inv(np.eye(n) + diffusion.to_dense())
+        svd = np.linalg.svd(dense, compute_uv=False)[0]
+        assert abs(coupling_relative_bound(coupling, diffusion) - svd) <= 1e-10 * svd
 
 
 def test_coupling_bound_p4_below_one():

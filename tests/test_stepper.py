@@ -3,11 +3,11 @@ import pytest
 from conftest import (all_preset_bundles, dirichlet_sine, p1_defaults,
                       p2_defaults, preset_bundle)
 
-from thermowave import (Grid1D, NewtonDivergedError, State, StepConfig,
-                        cubic_nonlinearity, h_norm, laplacian_eigenvalues,
-                        linear_reaction, modal_generator, phi_equation_rhs,
-                        random_smooth, run, single_mode, solve_phi, step,
-                        zero_nonlinearity, zero_profile)
+from thermowave import (Grid1D, NewtonDivergedError, State, StepAuditError,
+                        StepConfig, StepPlan, cubic_nonlinearity, h_norm,
+                        laplacian_eigenvalues, linear_reaction, modal_generator,
+                        phi_equation_rhs, random_smooth, run, single_mode,
+                        solve_phi, step, zero_nonlinearity, zero_profile)
 
 
 def make_state(grid, theta, phi, v, h):
@@ -252,3 +252,126 @@ def test_solve_phi_large_h_attempted_and_reported():
     with pytest.raises(NewtonDivergedError) as info:
         solve_phi(g, bundle, nl, StepConfig(h=0.75, newton_max_iter=5))
     assert info.value.residual > 0
+
+
+def preset_case(name, bc, n):
+    """Bundle and nonlinearity of one preset: P1 linear (m = 1), others cubic."""
+    if name == "P1":
+        return preset_bundle("P1", n=n, bc=bc, m=1.0), linear_reaction(-1.0)
+    return preset_bundle(name, n=n, bc=bc), cubic_nonlinearity(1.0)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "P5"])
+def test_step_without_plan_matches_run_bitwise(name, bc):
+    bundle, nl = preset_case(name, bc, 24)
+    h = 1.0 / 128
+    cfg = StepConfig(h=h)
+    init = random_smooth(bundle.grid, 17)
+    result = run(init, bundle, nl, T=20 * h, cfg=cfg)
+    assert result.complete
+    state = make_state(bundle.grid, *init, h)
+    for want, want_report in zip(result.states[1:], result.reports):
+        state, report = step(state, bundle, nl, cfg)
+        for field in ("theta", "phi", "v", "z"):
+            assert np.array_equal(getattr(state, field), getattr(want, field))
+        assert report == want_report
+
+
+def test_linear_run_factors_jacobian_once(monkeypatch):
+    import thermowave.stepper as stepper
+    calls = {"gbtrf": 0, "gbtrs": 0, "gbsv": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        attr = "_" + name.upper()
+        monkeypatch.setattr(stepper, attr, counted(name, getattr(stepper, attr)))
+    bundle, nl = p1_defaults(n=32, m=1.0)
+    result = run(random_smooth(bundle.grid, 3), bundle, nl, T=0.25,
+                 cfg=StepConfig(h=1.0 / 64))
+    iters = sum(r.newton_iters for r in result.reports)
+    assert result.complete and iters >= len(result.reports)
+    assert calls == {"gbtrf": 1, "gbtrs": iters, "gbsv": 0}
+
+
+def test_step_plan_must_match_its_arguments():
+    bundle, nl = p2_defaults(n=16)
+    other, _ = p2_defaults(n=16)
+    cfg = StepConfig(h=0.01)
+    state = make_state(bundle.grid, *random_smooth(bundle.grid, 1), 0.01)
+    plan = StepPlan(bundle, 0.01, nl)
+    step(state, bundle, nl, cfg, plan)
+    for args in ((state, other, nl, cfg), (state, bundle, nl, StepConfig(h=0.02)),
+                 (state, bundle, cubic_nonlinearity(2.0), cfg)):
+        with pytest.raises(ValueError):
+            step(*args, plan)
+
+
+def audit_floor_cases():
+    return [(name, bc) for name in ("P3", "P5") for bc in ("dirichlet", "neumann")]
+
+
+@pytest.mark.parametrize("name,bc", audit_floor_cases())
+def test_step_audit_floor_covers_viscous_damping(name, bc):
+    # h |damping| is large at n = 1024: the wave residual of a converged
+    # Newton solve sits at eps |damping| |phi+| / h, far above eps / h^2
+    bundle, nl = preset_case(name, bc, 1024)
+    h = 1.0 / 256
+    assert h < bundle.h_threshold(nl.lipschitz_const)
+    state = make_state(bundle.grid, *random_smooth(bundle.grid, 7), h)
+    _, report = step(state, bundle, nl, StepConfig(h=h))
+    assert report.wave_residual > 1e-9 * (1.0 + report.rhs_norm)
+
+
+def test_step_audit_rejects_perturbed_phi(monkeypatch):
+    import thermowave.stepper as stepper
+    bundle, nl = preset_case("P3", "dirichlet", 1024)
+    grid = bundle.grid
+    h = 1.0 / 256
+    cfg = StepConfig(h=h)
+    state = make_state(grid, *random_smooth(grid, 7), h)
+    s1, report = step(state, bundle, nl, cfg)
+
+    # the documented wave floor, recomputed from the operator norm bounds
+    eps = np.finfo(float).eps
+    norm = {k: getattr(bundle, k).norm_bound()
+            for k in ("mass", "damping", "stiffness", "coupling")}
+    scale = (norm["mass"] / h ** 2 + norm["damping"] / h + norm["stiffness"]
+             + bundle.eta * norm["coupling"])
+    floor = 32 * eps * ((1 + report.rhs_norm) / h ** 2 + scale * h_norm(grid, s1.phi)
+                        + norm["coupling"] * h_norm(grid, s1.theta))
+    assert report.wave_residual <= floor
+
+    # a smooth bump of size 1e3 * floor in the wave equation's mass term
+    mode = dirichlet_sine(grid, 1)
+    bump = 1e3 * floor * h * h * mode / h_norm(grid, mode)
+    real_solve = stepper.solve_phi
+
+    def perturbed(*args, **kwargs):
+        phi, iters, res = real_solve(*args, **kwargs)
+        return phi + bump, iters, res
+
+    monkeypatch.setattr(stepper, "solve_phi", perturbed)
+    with pytest.raises(StepAuditError, match="step 0"):
+        step(state, bundle, nl, cfg)
+
+
+def test_run_returns_partial_trajectory_on_audit_failure(monkeypatch):
+    import thermowave.stepper as stepper
+    # without the rounding floors the audit rejects P3's first step at n = 1024
+    monkeypatch.setattr(stepper, "_EPS", 0.0)
+    bundle, nl = preset_case("P3", "dirichlet", 1024)
+    h = 1.0 / 256
+    init = random_smooth(bundle.grid, 7)
+    with pytest.raises(StepAuditError):
+        step(make_state(bundle.grid, *init, h), bundle, nl, StepConfig(h=h))
+    result = run(init, bundle, nl, T=8 * h, cfg=StepConfig(h=h))
+    assert not result.complete
+    assert result.failure_index == 0
+    assert len(result.states) == 1 and result.reports == []
+    assert np.array_equal(result.states[0].phi, init[1])
