@@ -8,7 +8,7 @@ harness measures the convergence order against modal or nested references.
 """
 
 from .convergence import (ErrorReport, SweepDivergedError, SweepResult,
-                          error_norms, pick_reference, sweep)
+                          check_h_list, error_norms, pick_reference, sweep)
 from .diagnostics import (EnergyRecord, apriori_monitor, apriori_ratios,
                           build_interpolants, energy, energy_ledger,
                           interpolation_identities_check, lyapunov_check,
@@ -29,7 +29,7 @@ from .oracle import (DiscreteReference, FieldSnapshot, LinearReference,
 from .profiles import make_initial, mode_vector, random_smooth, single_mode, zero_profile
 from .stepper import (NewtonDivergedError, RunResult, State, StepAuditError,
                       StepConfig, StepPlan, StepReport, phi_equation_rhs, run,
-                      solve_phi, step)
+                      solve_phi, step, step_count)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -28,10 +28,10 @@ import numpy as np
 
 from . import convergence, diagnostics
 from .nonlinearity import Nonlinearity
-from .operators import BC_NAMES, PRESET_NAMES, Grid1D, ProblemPreset, build_bundle
+from .operators import PRESET_NAMES, Grid1D, ProblemPreset, build_bundle
 from .oracle import LinearReference, ReferenceDivergedError
 from .profiles import make_initial
-from .stepper import StepConfig, run
+from .stepper import StepConfig, run, step_count
 
 
 class ConfigError(ValueError):
@@ -62,84 +62,92 @@ def _num(value, field, errors):
     return out
 
 
-def validate_config(raw: dict, need_h_list: bool = False) -> dict:
-    """Validate and resolve a raw config dict; raises ConfigError."""
-    errors = []
-    resolved = {}
+def _int(value, field, errors):
+    """Integer config fields: whole numbers as for ``_num``, never booleans."""
+    out = _num(value, field, errors)
+    if out is not None and not out.is_integer():
+        errors.append(f"{field}: expected an integer, got {value!r}")
+        return None
+    return None if out is None else int(value if isinstance(value, int) else out)
 
+
+def _obj(value, field, errors):
+    """A JSON object, or {} with the error recorded."""
+    if not isinstance(value, dict):
+        errors.append(f"{field}: expected an object, got {type(value).__name__}")
+        return {}
+    return value
+
+
+def _nums(value, field, errors):
+    """A JSON list of numbers as floats, or None."""
+    if not isinstance(value, list):
+        errors.append(f"{field}: expected a list of numbers, got {type(value).__name__}")
+        return None
+    out = [_num(v, field, errors) for v in value]
+    return None if None in out else out
+
+
+# The config field of a library parameter, keyed by the parameter name that
+# opens the library's ValueError messages.
+_FIELD_OF = {"beta_kind": "beta.kind", "beta_coeffs": "beta", "pi_kind": "pi.kind",
+             "pi_param": "pi", "solve_path": "solver.path", "T": "T",
+             **{k: "solver." + k for k in ("newton_tol", "newton_max_iter", "yosida_lambdas")},
+             **{k: "initial." + k for k in ("profile", "mode", "seed", "decay")},
+             **{k: k for k in ("bc", "sigma", "c", "gamma", "epsilon")}}
+_INITIAL_TYPES = {"mode": _int, "seed": _int, **dict.fromkeys(
+    ("theta_amp", "phi_amp", "v_amp", "decay", "amplitude"), _num)}
+
+
+def _build(errors, label, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, or None with its ValueError filed under
+    the config field its message names (else under ``label``)."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        errors.append(f"{_FIELD_OF.get(str(exc).split(' ', 1)[0], label)}: {exc}")
+        return None
+
+
+def validate_config(raw: dict, need_h_list: bool = False) -> dict:
+    """Validate and resolve a raw config dict; raises ConfigError.
+
+    The CLI holds the JSON shape, the preset-specific fields and the
+    defaults.  The value rules are the library's: the grid, preset,
+    nonlinearity, initial data and step configs are built here, one at a
+    time so that errors in separate objects are reported together, and
+    kept under ``_``-prefixed keys for ``build_problem``.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError([f"config: expected a JSON object, got {type(raw).__name__}"])
     preset = raw.get("preset")
     if preset not in PRESET_NAMES:
-        errors.append(f"preset: must be one of {PRESET_NAMES}, got {preset!r}")
-        raise ConfigError(errors)
-    resolved["preset"] = preset
-
+        raise ConfigError([f"preset: must be one of {PRESET_NAMES}, got {preset!r}"])
+    errors = []
     bc = raw.get("bc", "dirichlet")
-    if bc not in BC_NAMES:
-        errors.append(f"bc: must be one of {BC_NAMES}, got {bc!r}")
-        bc = "dirichlet"
-    resolved["bc"] = bc
+    resolved = {"preset": preset, "bc": bc}
 
-    defaults = {"sigma": 1.0, "c": 1.0, "gamma": 2.0, "m": 0.0, "epsilon": 1.0}
-    for key, default in defaults.items():
+    names = ("sigma", "c", "m", "epsilon", "gamma")
+    fixed = {"P1": ("epsilon",), "P2": ("m",), "P3": ("m",)}.get(preset, names)
+    for key in names:
         val = raw.get(key)
-        resolved[key] = default if val is None else _num(val, key, errors)
-    if preset in ("P4", "P5"):
-        for key in ("sigma", "c", "gamma", "m", "epsilon"):
-            if raw.get(key) is not None:
-                errors.append(f"{key}: preset {preset} fixes all coefficients to 1")
-    if preset in ("P2", "P3") and raw.get("m") is not None:
-        errors.append(f"m: preset {preset} has no linear reaction coefficient")
-    if preset == "P1" and raw.get("epsilon") is not None:
-        errors.append("epsilon: preset P1 has no damping")
-    if resolved.get("gamma") is not None and resolved["gamma"] <= 1.0:
-        errors.append(f"gamma: must exceed 1, got {resolved['gamma']}")
-    if resolved.get("sigma") is not None and resolved["sigma"] <= 0:
-        errors.append("sigma: must be positive")
-    if resolved.get("c") is not None and resolved["c"] <= 0:
-        errors.append("c: must be positive")
-    if resolved.get("epsilon") is not None and resolved["epsilon"] < 0:
-        errors.append("epsilon: must be nonnegative")
+        resolved[key] = getattr(ProblemPreset, key) if val is None else _num(val, key, errors)
+        if val is not None and key in fixed:
+            errors.append(f"{key}: preset {preset} fixes this coefficient")
+    coeffs = [resolved[k] for k in names]
+    if None not in coeffs:
+        resolved["_preset"] = _build(errors, "preset", ProblemPreset, preset, *coeffs, bc)
 
-    n = raw.get("n_interior")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        errors.append(f"n_interior: must be an integer >= 2, got {n!r}")
-    else:
-        resolved["n_interior"] = n
+    n = resolved["n_interior"] = _int(raw.get("n_interior"), "n_interior", errors)
+    grid = resolved["_grid"] = None if n is None else _build(errors, "n_interior", Grid1D, n, bc)
 
-    T = _num(raw.get("T", 0.0), "T", errors)
-    if T is not None and T <= 0:
-        errors.append(f"T: must be positive, got {T}")
-    resolved["T"] = T
-
-    has_h = "h" in raw
-    has_list = "h_list" in raw
-    resolved["h"] = None
-    if need_h_list:
-        if not has_list:
-            errors.append("h_list: required for sweep configs")
-    elif not has_h:
-        errors.append("h: required (h_list drives sweep configs only)")
-    if has_h:
-        h = _num(raw["h"], "h", errors)
-        if h is not None and h <= 0:
-            errors.append(f"h: must be positive, got {h}")
-        resolved["h"] = h
-    if has_list:
-        hs = raw["h_list"]
-        if not isinstance(hs, list) or not hs:
-            errors.append("h_list: must be a nonempty list")
-        else:
-            hs = [_num(v, "h_list", errors) for v in hs]
-            if None not in hs:
-                if any(v <= 0 for v in hs):
-                    errors.append("h_list: entries must be positive")
-                if any(b >= a for a, b in zip(hs, hs[1:])):
-                    errors.append("h_list: entries must strictly decrease")
-                resolved["h_list"] = hs
-    if T is not None:
-        for h in ([resolved.get("h")] if resolved.get("h") else resolved.get("h_list", [])):
-            if h and abs(round(T / h) * h - T) > 1e-9 * T:
-                errors.append(f"h: T/h = {T / h} is not an integer")
+    T = resolved["T"] = _num(raw.get("T"), "T", errors)
+    resolved["h"] = _num(raw["h"], "h", errors) if "h" in raw else None
+    if "h_list" in raw:
+        resolved["h_list"] = _nums(raw["h_list"], "h_list", errors)
+    steps = "h_list" if need_h_list else "h"
+    if steps not in raw:
+        errors.append(f"{steps}: required; sweeps take h_list, the other commands h")
 
     beta = raw.get("beta", {"kind": "zero"})
     pi = raw.get("pi", {"kind": "zero"})
@@ -147,89 +155,70 @@ def validate_config(raw: dict, need_h_list: bool = False) -> dict:
         if raw.get("beta") is not None or raw.get("pi") is not None:
             errors.append("beta/pi: preset P1 fixes beta = 0 and derives pi from m")
         beta = {"kind": "zero"}
-        m = resolved.get("m") or 0.0
+        m = resolved["m"] or 0.0
         pi = {"kind": "linear", "slope": -m * m} if m != 0.0 else {"kind": "zero"}
-    resolved["beta"] = beta
-    resolved["pi"] = pi
-    try:
-        resolved["_nonlin"] = _build_nonlinearity(beta, pi)
-    except (ValueError, KeyError, TypeError) as exc:
-        errors.append(f"beta/pi: {exc}")
+    resolved["beta"], resolved["pi"] = beta, pi
+    # beta is {kind, scale (cubic) | coeffs (odd_poly)}, pi {kind, slope | amplitude}
+    start = len(errors)
+    beta, pi = _obj(beta, "beta", errors), _obj(pi, "pi", errors)
+    beta_kind, beta_coeffs = beta.get("kind", "zero"), ()
+    if beta_kind == "cubic":
+        beta_coeffs = (_num(beta.get("scale"), "beta.scale", errors),)
+    elif beta_kind == "odd_poly":
+        beta_coeffs = tuple(_nums(beta.get("coeffs"), "beta.coeffs", errors) or ())
+    pi_kind, pi_param = pi.get("kind", "zero"), 0.0
+    if pi_kind in ("linear", "scaled_sine"):
+        key = "slope" if pi_kind == "linear" else "amplitude"
+        pi_param = _num(pi.get(key), "pi." + key, errors)
+    if len(errors) == start:
+        resolved["_nonlin"] = _build(errors, "beta/pi", Nonlinearity, beta_kind, beta_coeffs,
+                                     pi_kind, pi_param)
 
-    initial = raw.get("initial", {"profile": "zero"})
-    if not isinstance(initial, dict) or "profile" not in initial:
-        errors.append("initial: must be an object with a 'profile' key")
-    elif initial["profile"] not in ("zero", "single_mode", "random_smooth"):
-        errors.append(f"initial.profile: unknown profile {initial['profile']!r}")
-    resolved["initial"] = initial
+    initial = resolved["initial"] = raw.get("initial", {"profile": "zero"})
+    start = len(errors)
+    desc = {k: _INITIAL_TYPES[k](v, "initial." + k, errors) if k in _INITIAL_TYPES else v
+            for k, v in _obj(initial, "initial", errors).items()}
+    if grid is not None and len(errors) == start:
+        resolved["_initial"] = _build(errors, "initial", make_initial, grid, desc)
 
-    solver = raw.get("solver", {})
-    if not isinstance(solver, dict):
-        errors.append("solver: must be an object")
-        solver = {}
-    newton_tol = _num(solver.get("newton_tol", 1e-12), "solver.newton_tol", errors)
-    max_iter = solver.get("newton_max_iter", 25)
-    if not isinstance(max_iter, int) or max_iter < 1:
-        errors.append("solver.newton_max_iter: must be a positive integer")
-        max_iter = 25
-    path = solver.get("path", "direct")
-    if path not in ("direct", "yosida"):
-        errors.append(f"solver.path: must be 'direct' or 'yosida', got {path!r}")
-        path = "direct"
-    lambdas = solver.get("yosida_lambdas", list(StepConfig.yosida_lambdas))
-    resolved["solver"] = {"newton_tol": newton_tol, "newton_max_iter": max_iter,
-                          "path": path, "yosida_lambdas": lambdas}
+    solver = _obj(raw.get("solver", {}), "solver", errors)
+    s = resolved["solver"] = {
+        "newton_tol": _num(solver.get("newton_tol", StepConfig.newton_tol),
+                           "solver.newton_tol", errors),
+        "newton_max_iter": _int(solver.get("newton_max_iter", StepConfig.newton_max_iter),
+                                "solver.newton_max_iter", errors),
+        "path": solver.get("path", StepConfig.solve_path),
+        "yosida_lambdas": solver.get("yosida_lambdas", list(StepConfig.yosida_lambdas))}
+    lams = _nums(s["yosida_lambdas"], "solver.yosida_lambdas", errors)
 
-    stride = raw.get("snapshot_stride", 0)
-    if not isinstance(stride, int) or stride < 0:
-        errors.append("snapshot_stride: must be a nonnegative integer")
-        stride = 0
-    resolved["snapshot_stride"] = stride
+    # one step config per step size: the run's h or each sweep member's
+    hs = resolved.get("h_list") if need_h_list else [resolved["h"]]
+    if hs is not None and None not in hs + [s["newton_tol"], s["newton_max_iter"], lams]:
+        start = len(errors)
+        cfgs = [_build(errors, steps, StepConfig, h, s["newton_tol"], s["newton_max_iter"],
+                       s["path"], tuple(lams)) for h in hs]
+        if len(errors) == start and T is not None:
+            if need_h_list:
+                _build(errors, steps, convergence.check_h_list, T, hs)
+            else:
+                resolved["_cfg"] = cfgs[0]
+                _build(errors, steps, step_count, T, hs[0])
 
+    stride = resolved["snapshot_stride"] = _int(raw.get("snapshot_stride", 0),
+                                                "snapshot_stride", errors)
+    if stride is not None and stride < 0:
+        errors.append(f"snapshot_stride: must be nonnegative, got {stride}")
     if errors:
-        raise ConfigError(errors)
+        raise ConfigError(list(dict.fromkeys(errors)))  # sweep members repeat solver errors
     return resolved
 
 
-def _build_nonlinearity(beta: dict, pi: dict) -> Nonlinearity:
-    kind = beta.get("kind", "zero")
-    if kind == "zero":
-        bk, bc_ = "zero", ()
-    elif kind == "cubic":
-        bk, bc_ = "cubic", (float(beta["scale"]),)
-    elif kind == "odd_poly":
-        bk, bc_ = "odd_poly", tuple(float(c) for c in beta["coeffs"])
-    else:
-        raise ValueError(f"unknown beta kind {kind!r}")
-    pk = pi.get("kind", "zero")
-    if pk == "zero":
-        pkind, pparam = "zero", 0.0
-    elif pk == "linear":
-        pkind, pparam = "linear", float(pi["slope"])
-    elif pk == "scaled_sine":
-        pkind, pparam = "scaled_sine", float(pi["amplitude"])
-    else:
-        raise ValueError(f"unknown pi kind {pk!r}")
-    return Nonlinearity(beta_kind=bk, beta_coeffs=bc_, pi_kind=pkind, pi_param=pparam)
-
-
 def build_problem(resolved: dict):
-    """Grid, bundle, nonlinearity, initial data and step config from a
-    resolved config."""
-    grid = Grid1D(resolved["n_interior"], resolved["bc"])
-    preset = ProblemPreset(resolved["preset"], sigma=resolved["sigma"], c=resolved["c"],
-                           m=resolved["m"], epsilon=resolved["epsilon"],
-                           gamma=resolved["gamma"], bc=resolved["bc"])
-    bundle = build_bundle(preset, grid)
-    nonlin = resolved["_nonlin"]
-    initial = make_initial(grid, resolved["initial"])
-    cfg = None
-    if resolved.get("h"):
-        s = resolved["solver"]
-        cfg = StepConfig(h=resolved["h"], newton_tol=s["newton_tol"],
-                         newton_max_iter=s["newton_max_iter"], solve_path=s["path"],
-                         yosida_lambdas=tuple(s["yosida_lambdas"]))
-    return grid, bundle, nonlin, initial, cfg
+    """Grid, bundle, nonlinearity, initial data and step config of a
+    validated config; only the bundle is built here."""
+    grid = resolved["_grid"]
+    return (grid, build_bundle(resolved["_preset"], grid), resolved["_nonlin"],
+            resolved["_initial"], resolved.get("_cfg"))
 
 
 def _fmt(x) -> str:
@@ -239,12 +228,10 @@ def _fmt(x) -> str:
 
 
 def _header_lines(resolved: dict, bundle, nonlin) -> list:
-    cfg = {k: v for k, v in resolved.items() if not k.startswith("_")}
-    return [
-        "config: " + json.dumps(cfg, sort_keys=True, separators=(",", ":")),
-        f"coupling_bound: {bundle.coupling_bound!r}",
-        f"h_threshold: {bundle.h_threshold(nonlin.lipschitz_const)!r}",
-    ]
+    """The JSON outputs' meta block, as the header lines of every output."""
+    meta = _json_meta(resolved, bundle, nonlin)
+    config = json.dumps(meta.pop("config"), sort_keys=True, separators=(",", ":"))
+    return [f"config: {config}"] + [f"{key}: {value!r}" for key, value in meta.items()]
 
 
 def _write_csv(path, header_lines, columns, rows):
@@ -369,14 +356,15 @@ def cmd_energy_audit(resolved: dict, out_dir: str) -> int:
 
 def cmd_oracle_check(resolved: dict, out_dir: str) -> int:
     grid, bundle, nonlin, initial, cfg = build_problem(resolved)
-    if not nonlin.is_linear:
-        print("config error: oracle-check: requires a linear configuration "
-              "(beta zero, pi zero or linear)", file=sys.stderr)
+    try:
+        reference = LinearReference(initial, bundle, nonlin)
+    except ValueError as exc:
+        print(f"config error: oracle-check: {exc} (beta zero, pi zero or linear)",
+              file=sys.stderr)
         return 1
     result = run(initial, bundle, nonlin, resolved["T"], cfg)
     header = _header_lines(resolved, bundle, nonlin)
 
-    reference = LinearReference(initial, bundle, nonlin)
     times = np.array([s.t_index * cfg.h for s in result.states])
     ref = reference.sample(times)
     rows = []
@@ -415,18 +403,14 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
+    if args.snapshot_stride is not None and isinstance(raw, dict):
+        raw["snapshot_stride"] = args.snapshot_stride
     try:
         resolved = validate_config(raw, need_h_list=(args.command == "sweep"))
     except ConfigError as exc:
         for msg in exc.errors:
             print(f"config error: {msg}", file=sys.stderr)
         return 1
-
-    if args.snapshot_stride is not None:
-        if args.snapshot_stride < 0:
-            print("config error: snapshot-stride: must be nonnegative", file=sys.stderr)
-            return 1
-        resolved["snapshot_stride"] = args.snapshot_stride
 
     os.makedirs(args.out, exist_ok=True)
     try:

@@ -20,7 +20,7 @@ from .nonlinearity import Nonlinearity
 from .operators import (OperatorBundle, cross_form_rows, form_rows, h_norm_sq_rows,
                         v_norm_sq_rows)
 from .oracle import LinearReference, fine_reference
-from .stepper import StepConfig, run
+from .stepper import StepConfig, run, step_count
 
 
 @dataclass(frozen=True)
@@ -172,6 +172,19 @@ def pick_reference(initial, bundle: OperatorBundle, nonlin: Nonlinearity,
     return ref, "fine_step"
 
 
+def check_h_list(T: float, h_list) -> list:
+    """A sweep's step sizes as floats: at least two, each half the one
+    before, each a whole number of steps from 0 to T."""
+    h_list = [float(h) for h in h_list]
+    if len(h_list) < 2:
+        raise ValueError(f"h_list must hold at least two step sizes, got {len(h_list)}")
+    if any(abs(a - 2.0 * b) > 1e-9 * abs(b) for a, b in zip(h_list, h_list[1:])):
+        raise ValueError("h_list must halve from entry to entry")
+    for h in h_list:
+        step_count(T, h)
+    return h_list
+
+
 def sweep(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
           h_list, newton_tol: float = 1e-12, reference=None,
           reference_kind: str = "supplied") -> SweepResult:
@@ -181,16 +194,7 @@ def sweep(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
     log(total) against log(h), and records the empirical constant
     max(total / sqrt(h)).
     """
-    h_list = [float(h) for h in h_list]
-    if any(b >= a for a, b in zip(h_list, h_list[1:])):
-        raise ValueError("h_list must decrease")
-    for a, b in zip(h_list, h_list[1:]):
-        if abs(a / b - 2.0) > 1e-9:
-            raise ValueError("h_list must halve between entries")
-    for h in h_list:
-        if abs(round(T / h) * h - T) > 1e-9 * T:
-            raise ValueError(f"T/h is not an integer for h = {h}")
-
+    h_list = check_h_list(T, h_list)
     if reference is None:
         reference, reference_kind = pick_reference(initial, bundle, nonlin, T, min(h_list))
 

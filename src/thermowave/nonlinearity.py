@@ -40,27 +40,28 @@ class Nonlinearity:
 
     def __post_init__(self):
         if self.beta_kind not in BETA_KINDS:
-            raise ValueError(f"beta_kind must be one of {BETA_KINDS}")
+            raise ValueError(f"beta_kind must be one of {BETA_KINDS}, got {self.beta_kind!r}")
         if self.pi_kind not in PI_KINDS:
-            raise ValueError(f"pi_kind must be one of {PI_KINDS}")
+            raise ValueError(f"pi_kind must be one of {PI_KINDS}, got {self.pi_kind!r}")
+        for name, values in (("beta_coeffs", self.beta_coeffs), ("pi_param", self.pi_param)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} must be finite")
         if self.beta_kind == "zero":
             poly = ()
             if self.beta_coeffs:
-                raise ValueError("zero beta takes no coefficients")
+                raise ValueError("beta_coeffs must be empty for a zero beta")
         elif self.beta_kind == "cubic":
             if len(self.beta_coeffs) != 1 or self.beta_coeffs[0] <= 0:
-                raise ValueError("cubic beta takes a single positive scale")
+                raise ValueError("beta_coeffs must be a single positive scale for a cubic beta")
             poly = (0.0, 0.0, float(self.beta_coeffs[0]))
         else:
             if not self.beta_coeffs:
-                raise ValueError("odd_poly beta needs at least one coefficient")
-            poly = tuple(float(c) for c in self.beta_coeffs)
-            for k, c in enumerate(poly):
-                power = k + 1
-                if power % 2 == 0 and c != 0.0:
-                    raise ValueError("even-power coefficients must vanish for an odd beta")
-                if power % 2 == 1 and c < 0.0:
-                    raise ValueError("odd-power coefficients must be nonnegative for monotonicity")
+                raise ValueError("beta_coeffs must not be empty for an odd_poly beta")
+            poly = tuple(float(c) for c in self.beta_coeffs)  # powers r^1, r^2, ...
+            if any(c != 0.0 for c in poly[1::2]):
+                raise ValueError("beta_coeffs must vanish at even powers for an odd beta")
+            if any(c < 0.0 for c in poly[::2]):
+                raise ValueError("beta_coeffs must be nonnegative at odd powers for monotonicity")
         object.__setattr__(self, "_poly", poly)
 
     # -- beta -----------------------------------------------------------

@@ -379,14 +379,14 @@ class ProblemPreset:
         if self.name not in PRESET_NAMES:
             raise ValueError(f"unknown preset {self.name!r}")
         if self.bc not in BC_NAMES:
-            raise ValueError(f"bc must be one of {BC_NAMES}")
-        if self.gamma <= 1.0:
+            raise ValueError(f"bc must be one of {BC_NAMES}, got {self.bc!r}")
+        if not self.gamma > 1.0:
             raise ValueError(f"gamma must exceed 1, got {self.gamma}")
-        if self.sigma <= 0.0:
+        if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if self.c <= 0.0:
+        if not self.c > 0.0:
             raise ValueError(f"c must be positive, got {self.c}")
-        if self.epsilon < 0.0:
+        if not self.epsilon >= 0.0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
 
 

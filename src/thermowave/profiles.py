@@ -42,8 +42,8 @@ def single_mode(grid: Grid1D, k: int, theta_amp: float, phi_amp: float,
 def random_smooth(grid: Grid1D, seed: int, decay: float = 2.0,
                   amplitude: float = 1.0):
     """Spectrally decaying random data; reproducible for a fixed seed."""
-    if decay < 0:
-        raise ValueError("decay must be nonnegative")
+    if not decay >= 0:
+        raise ValueError(f"decay must be nonnegative, got {decay}")
     n = grid.n_interior
     rng = np.random.default_rng(seed)
     weights = (1.0 + np.arange(n)) ** (-float(decay))
@@ -59,13 +59,17 @@ def make_initial(grid: Grid1D, desc: dict):
     profile = desc.get("profile")
     if profile == "zero":
         return zero_profile(grid)
+    if profile not in ("single_mode", "random_smooth"):
+        raise ValueError("profile must be one of ('zero', 'single_mode', 'random_smooth'), "
+                         f"got {profile!r}")
+    required = "mode" if profile == "single_mode" else "seed"
+    if required not in desc:
+        raise ValueError(f"{required} is required by the {profile} profile")
     if profile == "single_mode":
         return single_mode(grid, int(desc["mode"]),
                            float(desc.get("theta_amp", 1.0)),
                            float(desc.get("phi_amp", 1.0)),
                            float(desc.get("v_amp", 0.0)))
-    if profile == "random_smooth":
-        return random_smooth(grid, int(desc["seed"]),
-                             float(desc.get("decay", 2.0)),
-                             float(desc.get("amplitude", 1.0)))
-    raise ValueError(f"unknown initial profile {profile!r}")
+    return random_smooth(grid, int(desc["seed"]),
+                         float(desc.get("decay", 2.0)),
+                         float(desc.get("amplitude", 1.0)))

@@ -58,14 +58,14 @@ class StepConfig:
     yosida_lambdas: tuple = DEFAULT_YOSIDA_LAMBDAS
 
     def __post_init__(self):
-        if self.h <= 0:
+        if not self.h > 0:
             raise ValueError(f"h must be positive, got {self.h}")
-        if self.newton_tol <= 0:
-            raise ValueError("newton_tol must be positive")
+        if not self.newton_tol > 0:
+            raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
         if self.newton_max_iter < 1:
-            raise ValueError("newton_max_iter must be at least 1")
+            raise ValueError(f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
         if self.solve_path not in ("direct", "yosida"):
-            raise ValueError(f"unknown solve_path {self.solve_path!r}")
+            raise ValueError(f"solve_path must be 'direct' or 'yosida', got {self.solve_path!r}")
         if self.solve_path == "yosida":
             lams = tuple(float(l) for l in self.yosida_lambdas)
             if not lams or any(l <= 0 for l in lams):
@@ -392,6 +392,16 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
     return new_state, report
 
 
+def step_count(T: float, h: float) -> int:
+    """Number of steps of size h from t = 0 to T, which must be whole."""
+    if not T > 0:
+        raise ValueError(f"T must be positive, got {T}")
+    n_steps = round(T / h) if h > 0 else 0
+    if n_steps < 1 or abs(n_steps * h - T) > 1e-9 * T:
+        raise ValueError(f"h = {h} does not divide T = {T} into a whole number of steps")
+    return n_steps
+
+
 def run(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
         cfg: StepConfig) -> RunResult:
     """Integrate from t = 0 to T; T / h must be a whole number of steps.
@@ -408,11 +418,7 @@ def run(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
             raise ValueError(f"{name} does not match the grid")
         if not np.all(np.isfinite(u)):
             raise ValueError(f"{name} has non-finite entries")
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
-    n_steps = round(T / cfg.h)
-    if n_steps < 1 or abs(n_steps * cfg.h - T) > 1e-9 * T:
-        raise ValueError(f"T/h = {T / cfg.h} is not a positive integer")
+    n_steps = step_count(T, cfg.h)
     threshold = bundle.h_threshold(nonlin.lipschitz_const)
     if cfg.h >= threshold:
         warnings.warn(f"h = {cfg.h} is at or above the solvability threshold "

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thermowave.cli import ConfigError, main, validate_config
+import thermowave.cli as cli
+from thermowave.cli import ConfigError, build_problem, main, validate_config
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -92,6 +98,201 @@ def test_non_finite_config_number_exits_1(tmp_path, capsys, field, text):
     assert rc == 1
     assert f"config error: {field}: must be finite" in capsys.readouterr().err
     assert not (tmp_path / "out" / "run.json").exists()
+
+
+# Malformed fields that escaped as tracebacks, ran a NaN trajectory or were
+# coerced to another value before every value rule moved to the library.
+MALFORMED_FIELDS = [
+    ("run", {"solver": {"newton_tol": -1}}, "solver.newton_tol"),
+    ("run", {"solver": {"newton_tol": 0}}, "solver.newton_tol"),
+    ("run", {"solver": {"path": "yosida", "yosida_lambdas": [1, 2]}}, "solver.yosida_lambdas"),
+    ("run", {"solver": {"path": "yosida", "yosida_lambdas": "abc"}}, "solver.yosida_lambdas"),
+    ("run", {"initial": {"profile": "single_mode"}}, "initial.mode"),
+    ("run", {"initial": {"profile": "random_smooth"}}, "initial.seed"),
+    ("run", {"initial": {"profile": "single_mode", "mode": 99}}, "initial.mode"),
+    ("run", {"initial": {"profile": "random_smooth", "seed": 4, "decay": -1}}, "initial.decay"),
+    ("run", {"initial": {"profile": "single_mode", "mode": 1, "theta_amp": "x"}},
+     "initial.theta_amp"),
+    ("run", {"initial": {"profile": "random_smooth", "seed": 4, "amplitude": "inf"}},
+     "initial.amplitude"),
+    ("run", {"beta": "cubic"}, "beta"),
+    ("run", {"pi": [1]}, "pi"),
+    ("run", {"beta": {"kind": "cubic", "scale": "nan"}}, "beta.scale"),
+    ("sweep", {"T": 0.3, "h_list": [0.1, 0.03]}, "h_list"),
+    ("run", {"solver": {"newton_max_iter": True}}, "solver.newton_max_iter"),
+    ("run", {"snapshot_stride": True}, "snapshot_stride"),
+]
+
+
+@pytest.mark.parametrize("command, fragment, field", MALFORMED_FIELDS,
+                         ids=[f"{i}-{f}" for i, (_, _, f) in enumerate(MALFORMED_FIELDS)])
+def test_malformed_field_exits_1(tmp_path, capsys, command, fragment, field):
+    cfg = base_config(**fragment)
+    if command == "sweep":
+        del cfg["h"]
+    out = tmp_path / "out"
+    rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"config error: {field}: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_snapshot_stride_flag_follows_the_config_rule(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["run", "--config", write_config(tmp_path, base_config()), "--out", str(out),
+               "--snapshot-stride", "-1"])
+    assert rc == 1
+    assert "config error: snapshot_stride: must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["n_interior", "solver.newton_max_iter", "snapshot_stride",
+                                   "initial.mode", "initial.seed"])
+@pytest.mark.parametrize("value", [True, 1.7, "x"])
+def test_integer_fields_reject_booleans_and_fractions(field, value):
+    cfg = base_config(initial={"profile": "single_mode", "mode": 1, "seed": 4})
+    if field == "initial.seed":
+        cfg["initial"]["profile"] = "random_smooth"
+    section, _, key = field.rpartition(".")
+    target = cfg.setdefault(section, {}) if section else cfg
+    target[key or field] = value
+    with pytest.raises(ConfigError) as info:
+        validate_config(cfg)
+    assert any(msg.startswith(f"{field}: ") for msg in info.value.errors)
+
+
+def test_integer_fields_accept_whole_numbers():
+    cfg = base_config(n_interior="24", snapshot_stride=2.0,
+                      initial={"profile": "single_mode", "mode": "2"})
+    resolved = validate_config(cfg)
+    assert resolved["n_interior"] == 24 and resolved["snapshot_stride"] == 2
+    assert resolved["_grid"].n_interior == 24
+
+
+def test_validate_builds_library_objects_but_not_the_bundle(monkeypatch):
+    def no_bundle(*args):
+        raise AssertionError("validate_config built the bundle")
+
+    monkeypatch.setattr(cli, "build_bundle", no_bundle)
+    resolved = validate_config(base_config())
+    assert resolved["_grid"].n_interior == 24
+    assert resolved["_preset"].name == "P2"
+    assert resolved["_cfg"].h == 1.0 / 64
+    monkeypatch.undo()
+    grid, bundle, nonlin, initial, cfg = build_problem(resolved)
+    assert grid is resolved["_grid"] and nonlin is resolved["_nonlin"]
+    assert initial is resolved["_initial"] and cfg is resolved["_cfg"]
+    assert bundle.grid is grid
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+# Valid values of each config field, then values that break it.
+_VALID_FIELDS = {
+    "bc": ["dirichlet", "neumann"],
+    "n_interior": [2, 5, 8, "6"],
+    "T": [0.125, "0.25"],
+    "h": [1 / 16, 1 / 32, "0.125"],
+    "h_list": [[1 / 16, 1 / 32], [0.125, "0.0625"], [1 / 16, 1 / 32, 1 / 64]],
+    "sigma": [0.5, 2, "1.5"],
+    "c": [0.5, 2],
+    "gamma": [1.5, 3],
+    "m": [0, 0.5, "2"],
+    "epsilon": [0, 0.5, 1],
+    "beta": [{"kind": "zero"}, {"kind": "cubic", "scale": 1}, {"kind": "cubic", "scale": 100},
+             {"kind": "odd_poly", "coeffs": [1, 0, "0.5"]}],
+    "pi": [{"kind": "zero"}, {"kind": "linear", "slope": -1},
+           {"kind": "scaled_sine", "amplitude": 0.5}],
+    "initial": [{"profile": "zero"}, {"profile": "single_mode", "mode": 1, "theta_amp": 0.5},
+                {"profile": "random_smooth", "seed": 3, "decay": 1.0, "amplitude": 0.5},
+                {"profile": "single_mode", "mode": 1, "theta_amp": 1e8, "phi_amp": 1e8,
+                 "v_amp": 1e8}],
+    "solver": [{}, {"newton_tol": 1e-10, "newton_max_iter": 30}, {"newton_max_iter": 2},
+               {"path": "yosida", "yosida_lambdas": [1e-2, 1e-4]}],
+    "snapshot_stride": [0, 1, 3],
+}
+_INVALID_FIELDS = {
+    "preset": ["P7", 3, None],
+    "bc": ["robin", 1],
+    "n_interior": [1, -3, 2.5, True, "x", [8], 1e400, None],
+    "T": [0, -1, "nan", True, [1], None],
+    "h": [0, -0.125, 0.03, True, "x", None],
+    "h_list": [[], [1 / 32], [0.1, 0.03], [1 / 16, 1 / 48], [1 / 32, 1 / 16], "x", [True], [0], None],
+    "sigma": [0, -1, "inf", False],
+    "c": [0, -1, "x"],
+    "gamma": [1, 0.5, "nan", True],
+    "m": ["x", [1]],
+    "epsilon": [-1, "nan"],
+    "beta": [{"kind": "cubic"}, {"kind": "cubic", "scale": -1}, {"kind": "cubic", "scale": "nan"},
+             {"kind": "odd_poly", "coeffs": "x"}, {"kind": "odd_poly", "coeffs": [1, 1]},
+             {"kind": "quartic"}, {"kind": ["cubic"]}, "cubic", [1]],
+    "pi": [{"kind": "linear"}, {"kind": "tanh"}, {"kind": "linear", "slope": "inf"}, [1]],
+    "initial": [{"profile": "single_mode", "mode": 99}, {"profile": "single_mode"},
+                {"profile": "single_mode", "mode": 1, "v_amp": "x"},
+                {"profile": "random_smooth", "seed": -1}, {"profile": "random_smooth", "seed": 1.5},
+                {"profile": "random_smooth", "seed": 3, "amplitude": "inf"},
+                {"profile": "random_smooth", "seed": 3, "decay": -1}, {"profile": "x"}, {},
+                "zero"],
+    "solver": [{"newton_tol": -1}, {"newton_max_iter": True}, {"newton_max_iter": 0},
+               {"path": "yosida", "yosida_lambdas": [1, 2]}, {"path": "bogus"},
+               {"yosida_lambdas": "abc"}, []],
+    "snapshot_stride": [-1, True, 1.5],
+}
+_PRESET_FIELDS = {"P1": ("sigma", "c", "gamma", "m"),
+                  "P2": ("sigma", "c", "gamma", "epsilon", "beta", "pi"),
+                  "P3": ("sigma", "c", "gamma", "epsilon", "beta", "pi"),
+                  "P4": ("beta", "pi"), "P5": ("beta", "pi")}
+
+
+@st.composite
+def random_configs(draw, command):
+    """A valid config for the command, with up to two fields then broken."""
+    preset = draw(st.sampled_from(sorted(_PRESET_FIELDS)))
+    steps = "h_list" if command == "sweep" else "h"
+    keys = ("bc", "n_interior", "T", steps, "initial", "solver", "snapshot_stride")
+    cfg = {"preset": preset}
+    for key in keys + _PRESET_FIELDS[preset]:
+        if key in ("bc", "n_interior", "T", steps, "initial", "beta") or draw(st.booleans()):
+            cfg[key] = draw(st.sampled_from(_VALID_FIELDS[key]))
+    for key in draw(st.lists(st.sampled_from(sorted(_INVALID_FIELDS)), max_size=2)):
+        value = draw(st.sampled_from(_INVALID_FIELDS[key]))
+        if value is None:
+            cfg.pop(key, None)
+        else:
+            cfg[key] = value
+    return cfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), command=st.sampled_from(["run", "sweep", "energy-audit", "oracle-check"]),
+       stride_flag=st.sampled_from([None, None, 0, 2, -1]))
+def test_random_config_exits_cleanly_with_strict_json(data, command, stride_flag):
+    cfg = data.draw(random_configs(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as f:
+            json.dump(cfg, f)
+        out = os.path.join(tmp, "out")
+        argv = [command, "--config", path, "--out", out]
+        if stride_flag is not None:
+            argv += ["--snapshot-stride", str(stride_flag)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(argv)  # an escaping exception fails the test
+        assert rc in (0, 1, 2)
+        written = os.listdir(out) if os.path.isdir(out) else []
+        if rc == 1:
+            assert all(line.startswith("config error: ")
+                       for line in err.getvalue().splitlines())
+            assert written == []
+        for name in written:
+            if name.endswith(".json"):
+                with open(os.path.join(out, name)) as f:
+                    json.loads(f.read(), parse_constant=_reject_constant)
 
 
 def test_validate_rejects_non_integer_step_count():

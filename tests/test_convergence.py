@@ -5,7 +5,7 @@ import pytest
 from conftest import p1_defaults, p2_defaults
 
 from thermowave import (DiscreteReference, LinearReference, StepConfig,
-                        cubic_nonlinearity, error_norms, fine_reference,
+                        check_h_list, cubic_nonlinearity, error_norms, fine_reference,
                         linear_reaction, run, single_mode, sweep, zero_profile)
 
 
@@ -180,6 +180,19 @@ def test_sweep_validates_h_list():
         sweep(init, bundle, nl, T=0.5, h_list=[1 / 16, 1 / 48])
     with pytest.raises(ValueError):
         sweep(init, bundle, nl, T=0.5, h_list=[1 / 16, 1 / 32, 1 / 30])
+
+
+def test_check_h_list():
+    assert check_h_list(0.5, [0.25, "0.125"]) == [0.25, 0.125]
+    for h_list in ([], [0.25]):
+        with pytest.raises(ValueError, match="^h_list must hold at least two"):
+            check_h_list(0.5, h_list)
+    with pytest.raises(ValueError, match="^h_list must halve"):
+        check_h_list(0.3, [0.1, 0.03])  # each entry divides T
+    with pytest.raises(ValueError, match="^h = 0.2 "):
+        check_h_list(0.5, [0.2, 0.1])
+    with pytest.raises(ValueError, match="^T must be positive"):
+        check_h_list(-0.5, [0.25, 0.125])
 
 
 def test_sup_convention_agreement():

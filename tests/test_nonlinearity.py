@@ -40,6 +40,17 @@ def test_spec_validation():
         Nonlinearity(pi_kind="tanh")
 
 
+@pytest.mark.parametrize("kwargs, param", [
+    ({"beta_kind": "cubic", "beta_coeffs": (float("nan"),)}, "beta_coeffs"),
+    ({"beta_kind": "odd_poly", "beta_coeffs": (1.0, 0.0, float("inf"))}, "beta_coeffs"),
+    ({"pi_kind": "linear", "pi_param": float("nan")}, "pi_param"),
+    ({"pi_kind": "scaled_sine", "pi_param": -float("inf")}, "pi_param"),
+])
+def test_spec_rejects_non_finite_parameters(kwargs, param):
+    with pytest.raises(ValueError, match=f"^{param} must be finite"):
+        Nonlinearity(**kwargs)
+
+
 def test_pi_catalog():
     lin = Nonlinearity(pi_kind="linear", pi_param=-4.0)
     assert lin.pi(0.5) == -2.0

@@ -7,8 +7,8 @@ from thermowave import (Grid1D, LinearReference, OperatorBundle, StepConfig,
                         cubic_nonlinearity, exact_linear_solution,
                         fine_reference, identity_operator,
                         inverse_modal_transform, laplacian_eigenvalues,
-                        linear_reaction, modal_generator, modal_transform,
-                        random_smooth, run, single_mode, zero_nonlinearity,
+                        linear_reaction, make_initial, modal_generator,
+                        modal_transform, random_smooth, run, single_mode, zero_nonlinearity,
                         zero_operator, assemble_laplacian)
 
 
@@ -71,6 +71,29 @@ def test_generator_rejects_nonlinear():
     bundle, _ = p1_defaults(n=16)
     with pytest.raises(ValueError):
         modal_generator(bundle, cubic_nonlinearity(1.0), 1.0)
+
+
+@pytest.mark.parametrize("desc, param", [
+    ({"profile": "single_mode"}, "mode"),
+    ({"profile": "random_smooth", "decay": 1.0}, "seed"),
+    ({"profile": "smooth"}, "profile"),
+    ({}, "profile"),
+    ({"profile": "single_mode", "mode": 0}, "mode"),  # Dirichlet modes start at 1
+    ({"profile": "random_smooth", "seed": 1, "decay": -1.0}, "decay"),
+])
+def test_make_initial_rejects_bad_descriptions(desc, param):
+    with pytest.raises(ValueError, match=f"^{param} "):
+        make_initial(Grid1D(8), desc)
+
+
+def test_make_initial_dispatches_to_the_profiles():
+    grid = Grid1D(8, "neumann")
+    got = make_initial(grid, {"profile": "single_mode", "mode": 0, "phi_amp": 2.0})
+    for a, b in zip(got, single_mode(grid, 0, 1.0, 2.0, 0.0)):
+        assert np.array_equal(a, b)
+    got = make_initial(grid, {"profile": "random_smooth", "seed": 3, "amplitude": 0.5})
+    for a, b in zip(got, random_smooth(grid, 3, 2.0, 0.5)):
+        assert np.array_equal(a, b)
 
 
 def test_exact_solution_at_time_zero():

@@ -7,7 +7,8 @@ from thermowave import (Grid1D, NewtonDivergedError, State, StepAuditError,
                         StepConfig, StepPlan, cubic_nonlinearity, h_norm,
                         laplacian_eigenvalues, linear_reaction, modal_generator,
                         phi_equation_rhs, random_smooth, run, single_mode,
-                        solve_phi, step, zero_nonlinearity, zero_profile)
+                        solve_phi, step, step_count, zero_nonlinearity,
+                        zero_profile)
 
 
 def make_state(grid, theta, phi, v, h):
@@ -154,6 +155,27 @@ def test_run_rejects_non_integer_step_count():
     bundle, nl = p1_defaults(n=16)
     with pytest.raises(ValueError):
         run(zero_profile(bundle.grid), bundle, nl, T=1.0, cfg=StepConfig(h=0.3))
+
+
+def test_step_count():
+    assert step_count(1.0, 0.25) == 4
+    assert step_count(0.3, 0.1) == 3  # 0.3 / 0.1 rounds to a whole count
+    for T, h in ((1.0, 0.3), (0.25, 0.5), (1.0, 0.0), (1.0, -0.25), (1.0, float("nan"))):
+        with pytest.raises(ValueError, match="^h = "):
+            step_count(T, h)
+    for T in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="^T must be positive"):
+            step_count(T, 0.25)
+
+
+@pytest.mark.parametrize("kwargs, param", [
+    ({"h": float("nan")}, "h"), ({"h": 0.1, "newton_tol": float("nan")}, "newton_tol"),
+    ({"h": 0.1, "newton_max_iter": 0}, "newton_max_iter"),
+    ({"h": 0.1, "solve_path": "bogus"}, "solve_path"),
+])
+def test_step_config_messages_name_the_parameter(kwargs, param):
+    with pytest.raises(ValueError, match=f"^{param} must "):
+        StepConfig(**kwargs)
 
 
 def test_run_rejects_bad_initial_data():
