@@ -109,14 +109,16 @@ def _build(errors, label, build, *args, **kwargs):
         return None
 
 
-def validate_config(raw: dict, need_h_list: bool = False) -> dict:
+def validate_config(raw: dict, need_h_list: bool = False, need_linear: bool = False) -> dict:
     """Validate and resolve a raw config dict; raises ConfigError.
 
     The CLI holds the JSON shape, the preset-specific fields and the
     defaults.  The value rules are the library's: the grid, preset,
     nonlinearity, initial data and step configs are built here, one at a
     time so that errors in separate objects are reported together, and
-    kept under ``_``-prefixed keys for ``build_problem``.
+    kept under ``_``-prefixed keys for ``build_problem``.  ``need_h_list``
+    asks for a sweep's h_list (one step config per member) instead of h;
+    ``need_linear`` rejects a nonlinear beta/pi (oracle-check).
     """
     if not isinstance(raw, dict):
         raise ConfigError([f"config: expected a JSON object, got {type(raw).__name__}"])
@@ -171,8 +173,11 @@ def validate_config(raw: dict, need_h_list: bool = False) -> dict:
         key = "slope" if pi_kind == "linear" else "amplitude"
         pi_param = _num(pi.get(key), "pi." + key, errors)
     if len(errors) == start:
-        resolved["_nonlin"] = _build(errors, "beta/pi", Nonlinearity, beta_kind, beta_coeffs,
-                                     pi_kind, pi_param)
+        nonlin = resolved["_nonlin"] = _build(errors, "beta/pi", Nonlinearity, beta_kind,
+                                              beta_coeffs, pi_kind, pi_param)
+        if need_linear and nonlin is not None and not nonlin.is_linear:
+            errors.append(f"beta/pi: oracle-check needs a linear configuration (beta zero, "
+                          f"pi zero or linear), got beta {beta_kind}, pi {pi_kind}")
 
     initial = resolved["initial"] = raw.get("initial", {"profile": "zero"})
     start = len(errors)
@@ -199,6 +204,7 @@ def validate_config(raw: dict, need_h_list: bool = False) -> dict:
                        s["path"], tuple(lams)) for h in hs]
         if len(errors) == start and T is not None:
             if need_h_list:
+                resolved["_cfgs"] = cfgs
                 _build(errors, steps, convergence.check_h_list, T, hs)
             else:
                 resolved["_cfg"] = cfgs[0]
@@ -297,13 +303,12 @@ def cmd_run(resolved: dict, out_dir: str) -> int:
 
 def cmd_sweep(resolved: dict, out_dir: str) -> int:
     grid, bundle, nonlin, initial, _ = build_problem(resolved)
-    s = resolved["solver"]
     header = _header_lines(resolved, bundle, nonlin)
     payload = _json_meta(resolved, bundle, nonlin)
     error = None
     try:
         result = convergence.sweep(initial, bundle, nonlin, resolved["T"],
-                                   resolved["h_list"], newton_tol=s["newton_tol"])
+                                   resolved["h_list"], configs=resolved["_cfgs"])
     except ReferenceDivergedError as exc:
         error, reports = exc, []
         payload.update({"complete": False, "reference": "fine_step",
@@ -356,12 +361,7 @@ def cmd_energy_audit(resolved: dict, out_dir: str) -> int:
 
 def cmd_oracle_check(resolved: dict, out_dir: str) -> int:
     grid, bundle, nonlin, initial, cfg = build_problem(resolved)
-    try:
-        reference = LinearReference(initial, bundle, nonlin)
-    except ValueError as exc:
-        print(f"config error: oracle-check: {exc} (beta zero, pi zero or linear)",
-              file=sys.stderr)
-        return 1
+    reference = LinearReference(initial, bundle, nonlin)
     result = run(initial, bundle, nonlin, resolved["T"], cfg)
     header = _header_lines(resolved, bundle, nonlin)
 
@@ -406,7 +406,8 @@ def main(argv=None) -> int:
     if args.snapshot_stride is not None and isinstance(raw, dict):
         raw["snapshot_stride"] = args.snapshot_stride
     try:
-        resolved = validate_config(raw, need_h_list=(args.command == "sweep"))
+        resolved = validate_config(raw, need_h_list=(args.command == "sweep"),
+                                   need_linear=(args.command == "oracle-check"))
     except ConfigError as exc:
         for msg in exc.errors:
             print(f"config error: {msg}", file=sys.stderr)

@@ -136,11 +136,19 @@ def error_norms(states, reference, bundle: OperatorBundle,
     # interval endpoints sampled from inside the open interval; against the
     # pointwise values otherwise.  The reference is resolved at quarter
     # points so its piecewise-linear stand-in tracks curvature well below
-    # the discretization error being measured.
+    # the discretization error being measured.  Pointwise values at interval
+    # ends and midpoints are the node and midpoint samples above, except for
+    # N <= 2 steps, where a LinearReference samples each time on its own and
+    # exp(2h) y0 differs in the last bits from exp(h) exp(h) y0.
     offsets = (0.0, 0.25, 0.5, 0.75, 1.0)
     if hasattr(reference, "sample_bar"):
         ref_q = [reference.sample_bar(t_nodes[:-1] + w * h, side=(+1 if w == 0.0 else -1))
                  for w in offsets]
+    elif N > 2:
+        ref_q = [{name: rows[:-1] for name, rows in ref_n.items()},
+                 reference.sample(t_nodes[:-1] + 0.25 * h), ref_m,
+                 reference.sample(t_nodes[:-1] + 0.75 * h),
+                 {name: rows[1:] for name, rows in ref_n.items()}]
     else:
         ref_q = [reference.sample(t_nodes[:-1] + w * h) for w in offsets]
 
@@ -187,24 +195,30 @@ def check_h_list(T: float, h_list) -> list:
 
 def sweep(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
           h_list, newton_tol: float = 1e-12, reference=None,
-          reference_kind: str = "supplied") -> SweepResult:
+          reference_kind: str = "supplied", configs=None) -> SweepResult:
     """Refinement study over a halving list of step sizes.
 
     Runs every member against one shared reference, fits the slope of
     log(total) against log(h), and records the empirical constant
-    max(total / sqrt(h)).
+    max(total / sqrt(h)).  ``configs`` gives each member its own
+    StepConfig, in ``h_list`` order; by default member h runs
+    ``StepConfig(h, newton_tol)``.
     """
     h_list = check_h_list(T, h_list)
+    if configs is None:
+        configs = [StepConfig(h=h, newton_tol=newton_tol) for h in h_list]
+    elif [cfg.h for cfg in configs] != h_list:
+        raise ValueError("configs must hold one StepConfig per h_list entry, with that h")
     if reference is None:
         reference, reference_kind = pick_reference(initial, bundle, nonlin, T, min(h_list))
 
     reports, failures = [], []
-    for h in h_list:
-        result = run(initial, bundle, nonlin, T, StepConfig(h=h, newton_tol=newton_tol))
+    for cfg in configs:
+        result = run(initial, bundle, nonlin, T, cfg)
         if result.complete:
             reports.append(error_norms(result.states, reference, bundle))
         else:
-            failures.append((h, result.failure_index))
+            failures.append((cfg.h, result.failure_index))
         del result  # free this member's trajectory before the next run starts
     if failures:
         h_bad, idx = failures[0]

@@ -95,10 +95,16 @@ class FieldSnapshot:
 class LinearReference:
     """Exact-in-time solution of a linear configuration on the grid.
 
-    ``sample(times)`` exploits uniformly spaced requests by propagating one
-    per-mode exponential; arbitrary times fall back to one exponential per
-    (mode, time) pair.
+    The per-mode exponentials ``exp(t * G_k)`` are computed once per distinct
+    float ``t``, one batched ``expm`` over all modes, and cached (at most
+    ``EXPM_CACHE_SIZE`` times, the oldest dropped first), so a reference
+    shared by a refinement sweep pays once for every step length its members
+    have in common.  ``sample(times)`` propagates uniformly spaced requests
+    with the exponential of the spacing; arbitrary times take one cached
+    exponential each.  Modal rows map to grid values in one product per field.
     """
+
+    EXPM_CACHE_SIZE = 64
 
     def __init__(self, initial, bundle: OperatorBundle, nonlin: Nonlinearity):
         if not nonlin.is_linear:
@@ -115,20 +121,26 @@ class LinearReference:
             modal_transform(self.grid, v0),
         ], axis=1)  # (n_modes, 3)
         self._gen = np.stack([modal_generator(bundle, nonlin, m) for m in mu])
+        self._expm = {}  # t -> (n_modes, 3, 3) exponentials, oldest first
 
     def _expm_batch(self, t: float) -> np.ndarray:
-        return np.stack([scipy.linalg.expm(t * M) for M in self._gen])
+        E = self._expm.get(t)
+        if E is None:
+            if len(self._expm) >= self.EXPM_CACHE_SIZE:
+                del self._expm[next(iter(self._expm))]
+            E = self._expm[t] = scipy.linalg.expm(t * self._gen)
+            E.setflags(write=False)
+        return E
 
     def _assemble(self, Y: np.ndarray) -> dict:
-        out = {}
-        for j, name in enumerate(("theta", "phi", "v")):
-            out[name] = inverse_modal_transform(self.grid, Y[:, j])
-        return out
+        """Grid values of modal rows Y (n_times, n_modes, 3), per field."""
+        _, B = _basis_data(self.grid.n_interior, self.grid.bc)
+        return {name: (B @ Y[:, :, j, None])[..., 0]
+                for j, name in enumerate(("theta", "phi", "v"))}
 
     def at(self, t: float) -> FieldSnapshot:
-        E = self._expm_batch(float(t))
-        Y = np.einsum("kij,kj->ki", E, self._y0)
-        fields = self._assemble(Y)
+        Y = np.einsum("kij,kj->ki", self._expm_batch(float(t)), self._y0)
+        fields = {k: v[0] for k, v in self._assemble(Y[None]).items()}
         if t == 0.0:
             fields = {k: v.copy() for k, v in self._initial.items()}
         dY = np.einsum("kij,kj->ki", self._gen, Y)
@@ -137,30 +149,20 @@ class LinearReference:
 
     def sample(self, times) -> dict:
         times = np.asarray(times, dtype=float)
-        n = self.grid.n_interior
-        out = {name: np.empty((times.size, n)) for name in ("theta", "phi", "v")}
-        if times.size == 0:
-            return out
+        Y = np.empty((times.size, self.grid.n_interior, 3))
         dt = np.diff(times)
-        uniform = times.size > 2 and np.allclose(dt, dt[0], rtol=1e-12, atol=1e-15)
-        if uniform:
+        if times.size > 2 and np.allclose(dt, dt[0], rtol=1e-12, atol=1e-15):
             E = self._expm_batch(float(dt[0]))
-            Y = np.einsum("kij,kj->ki", self._expm_batch(float(times[0])), self._y0)
-            for i in range(times.size):
-                fields = self._assemble(Y)
-                for name in out:
-                    out[name][i] = fields[name]
-                if i + 1 < times.size:
-                    Y = np.einsum("kij,kj->ki", E, Y)
+            y = Y[0] = np.einsum("kij,kj->ki", self._expm_batch(float(times[0])), self._y0)
+            for i in range(1, times.size):
+                y = Y[i] = np.einsum("kij,kj->ki", E, y)
         else:
             for i, t in enumerate(times):
-                snap = self.at(float(t))
-                for name in out:
-                    out[name][i] = getattr(snap, name)
+                Y[i] = np.einsum("kij,kj->ki", self._expm_batch(float(t)), self._y0)
+        out = self._assemble(Y)
         # the reference at time zero is the initial data itself
-        for i in np.nonzero(times == 0.0)[0]:
-            for name in out:
-                out[name][i] = self._initial[name]
+        for name, rows in out.items():
+            rows[times == 0.0] = self._initial[name]
         return out
 
 

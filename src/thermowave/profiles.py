@@ -44,6 +44,8 @@ def random_smooth(grid: Grid1D, seed: int, decay: float = 2.0,
     """Spectrally decaying random data; reproducible for a fixed seed."""
     if not decay >= 0:
         raise ValueError(f"decay must be nonnegative, got {decay}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     n = grid.n_interior
     rng = np.random.default_rng(seed)
     weights = (1.0 + np.arange(n)) ** (-float(decay))

@@ -121,6 +121,7 @@ MALFORMED_FIELDS = [
     ("sweep", {"T": 0.3, "h_list": [0.1, 0.03]}, "h_list"),
     ("run", {"solver": {"newton_max_iter": True}}, "solver.newton_max_iter"),
     ("run", {"snapshot_stride": True}, "snapshot_stride"),
+    ("run", {"initial": {"profile": "random_smooth", "seed": -1}}, "initial.seed"),
 ]
 
 
@@ -427,6 +428,23 @@ def test_sweep_byte_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+def test_sweep_members_run_with_the_solver_settings(tmp_path):
+    """One Newton iteration cannot meet the tolerance on this cubic problem,
+    so the sweep diverges where the default solver completes."""
+    cfg = base_config(n_interior=16, T=0.25)
+    del cfg["h"]
+    cfg["h_list"] = [1.0 / 16, 1.0 / 32]
+    rc = main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "a")])
+    assert rc == 0
+    cfg["solver"] = {"newton_max_iter": 1}
+    resolved = validate_config(cfg, need_h_list=True)
+    assert [(c.h, c.newton_max_iter) for c in resolved["_cfgs"]] == [(1 / 16, 1), (1 / 32, 1)]
+    rc = main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "b")])
+    assert rc == 2
+    meta = json.loads((tmp_path / "b" / "sweep.json").read_text())
+    assert meta["complete"] is False and meta["diverged_h"] == 1 / 16
+
+
 def test_sweep_requires_h_list(tmp_path):
     cfg = base_config()
     rc = main(["sweep", "--config", write_config(tmp_path, cfg),
@@ -480,6 +498,16 @@ def test_oracle_check_rejects_nonlinear(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "linear" in capsys.readouterr().err
+
+
+def test_oracle_check_nonlinear_leaves_no_out_directory(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["oracle-check", "--config", write_config(tmp_path, base_config()),
+               "--out", str(out)])
+    assert rc == 1
+    assert ("config error: beta/pi: oracle-check needs a linear configuration"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_header_embeds_resolved_config(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import p1_defaults, p2_defaults
 
-from thermowave import (DiscreteReference, LinearReference, StepConfig,
+from thermowave import (DiscreteReference, LinearReference, StepConfig, SweepDivergedError,
                         check_h_list, cubic_nonlinearity, error_norms, fine_reference,
                         linear_reaction, run, single_mode, sweep, zero_profile)
 
@@ -180,6 +180,18 @@ def test_sweep_validates_h_list():
         sweep(init, bundle, nl, T=0.5, h_list=[1 / 16, 1 / 48])
     with pytest.raises(ValueError):
         sweep(init, bundle, nl, T=0.5, h_list=[1 / 16, 1 / 32, 1 / 30])
+
+
+def test_sweep_runs_each_member_with_its_config():
+    bundle, nl = p2_defaults(n=16)
+    init = single_mode(bundle.grid, 1, 1.0, 1.0, 0.0)
+    h_list = [1 / 16, 1 / 32]
+    one_iter = [StepConfig(h=h, newton_max_iter=1) for h in h_list]
+    with pytest.raises(SweepDivergedError) as info:
+        sweep(init, bundle, nl, T=0.25, h_list=h_list, configs=one_iter)
+    assert info.value.h == 1 / 16
+    with pytest.raises(ValueError, match="configs"):
+        sweep(init, bundle, nl, T=0.25, h_list=h_list, configs=one_iter[::-1])
 
 
 def test_check_h_list():
