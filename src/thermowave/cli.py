@@ -333,7 +333,7 @@ def cmd_sweep(resolved: dict, out_dir: str) -> int:
 
 
 def cmd_energy_audit(resolved: dict, out_dir: str) -> int:
-    grid, bundle, nonlin, initial, cfg = build_problem(resolved)
+    _, bundle, nonlin, initial, cfg = build_problem(resolved)
     result = run(initial, bundle, nonlin, resolved["T"], cfg)
     header = _header_lines(resolved, bundle, nonlin)
 
@@ -341,11 +341,8 @@ def cmd_energy_audit(resolved: dict, out_dir: str) -> int:
     pi_zero = nonlin.pi_kind == "zero"
     violations = diagnostics.decay_violations(ledger) if pi_zero else []
 
-    rows = []
-    for i in range(1, len(result.states)):
-        s1, entry = result.states[i], ledger[i]
-        source = cfg.h * grid.dx * float(np.dot(nonlin.pi(s1.phi), s1.v))
-        rows.append([i, i * cfg.h, entry.identity_residual, entry.record.lyapunov, source])
+    rows = [[i, i * cfg.h, entry.identity_residual, entry.record.lyapunov, entry.pi_source]
+            for i, entry in enumerate(ledger[1:], start=1)]
     max_resid = max(entry.identity_residual for entry in ledger)
     _write_csv(os.path.join(out_dir, "audit.csv"), header,
                ["n", "t", "identity_residual", "lyapunov_value", "pi_source_term"], rows)

@@ -8,11 +8,13 @@ forcing through the heat equation telescopes the discrete energy
 
 against a sum of nonnegative dissipation terms.  ``step_identity_residual``
 measures how far a computed step is from that algebraic identity (zero in
-exact arithmetic, solver tolerance in practice); ``energy_ledger`` pairs
-it with one energy evaluation per state of a trajectory.  The module also
-carries the piecewise-constant / piecewise-linear time reconstructions of
-a trajectory, their exact norm identities, and the uniform-boundedness
-monitors used by the refinement studies.
+exact arithmetic, solver tolerance in practice).  ``energy_ledger`` gives
+each state of a trajectory its energy and the identity residual and pi
+source of the step into it, in one rowwise pass over blocks of states;
+``energy`` and ``step_identity_residual`` are its one- and two-state cases.
+The module also carries the piecewise-constant / piecewise-linear time
+reconstructions of a trajectory, their exact norm identities, and the
+uniform-boundedness monitors used by the refinement studies.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nonlinearity import Nonlinearity, potential_total
-from .operators import (Grid1D, OperatorBundle, form_rows, h_inner, h_norm_sq_rows,
+from .nonlinearity import Nonlinearity
+from .operators import (Grid1D, OperatorBundle, cross_form_rows, form_rows, h_norm_sq_rows,
                         v_norm_sq_rows)
 
 
@@ -55,40 +57,57 @@ class EnergyRecord:
         return self.total + self.potential
 
 
+@dataclass(frozen=True)
+class LedgerEntry:
+    """One state's energy record and, for the step that produced it (0.0
+    at the initial state), the balance residual and h (pi(phi+), v+)."""
+
+    record: EnergyRecord
+    identity_residual: float
+    pi_source: float
+
+
+def _ledger_rows(states, bundle: OperatorBundle, nonlin: Nonlinearity, prev=None) -> list:
+    """Ledger entries of consecutive ``states``, each form one rowwise sum
+    over (m, n) stacks of their fields.  ``prev`` is the preceding state
+    and its entry, whose vectors are restacked only for the differences,
+    or None when ``states[0]`` starts the trajectory (it then stands in for
+    its own predecessor, and its step terms are 0).  A row's sums do not
+    depend on the other rows, so any split of a trajectory into blocks
+    gives the same bits.
+    """
+    grid, eta, dx = bundle.grid, bundle.eta, bundle.grid.dx
+    stack = [states[0] if prev is None else prev[0], *states]
+    theta, phi, v = (np.stack([getattr(s, name) for s in stack]) for name in ("theta", "phi", "v"))
+    dtheta, dphi, dv = np.diff(theta, axis=0), np.diff(phi, axis=0), np.diff(v, axis=0)
+    theta, phi, v = theta[1:], phi[1:], v[1:]
+    h = np.array([s.h for s in states])
+
+    kinetic = 0.5 * form_rows(grid, bundle.mass, v)
+    elastic = 0.5 * form_rows(grid, bundle.stiffness, phi)
+    thermal = 0.5 / eta * form_rows(grid, bundle.coupling, theta)
+    potential = dx * np.sum(nonlin.beta_potential(phi), axis=1)
+    b1 = h * form_rows(grid, bundle.damping, v)
+    cross = h / eta * cross_form_rows(grid, bundle.coupling, bundle.diffusion, theta)
+    total = kinetic + elastic + thermal
+    pi_source = h * dx * np.sum(nonlin.pi(phi) * v, axis=1)
+    prev_total = np.append(total[0] if prev is None else prev[1].record.total, total[:-1])
+    residual = np.abs(total - prev_total
+                      + 0.5 * form_rows(grid, bundle.mass, dv)
+                      + 0.5 * form_rows(grid, bundle.stiffness, dphi)
+                      + 0.5 / eta * form_rows(grid, bundle.coupling, dtheta)
+                      + b1 + cross + dx * np.sum(nonlin.beta(phi) * dphi, axis=1) + pi_source)
+    if prev is None:
+        residual[0] = pi_source[0] = 0.0
+    rows = zip(*(a.tolist() for a in (kinetic, elastic, thermal, potential, b1, cross,
+                                      residual, pi_source)))
+    return [LedgerEntry(EnergyRecord(*row[:6]), *row[6:]) for row in rows]
+
+
 def energy(state, bundle: OperatorBundle, nonlin: Nonlinearity) -> EnergyRecord:
     """Energy record of a state; square-root norms are evaluated as bilinear
     forms (op u, u), never through explicit operator square roots."""
-    grid = bundle.grid
-    v, phi, theta = state.v, state.phi, state.theta
-    return EnergyRecord(
-        kinetic=0.5 * h_inner(grid, bundle.mass.apply(v), v),
-        elastic=0.5 * h_inner(grid, bundle.stiffness.apply(phi), phi),
-        thermal=0.5 / bundle.eta * h_inner(grid, bundle.coupling.apply(theta), theta),
-        potential=potential_total(nonlin, grid, phi),
-        dissipation_b1=state.h * h_inner(grid, bundle.damping.apply(v), v),
-        dissipation_cross=state.h / bundle.eta
-        * h_inner(grid, bundle.coupling.apply(theta), bundle.diffusion.apply(theta)),
-    )
-
-
-def _identity_residual(state_n, state_np1, e0: EnergyRecord, e1: EnergyRecord,
-                       bundle: OperatorBundle, nonlin: Nonlinearity) -> float:
-    """Balance residual of one step from the energy records of its two
-    states; the dissipation terms come from ``e1``."""
-    grid = bundle.grid
-    h = state_np1.h
-    dv = state_np1.v - state_n.v
-    dphi = state_np1.phi - state_n.phi
-    dth = state_np1.theta - state_n.theta
-    total = e1.total - e0.total
-    total += 0.5 * h_inner(grid, bundle.mass.apply(dv), dv)
-    total += 0.5 * h_inner(grid, bundle.stiffness.apply(dphi), dphi)
-    total += 0.5 / bundle.eta * h_inner(grid, bundle.coupling.apply(dth), dth)
-    total += e1.dissipation_b1
-    total += e1.dissipation_cross
-    total += h_inner(grid, nonlin.beta(state_np1.phi), dphi)
-    total += h * h_inner(grid, nonlin.pi(state_np1.phi), state_np1.v)
-    return abs(total)
+    return _ledger_rows([state], bundle, nonlin)[0].record
 
 
 def step_identity_residual(state_n, state_np1, bundle: OperatorBundle,
@@ -106,29 +125,21 @@ def step_identity_residual(state_n, state_np1, bundle: OperatorBundle,
     exactly in real arithmetic; numerically the residual reflects solver
     tolerance only.
     """
-    return _identity_residual(state_n, state_np1, energy(state_n, bundle, nonlin),
-                              energy(state_np1, bundle, nonlin), bundle, nonlin)
-
-
-@dataclass(frozen=True)
-class LedgerEntry:
-    """One state's energy record and the balance residual of the step that
-    produced it (0.0 for the initial state)."""
-
-    record: EnergyRecord
-    identity_residual: float
+    return _ledger_rows([state_n, state_np1], bundle, nonlin)[1].identity_residual
 
 
 def energy_ledger(states, bundle: OperatorBundle, nonlin: Nonlinearity) -> list:
     """Energy bookkeeping of a whole trajectory, one ``LedgerEntry`` per state.
 
-    ``energy`` runs exactly once per state; each step's identity residual
-    reuses the records of its two states instead of recomputing them.
+    The states go through ``_ledger_rows`` in blocks of about 8192 values
+    per field, which bounds the stacks' memory on fine grids.  Every entry
+    has the bits of ``energy`` and ``step_identity_residual`` of its states.
     """
-    ledger = [LedgerEntry(energy(states[0], bundle, nonlin), 0.0)]
-    for s0, s1 in zip(states, states[1:]):
-        e0, e1 = ledger[-1].record, energy(s1, bundle, nonlin)
-        ledger.append(LedgerEntry(e1, _identity_residual(s0, s1, e0, e1, bundle, nonlin)))
+    block = max(1, 8192 // bundle.grid.n_interior)
+    ledger = _ledger_rows(states[:block], bundle, nonlin)
+    for i in range(block, len(states), block):
+        ledger += _ledger_rows(states[i:i + block], bundle, nonlin,
+                               (states[i - 1], ledger[-1]))
     return ledger
 
 
@@ -327,12 +338,12 @@ def apriori_monitor(states, bundle: OperatorBundle, nonlin: Nonlinearity) -> dic
 
     out["dtheta_L2H2"] = float(np.sum(h_norm_sq_rows(grid, dth) / h))
     out["dtheta_L2V2"] = float(np.sum(v_norm_sq_rows(grid, dth) / h))
-    out["diffusion_theta_sup_H2"] = float(np.max(h_norm_sq_rows(grid, bundle.diffusion.apply_rows(th[1:]))))
+    out["diffusion_theta_sup_H2"] = float(np.max(h_norm_sq_rows(grid, bundle.diffusion.apply(th[1:]))))
     out["theta_sup_V2"] = float(np.max(v_norm_sq_rows(grid, th[1:])))
 
-    out["coupling_theta_sup_H2"] = float(np.max(h_norm_sq_rows(grid, bundle.coupling.apply_rows(th[1:]))))
-    out["damping_v_L2H2"] = float(np.sum(h * h_norm_sq_rows(grid, bundle.damping.apply_rows(vv[1:]))))
-    out["stiffness_phi_L2H2"] = float(np.sum(h * h_norm_sq_rows(grid, bundle.stiffness.apply_rows(ph[1:]))))
+    out["coupling_theta_sup_H2"] = float(np.max(h_norm_sq_rows(grid, bundle.coupling.apply(th[1:]))))
+    out["damping_v_L2H2"] = float(np.sum(h * h_norm_sq_rows(grid, bundle.damping.apply(vv[1:]))))
+    out["stiffness_phi_L2H2"] = float(np.sum(h * h_norm_sq_rows(grid, bundle.stiffness.apply(ph[1:]))))
     return out
 
 

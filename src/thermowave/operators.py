@@ -107,21 +107,14 @@ class DiscreteOperator:
         return self.kind == ZERO
 
     def apply(self, u: np.ndarray) -> np.ndarray:
+        """Apply to a vector, or to every row of a (..., dim) stack."""
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.dim,):
+        if u.shape[-1:] != (self.dim,):
             raise ValueError(f"dimension mismatch: operator dim {self.dim}, vector shape {u.shape}")
         y = self.diag * u
-        y[:-1] += self.offdiag * u[1:]
-        y[1:] += self.offdiag * u[:-1]
+        y[..., :-1] += self.offdiag * u[..., 1:]
+        y[..., 1:] += self.offdiag * u[..., :-1]
         return y
-
-    def apply_rows(self, U: np.ndarray) -> np.ndarray:
-        """Apply to every row of a (m, dim) array."""
-        U = np.asarray(U, dtype=float)
-        Y = self.diag * U
-        Y[:, :-1] += self.offdiag * U[:, 1:]
-        Y[:, 1:] += self.offdiag * U[:, :-1]
-        return Y
 
     def symbol(self, mu):
         """Action on a Laplacian eigenvector with eigenvalue ``mu``."""
@@ -237,13 +230,13 @@ def v_norm_sq_rows(grid: Grid1D, rows: np.ndarray) -> np.ndarray:
 
 def form_rows(grid: Grid1D, op: DiscreteOperator, rows: np.ndarray) -> np.ndarray:
     """(op u, u) in the grid inner product, rowwise."""
-    return grid.dx * np.sum(op.apply_rows(rows) * rows, axis=1)
+    return grid.dx * np.sum(op.apply(rows) * rows, axis=1)
 
 
 def cross_form_rows(grid: Grid1D, op_a: DiscreteOperator, op_b: DiscreteOperator,
                     rows: np.ndarray) -> np.ndarray:
     """(op_a u, op_b u) in the grid inner product, rowwise."""
-    return grid.dx * np.sum(op_a.apply_rows(rows) * op_b.apply_rows(rows), axis=1)
+    return grid.dx * np.sum(op_a.apply(rows) * op_b.apply(rows), axis=1)
 
 
 # ----------------------------------------------------------------------

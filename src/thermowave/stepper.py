@@ -300,29 +300,26 @@ def solve_phi(g: np.ndarray, bundle: OperatorBundle, nonlin: Nonlinearity,
     """Solve the per-step elliptic equation; returns (phi, iters, residual).
 
     The direct path applies Newton to the equation as stated.  The
-    regularized path replaces beta by its resolvent smoothing and continues
-    the smoothing parameter down a decreasing schedule with warm starts;
-    the reported residual is always measured against the unsmoothed
-    equation.
+    regularized path first replaces beta by its resolvent smoothing and
+    continues the smoothing parameter down a decreasing schedule with warm
+    starts; from its last iterate it then solves the equation as stated,
+    like the direct path.  The iterations of every stage are counted.
     """
     plan = _plan_for(plan, bundle, cfg.h, nonlin)
     if phi0 is None:
         phi0 = np.zeros(bundle.grid.n_interior)
-    if cfg.solve_path == "direct" or not nonlin.has_beta:
-        return _newton(g, plan, cfg, nonlin.beta, nonlin.beta_prime,
-                       nonlin.pi, nonlin.pi_prime, phi0)
-    phi = np.array(phi0, dtype=float)
     iters = 0
-    for lam in cfg.yosida_lambdas:
-        phi, it, _ = _newton(
-            g, plan, cfg,
-            lambda r, lam=lam: nonlin.yosida(lam, r),
-            lambda r, lam=lam: nonlin.yosida_prime(lam, r),
-            nonlin.pi, nonlin.pi_prime, phi)
-        iters += it
-    res = h_norm(bundle.grid,
-                 _elliptic_residual(phi, g, plan, nonlin.beta, nonlin.pi))
-    return phi, iters, res
+    if cfg.solve_path == "yosida" and nonlin.has_beta:
+        for lam in cfg.yosida_lambdas:
+            phi0, it, _ = _newton(
+                g, plan, cfg,
+                lambda r, lam=lam: nonlin.yosida(lam, r),
+                lambda r, lam=lam: nonlin.yosida_prime(lam, r),
+                nonlin.pi, nonlin.pi_prime, phi0)
+            iters += it
+    phi, it, res = _newton(g, plan, cfg, nonlin.beta, nonlin.beta_prime,
+                           nonlin.pi, nonlin.pi_prime, phi0)
+    return phi, iters + it, res
 
 
 def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,

@@ -38,13 +38,14 @@ def dirichlet_sine(grid, k):
 
 @pytest.fixture
 def energy_calls(monkeypatch):
-    """List that grows by one on every diagnostics.energy call in the test."""
+    """List that grows by one for every state whose energy forms the
+    diagnostics evaluate in the test (the rows of the rowwise ledger)."""
     calls = []
-    real = diagnostics.energy
+    real = diagnostics._ledger_rows
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(states, *args, **kwargs):
+        calls.extend([1] * len(states))
+        return real(states, *args, **kwargs)
 
-    monkeypatch.setattr(diagnostics, "energy", counted)
+    monkeypatch.setattr(diagnostics, "_ledger_rows", counted)
     return calls

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thermowave.cli as cli
+from thermowave import run
 from thermowave.cli import ConfigError, build_problem, main, validate_config
 
 
@@ -474,6 +476,28 @@ def test_energy_audit_monitor_mode(tmp_path):
     assert meta["lyapunov_mode"] == "monitor_only"
     _, cols, rows = read_csv(tmp_path / "out" / "audit.csv")
     assert "pi_source_term" in cols
+
+
+@pytest.mark.parametrize("amplitude", [0.5, 0.0])
+def test_energy_audit_pi_source_term(tmp_path, amplitude):
+    pi = {"kind": "scaled_sine", "amplitude": amplitude} if amplitude else {"kind": "zero"}
+    cfg = base_config(pi=pi)
+    rc = main(["energy-audit", "--config", write_config(tmp_path, cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    _, cols, rows = read_csv(tmp_path / "out" / "audit.csv")
+    grid, bundle, nonlin, initial, step_cfg = build_problem(validate_config(cfg))
+    states = run(initial, bundle, nonlin, cfg["T"], step_cfg).states
+    assert len(rows) == len(states) - 1
+    j = cols.index("pi_source_term")
+    for row, s in zip(rows, states[1:]):
+        got = float(row[j])
+        if amplitude == 0.0:
+            assert got == 0.0
+        else:
+            want = cfg["h"] * grid.dx * math.fsum(amplitude * math.sin(p) * v
+                                                  for p, v in zip(s.phi, s.v))
+            assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_oracle_check_linear(tmp_path):

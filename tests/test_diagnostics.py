@@ -137,6 +137,20 @@ def test_ledger_matches_per_step_identity_residual(preset, bc):
                 states[n - 1], states[n], bundle, nl)
 
 
+def test_ledger_blocks_match_one_and_two_state_evaluations():
+    # n = 1024 puts 8 states in a ledger block, so 21 states span 3 blocks
+    bundle = preset_bundle("P4", n=1024, bc="neumann")
+    nl = cubic_nonlinearity(1.0, "scaled_sine", 0.5)
+    states = run(random_smooth(bundle.grid, 3), bundle, nl, T=20 / 256,
+                 cfg=StepConfig(h=1 / 256)).states
+    ledger = energy_ledger(states, bundle, nl)
+    assert len(ledger) == 21 and ledger[0].pi_source == 0.0
+    assert ledger[0].record == energy(states[0], bundle, nl)
+    for prev, cur, entry in zip(states, states[1:], ledger[1:]):
+        assert entry.record == energy(cur, bundle, nl)
+        assert entry.identity_residual == step_identity_residual(prev, cur, bundle, nl)
+
+
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)
 @given(preset=st.sampled_from(["P1", "P2", "P3", "P4", "P5"]),
        bc=st.sampled_from(["dirichlet", "neumann"]),

@@ -60,6 +60,20 @@ def test_operator_symmetry_exact():
             assert np.array_equal(dense, dense.T)
 
 
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_apply_on_a_stack_matches_rowwise_apply(bc):
+    grid = Grid1D(17, bc)
+    rng = np.random.default_rng(5)
+    ops = [zero_operator(17), identity_operator(17, 2.5), assemble_laplacian(grid, 0.7),
+           DiscreteOperator(rng.standard_normal(17), rng.standard_normal(16))]
+    U = rng.standard_normal((6, 17))
+    for op in ops:
+        assert np.array_equal(op.apply(U), np.stack([op.apply(u) for u in U]))
+        for bad in (U[:, :-1], U.T, np.float64(1.0)):
+            with pytest.raises(ValueError):
+                op.apply(bad)
+
+
 def test_monotonicity_audit():
     for _, _, bundle in all_preset_bundles(n=24):
         for name in ("mass", "diffusion", "damping", "stiffness", "coupling"):

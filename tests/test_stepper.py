@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from conftest import (all_preset_bundles, dirichlet_sine, p1_defaults,
                       p2_defaults, preset_bundle)
 
-from thermowave import (Grid1D, NewtonDivergedError, State, StepAuditError,
+from thermowave import (Grid1D, NewtonDivergedError, Nonlinearity, State, StepAuditError,
                         StepConfig, StepPlan, cubic_nonlinearity, h_norm,
                         laplacian_eigenvalues, linear_reaction, modal_generator,
                         phi_equation_rhs, random_smooth, run, single_mode,
@@ -249,6 +251,51 @@ def test_yosida_path_matches_direct():
     s_direct, _ = step(s, bundle, nl, StepConfig(h=1e-3, solve_path="direct"))
     s_yosida, _ = step(s, bundle, nl, StepConfig(h=1e-3, solve_path="yosida"))
     assert np.max(np.abs(s_direct.phi - s_yosida.phi)) <= 1e-8
+
+
+def _assert_paths_agree(init, bundle, nl, h, n_steps):
+    """Both solver paths complete the run, and every state's phi and theta
+    agree to within the step's solver tolerance 10 newton_tol (1 + |g|)."""
+    runs = [run(init, bundle, nl, T=n_steps * h, cfg=StepConfig(h=h, solve_path=path))
+            for path in ("direct", "yosida")]
+    assert all(r.complete for r in runs)
+    direct, yosida = runs
+    tol = 10.0 * StepConfig.newton_tol
+    for a, b, report in zip(direct.states[1:], yosida.states[1:], direct.reports):
+        for name in ("phi", "theta"):
+            gap = h_norm(bundle.grid, getattr(a, name) - getattr(b, name))
+            assert gap <= tol * (1.0 + report.rhs_norm), (name, gap)
+
+
+def test_yosida_path_solves_the_unsmoothed_step():
+    # the smoothing continuation alone stops at a residual of about 2e-8,
+    # which the step audit rejects at step 0
+    bundle, nl = p2_defaults(n=16)
+    _assert_paths_agree(random_smooth(bundle.grid, 4), bundle, nl, 1 / 16, 4)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(preset=st.sampled_from(["P1", "P2", "P3", "P4", "P5"]),
+       bc=st.sampled_from(["dirichlet", "neumann"]),
+       n=st.integers(min_value=2, max_value=24),
+       beta=st.one_of(
+           st.tuples(st.just("cubic"), st.floats(min_value=0.1, max_value=10.0).map(lambda a: (a,))),
+           st.tuples(st.just("odd_poly"),
+                     st.tuples(st.floats(min_value=0.0, max_value=5.0),
+                               st.floats(min_value=0.1, max_value=5.0),
+                               st.floats(min_value=0.0, max_value=5.0))
+                     .map(lambda c: (c[0], 0.0, c[1], 0.0, c[2])))),
+       pi=st.one_of(st.just(("zero", 0.0)),
+                    st.tuples(st.sampled_from(["linear", "scaled_sine"]),
+                              st.floats(min_value=-2.0, max_value=2.0))),
+       h_fraction=st.floats(min_value=0.01, max_value=0.95),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_solver_paths_complete_and_agree_below_threshold(preset, bc, n, beta, pi, h_fraction,
+                                                         seed):
+    bundle = preset_bundle(preset, n=n, bc=bc)
+    nl = Nonlinearity(beta[0], beta[1], pi[0], pi[1])
+    h = h_fraction * bundle.h_threshold(nl.lipschitz_const)
+    _assert_paths_agree(random_smooth(bundle.grid, seed), bundle, nl, h, 3)
 
 
 def test_newton_divergence_reported():
