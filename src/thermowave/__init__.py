@@ -12,19 +12,18 @@ from .convergence import (ErrorReport, SweepDivergedError, SweepResult,
 from .diagnostics import (EnergyRecord, apriori_monitor, apriori_ratios,
                           build_interpolants, energy, energy_ledger,
                           interpolation_identities_check, lyapunov_check,
-                          step_identity_residual, write_energy_csv)
+                          step_identity_residual)
 from .nonlinearity import (Nonlinearity, cubic_nonlinearity, linear_reaction,
                            potential_total, zero_nonlinearity)
 from .operators import (DIRICHLET, NEUMANN, DiscreteOperator, Grid1D,
-                        OperatorBundle, ProblemPreset, Resolvent,
+                        OperatorBundle, ProblemPreset, Resolvent, ResolventAuditError,
                         assemble_laplacian, audit_bundle, build_bundle,
                         coupling_relative_bound, estimate_structural_constants,
                         gradient_inner, h_inner, h_norm, identity_operator,
                         resolvent_solve, solvability_threshold,
                         v_coercivity_constant, v_norm, v_norm_sq, zero_operator)
-from .oracle import (DiscreteReference, FieldSnapshot, LinearReference,
-                     ReferenceDivergedError, exact_linear_solution,
-                     fine_reference, inverse_modal_transform,
+from .oracle import (FieldSnapshot, LinearReference, ReferenceDivergedError,
+                     exact_linear_solution, fine_reference, inverse_modal_transform,
                      laplacian_eigenvalues, modal_generator, modal_transform)
 from .profiles import make_initial, mode_vector, random_smooth, single_mode, zero_profile
 from .stepper import (NewtonDivergedError, RunResult, State, StepAuditError,

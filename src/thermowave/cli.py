@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+from operator import attrgetter
 
 import numpy as np
 
@@ -273,8 +274,13 @@ def cmd_run(resolved: dict, out_dir: str) -> int:
     result = run(initial, bundle, nonlin, resolved["T"], cfg)
     header = _header_lines(resolved, bundle, nonlin)
 
-    diagnostics.write_energy_csv(os.path.join(out_dir, "energy.csv"),
-                                 result.states, bundle, nonlin, header)
+    # rows are streamed, and the ledger is freed once energy.csv is written
+    entries = enumerate(diagnostics.energy_ledger(result.states, bundle, nonlin))
+    fields = ("kinetic", "elastic", "thermal", "potential", "dissipation_b1", "dissipation_cross")
+    split = attrgetter(*fields)
+    rows = ((n, n * cfg.h, *split(entry.record), entry.identity_residual) for n, entry in entries)
+    _write_csv(os.path.join(out_dir, "energy.csv"), header,
+               ["n", "t", *fields, "identity_residual"], rows)
 
     rows = [(i + 1, (i + 1) * cfg.h, r.newton_iters, r.final_residual,
              r.theta_residual, r.heat_residual, r.wave_residual, r.rhs_norm)
@@ -362,15 +368,12 @@ def cmd_oracle_check(resolved: dict, out_dir: str) -> int:
     result = run(initial, bundle, nonlin, resolved["T"], cfg)
     header = _header_lines(resolved, bundle, nonlin)
 
-    times = np.array([s.t_index * cfg.h for s in result.states])
-    ref = reference.sample(times)
-    rows = []
-    max_dev = 0.0
-    for i, s in enumerate(result.states):
-        devs = [float(np.max(np.abs(getattr(s, name) - ref[name][i])))
-                for name in ("theta", "phi", "v")]
-        max_dev = max(max_dev, *devs)
-        rows.append([float(times[i])] + devs)
+    traj = diagnostics.build_interpolants(result.states)
+    ref = reference.sample(traj.times)
+    devs = [np.max(np.abs(getattr(traj, name).nodes - ref[name]), axis=1)
+            for name in ("theta", "phi", "v")]
+    rows = np.column_stack([traj.times, *devs]).tolist()
+    max_dev = max(0.0, *(float(np.max(d)) for d in devs))
     _write_csv(os.path.join(out_dir, "oracle.csv"), header,
                ["t", "theta_dev", "phi_dev", "v_dev"], rows)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import build_interpolants
 from .nonlinearity import Nonlinearity
 from .operators import (OperatorBundle, cross_form_rows, form_rows, h_norm_sq_rows,
                         v_norm_sq_rows)
@@ -85,20 +86,20 @@ def _simpson_pair(q_a, q_m, q_b, length):
     return length / 6.0 * (q_a + 4.0 * q_m + q_b)
 
 
-def error_norms(states, reference, bundle: OperatorBundle,
-                sup_points: str = "both") -> ErrorReport:
+def error_norms(states, reference, bundle: OperatorBundle) -> ErrorReport:
     """Error figures of one trajectory against a reference.
 
-    Sup norms are taken over time nodes and interval midpoints (choose one
-    set with ``sup_points``); time integrals treat the reference as
-    piecewise linear between its samples, making every integrand piecewise
-    quadratic and the interval integrals exact.
+    Sup norms are taken over time nodes and interval midpoints; time
+    integrals treat the reference as piecewise linear between its samples,
+    making every integrand piecewise quadratic and the interval integrals
+    exact.  The trajectory's rows come from ``build_interpolants``.
     """
     grid = bundle.grid
     n = grid.n_interior
     N = len(states) - 1
-    h = states[1].h
-    t_nodes = np.arange(N + 1) * h
+    traj = build_interpolants(states)
+    h = traj.h
+    t_nodes = traj.times
     t_mids = t_nodes[:-1] + 0.5 * h
 
     ref_n = reference.sample(t_nodes)
@@ -107,21 +108,12 @@ def error_norms(states, reference, bundle: OperatorBundle,
         if ref_n[name].shape[1] != n:
             raise ValueError("reference grid does not match trajectory grid")
 
-    hat = {name: np.stack([getattr(s, name) for s in states])
-           for name in ("theta", "phi", "v")}
-
     def sup_of(err_nodes, err_mids, q_rows):
-        vals = []
-        if sup_points in ("both", "nodes"):
-            vals.append(np.max(q_rows(err_nodes)))
-        if sup_points in ("both", "midpoints"):
-            vals.append(np.max(q_rows(err_mids)))
-        return math.sqrt(max(max(vals), 0.0))
+        return math.sqrt(max(np.max(q_rows(err_nodes)), np.max(q_rows(err_mids)), 0.0))
 
     def hat_errors(name):
-        e_nodes = hat[name] - ref_n[name]
-        e_mids = 0.5 * (hat[name][:-1] + hat[name][1:]) - ref_m[name]
-        return e_nodes, e_mids
+        field = getattr(traj, name)
+        return field.nodes - ref_n[name], field.midpoints() - ref_m[name]
 
     ev_n, ev_m = hat_errors("v")
     e1 = sup_of(ev_n, ev_m, lambda r: form_rows(grid, bundle.mass, r))
@@ -132,7 +124,7 @@ def error_norms(states, reference, bundle: OperatorBundle,
     e6 = sup_of(et_n, et_m, lambda r: form_rows(grid, bundle.coupling, r))
 
     # Piecewise-constant errors compare against the reference's own
-    # piecewise-constant view when it has one (a discrete reference), with
+    # piecewise-constant view when it has one (a fine-step reference), with
     # interval endpoints sampled from inside the open interval; against the
     # pointwise values otherwise.  The reference is resolved at quarter
     # points so its piecewise-linear stand-in tracks curvature well below
@@ -153,7 +145,7 @@ def error_norms(states, reference, bundle: OperatorBundle,
         ref_q = [reference.sample(t_nodes[:-1] + w * h) for w in offsets]
 
     def l2_bar(name, q_rows):
-        bar = hat[name][1:]
+        bar = getattr(traj, name).nodes[1:]
         d = [bar - rq[name] for rq in ref_q]
         total = 0.0
         for left, right in zip(d[:-1], d[1:]):
@@ -169,15 +161,12 @@ def error_norms(states, reference, bundle: OperatorBundle,
 
 
 def pick_reference(initial, bundle: OperatorBundle, nonlin: Nonlinearity,
-                   T: float, h_min: float, ref_divider: int = 32,
-                   newton_tol: float = 1e-13):
-    """Exact modal reference when the problem is linear, nested fine-step
-    run otherwise."""
+                   T: float, h_min: float):
+    """Exact modal reference when the problem is linear, otherwise a nested
+    fine-step run at h_min / 32."""
     if nonlin.is_linear:
         return LinearReference(initial, bundle, nonlin), "modal"
-    ref = fine_reference(initial, bundle, nonlin, T, h_min / ref_divider,
-                         newton_tol=newton_tol)
-    return ref, "fine_step"
+    return fine_reference(initial, bundle, nonlin, T, h_min / 32), "fine_step"
 
 
 def check_h_list(T: float, h_list) -> list:
@@ -194,21 +183,21 @@ def check_h_list(T: float, h_list) -> list:
 
 
 def sweep(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
-          h_list, newton_tol: float = 1e-12, reference=None,
-          reference_kind: str = "supplied", configs=None) -> SweepResult:
+          h_list, reference=None, configs=None) -> SweepResult:
     """Refinement study over a halving list of step sizes.
 
-    Runs every member against one shared reference, fits the slope of
-    log(total) against log(h), and records the empirical constant
-    max(total / sqrt(h)).  ``configs`` gives each member its own
-    StepConfig, in ``h_list`` order; by default member h runs
-    ``StepConfig(h, newton_tol)``.
+    Runs every member against one shared reference (``pick_reference``'s
+    unless one is supplied), fits the slope of log(total) against log(h),
+    and records the empirical constant max(total / sqrt(h)).  ``configs``
+    gives each member its own StepConfig, in ``h_list`` order; by default
+    member h runs ``StepConfig(h)``.
     """
     h_list = check_h_list(T, h_list)
     if configs is None:
-        configs = [StepConfig(h=h, newton_tol=newton_tol) for h in h_list]
+        configs = [StepConfig(h=h) for h in h_list]
     elif [cfg.h for cfg in configs] != h_list:
         raise ValueError("configs must hold one StepConfig per h_list entry, with that h")
+    reference_kind = "supplied"
     if reference is None:
         reference, reference_kind = pick_reference(initial, bundle, nonlin, T, min(h_list))
 

@@ -12,9 +12,13 @@ exact arithmetic, solver tolerance in practice).  ``energy_ledger`` gives
 each state of a trajectory its energy and the identity residual and pi
 source of the step into it, in one rowwise pass over blocks of states;
 ``energy`` and ``step_identity_residual`` are its one- and two-state cases.
-The module also carries the piecewise-constant / piecewise-linear time
-reconstructions of a trajectory, their exact norm identities, and the
-uniform-boundedness monitors used by the refinement studies.
+The module also carries the uniform-boundedness monitors used by the
+refinement studies, and the piecewise-constant / piecewise-linear time
+reconstructions of a trajectory with their exact norm identities.
+``build_interpolants`` is the one stacked view of a trajectory: the
+monitors, ``convergence.error_norms`` and the CLI read their per-field
+rows from it, and ``oracle.fine_reference`` returns it as the fine-step
+reference.
 """
 
 from __future__ import annotations
@@ -172,10 +176,13 @@ def lyapunov_check(states, bundle: OperatorBundle, nonlin: Nonlinearity,
 
 @dataclass(frozen=True)
 class Interpolant:
-    """Node values of one field with its two time reconstructions.
+    """Node values of one field on a uniform time grid with its two time
+    reconstructions.
 
     ``hat`` is continuous piecewise linear through the nodes; ``bar`` is
     piecewise constant, equal on each interval to the right node value.
+    Both take one time (one row back) or an array of times (one row per
+    time) and hold the end values beyond the grid.
     """
 
     times: np.ndarray
@@ -186,6 +193,8 @@ class Interpolant:
         y = np.ascontiguousarray(self.nodes, dtype=float)
         if y.shape[0] != t.size:
             raise ValueError("node array does not match time grid")
+        if t.size > 2 and not np.allclose(np.diff(t), t[1] - t[0]):
+            raise ValueError("time grid must be uniform")
         t.setflags(write=False)
         y.setflags(write=False)
         object.__setattr__(self, "times", t)
@@ -195,18 +204,19 @@ class Interpolant:
     def h(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def hat(self, t: float) -> np.ndarray:
-        t = float(min(max(t, self.times[0]), self.times[-1]))
-        j = int(np.searchsorted(self.times, t, side="right") - 1)
-        j = min(max(j, 0), self.times.size - 2)
-        w = (t - self.times[j]) / (self.times[j + 1] - self.times[j])
-        return (1.0 - w) * self.nodes[j] + w * self.nodes[j + 1]
+    def hat(self, t) -> np.ndarray:
+        pos = (np.asarray(t, dtype=float) - self.times[0]) / self.h
+        last = self.times.size - 1
+        j = np.clip(np.floor(pos).astype(int), 0, last)
+        w = np.clip(pos - j, 0.0, 1.0)[..., None]
+        return (1.0 - w) * self.nodes[j] + w * self.nodes[np.minimum(j + 1, last)]
 
-    def bar(self, t: float) -> np.ndarray:
-        t = float(min(max(t, self.times[0]), self.times[-1]))
-        j = int(np.searchsorted(self.times, t, side="left"))
-        j = min(max(j, 1), self.times.size - 1)
-        return self.nodes[j]
+    def bar(self, t, side: int = -1) -> np.ndarray:
+        """``side`` resolves a time exactly on a node: -1 takes the left
+        limit (the interval ending there), +1 the right limit.  Error
+        integrals over open intervals sample their endpoints from inside."""
+        pos = (np.asarray(t, dtype=float) - self.times[0]) / self.h + side * 1e-6
+        return self.nodes[np.clip(np.floor(pos).astype(int) + 1, 1, self.times.size - 1)]
 
     def deltas(self) -> np.ndarray:
         return self.nodes[1:] - self.nodes[:-1]
@@ -217,6 +227,13 @@ class Interpolant:
 
 @dataclass(frozen=True)
 class TrajectoryInterpolants:
+    """A trajectory's fields stacked once, one ``Interpolant`` each.
+
+    ``sample`` and ``sample_bar`` give the theta/phi/v reconstructions at
+    an array of times, so a fine-step run serves as a reference solution
+    wherever ``convergence.error_norms`` takes one.
+    """
+
     theta: Interpolant
     phi: Interpolant
     v: Interpolant
@@ -229,6 +246,12 @@ class TrajectoryInterpolants:
     @property
     def times(self) -> np.ndarray:
         return self.theta.times
+
+    def sample(self, times) -> dict:
+        return {name: getattr(self, name).hat(times) for name in ("theta", "phi", "v")}
+
+    def sample_bar(self, times, side: int = -1) -> dict:
+        return {name: getattr(self, name).bar(times, side) for name in ("theta", "phi", "v")}
 
 
 def build_interpolants(states) -> TrajectoryInterpolants:
@@ -313,12 +336,10 @@ def apriori_monitor(states, bundle: OperatorBundle, nonlin: Nonlinearity) -> dic
     bundle.  Scaled variants carry their stabilizing power of h explicitly.
     """
     grid = bundle.grid
-    h = states[1].h if len(states) > 1 else states[0].h
-    th = np.stack([s.theta for s in states])
-    ph = np.stack([s.phi for s in states])
-    vv = np.stack([s.v for s in states])
-    zz = np.stack([s.z for s in states])
-    dth = np.diff(th, axis=0)
+    traj = build_interpolants(states)
+    h = traj.h
+    th, ph, vv, zz = traj.theta.nodes, traj.phi.nodes, traj.v.nodes, traj.z.nodes
+    dth = traj.theta.deltas()
 
     out = {}
     out["v_sup_H2"] = float(np.max(h_norm_sq_rows(grid, vv[1:])))
@@ -362,18 +383,3 @@ def apriori_ratios(per_h: list[dict], floor: float = 1e-12) -> dict:
         else:
             ratios[key] = peak / max(coarse, floor)
     return ratios
-
-
-def write_energy_csv(path, states, bundle: OperatorBundle, nonlin: Nonlinearity,
-                     header_lines=()) -> None:
-    """Per-step energy table; the identity-residual column is 0 at n = 0."""
-    h = states[1].h if len(states) > 1 else states[0].h
-    with open(path, "w") as f:
-        for line in header_lines:
-            f.write(f"# {line}\n")
-        f.write("n,t,kinetic,elastic,thermal,potential,dissipation_b1,dissipation_cross,identity_residual\n")
-        for n, entry in enumerate(energy_ledger(states, bundle, nonlin)):
-            rec = entry.record
-            row = (n, n * h, rec.kinetic, rec.elastic, rec.thermal, rec.potential,
-                   rec.dissipation_b1, rec.dissipation_cross, entry.identity_residual)
-            f.write(",".join(repr(x) if isinstance(x, float) else str(x) for x in row) + "\n")

@@ -243,6 +243,10 @@ def cross_form_rows(grid: Grid1D, op_a: DiscreteOperator, op_b: DiscreteOperator
 # Resolvent solves
 
 
+class ResolventAuditError(RuntimeError):
+    """A resolvent solve missed its residual bound (non-finite data included)."""
+
+
 class Resolvent:
     """(I + h*op) factored once, for any number of solves.
 
@@ -288,8 +292,8 @@ class Resolvent:
             res = rhs - (x + h * op.apply(x))
             rn = math.sqrt(res.dot(res))
         if not rn <= 1e-13 * bn + floor:  # also rejects a NaN residual
-            raise RuntimeError(f"resolvent residual audit failed: {rn:.3e} > "
-                               f"1e-13 * {bn:.3e} + floor {floor:.3e}")
+            raise ResolventAuditError(f"resolvent residual audit failed: {rn:.3e} > "
+                                      f"1e-13 * {bn:.3e} + floor {floor:.3e}")
         return x
 
 

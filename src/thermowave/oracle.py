@@ -6,7 +6,10 @@ system decouples over the Laplacian eigenbasis into independent 3x3 linear
 ODEs in the modal coefficients of (theta, phi, v).  Their matrix
 exponentials give the exact-in-time solution on the same spatial grid,
 isolating exactly the time-discretization error the stepper commits.  For
-nonlinear configurations a nested fine-step run serves as the reference.
+nonlinear configurations a nested fine-step run serves as the reference:
+``fine_reference`` returns its ``diagnostics.TrajectoryInterpolants``,
+whose ``sample`` / ``sample_bar`` are the run's piecewise-linear and
+piecewise-constant reconstructions.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
+from .diagnostics import TrajectoryInterpolants, build_interpolants
 from .nonlinearity import Nonlinearity
 from .operators import DIRICHLET, Grid1D, OperatorBundle
-from .stepper import RunResult, StepConfig, run
+from .stepper import StepConfig, run
 
 
 @lru_cache(maxsize=32)
@@ -181,50 +185,11 @@ class ReferenceDivergedError(RuntimeError):
         self.failure_index = failure_index
 
 
-class DiscreteReference:
-    """Fine-step trajectory exposed as a reference for coarse comparisons.
-
-    Sample times must align with the fine grid (or fall between two fine
-    nodes, where the piecewise-linear reconstruction is used).
-    """
-
-    def __init__(self, result: RunResult, h_ref: float):
-        if not result.complete:
-            raise ReferenceDivergedError(h_ref, result.failure_index)
-        self.h_ref = h_ref
-        self.states = result.states
-        self._arrays = {
-            name: np.stack([getattr(s, name) for s in result.states])
-            for name in ("theta", "phi", "v")
-        }
-
-    def sample(self, times) -> dict:
-        times = np.asarray(times, dtype=float)
-        pos = times / self.h_ref
-        j = np.clip(np.floor(pos).astype(int), 0, len(self.states) - 1)
-        jn = np.clip(j + 1, 0, len(self.states) - 1)
-        w = np.clip(pos - j, 0.0, 1.0)
-        out = {}
-        for name, arr in self._arrays.items():
-            out[name] = (1.0 - w)[:, None] * arr[j] + w[:, None] * arr[jn]
-        return out
-
-    def sample_bar(self, times, side: int = -1) -> dict:
-        """Values of the piecewise-constant reconstruction.
-
-        ``side`` resolves queries landing exactly on a node: -1 takes the
-        left-limit (the interval ending there), +1 the right-limit.  Error
-        integrals over open intervals sample their endpoints from inside.
-        """
-        times = np.asarray(times, dtype=float)
-        pos = times / self.h_ref + side * 1e-6
-        j = np.clip(np.floor(pos).astype(int) + 1, 1, len(self.states) - 1)
-        return {name: arr[j] for name, arr in self._arrays.items()}
-
-
 def fine_reference(initial, bundle: OperatorBundle, nonlin: Nonlinearity,
-                   T: float, h_ref: float, newton_tol: float = 1e-13) -> DiscreteReference:
-    """Tight-tolerance run at h_ref, reusable across a refinement sweep."""
-    cfg = StepConfig(h=h_ref, newton_tol=newton_tol)
-    result = run(initial, bundle, nonlin, T, cfg)
-    return DiscreteReference(result, h_ref)
+                   T: float, h_ref: float) -> TrajectoryInterpolants:
+    """Time reconstructions of a tight-tolerance run at h_ref, reusable
+    across a refinement sweep; ``ReferenceDivergedError`` if it stops early."""
+    result = run(initial, bundle, nonlin, T, StepConfig(h=h_ref, newton_tol=1e-13))
+    if not result.complete:
+        raise ReferenceDivergedError(h_ref, result.failure_index)
+    return build_interpolants(result.states)

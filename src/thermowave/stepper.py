@@ -31,7 +31,8 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs
 
 from .nonlinearity import Nonlinearity
-from .operators import OperatorBundle, Resolvent, _check_lapack_info, h_norm
+from .operators import (OperatorBundle, Resolvent, ResolventAuditError, _check_lapack_info,
+                        h_norm)
 
 _EPS = float(np.finfo(float).eps)
 _GBSV, _GBTRF, _GBTRS = get_lapack_funcs(("gbsv", "gbtrf", "gbtrs"), (np.zeros(1),))
@@ -40,7 +41,8 @@ DEFAULT_YOSIDA_LAMBDAS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 
 
 class NewtonDivergedError(RuntimeError):
-    """Newton ran out of iterations; h may exceed the solvability threshold."""
+    """Newton ran out of iterations or met a non-finite residual; h may
+    exceed the solvability threshold, or the data the float range."""
 
     def __init__(self, iters: int, residual: float):
         super().__init__(f"Newton did not converge in {iters} iterations "
@@ -277,6 +279,8 @@ def _newton(g, plan, cfg, beta_f, beta_p, pi_f, pi_p, phi0):
         return phi, 0, res
     prev = math.inf
     for it in range(1, cfg.newton_max_iter + 1):
+        if not math.isfinite(res):
+            raise NewtonDivergedError(it - 1, res)
         w = plan.newton_direction(phi, -res_vec, beta_p, pi_p)
         dphi = d2 * w
         dphi[:-1] += o2 * w[1:]
@@ -403,11 +407,11 @@ def run(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
         cfg: StepConfig) -> RunResult:
     """Integrate from t = 0 to T; T / h must be a whole number of steps.
 
-    On Newton divergence or a failed step audit the partial trajectory is
-    returned with the index of the failed step.  The initial state's
-    acceleration is backfilled with the first computed one, matching the
-    scheme's startup convention.  The constant linear algebra of all steps
-    is built once, as one ``StepPlan``.
+    On Newton divergence, a failed step audit or a failed resolvent audit
+    the partial trajectory is returned with the index of the failed step.
+    The initial state's acceleration is backfilled with the first computed
+    one, matching the scheme's startup convention.  The constant linear
+    algebra of all steps is built once, as one ``StepPlan``.
     """
     theta0, phi0, v0 = (np.array(u, dtype=float) for u in initial)
     for name, u in (("theta0", theta0), ("phi0", phi0), ("v0", v0)):
@@ -430,7 +434,7 @@ def run(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
     for n in range(n_steps):
         try:
             state, report = step(state, bundle, nonlin, cfg, plan)
-        except (NewtonDivergedError, StepAuditError):
+        except (NewtonDivergedError, StepAuditError, ResolventAuditError):
             failure = n
             break
         states.append(state)

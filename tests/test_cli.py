@@ -349,20 +349,27 @@ def test_run_byte_deterministic(tmp_path):
 
 
 def test_run_divergence_exit_code(tmp_path):
-    cfg = base_config(
-        h=0.75, T=1.5, n_interior=16,
-        beta={"kind": "cubic", "scale": 100.0},
-        initial={"profile": "single_mode", "mode": 1, "theta_amp": 1e8,
-                 "phi_amp": 1e8, "v_amp": 1e8},
-        solver={"newton_max_iter": 6},
-    )
-    with pytest.warns(RuntimeWarning):
-        rc = main(["run", "--config", write_config(tmp_path, cfg),
-                   "--out", str(tmp_path / "out")])
-    assert rc == 2
-    meta = json.loads((tmp_path / "out" / "run.json").read_text())
-    assert meta["complete"] is False
-    assert meta["failure_index"] == 0
+    # h above h_threshold; then valid steps below it whose data overflows
+    # in Newton's first residual (1e103) or in the step's right-hand side
+    # (1e307): each fails step 0 with partial outputs, not a bare exit 2
+    cases = [(0.75, 1.5, 1e8, {"newton_max_iter": 6}), (0.01, 0.02, 1e103, {}),
+             (0.01, 0.02, 1e307, {})]
+    for k, (h, T, amp, solver) in enumerate(cases):
+        cfg = base_config(
+            h=h, T=T, n_interior=16,
+            beta={"kind": "cubic", "scale": 100.0},
+            initial={"profile": "single_mode", "mode": 1, "theta_amp": amp,
+                     "phi_amp": amp, "v_amp": amp},
+            solver=solver,
+        )
+        out = tmp_path / f"out{k}"
+        with pytest.warns(RuntimeWarning):
+            rc = main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+        assert rc == 2
+        assert (out / "energy.csv").exists() and (out / "steps.csv").exists()
+        meta = json.loads((out / "run.json").read_text())
+        assert meta["complete"] is False
+        assert meta["failure_index"] == 0
 
 
 def test_bad_config_exit_code(tmp_path, capsys):
@@ -376,6 +383,14 @@ def test_missing_config_file(tmp_path):
     rc = main(["run", "--config", str(tmp_path / "absent.json"),
                "--out", str(tmp_path / "out")])
     assert rc == 1
+
+
+def test_run_energy_csv_evaluates_energy_once_per_state(tmp_path, energy_calls):
+    rc = main(["run", "--config", write_config(tmp_path, base_config()),
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    _, _, rows = read_csv(tmp_path / "out" / "energy.csv")
+    assert len(energy_calls) == len(rows) == 9  # one row per state, T / h = 8 steps
 
 
 def test_energy_audit_evaluates_energy_once_per_state(tmp_path, energy_calls):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import p1_defaults, p2_defaults
 
-from thermowave import (DiscreteReference, LinearReference, StepConfig, SweepDivergedError,
+from thermowave import (LinearReference, StepConfig, SweepDivergedError, build_interpolants,
                         check_h_list, cubic_nonlinearity, error_norms, fine_reference,
                         linear_reaction, run, single_mode, sweep, zero_profile)
 
@@ -14,7 +14,7 @@ def test_self_comparison_is_zero():
     init = single_mode(bundle.grid, 1, 1.0, 0.5, 0.0)
     h = 1.0 / 32
     result = run(init, bundle, nl, T=0.25, cfg=StepConfig(h=h))
-    ref = DiscreteReference(result, h)
+    ref = build_interpolants(result.states)
     report = error_norms(result.states, ref, bundle)
     assert all(abs(e) <= 1e-13 for e in report.as_tuple())
 
@@ -205,19 +205,6 @@ def test_check_h_list():
         check_h_list(0.5, [0.2, 0.1])
     with pytest.raises(ValueError, match="^T must be positive"):
         check_h_list(-0.5, [0.25, 0.125])
-
-
-def test_sup_convention_agreement():
-    bundle, nl = p1_defaults(n=32, m=0.0)
-    init = single_mode(bundle.grid, 2, 1.0, 0.5, 0.3)
-    result = run(init, bundle, nl, T=0.25, cfg=StepConfig(h=1 / 64))
-    ref = LinearReference(init, bundle, nl)
-    nodes = error_norms(result.states, ref, bundle, sup_points="nodes")
-    mids = error_norms(result.states, ref, bundle, sup_points="midpoints")
-    for a, b in zip((nodes.e1, nodes.e3, nodes.e4, nodes.e6),
-                    (mids.e1, mids.e3, mids.e4, mids.e6)):
-        if max(a, b) > 1e-13:
-            assert max(a, b) <= 2.0 * min(a, b)
 
 
 def test_error_report_nonnegative_and_grid_checked():

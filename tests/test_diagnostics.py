@@ -9,7 +9,7 @@ from thermowave import (Grid1D, State, StepConfig, apriori_monitor,
                         energy, energy_ledger, h_norm,
                         interpolation_identities_check, laplacian_eigenvalues,
                         linear_reaction, lyapunov_check, random_smooth, run,
-                        single_mode, step_identity_residual, write_energy_csv,
+                        single_mode, step_identity_residual,
                         zero_nonlinearity, zero_profile)
 from thermowave.diagnostics import decay_violations
 
@@ -174,14 +174,6 @@ def test_ledger_identity_and_decay_hold_below_threshold(preset, bc, n, h_fractio
         assert decay_violations(ledger) == []
 
 
-def test_write_energy_csv_evaluates_energy_once_per_state(tmp_path, energy_calls):
-    bundle, nl = p2_defaults(n=32)
-    states = run(random_smooth(bundle.grid, 5), bundle, nl, T=0.125,
-                 cfg=StepConfig(h=1 / 64)).states
-    write_energy_csv(tmp_path / "energy.csv", states, bundle, nl)
-    assert len(energy_calls) == len(states)
-
-
 def _lyapunov_check_by_pairs(states, bundle, nl, slack=1e-10):
     """The decay check as a plain walk over consecutive energy pairs."""
     out = []
@@ -286,6 +278,71 @@ def test_interpolant_evaluators():
     assert np.array_equal(interp.phi.bar(0.1), states[1].phi)
     assert np.array_equal(interp.phi.bar(0.25), states[1].phi)
     assert np.array_equal(interp.phi.bar(0.26), states[2].phi)
+
+
+class StackedReference:
+    """The fine-step reference's sampling as a class of its own: the
+    theta/phi/v stacks of a complete run at h_ref, linear and constant
+    reconstructions on pos = t / h_ref.  The trajectory interpolants that
+    replaced it must return its bits."""
+
+    def __init__(self, states, h_ref):
+        self.h_ref = h_ref
+        self.states = states
+        self._arrays = {name: np.stack([getattr(s, name) for s in states])
+                        for name in ("theta", "phi", "v")}
+
+    def sample(self, times):
+        times = np.asarray(times, dtype=float)
+        pos = times / self.h_ref
+        j = np.clip(np.floor(pos).astype(int), 0, len(self.states) - 1)
+        jn = np.clip(j + 1, 0, len(self.states) - 1)
+        w = np.clip(pos - j, 0.0, 1.0)
+        return {name: (1.0 - w)[:, None] * arr[j] + w[:, None] * arr[jn]
+                for name, arr in self._arrays.items()}
+
+    def sample_bar(self, times, side=-1):
+        times = np.asarray(times, dtype=float)
+        pos = times / self.h_ref + side * 1e-6
+        j = np.clip(np.floor(pos).astype(int) + 1, 1, len(self.states) - 1)
+        return {name: arr[j] for name, arr in self._arrays.items()}
+
+
+def _reference_times(T, h):
+    """Nodes, midpoints and quarter points of a coarser grid and of the
+    reference's own, plus times before 0 and after T."""
+    times = [np.array([-0.3, -1e-9, T + 1e-9, T + 0.05, 3.0 * T])]
+    for step in (h, 4 * h):
+        nodes = np.arange(round(T / step) + 1) * step
+        times += [nodes] + [nodes[:-1] + w * step for w in (0.25, 0.5, 0.75)]
+    return np.concatenate(times)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_interpolants_sample_as_the_stacked_reference(bc):
+    bundle, nl = preset_bundle("P2", n=12, bc=bc), cubic_nonlinearity(1.0)
+    h, T = 0.01, 0.16  # not dyadic, so the position arithmetic rounds
+    states = run(random_smooth(bundle.grid, 2), bundle, nl, T, StepConfig(h=h)).states
+    interp, want = build_interpolants(states), StackedReference(states, h)
+    times = _reference_times(T, h)
+    got = [interp.sample(times), interp.sample_bar(times, side=-1),
+           interp.sample_bar(times, side=+1), interp.sample_bar(times)]
+    ref = [want.sample(times), want.sample_bar(times, side=-1),
+           want.sample_bar(times, side=+1), want.sample_bar(times)]
+    for g, r in zip(got, ref):
+        for name in ("theta", "phi", "v"):
+            assert np.array_equal(g[name], r[name]), name
+
+
+def test_interpolant_scalar_time_is_a_row_of_the_array_call():
+    states = synthetic_trajectory(Grid1D(6), 8, 0.1, seed=3)
+    field = build_interpolants(states).v
+    times = _reference_times(0.8, 0.1)
+    hat, left, right = field.hat(times), field.bar(times), field.bar(times, side=+1)
+    for i, t in enumerate(times):
+        assert np.array_equal(field.hat(t), hat[i])
+        assert np.array_equal(field.bar(t), left[i])
+        assert np.array_equal(field.bar(t, side=+1), right[i])
 
 
 def test_apriori_zero_data():

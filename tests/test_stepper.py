@@ -321,6 +321,10 @@ def test_solve_phi_large_h_attempted_and_reported():
     with pytest.raises(NewtonDivergedError) as info:
         solve_phi(g, bundle, nl, StepConfig(h=0.75, newton_max_iter=5))
     assert info.value.residual > 0
+    # below the threshold, a first residual that overflows is divergence too
+    with pytest.raises(NewtonDivergedError) as info, pytest.warns(RuntimeWarning):
+        solve_phi(g, bundle, nl, StepConfig(h=0.01), phi0=1e103 * np.ones(16))
+    assert info.value.iters == 0 and not np.isfinite(info.value.residual)
 
 
 def preset_case(name, bc, n):
