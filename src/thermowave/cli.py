@@ -13,7 +13,8 @@ oracle-check  linear configurations only; compares the trajectory against
 Every output embeds the fully resolved config plus the computed coupling
 bound and step-size threshold in a header block, and is byte-deterministic
 for a fixed config.  Exit codes: 0 success, 1 config validation failure,
-2 solver divergence (partial outputs are still written).
+2 solver divergence (partial outputs are still written, and one ``error:``
+line on stderr names the cause).
 """
 
 from __future__ import annotations
@@ -269,7 +270,7 @@ def _json_meta(resolved, bundle, nonlin):
     }
 
 
-def cmd_run(resolved: dict, out_dir: str) -> int:
+def cmd_run(resolved: dict, out_dir: str) -> None:
     grid, bundle, nonlin, initial, cfg = build_problem(resolved)
     result = run(initial, bundle, nonlin, resolved["T"], cfg)
     header = _header_lines(resolved, bundle, nonlin)
@@ -304,10 +305,11 @@ def cmd_run(resolved: dict, out_dir: str) -> int:
     payload.update({"complete": result.complete, "failure_index": result.failure_index,
                     "steps_taken": len(result.reports)})
     _write_json(os.path.join(out_dir, "run.json"), payload)
-    return 0 if result.complete else 2
+    if result.failure is not None:
+        raise result.failure
 
 
-def cmd_sweep(resolved: dict, out_dir: str) -> int:
+def cmd_sweep(resolved: dict, out_dir: str) -> None:
     grid, bundle, nonlin, initial, _ = build_problem(resolved)
     header = _header_lines(resolved, bundle, nonlin)
     payload = _json_meta(resolved, bundle, nonlin)
@@ -333,12 +335,10 @@ def cmd_sweep(resolved: dict, out_dir: str) -> int:
                ["h", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "total"], rows)
     _write_json(os.path.join(out_dir, "sweep.json"), payload)
     if error is not None:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    return 0
+        raise error
 
 
-def cmd_energy_audit(resolved: dict, out_dir: str) -> int:
+def cmd_energy_audit(resolved: dict, out_dir: str) -> None:
     _, bundle, nonlin, initial, cfg = build_problem(resolved)
     result = run(initial, bundle, nonlin, resolved["T"], cfg)
     header = _header_lines(resolved, bundle, nonlin)
@@ -359,10 +359,11 @@ def cmd_energy_audit(resolved: dict, out_dir: str) -> int:
                     "lyapunov_violations": [[int(i), float(v)] for i, v in violations],
                     "lyapunov_mode": "checked" if pi_zero else "monitor_only"})
     _write_json(os.path.join(out_dir, "audit.json"), payload)
-    return 0 if result.complete else 2
+    if result.failure is not None:
+        raise result.failure
 
 
-def cmd_oracle_check(resolved: dict, out_dir: str) -> int:
+def cmd_oracle_check(resolved: dict, out_dir: str) -> None:
     grid, bundle, nonlin, initial, cfg = build_problem(resolved)
     reference = LinearReference(initial, bundle, nonlin)
     result = run(initial, bundle, nonlin, resolved["T"], cfg)
@@ -381,7 +382,8 @@ def cmd_oracle_check(resolved: dict, out_dir: str) -> int:
     payload.update({"complete": result.complete, "failure_index": result.failure_index,
                     "max_deviation": max_dev})
     _write_json(os.path.join(out_dir, "oracle.json"), payload)
-    return 0 if result.complete else 2
+    if result.failure is not None:
+        raise result.failure
 
 
 def main(argv=None) -> int:
@@ -414,19 +416,16 @@ def main(argv=None) -> int:
         return 1
 
     os.makedirs(args.out, exist_ok=True)
+    commands = {"run": cmd_run, "sweep": cmd_sweep, "energy-audit": cmd_energy_audit,
+                "oracle-check": cmd_oracle_check}
     try:
-        if args.command == "run":
-            return cmd_run(resolved, args.out)
-        if args.command == "sweep":
-            return cmd_sweep(resolved, args.out)
-        if args.command == "energy-audit":
-            return cmd_energy_audit(resolved, args.out)
-        return cmd_oracle_check(resolved, args.out)
+        commands[args.command](resolved, args.out)
     except RuntimeError as exc:
-        # solver-raised failures (divergence, residual audits) and
-        # non-finite output values leave partial outputs in place and exit 2
+        # solver failures (divergence, residual audits), raised once the
+        # partial outputs are written, and non-finite output values exit 2
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def console_entry():

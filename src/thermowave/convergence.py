@@ -18,8 +18,7 @@ import numpy as np
 
 from .diagnostics import build_interpolants
 from .nonlinearity import Nonlinearity
-from .operators import (OperatorBundle, cross_form_rows, form_rows, h_norm_sq_rows,
-                        v_norm_sq_rows)
+from .operators import OperatorBundle, h_inner, v_norm_sq
 from .oracle import LinearReference, fine_reference
 from .stepper import StepConfig, run, step_count
 
@@ -116,12 +115,12 @@ def error_norms(states, reference, bundle: OperatorBundle) -> ErrorReport:
         return field.nodes - ref_n[name], field.midpoints() - ref_m[name]
 
     ev_n, ev_m = hat_errors("v")
-    e1 = sup_of(ev_n, ev_m, lambda r: form_rows(grid, bundle.mass, r))
+    e1 = sup_of(ev_n, ev_m, lambda r: h_inner(grid, bundle.mass.apply(r), r))
     ep_n, ep_m = hat_errors("phi")
-    e3 = sup_of(ep_n, ep_m, lambda r: v_norm_sq_rows(grid, r))
+    e3 = sup_of(ep_n, ep_m, lambda r: v_norm_sq(grid, r))
     et_n, et_m = hat_errors("theta")
-    e4 = sup_of(et_n, et_m, lambda r: h_norm_sq_rows(grid, r))
-    e6 = sup_of(et_n, et_m, lambda r: form_rows(grid, bundle.coupling, r))
+    e4 = sup_of(et_n, et_m, lambda r: h_inner(grid, r, r))
+    e6 = sup_of(et_n, et_m, lambda r: h_inner(grid, bundle.coupling.apply(r), r))
 
     # Piecewise-constant errors compare against the reference's own
     # piecewise-constant view when it has one (a fine-step reference), with
@@ -153,9 +152,10 @@ def error_norms(states, reference, bundle: OperatorBundle) -> ErrorReport:
             total += np.sum(_simpson_pair(q_rows(left), q_rows(mid), q_rows(right), h / 4.0))
         return float(total)
 
-    e2 = math.sqrt(max(l2_bar("v", lambda r: form_rows(grid, bundle.damping, r)), 0.0))
-    e5 = math.sqrt(max(l2_bar("theta", lambda r: v_norm_sq_rows(grid, r)), 0.0))
-    e7 = l2_bar("theta", lambda r: cross_form_rows(grid, bundle.coupling, bundle.diffusion, r))
+    e2 = math.sqrt(max(l2_bar("v", lambda r: h_inner(grid, bundle.damping.apply(r), r)), 0.0))
+    e5 = math.sqrt(max(l2_bar("theta", lambda r: v_norm_sq(grid, r)), 0.0))
+    e7 = l2_bar("theta",
+                lambda r: h_inner(grid, bundle.coupling.apply(r), bundle.diffusion.apply(r)))
 
     return ErrorReport(h=h, e1=e1, e2=e2, e3=e3, e4=e4, e5=e5, e6=e6, e7=e7)
 

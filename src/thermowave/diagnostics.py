@@ -27,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nonlinearity import Nonlinearity
-from .operators import (Grid1D, OperatorBundle, cross_form_rows, form_rows, h_norm_sq_rows,
-                        v_norm_sq_rows)
+from .nonlinearity import Nonlinearity, potential_total
+from .operators import Grid1D, OperatorBundle, h_inner, v_norm_sq
 
 
 @dataclass(frozen=True)
@@ -87,20 +86,21 @@ def _ledger_rows(states, bundle: OperatorBundle, nonlin: Nonlinearity, prev=None
     theta, phi, v = theta[1:], phi[1:], v[1:]
     h = np.array([s.h for s in states])
 
-    kinetic = 0.5 * form_rows(grid, bundle.mass, v)
-    elastic = 0.5 * form_rows(grid, bundle.stiffness, phi)
-    thermal = 0.5 / eta * form_rows(grid, bundle.coupling, theta)
-    potential = dx * np.sum(nonlin.beta_potential(phi), axis=1)
-    b1 = h * form_rows(grid, bundle.damping, v)
-    cross = h / eta * cross_form_rows(grid, bundle.coupling, bundle.diffusion, theta)
+    kinetic = 0.5 * h_inner(grid, bundle.mass.apply(v), v)
+    elastic = 0.5 * h_inner(grid, bundle.stiffness.apply(phi), phi)
+    thermal = 0.5 / eta * h_inner(grid, bundle.coupling.apply(theta), theta)
+    potential = potential_total(nonlin, grid, phi)
+    b1 = h * h_inner(grid, bundle.damping.apply(v), v)
+    cross = h / eta * h_inner(grid, bundle.coupling.apply(theta), bundle.diffusion.apply(theta))
     total = kinetic + elastic + thermal
+    # (h * dx) * sum, not h * h_inner's dx * sum: kept for byte-stable outputs
     pi_source = h * dx * np.sum(nonlin.pi(phi) * v, axis=1)
     prev_total = np.append(total[0] if prev is None else prev[1].record.total, total[:-1])
     residual = np.abs(total - prev_total
-                      + 0.5 * form_rows(grid, bundle.mass, dv)
-                      + 0.5 * form_rows(grid, bundle.stiffness, dphi)
-                      + 0.5 / eta * form_rows(grid, bundle.coupling, dtheta)
-                      + b1 + cross + dx * np.sum(nonlin.beta(phi) * dphi, axis=1) + pi_source)
+                      + 0.5 * h_inner(grid, bundle.mass.apply(dv), dv)
+                      + 0.5 * h_inner(grid, bundle.stiffness.apply(dphi), dphi)
+                      + 0.5 / eta * h_inner(grid, bundle.coupling.apply(dtheta), dtheta)
+                      + b1 + cross + h_inner(grid, nonlin.beta(phi), dphi) + pi_source)
     if prev is None:
         residual[0] = pi_source[0] = 0.0
     rows = zip(*(a.tolist() for a in (kinetic, elastic, thermal, potential, b1, cross,
@@ -292,32 +292,33 @@ def interpolation_identities_check(interp: TrajectoryInterpolants, grid: Grid1D)
     devs = []
 
     for field in (interp.phi, interp.v, interp.theta):
-        node_norms = np.sqrt(v_norm_sq_rows(grid, field.nodes))
-        mid_norms = np.sqrt(v_norm_sq_rows(grid, field.midpoints()))
+        node_norms = np.sqrt(v_norm_sq(grid, field.nodes))
+        mid_norms = np.sqrt(v_norm_sq(grid, field.midpoints()))
         lhs = max(node_norms.max(), mid_norms.max())
         rhs = max(node_norms[0], node_norms[1:].max())
         devs.append(_rel_dev(lhs, rhs))
 
     # bar - hat gap of phi against the velocity reconstruction, V-norm
     dphi = interp.phi.deltas()
-    lhs = np.sqrt(v_norm_sq_rows(grid, dphi)).max()
-    mid = h * np.sqrt(v_norm_sq_rows(grid, dphi / h)).max()
-    rhs = h * np.sqrt(v_norm_sq_rows(grid, interp.v.nodes[1:])).max()
+    lhs = np.sqrt(v_norm_sq(grid, dphi)).max()
+    mid = h * np.sqrt(v_norm_sq(grid, dphi / h)).max()
+    rhs = h * np.sqrt(v_norm_sq(grid, interp.v.nodes[1:])).max()
     devs.append(_rel_dev(lhs, mid))
     devs.append(_rel_dev(mid, rhs))
 
     # bar - hat gap of v against the acceleration reconstruction, H-norm
     dv = interp.v.deltas()
-    lhs = np.sqrt(h_norm_sq_rows(grid, dv)).max()
-    mid = h * np.sqrt(h_norm_sq_rows(grid, dv / h)).max()
-    rhs = h * np.sqrt(h_norm_sq_rows(grid, interp.z.nodes[1:])).max()
+    rate, z = dv / h, interp.z.nodes[1:]
+    lhs = np.sqrt(h_inner(grid, dv, dv)).max()
+    mid = h * np.sqrt(h_inner(grid, rate, rate)).max()
+    rhs = h * np.sqrt(h_inner(grid, z, z)).max()
     devs.append(_rel_dev(lhs, mid))
     devs.append(_rel_dev(mid, rhs))
 
     # squared L2-V gap of theta (exact interval integral of a linear ramp)
     dth = interp.theta.deltas()
-    lhs = float(np.sum(v_norm_sq_rows(grid, dth)) * h / 3.0)
-    rhs = h * h / 3.0 * float(np.sum(v_norm_sq_rows(grid, dth / h) * h))
+    lhs = float(np.sum(v_norm_sq(grid, dth)) * h / 3.0)
+    rhs = h * h / 3.0 * float(np.sum(v_norm_sq(grid, dth / h) * h))
     devs.append(_rel_dev(lhs, rhs))
 
     return max(devs)
@@ -338,33 +339,37 @@ def apriori_monitor(states, bundle: OperatorBundle, nonlin: Nonlinearity) -> dic
     grid = bundle.grid
     traj = build_interpolants(states)
     h = traj.h
-    th, ph, vv, zz = traj.theta.nodes, traj.phi.nodes, traj.v.nodes, traj.z.nodes
+    th, ph, vv, zz = (f.nodes[1:] for f in (traj.theta, traj.phi, traj.v, traj.z))
     dth = traj.theta.deltas()
+    beta = nonlin.beta(ph)
+    diffusion_th, coupling_th = bundle.diffusion.apply(th), bundle.coupling.apply(th)
+    damping_v, stiffness_ph = bundle.damping.apply(vv), bundle.stiffness.apply(ph)
 
     out = {}
-    out["v_sup_H2"] = float(np.max(h_norm_sq_rows(grid, vv[1:])))
-    out["z_L2H2_h"] = h * float(np.sum(h * h_norm_sq_rows(grid, zz[1:])))
-    out["damping_v_form_L2"] = float(np.sum(h * form_rows(grid, bundle.damping, vv[1:])))
-    out["phi_sup_V2"] = float(np.max(v_norm_sq_rows(grid, ph[1:])))
-    out["v_L2V2_h"] = h * float(np.sum(h * v_norm_sq_rows(grid, vv[1:])))
-    out["coupling_theta_form_sup"] = float(np.max(form_rows(grid, bundle.coupling, th[1:])))
-    out["coupling_dtheta_form_L2_h"] = h * float(np.sum(form_rows(grid, bundle.coupling, dth) / h))
+    out["v_sup_H2"] = float(np.max(h_inner(grid, vv, vv)))
+    out["z_L2H2_h"] = h * float(np.sum(h * h_inner(grid, zz, zz)))
+    out["damping_v_form_L2"] = float(np.sum(h * h_inner(grid, damping_v, vv)))
+    out["phi_sup_V2"] = float(np.max(v_norm_sq(grid, ph)))
+    out["v_L2V2_h"] = h * float(np.sum(h * v_norm_sq(grid, vv)))
+    out["coupling_theta_form_sup"] = float(np.max(h_inner(grid, coupling_th, th)))
+    out["coupling_dtheta_form_L2_h"] = h * float(np.sum(
+        h_inner(grid, bundle.coupling.apply(dth), dth) / h))
 
-    out["z_sup_H2"] = float(np.max(h_norm_sq_rows(grid, zz[1:])))
-    out["damping_z_form_L2"] = float(np.sum(h * form_rows(grid, bundle.damping, zz[1:])))
-    out["v_sup_V2"] = float(np.max(v_norm_sq_rows(grid, vv[1:])))
-    out["z_L2V2_h"] = h * float(np.sum(h * v_norm_sq_rows(grid, zz[1:])))
+    out["z_sup_H2"] = float(np.max(h_inner(grid, zz, zz)))
+    out["damping_z_form_L2"] = float(np.sum(h * h_inner(grid, bundle.damping.apply(zz), zz)))
+    out["v_sup_V2"] = float(np.max(v_norm_sq(grid, vv)))
+    out["z_L2V2_h"] = h * float(np.sum(h * v_norm_sq(grid, zz)))
 
-    out["beta_sup_H"] = float(np.max(np.sqrt(h_norm_sq_rows(grid, nonlin.beta(ph[1:])))))
+    out["beta_sup_H"] = float(np.max(np.sqrt(h_inner(grid, beta, beta))))
 
-    out["dtheta_L2H2"] = float(np.sum(h_norm_sq_rows(grid, dth) / h))
-    out["dtheta_L2V2"] = float(np.sum(v_norm_sq_rows(grid, dth) / h))
-    out["diffusion_theta_sup_H2"] = float(np.max(h_norm_sq_rows(grid, bundle.diffusion.apply(th[1:]))))
-    out["theta_sup_V2"] = float(np.max(v_norm_sq_rows(grid, th[1:])))
+    out["dtheta_L2H2"] = float(np.sum(h_inner(grid, dth, dth) / h))
+    out["dtheta_L2V2"] = float(np.sum(v_norm_sq(grid, dth) / h))
+    out["diffusion_theta_sup_H2"] = float(np.max(h_inner(grid, diffusion_th, diffusion_th)))
+    out["theta_sup_V2"] = float(np.max(v_norm_sq(grid, th)))
 
-    out["coupling_theta_sup_H2"] = float(np.max(h_norm_sq_rows(grid, bundle.coupling.apply(th[1:]))))
-    out["damping_v_L2H2"] = float(np.sum(h * h_norm_sq_rows(grid, bundle.damping.apply(vv[1:]))))
-    out["stiffness_phi_L2H2"] = float(np.sum(h * h_norm_sq_rows(grid, bundle.stiffness.apply(ph[1:]))))
+    out["coupling_theta_sup_H2"] = float(np.max(h_inner(grid, coupling_th, coupling_th)))
+    out["damping_v_L2H2"] = float(np.sum(h * h_inner(grid, damping_v, damping_v)))
+    out["stiffness_phi_L2H2"] = float(np.sum(h * h_inner(grid, stiffness_ph, stiffness_ph)))
     return out
 
 

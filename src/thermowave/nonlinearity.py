@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import Grid1D
+from .operators import Grid1D, h_inner
 
 BETA_KINDS = ("zero", "cubic", "odd_poly")
 PI_KINDS = ("zero", "linear", "scaled_sine")
@@ -171,12 +171,10 @@ class Nonlinearity:
         return bp / (1.0 + lam * bp)
 
 
-def potential_total(nonlin: Nonlinearity, grid: Grid1D, u: np.ndarray) -> float:
-    """Quadrature of the convex potential of beta over the grid."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (grid.n_interior,):
-        raise ValueError("dimension mismatch in potential_total")
-    return grid.dx * float(np.sum(nonlin.beta_potential(u)))
+def potential_total(nonlin: Nonlinearity, grid: Grid1D, u: np.ndarray):
+    """Quadrature of the convex potential of beta over the grid, its grid
+    inner product with 1: one value for a vector or per row of a stack."""
+    return h_inner(grid, nonlin.beta_potential(u), np.ones(grid.n_interior))
 
 
 def zero_nonlinearity() -> Nonlinearity:

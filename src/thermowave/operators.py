@@ -170,73 +170,58 @@ def assemble_laplacian(grid: Grid1D, coeff: float) -> DiscreteOperator:
 
 # ----------------------------------------------------------------------
 # Inner products and norms
+#
+# Each form takes one vector or a (..., n_interior) stack of rows and gives
+# one value per row, summed along the row alone, so a row's value has the
+# same bits in any stack.  A form (op u, u) is h_inner(grid, op.apply(u), u).
 
 
-def h_inner(grid: Grid1D, u: np.ndarray, w: np.ndarray) -> float:
+def _rows(grid: Grid1D, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if u.shape != w.shape or u.shape != (grid.n_interior,):
-        raise ValueError("dimension mismatch in h_inner")
-    return grid.dx * float(np.dot(u, w))
+    if u.shape[-1:] != (grid.n_interior,):
+        raise ValueError(f"dimension mismatch: grid has {grid.n_interior} unknowns, "
+                         f"array shape {u.shape}")
+    return u
+
+
+def h_inner(grid: Grid1D, u: np.ndarray, w: np.ndarray):
+    """Grid inner product dx * sum(u * w), one value per row."""
+    return grid.dx * (_rows(grid, u) * _rows(grid, w)).sum(axis=-1)
 
 
 def h_norm(grid: Grid1D, u: np.ndarray) -> float:
-    return math.sqrt(max(h_inner(grid, u, u), 0.0))
+    """H norm of one vector: the stepper's residual and audit norm."""
+    u = np.asarray(u, dtype=float)
+    if u.shape != (grid.n_interior,):
+        raise ValueError(f"dimension mismatch: grid has {grid.n_interior} unknowns, "
+                         f"vector shape {u.shape}")
+    return math.sqrt(max(grid.dx * float(np.dot(u, u)), 0.0))
 
 
-def gradient_inner(grid: Grid1D, u: np.ndarray, w: np.ndarray) -> float:
-    """Discrete Dirichlet form: dx * sum of (forward differences / dx) products.
+def gradient_inner(grid: Grid1D, u: np.ndarray, w: np.ndarray):
+    """Discrete Dirichlet form: dx * sum of (forward differences / dx)
+    products, one value per row.
 
     Dirichlet grids include the two boundary differences against ghost
     zeros; Neumann grids use interior differences only (no boundary flux).
     """
-    u = np.asarray(u, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if u.shape != w.shape or u.shape != (grid.n_interior,):
-        raise ValueError("dimension mismatch in gradient_inner")
+    u, w = _rows(grid, u), _rows(grid, w)
     if grid.bc == DIRICHLET:
         du = np.diff(u, prepend=0.0, append=0.0)
-        dw = np.diff(w, prepend=0.0, append=0.0)
+        dw = du if w is u else np.diff(w, prepend=0.0, append=0.0)
     else:
         du = np.diff(u)
-        dw = np.diff(w)
-    return float(np.dot(du, dw)) / grid.dx
+        dw = du if w is u else np.diff(w)
+    return (du * dw).sum(axis=-1) / grid.dx
 
 
-def v_norm_sq(grid: Grid1D, u: np.ndarray) -> float:
+def v_norm_sq(grid: Grid1D, u: np.ndarray):
+    """Squared V norm (H norm plus Dirichlet form), one value per row."""
     return h_inner(grid, u, u) + gradient_inner(grid, u, u)
 
 
-def v_norm(grid: Grid1D, u: np.ndarray) -> float:
-    return math.sqrt(max(v_norm_sq(grid, u), 0.0))
-
-
-# Rowwise variants: one value per row of an (m, n_interior) array.
-
-
-def h_norm_sq_rows(grid: Grid1D, rows: np.ndarray) -> np.ndarray:
-    return grid.dx * np.sum(rows * rows, axis=1)
-
-
-def v_norm_sq_rows(grid: Grid1D, rows: np.ndarray) -> np.ndarray:
-    base = h_norm_sq_rows(grid, rows)
-    if grid.bc == DIRICHLET:
-        pad = np.zeros((rows.shape[0], 1))
-        d = np.diff(np.hstack([pad, rows, pad]), axis=1)
-    else:
-        d = np.diff(rows, axis=1)
-    return base + np.sum(d * d, axis=1) / grid.dx
-
-
-def form_rows(grid: Grid1D, op: DiscreteOperator, rows: np.ndarray) -> np.ndarray:
-    """(op u, u) in the grid inner product, rowwise."""
-    return grid.dx * np.sum(op.apply(rows) * rows, axis=1)
-
-
-def cross_form_rows(grid: Grid1D, op_a: DiscreteOperator, op_b: DiscreteOperator,
-                    rows: np.ndarray) -> np.ndarray:
-    """(op_a u, op_b u) in the grid inner product, rowwise."""
-    return grid.dx * np.sum(op_a.apply(rows) * op_b.apply(rows), axis=1)
+def v_norm(grid: Grid1D, u: np.ndarray):
+    return np.sqrt(np.maximum(v_norm_sq(grid, u), 0.0))
 
 
 # ----------------------------------------------------------------------
@@ -250,13 +235,13 @@ class ResolventAuditError(RuntimeError):
 class Resolvent:
     """(I + h*op) factored once, for any number of solves.
 
-    ``op`` must be monotone so the shifted matrix is positive definite.  The
-    two bands are factored by LAPACK ``pttrf``; each ``solve`` is one
-    ``pttrs``, plus a refinement pass when the residual is above the
-    representation floor, and a residual audit that keeps the result within
-    1e-13 * |rhs| up to that floor.  ``solveh_banded`` on the same two bands
-    is ``ptsv`` = ``pttrf`` + ``pttrs``, so a solve here returns the same
-    bits as a one-shot banded solve.
+    ``op`` must be monotone so the shifted matrix ``shifted`` = I + h*op is
+    positive definite.  Its two bands are factored by LAPACK ``pttrf``; each
+    ``solve`` is one ``pttrs``, plus a refinement pass when the residual is
+    above the representation floor, and a residual audit that keeps the
+    result within 1e-13 * |rhs| up to that floor.  ``solveh_banded`` on the
+    same two bands is ``ptsv`` = ``pttrf`` + ``pttrs``, so a solve here
+    returns the same bits as a one-shot banded solve.
     """
 
     def __init__(self, op: DiscreteOperator, h: float):
@@ -264,7 +249,8 @@ class Resolvent:
             raise ValueError(f"h must be positive, got {h}")
         self.op = op
         self.h = h
-        self._d, self._e, info = _PTTRF(1.0 + h * op.diag, h * op.offdiag)
+        self.shifted = DiscreteOperator(1.0 + h * op.diag, h * op.offdiag)
+        self._d, self._e, info = _PTTRF(self.shifted.diag, self.shifted.offdiag)
         _check_lapack_info(info, "pttrf", "{info}th leading minor not positive definite")
         # Representable solutions cannot beat the backward-stable floor
         # eps * |I + h op| * |x|, which dominates 1e-13 * |rhs| once
@@ -542,7 +528,6 @@ def audit_bundle(bundle: OperatorBundle, n_samples: int = 100, seed: int = 0) ->
     pairings, and the relative bound of coupling by diffusion.
     """
     rng = np.random.default_rng(seed)
-    n = bundle.grid.n_interior
     grid = bundle.grid
     out = {}
     for name in ("mass", "diffusion", "damping", "stiffness", "coupling"):
@@ -556,25 +541,22 @@ def audit_bundle(bundle: OperatorBundle, n_samples: int = 100, seed: int = 0) ->
     b2, a1 = bundle.coupling, bundle.diffusion
     sb1 = max(b1.norm_bound(), 1.0)
     sa2 = max(a2.norm_bound(), 1.0)
-    cross = 0.0
-    pos_da = math.inf
-    pos_cd = math.inf
-    rel = -math.inf
-    for _ in range(n_samples):
-        w = rng.standard_normal(n)
-        z = rng.standard_normal(n)
-        nw = h_norm(grid, w)
-        nz = h_norm(grid, z)
-        lhs = h_inner(grid, b1.apply(w), a2.apply(z))
-        rhs = h_inner(grid, b1.apply(z), a2.apply(w))
-        cross = max(cross, abs(lhs - rhs) / (nw * nz * sb1 * sa2))
-        pos_da = min(pos_da, h_inner(grid, b1.apply(w), a2.apply(w)) / (nw * nw * sb1 * sa2))
-        pos_cd = min(pos_cd, h_inner(grid, b2.apply(w), a1.apply(w))
-                     / (nw * nw * max(b2.norm_bound(), 1.0) * max(a1.norm_bound(), 1.0)))
-        rel = max(rel, h_norm(grid, b2.apply(w))
-                  - bundle.coupling_bound * (h_norm(grid, a1.apply(w)) + nw))
-    out["cross_symmetry"] = cross
-    out["positivity_damping_stiffness"] = pos_da
-    out["positivity_coupling_diffusion"] = pos_cd
-    out["relative_bound_slack"] = rel
+    sb2 = max(b2.norm_bound(), 1.0)
+    sa1 = max(a1.norm_bound(), 1.0)
+    # one probe pair (w, z) per row, drawn in the order w0, z0, w1, z1, ...
+    w, z = np.moveaxis(rng.standard_normal((n_samples, 2, grid.n_interior)), 1, 0)
+    nw = np.sqrt(h_inner(grid, w, w))
+    nz = np.sqrt(h_inner(grid, z, z))
+    b1w, a2w, b2w, a1w = b1.apply(w), a2.apply(w), b2.apply(w), a1.apply(w)
+    lhs = h_inner(grid, b1w, a2.apply(z))
+    rhs = h_inner(grid, b1.apply(z), a2w)
+    cross = np.abs(lhs - rhs) / (nw * nz * sb1 * sa2)
+    pos_da = h_inner(grid, b1w, a2w) / (nw * nw * sb1 * sa2)
+    pos_cd = h_inner(grid, b2w, a1w) / (nw * nw * sb2 * sa1)
+    rel = (np.sqrt(h_inner(grid, b2w, b2w))
+           - bundle.coupling_bound * (np.sqrt(h_inner(grid, a1w, a1w)) + nw))
+    out["cross_symmetry"] = float(np.max(cross, initial=0.0))
+    out["positivity_damping_stiffness"] = float(np.min(pos_da, initial=math.inf))
+    out["positivity_coupling_diffusion"] = float(np.min(pos_cd, initial=math.inf))
+    out["relative_bound_slack"] = float(np.max(rel, initial=-math.inf))
     return out

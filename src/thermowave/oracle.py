@@ -143,10 +143,9 @@ class LinearReference:
                 for j, name in enumerate(("theta", "phi", "v"))}
 
     def at(self, t: float) -> FieldSnapshot:
+        """The fields of ``sample([t])`` and the acceleration z at t."""
+        fields = {k: rows[0] for k, rows in self.sample([t]).items()}
         Y = np.einsum("kij,kj->ki", self._expm_batch(float(t)), self._y0)
-        fields = {k: v[0] for k, v in self._assemble(Y[None]).items()}
-        if t == 0.0:
-            fields = {k: v.copy() for k, v in self._initial.items()}
         dY = np.einsum("kij,kj->ki", self._gen, Y)
         z = inverse_modal_transform(self.grid, dY[:, 2])
         return FieldSnapshot(fields["theta"], fields["phi"], fields["v"], z)

@@ -124,13 +124,21 @@ class StepReport:
 
 @dataclass
 class RunResult:
+    """A run's states and step reports, and the exception of the failed
+    step when the run stopped early (``failure``, None for a complete run)."""
+
     states: list
     reports: list
-    failure_index: int | None = None
+    failure: RuntimeError | None = None
+
+    @property
+    def failure_index(self) -> int | None:
+        """Index of the failed step; every step before it has a report."""
+        return None if self.failure is None else len(self.reports)
 
     @property
     def complete(self) -> bool:
-        return self.failure_index is None
+        return self.failure is None
 
 
 class StepAuditError(RuntimeError):
@@ -159,8 +167,7 @@ class StepPlan:
 
         # Newton Jacobian T1 (I + h diffusion) + eta h^2 coupling with
         # T1 = lin + h^2 (beta' + pi'); see _newton.
-        self.d2 = 1.0 + h * bundle.diffusion.diag
-        self.o2 = h * bundle.diffusion.offdiag
+        self.d2, self.o2 = self.resolvent.shifted.diag, self.resolvent.shifted.offdiag
         self.lin_d = (bundle.mass.diag + h * bundle.damping.diag
                       + h * h * bundle.stiffness.diag)
         self.lin_o = (bundle.mass.offdiag + h * bundle.damping.offdiag
@@ -267,7 +274,6 @@ def _newton(g, plan, cfg, beta_f, beta_p, pi_f, pi_p, phi0):
     fast, so accepted steps sit at the attainable floor.
     """
     grid = plan.bundle.grid
-    d2, o2 = plan.d2, plan.o2
     gn = h_norm(grid, g)
     target = cfg.newton_tol * (1.0 + gn)
     floor = 8.0 * _EPS * (1.0 + gn)
@@ -282,10 +288,7 @@ def _newton(g, plan, cfg, beta_f, beta_p, pi_f, pi_p, phi0):
         if not math.isfinite(res):
             raise NewtonDivergedError(it - 1, res)
         w = plan.newton_direction(phi, -res_vec, beta_p, pi_p)
-        dphi = d2 * w
-        dphi[:-1] += o2 * w[1:]
-        dphi[1:] += o2 * w[:-1]
-        phi = phi + dphi
+        phi = phi + plan.resolvent.shifted.apply(w)
         res_vec = _elliptic_residual(phi, g, plan, beta_f, pi_f)
         res = h_norm(grid, res_vec)
         if res <= floor:
@@ -408,7 +411,8 @@ def run(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
     """Integrate from t = 0 to T; T / h must be a whole number of steps.
 
     On Newton divergence, a failed step audit or a failed resolvent audit
-    the partial trajectory is returned with the index of the failed step.
+    the partial trajectory is returned with the index of the failed step
+    and its exception.
     The initial state's acceleration is backfilled with the first computed
     one, matching the scheme's startup convention.  The constant linear
     algebra of all steps is built once, as one ``StepPlan``.
@@ -431,14 +435,14 @@ def run(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
     states = [state]
     reports = []
     failure = None
-    for n in range(n_steps):
+    for _ in range(n_steps):
         try:
             state, report = step(state, bundle, nonlin, cfg, plan)
-        except (NewtonDivergedError, StepAuditError, ResolventAuditError):
-            failure = n
+        except (NewtonDivergedError, StepAuditError, ResolventAuditError) as exc:
+            failure = exc
             break
         states.append(state)
         reports.append(report)
     if len(states) > 1:
         states[0] = replace(states[0], z=states[1].z)
-    return RunResult(states=states, reports=reports, failure_index=failure)
+    return RunResult(states=states, reports=reports, failure=failure)

@@ -348,13 +348,19 @@ def test_run_byte_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_run_divergence_exit_code(tmp_path):
+def test_run_divergence_exit_code(tmp_path, capsys):
     # h above h_threshold; then valid steps below it whose data overflows
     # in Newton's first residual (1e103) or in the step's right-hand side
-    # (1e307): each fails step 0 with partial outputs, not a bare exit 2
-    cases = [(0.75, 1.5, 1e8, {"newton_max_iter": 6}), (0.01, 0.02, 1e103, {}),
-             (0.01, 0.02, 1e307, {})]
-    for k, (h, T, amp, solver) in enumerate(cases):
+    # (1e307): each fails step 0 with partial outputs and one error line
+    # naming the cause, not a bare exit 2
+    newton, resolvent = "Newton did not converge", "resolvent residual audit failed"
+    cases = [("run", 0.75, 1.5, 1e8, {"newton_max_iter": 6}, newton),
+             ("run", 0.01, 0.02, 1e103, {}, newton),
+             ("run", 0.01, 0.02, 1e307, {}, resolvent),
+             ("energy-audit", 0.01, 0.02, 1e103, {}, newton)]
+    files = {"run": ("energy.csv", "steps.csv", "run.json"),
+             "energy-audit": ("audit.csv", "audit.json")}
+    for k, (command, h, T, amp, solver, cause) in enumerate(cases):
         cfg = base_config(
             h=h, T=T, n_interior=16,
             beta={"kind": "cubic", "scale": 100.0},
@@ -363,11 +369,16 @@ def test_run_divergence_exit_code(tmp_path):
             solver=solver,
         )
         out = tmp_path / f"out{k}"
+        capsys.readouterr()
         with pytest.warns(RuntimeWarning):
-            rc = main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+            rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
         assert rc == 2
-        assert (out / "energy.csv").exists() and (out / "steps.csv").exists()
-        meta = json.loads((out / "run.json").read_text())
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: {cause}"), err
+        assert "Traceback" not in err
+        assert all((out / name).exists() for name in files[command])
+        meta = json.loads((out / files[command][-1]).read_text())
         assert meta["complete"] is False
         assert meta["failure_index"] == 0
 

@@ -1,14 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from conftest import all_preset_bundles, dirichlet_sine, preset_bundle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scipy.linalg
 
 from thermowave import (DiscreteOperator, Grid1D, ProblemPreset, Resolvent,
                         assemble_laplacian, audit_bundle,
-                        build_bundle, coupling_relative_bound,
+                        build_bundle, coupling_relative_bound, cubic_nonlinearity,
                         estimate_structural_constants, gradient_inner, h_inner,
-                        h_norm, identity_operator, resolvent_solve,
+                        h_norm, identity_operator, potential_total, resolvent_solve,
                         solvability_threshold, v_norm, v_norm_sq, zero_operator)
 
 
@@ -215,6 +219,25 @@ def test_summation_by_parts():
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs)) * lap.norm_bound() ** 0.5
 
 
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(bc=st.sampled_from(["dirichlet", "neumann"]), n=st.integers(2, 600),
+       m=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-3, 1e3))
+def test_forms_on_a_stack_equal_the_vector_calls_per_row(bc, n, m, seed, scale):
+    grid = Grid1D(n, bc)
+    u, w = scale * np.random.default_rng(seed).standard_normal((2, m, n))
+    nl = cubic_nonlinearity(2.0)
+    forms = [(h_inner, (u, w)), (gradient_inner, (u, w)), (v_norm_sq, (u,)),
+             (lambda g, r: potential_total(nl, g, r), (u,))]
+    for form, args in forms:
+        stacked = form(grid, *args)
+        assert stacked.shape == (m,)
+        assert np.array_equal(stacked, [form(grid, *(a[i] for a in args)) for i in range(m)])
+        for k in range(len(args)):  # a last axis of the wrong length, in any argument
+            bad = [a[..., :-1] if j == k else a for j, a in enumerate(args)]
+            with pytest.raises(ValueError):
+                form(grid, *bad)
+
+
 def test_bundle_p1_shares_operators():
     bundle = preset_bundle("P1", n=16, sigma=1.0, c=1.0, gamma=2.0)
     assert np.array_equal(bundle.coupling.diag, bundle.stiffness.diag)
@@ -256,6 +279,38 @@ def test_bundle_structural_audits():
         assert audit["positivity_coupling_diffusion"] >= -1e-12, (name, bc)
         assert audit["relative_bound_slack"] <= 1e-9, (name, bc)
         assert audit["mass_coercivity_slack"] >= -1e-12, (name, bc)
+
+
+def test_bundle_audit_matches_the_loop_over_probe_pairs():
+    # reference: a loop that draws one (w, z) pair per probe and uses one-vector forms
+    def loop_audit(bundle, n_samples, seed):
+        rng = np.random.default_rng(seed)
+        grid, n = bundle.grid, bundle.grid.n_interior
+        b1, a2, b2, a1 = bundle.damping, bundle.stiffness, bundle.coupling, bundle.diffusion
+        s12 = max(b1.norm_bound(), 1.0) * max(a2.norm_bound(), 1.0)
+        s21 = max(b2.norm_bound(), 1.0) * max(a1.norm_bound(), 1.0)
+        out = [0.0, math.inf, math.inf, -math.inf]
+        for _ in range(n_samples):
+            w, z = rng.standard_normal(n), rng.standard_normal(n)
+            nw, nz = h_norm(grid, w), h_norm(grid, z)
+            asym = h_inner(grid, b1.apply(w), a2.apply(z)) - h_inner(grid, b1.apply(z), a2.apply(w))
+            out[0] = max(out[0], abs(asym) / (nw * nz * s12))
+            out[1] = min(out[1], h_inner(grid, b1.apply(w), a2.apply(w)) / (nw * nw * s12))
+            out[2] = min(out[2], h_inner(grid, b2.apply(w), a1.apply(w)) / (nw * nw * s21))
+            out[3] = max(out[3], h_norm(grid, b2.apply(w))
+                         - bundle.coupling_bound * (h_norm(grid, a1.apply(w)) + nw))
+        return out
+
+    keys = ("cross_symmetry", "positivity_damping_stiffness",
+            "positivity_coupling_diffusion", "relative_bound_slack")
+    for name, bc, bundle in all_preset_bundles(n=24):
+        audit = audit_bundle(bundle, n_samples=0)
+        assert [audit[k] for k in keys] == [0.0, math.inf, math.inf, -math.inf]
+        audit = audit_bundle(bundle, n_samples=40, seed=3)
+        # the sums run in another order: equal up to rounding of unit-scale figures
+        for key, want in zip(keys, loop_audit(bundle, 40, 3)):
+            assert abs(audit[key] - want) <= 64 * np.finfo(float).eps * max(1.0, abs(want)), (
+                name, bc, key)
 
 
 def test_coupling_bound_p1_matches_dense_svd():
