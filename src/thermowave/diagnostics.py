@@ -23,7 +23,8 @@ reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -231,13 +232,18 @@ class TrajectoryInterpolants:
 
     ``sample`` and ``sample_bar`` give the theta/phi/v reconstructions at
     an array of times, so a fine-step run serves as a reference solution
-    wherever ``convergence.error_norms`` takes one.
+    wherever ``convergence.error_norms`` takes one.  Only the monitors read
+    z, so its rows are stacked on first access.
     """
 
     theta: Interpolant
     phi: Interpolant
     v: Interpolant
-    z: Interpolant
+    z_rows: tuple = field(repr=False, compare=False)
+
+    @cached_property
+    def z(self) -> Interpolant:
+        return Interpolant(self.times, np.stack(self.z_rows))
 
     @property
     def h(self) -> float:
@@ -257,11 +263,9 @@ class TrajectoryInterpolants:
 def build_interpolants(states) -> TrajectoryInterpolants:
     h = states[1].h if len(states) > 1 else states[0].h
     times = np.array([s.t_index * h for s in states])
-    fields = {}
-    for name in ("theta", "phi", "v", "z"):
-        nodes = np.stack([getattr(s, name) for s in states])
-        fields[name] = Interpolant(times, nodes)
-    return TrajectoryInterpolants(**fields)
+    fields = {name: Interpolant(times, np.stack([getattr(s, name) for s in states]))
+              for name in ("theta", "phi", "v")}
+    return TrajectoryInterpolants(**fields, z_rows=tuple(s.z for s in states))
 
 
 def _rel_dev(a: float, b: float) -> float:

@@ -78,7 +78,8 @@ class DiscreteOperator:
     ``kind`` tags the algebraic family: scaled identity and scaled
     Laplacian operators know their action on Laplacian eigenvectors
     (``symbol``), which the modal reference paths rely on.  ``custom``
-    operators support everything else.
+    operators support everything else.  A scaled identity or zero operator
+    applies as one multiply by ``coeff``, so its bands must match its tag.
     """
 
     diag: np.ndarray
@@ -93,6 +94,10 @@ class DiscreteOperator:
             raise ValueError("diag must be a vector of length >= 2")
         if o.shape != (d.size - 1,):
             raise ValueError("offdiag must have length dim - 1")
+        if self.kind == IDENTITY and (np.any(o != 0.0) or np.any(d != self.coeff)):
+            raise ValueError("identity operator needs offdiag == 0 and diag == coeff")
+        if self.kind == ZERO and (np.any(o != 0.0) or np.any(d != 0.0) or self.coeff != 0.0):
+            raise ValueError("zero operator needs zero bands and coeff == 0")
         d.setflags(write=False)
         o.setflags(write=False)
         object.__setattr__(self, "diag", d)
@@ -111,6 +116,8 @@ class DiscreteOperator:
         u = np.asarray(u, dtype=float)
         if u.shape[-1:] != (self.dim,):
             raise ValueError(f"dimension mismatch: operator dim {self.dim}, vector shape {u.shape}")
+        if self.kind in (IDENTITY, ZERO):
+            return self.coeff * u
         y = self.diag * u
         y[..., :-1] += self.offdiag * u[..., 1:]
         y[..., 1:] += self.offdiag * u[..., :-1]

@@ -357,8 +357,9 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
     grid = bundle.grid
     h = cfg.h
     g = phi_equation_rhs(state, bundle, h, plan)
-    phi1, iters, res = solve_phi(g, bundle, nonlin, cfg, phi0=state.phi + h * state.v,
-                                 plan=plan)
+    # second-order predictor: phi + h v+ with v+ extrapolated as v + h z
+    phi1, iters, res = solve_phi(g, bundle, nonlin, cfg,
+                                 phi0=state.phi + h * (state.v + h * state.z), plan=plan)
 
     theta_rhs = state.theta + bundle.eta * (state.phi - phi1)
     theta1 = plan.resolvent.solve(theta_rhs)
@@ -412,7 +413,7 @@ def run(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
 
     On Newton divergence, a failed step audit or a failed resolvent audit
     the partial trajectory is returned with the index of the failed step
-    and its exception.
+    and its exception; every such message names the step ("at step k").
     The initial state's acceleration is backfilled with the first computed
     one, matching the scheme's startup convention.  The constant linear
     algebra of all steps is built once, as one ``StepPlan``.
@@ -439,6 +440,8 @@ def run(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
         try:
             state, report = step(state, bundle, nonlin, cfg, plan)
         except (NewtonDivergedError, StepAuditError, ResolventAuditError) as exc:
+            if not isinstance(exc, StepAuditError):  # which names its step already
+                exc.args = (f"{exc} at step {state.t_index}",)
             failure = exc
             break
         states.append(state)

@@ -376,6 +376,7 @@ def test_run_divergence_exit_code(tmp_path, capsys):
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("error: ")]
         assert len(errors) == 1 and errors[0].startswith(f"error: {cause}"), err
+        assert "at step 0" in errors[0], err
         assert "Traceback" not in err
         assert all((out / name).exists() for name in files[command])
         meta = json.loads((out / files[command][-1]).read_text())

@@ -5,6 +5,7 @@ import pytest
 from conftest import all_preset_bundles, dirichlet_sine, preset_bundle
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import scipy.linalg
 
@@ -76,6 +77,34 @@ def test_apply_on_a_stack_matches_rowwise_apply(bc):
         for bad in (U[:, :-1], U.T, np.float64(1.0)):
             with pytest.raises(ValueError):
                 op.apply(bad)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(n=st.integers(2, 40), zero=st.booleans(),
+       coeff=st.floats(allow_nan=False, allow_infinity=False), data=st.data())
+def test_scaled_identity_apply_equals_the_tridiagonal_product(n, zero, coeff, data):
+    # identity and zero operators apply as one multiply by coeff; on finite
+    # data that equals diag*u plus both off-diagonal terms entry by entry
+    op = zero_operator(n) if zero else identity_operator(n, coeff)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    for shape in ((n,), (data.draw(st.integers(1, 6)), n)):
+        u = data.draw(hnp.arrays(float, shape, elements=finite))
+        with np.errstate(over="ignore"):  # both sides overflow alike
+            want = op.diag * u
+            want[..., :-1] += op.offdiag * u[..., 1:]
+            want[..., 1:] += op.offdiag * u[..., :-1]
+            assert np.array_equal(op.apply(u), want)
+
+
+def test_tagged_operator_bands_must_match_the_tag():
+    zeros, ones = np.zeros(4), np.ones(5)
+    off = np.array([0.0, 1e-300, 0.0, 0.0])
+    for bad in [(2.0 * ones, zeros, "identity", 1.0), (ones, off, "identity", 1.0),
+                (0.0 * ones, zeros, "zero", 1.0), (ones, zeros, "zero", 0.0),
+                (0.0 * ones, off, "zero", 0.0)]:
+        with pytest.raises(ValueError):
+            DiscreteOperator(*bad)
+    assert DiscreteOperator(3.0 * ones, zeros, "identity", 3.0).apply(ones)[0] == 3.0
 
 
 def test_monotonicity_audit():

@@ -298,6 +298,33 @@ def test_solver_paths_complete_and_agree_below_threshold(preset, bc, n, beta, pi
     _assert_paths_agree(random_smooth(bundle.grid, seed), bundle, nl, h, 3)
 
 
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(preset=st.sampled_from(["P1", "P2", "P3", "P4", "P5"]),
+       bc=st.sampled_from(["dirichlet", "neumann"]),
+       n=st.integers(min_value=2, max_value=24),
+       beta=st.sampled_from([("cubic", (0.5,)), ("cubic", (10.0,)),
+                             ("odd_poly", (1.0, 0.0, 2.0, 0.0, 0.5))]),
+       path=st.sampled_from(["direct", "yosida"]),
+       h_fraction=st.floats(min_value=0.01, max_value=0.95),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_step_predictor_does_not_change_the_solution(preset, bc, n, beta, path, h_fraction,
+                                                     seed):
+    # below h_threshold the step's solution is unique, so Newton started
+    # from phi + h (v + h z) lands where the first-order start phi + h v does
+    bundle = preset_bundle(preset, n=n, bc=bc)
+    nl = Nonlinearity(*beta)
+    h = h_fraction * bundle.h_threshold(nl.lipschitz_const)
+    cfg = StepConfig(h=h, solve_path=path)
+    first = run(random_smooth(bundle.grid, seed), bundle, nl, T=h, cfg=cfg)
+    assert first.complete
+    state = first.states[1]  # a stepped state, so z is a real acceleration
+    stepped, _ = step(state, bundle, nl, cfg)
+    g = phi_equation_rhs(state, bundle, h)
+    phi, _, _ = solve_phi(g, bundle, nl, cfg, phi0=state.phi + h * state.v)
+    gap = h_norm(bundle.grid, stepped.phi - phi)
+    assert gap <= 10.0 * cfg.newton_tol * (1.0 + h_norm(bundle.grid, g)), gap
+
+
 def test_newton_divergence_reported():
     grid = Grid1D(16)
     bundle = preset_bundle("P2", n=16, epsilon=1.0)
