@@ -67,26 +67,19 @@ class Nonlinearity:
     # -- beta -----------------------------------------------------------
 
     def beta(self, r):
-        # Horner on powers r^1..r^d: beta = r * (c1 + r*(c2 + ...))
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for c in reversed(self._poly):
-            out = out * r + c
-        return out * r
-
-    def beta_prime(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for k in range(len(self._poly) - 1, -1, -1):
-            out = out * r + (k + 1) * self._poly[k]
+        # beta = r * (c1 + r*(c2 + ...)) on powers r^1..r^d
+        out = _horner(self._poly, r)
+        out *= r
         return out
 
+    def beta_prime(self, r):
+        return _horner([(k + 1) * c for k, c in enumerate(self._poly)], r)
+
     def beta_potential(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        for k in range(len(self._poly) - 1, -1, -1):
-            out = out * r + self._poly[k] / (k + 2)
-        return out * r * r
+        out = _horner([c / (k + 2) for k, c in enumerate(self._poly)], r)
+        out *= r
+        out *= r
+        return out
 
     @property
     def has_beta(self) -> bool:
@@ -169,6 +162,27 @@ class Nonlinearity:
         s = self.smoothing_resolvent(lam, r)
         bp = self.beta_prime(s)
         return bp / (1.0 + lam * bp)
+
+
+def _horner(coeffs, r):
+    """sum_k coeffs[k] r^k by Horner's rule, updated in place.
+
+    It starts at the highest nonzero coefficient c as c * r: from zero the
+    rule would pass (0 * r + c) * r, the same bits for finite r.  Every
+    later coefficient is added, zeros included, as the rule from zero does.
+    """
+    r = np.asarray(r, dtype=float)
+    top = len(coeffs) - 1
+    while top >= 0 and coeffs[top] == 0.0:
+        top -= 1
+    if top <= 0:
+        return np.full_like(r, coeffs[0] if top == 0 else 0.0)
+    out = coeffs[top] * r
+    for c in coeffs[top - 1:0:-1]:
+        out += c
+        out *= r
+    out += coeffs[0]
+    return out
 
 
 def potential_total(nonlin: Nonlinearity, grid: Grid1D, u: np.ndarray):

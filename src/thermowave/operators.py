@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -57,7 +58,7 @@ class Grid1D:
         if self.bc not in BC_NAMES:
             raise ValueError(f"bc must be one of {BC_NAMES}, got {self.bc!r}")
 
-    @property
+    @cached_property
     def dx(self) -> float:
         if self.bc == DIRICHLET:
             return 1.0 / (self.n_interior + 1)
@@ -114,7 +115,7 @@ class DiscreteOperator:
     def apply(self, u: np.ndarray) -> np.ndarray:
         """Apply to a vector, or to every row of a (..., dim) stack."""
         u = np.asarray(u, dtype=float)
-        if u.shape[-1:] != (self.dim,):
+        if u.shape[-1:] != self.diag.shape:
             raise ValueError(f"dimension mismatch: operator dim {self.dim}, vector shape {u.shape}")
         if self.kind in (IDENTITY, ZERO):
             return self.coeff * u
@@ -249,6 +250,10 @@ class Resolvent:
     result within 1e-13 * |rhs| up to that floor.  ``solveh_banded`` on the
     same two bands is ``ptsv`` = ``pttrf`` + ``pttrs``, so a solve here
     returns the same bits as a one-shot banded solve.
+
+    ``last`` holds the latest solve's x with the products of its audit,
+    ``(x, op x, rhs - (x + h op x))``, for callers that need them again; it
+    makes a resolvent single-threaded.
     """
 
     def __init__(self, op: DiscreteOperator, h: float):
@@ -263,6 +268,7 @@ class Resolvent:
         # eps * |I + h op| * |x|, which dominates 1e-13 * |rhs| once
         # h * |op| is large and the data is rough.
         self._floor_per_x = 8.0 * _EPS * (1.0 + h * op.norm_bound())
+        self.last = None
 
     def _pttrs(self, b, overwrite_b=0):
         x, info = _PTTRS(self._d, self._e, b, overwrite_b=overwrite_b)
@@ -276,17 +282,20 @@ class Resolvent:
         if rhs.shape != (op.dim,):
             raise ValueError(f"dimension mismatch: operator dim {op.dim}, rhs shape {rhs.shape}")
         x = self._pttrs(rhs)
-        res = rhs - (x + h * op.apply(x))
+        ax = op.apply(x)
+        res = rhs - (x + h * ax)
         rn = math.sqrt(res.dot(res))
         bn = math.sqrt(rhs.dot(rhs))
         floor = self._floor_per_x * math.sqrt(x.dot(x))
         if rn > max(1e-14 * bn, 0.5 * floor):
             x = x + self._pttrs(res, overwrite_b=1)
-            res = rhs - (x + h * op.apply(x))
+            ax = op.apply(x)
+            res = rhs - (x + h * ax)
             rn = math.sqrt(res.dot(res))
         if not rn <= 1e-13 * bn + floor:  # also rejects a NaN residual
             raise ResolventAuditError(f"resolvent residual audit failed: {rn:.3e} > "
                                       f"1e-13 * {bn:.3e} + floor {floor:.3e}")
+        self.last = (x, ax, res)
         return x
 
 

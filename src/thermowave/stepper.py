@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -157,6 +158,11 @@ class StepPlan:
     single gbtrs.  ``nonlin`` may be omitted by callers that only need the
     resolvent (``phi_equation_rhs``).  The band buffer makes a plan
     single-threaded: concurrent runs each build their own.
+
+    A plan also carries values from one computation to the next that needs
+    them, one entry per name (see ``step``): ``_remember`` records values
+    computed from an array, ``_reuse`` returns one only for that very array
+    object, so any other array, however close, gets a fresh value.
     """
 
     def __init__(self, bundle: OperatorBundle, h: float, nonlin: Nonlinearity | None = None):
@@ -199,6 +205,20 @@ class StepPlan:
         self.wave_scale = (bundle.mass.norm_bound() / (h * h) + bundle.damping.norm_bound() / h
                            + bundle.stiffness.norm_bound() + bundle.eta * self.coupling_norm)
         self.heat_scale = 1.0 / h + bundle.diffusion.norm_bound()
+        self._known = {}  # name -> (array, value computed from it)
+
+    def _remember(self, u, **values):
+        """Record values computed from the array ``u``, which is made
+        read-only so that it cannot change under them."""
+        u.setflags(write=False)
+        for name, value in values.items():
+            self._known[name] = (u, value)
+
+    def _reuse(self, name, u, compute):
+        """The value recorded as ``name`` when ``u`` is the array it was
+        computed from, else ``compute(u)``."""
+        entry = self._known.get(name)
+        return entry[1] if entry is not None and entry[0] is u else compute(u)
 
     def _fill_bands(self, d1):
         """Pentadiagonal bands of T1 (I + h diffusion) + eta h^2 coupling
@@ -246,58 +266,63 @@ def phi_equation_rhs(state: State, bundle: OperatorBundle, h: float,
     """Right-hand side g of the per-step elliptic equation for phi+."""
     plan = _plan_for(plan, bundle, h)
     shifted = plan.resolvent.solve(bundle.eta * state.phi + state.theta)
-    return (bundle.mass.apply(state.phi)
+    return (plan._reuse("mass", state.phi, bundle.mass.apply)
             + h * bundle.mass.apply(state.v)
-            + h * bundle.damping.apply(state.phi)
+            + h * plan._reuse("damping", state.phi, bundle.damping.apply)
             + h * h * bundle.coupling.apply(shifted))
 
 
 def _elliptic_residual(phi, g, plan, beta_f, pi_f):
+    """The residual at phi, and its terms that depend on phi alone."""
     bundle, h = plan.bundle, plan.h
+    terms = dict(mass=bundle.mass.apply(phi), damping=bundle.damping.apply(phi),
+                 stiffness=bundle.stiffness.apply(phi), beta=beta_f(phi), pi=pi_f(phi))
+    mass, damping, stiffness, beta, pi = terms.values()
     shifted = plan.resolvent.solve(phi)
-    return (bundle.mass.apply(phi)
-            + h * bundle.damping.apply(phi)
-            + h * h * bundle.stiffness.apply(phi)
-            + h * h * beta_f(phi)
-            + h * h * pi_f(phi)
+    return (mass
+            + h * damping
+            + h * h * stiffness
+            + h * h * beta
+            + h * h * pi
             + bundle.eta * h * h * bundle.coupling.apply(shifted)
-            - g)
+            - g), terms
 
 
-def _newton(g, plan, cfg, beta_f, beta_p, pi_f, pi_p, phi0):
+def _newton(g, gn, plan, cfg, beta_f, beta_p, pi_f, pi_p, phi0):
     """Newton iteration on the per-step elliptic equation.
 
     The Jacobian is T1 + eta h^2 coupling (I + h diffusion)^{-1} with T1
     tridiagonal; writing the update as (I + h diffusion) w eliminates the
     resolvent and leaves one pentadiagonal banded solve per iteration.
     Iterations continue past the tolerance while the residual still drops
-    fast, so accepted steps sit at the attainable floor.
+    fast, so accepted steps sit at the attainable floor.  Returns the
+    iterate, the iteration count, the residual norm and the residual's
+    terms at the iterate.
     """
     grid = plan.bundle.grid
-    gn = h_norm(grid, g)
     target = cfg.newton_tol * (1.0 + gn)
     floor = 8.0 * _EPS * (1.0 + gn)
 
     phi = np.array(phi0, dtype=float)
-    res_vec = _elliptic_residual(phi, g, plan, beta_f, pi_f)
+    res_vec, terms = _elliptic_residual(phi, g, plan, beta_f, pi_f)
     res = h_norm(grid, res_vec)
     if res == 0.0:
-        return phi, 0, res
+        return phi, 0, res, terms
     prev = math.inf
     for it in range(1, cfg.newton_max_iter + 1):
         if not math.isfinite(res):
             raise NewtonDivergedError(it - 1, res)
         w = plan.newton_direction(phi, -res_vec, beta_p, pi_p)
         phi = phi + plan.resolvent.shifted.apply(w)
-        res_vec = _elliptic_residual(phi, g, plan, beta_f, pi_f)
+        res_vec, terms = _elliptic_residual(phi, g, plan, beta_f, pi_f)
         res = h_norm(grid, res_vec)
         if res <= floor:
-            return phi, it, res
+            return phi, it, res, terms
         if res <= target and res > 0.125 * prev:
-            return phi, it, res
+            return phi, it, res, terms
         prev = res
     if res <= target:
-        return phi, cfg.newton_max_iter, res
+        return phi, cfg.newton_max_iter, res, terms
     raise NewtonDivergedError(cfg.newton_max_iter, res)
 
 
@@ -311,21 +336,28 @@ def solve_phi(g: np.ndarray, bundle: OperatorBundle, nonlin: Nonlinearity,
     continues the smoothing parameter down a decreasing schedule with warm
     starts; from its last iterate it then solves the equation as stated,
     like the direct path.  The iterations of every stage are counted.
+
+    The plan remembers the terms of the last residual, evaluated at the
+    returned phi (made read-only), for ``step``'s audit and the next step;
+    a smoothed stage's terms are never kept.
     """
     plan = _plan_for(plan, bundle, cfg.h, nonlin)
+    grid = bundle.grid
     if phi0 is None:
-        phi0 = np.zeros(bundle.grid.n_interior)
+        phi0 = np.zeros(grid.n_interior)
+    gn = plan._reuse("g_norm", g, partial(h_norm, grid))
     iters = 0
     if cfg.solve_path == "yosida" and nonlin.has_beta:
         for lam in cfg.yosida_lambdas:
-            phi0, it, _ = _newton(
-                g, plan, cfg,
+            phi0, it, _, _ = _newton(
+                g, gn, plan, cfg,
                 lambda r, lam=lam: nonlin.yosida(lam, r),
                 lambda r, lam=lam: nonlin.yosida_prime(lam, r),
                 nonlin.pi, nonlin.pi_prime, phi0)
             iters += it
-    phi, it, res = _newton(g, plan, cfg, nonlin.beta, nonlin.beta_prime,
-                           nonlin.pi, nonlin.pi_prime, phi0)
+    phi, it, res, terms = _newton(g, gn, plan, cfg, nonlin.beta, nonlin.beta_prime,
+                                  nonlin.pi, nonlin.pi_prime, phi0)
+    plan._remember(phi, **terms)
     return phi, iters + it, res
 
 
@@ -352,37 +384,48 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
       (1/h + |diffusion|) |theta+| + (|theta| + eta (|phi| + |phi+|)) / h.
 
     A step that fails either audit raises ``StepAuditError``.
+
+    Every product of the audit that an earlier computation made from the
+    same array is taken from it (see ``StepPlan``): stiffness(phi+),
+    beta(phi+) and pi(phi+) from Newton's last residual, diffusion(theta+)
+    and the resolvent equation's residual from the theta+ solve's own
+    audit, |g| from here, and |phi|, |theta| from the previous step.
     """
     plan = _plan_for(plan, bundle, cfg.h, nonlin)
     grid = bundle.grid
     h = cfg.h
+    norm = partial(h_norm, grid)
     g = phi_equation_rhs(state, bundle, h, plan)
+    gn = norm(g)
+    plan._remember(g, g_norm=gn)
     # second-order predictor: phi + h v+ with v+ extrapolated as v + h z
     phi1, iters, res = solve_phi(g, bundle, nonlin, cfg,
                                  phi0=state.phi + h * (state.v + h * state.z), plan=plan)
 
     theta_rhs = state.theta + bundle.eta * (state.phi - phi1)
     theta1 = plan.resolvent.solve(theta_rhs)
-    theta_res = h_norm(grid, theta1 + h * bundle.diffusion.apply(theta1) - theta_rhs)
+    # the solve's audit evaluated rhs - (theta1 + h diffusion(theta1)): the
+    # negated heat resolvent residual, whose norm has the same bits
+    _, diffusion_theta1, theta_misfit = plan.resolvent.last
+    theta_res = norm(theta_misfit)
 
     v1 = (phi1 - state.phi) / h
     z1 = (v1 - state.v) / h
 
-    heat_res = h_norm(grid, (theta1 - state.theta) / h + bundle.eta * v1
-                      + bundle.diffusion.apply(theta1))
-    wave_res = h_norm(grid, bundle.mass.apply(z1) + bundle.damping.apply(v1)
-                      + bundle.stiffness.apply(phi1) + nonlin.beta(phi1)
-                      + nonlin.pi(phi1) - bundle.coupling.apply(theta1))
+    heat_res = norm((theta1 - state.theta) / h + bundle.eta * v1 + diffusion_theta1)
+    wave_res = norm(bundle.mass.apply(z1) + bundle.damping.apply(v1)
+                    + plan._reuse("stiffness", phi1, bundle.stiffness.apply)
+                    + plan._reuse("beta", phi1, nonlin.beta)
+                    + plan._reuse("pi", phi1, nonlin.pi) - bundle.coupling.apply(theta1))
 
-    gn = h_norm(grid, g)
-    phi1_n = h_norm(grid, phi1)
-    theta1_n = h_norm(grid, theta1)
+    phi1_n = norm(phi1)
+    theta1_n = norm(theta1)
     solver_term = 10.0 * cfg.newton_tol * (1.0 + gn)
     wave_floor = 32.0 * _EPS * ((1.0 + gn) / (h * h) + plan.wave_scale * phi1_n
                                 + plan.coupling_norm * theta1_n)
     heat_floor = 32.0 * _EPS * (plan.heat_scale * theta1_n
-                                + (h_norm(grid, state.theta) + bundle.eta
-                                   * (h_norm(grid, state.phi) + phi1_n)) / h)
+                                + (plan._reuse("theta_norm", state.theta, norm) + bundle.eta
+                                   * (plan._reuse("phi_norm", state.phi, norm) + phi1_n)) / h)
     wave_allowed = max(solver_term, wave_floor)
     heat_allowed = max(solver_term, heat_floor)
     if not (wave_res <= wave_allowed and heat_res <= heat_allowed):
@@ -390,6 +433,8 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
                              f"heat {heat_res:.3e} (allowed {heat_allowed:.3e}), "
                              f"wave {wave_res:.3e} (allowed {wave_allowed:.3e})")
 
+    plan._remember(phi1, phi_norm=phi1_n)
+    plan._remember(theta1, theta_norm=theta1_n)
     new_state = State(theta1, phi1, v1, z1, state.t_index + 1, h)
     report = StepReport(newton_iters=iters, final_residual=res,
                         theta_residual=theta_res, heat_residual=heat_res,

@@ -296,6 +296,11 @@ def test_random_config_exits_cleanly_with_strict_json(data, command, stride_flag
             if name.endswith(".json"):
                 with open(os.path.join(out, name)) as f:
                     json.loads(f.read(), parse_constant=_reject_constant)
+            if rc == 0 and name.endswith(".csv"):
+                _, columns, rows = read_csv(os.path.join(out, name))
+                numeric = [j for j, col in enumerate(columns) if col != "field"]
+                for row in rows:
+                    assert all(math.isfinite(float(row[j])) for j in numeric), (name, row)
 
 
 def test_validate_rejects_non_integer_step_count():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from thermowave import (Grid1D, Nonlinearity, cubic_nonlinearity,
                         potential_total, zero_nonlinearity)
@@ -182,3 +185,60 @@ def test_potential_nonnegative():
     r = np.linspace(-5, 5, 101)
     assert np.all(nl.beta_potential(r) >= 0.0)
     assert nl.beta_potential(0.0) == 0.0
+
+
+# Horner's rule started from zero, as beta, beta_prime and beta_potential
+# evaluated it before they started at the highest nonzero coefficient.
+def _zero_start_horner(coeffs, r):
+    out = np.zeros_like(r)
+    for c in reversed(coeffs):
+        out = out * r + c
+    return out
+
+
+def _reference_beta(poly, r):
+    return _zero_start_horner(poly, r) * r
+
+
+def _reference_beta_prime(poly, r):
+    return _zero_start_horner([(k + 1) * c for k, c in enumerate(poly)], r)
+
+
+def _reference_beta_potential(poly, r):
+    return _zero_start_horner([c / (k + 2) for k, c in enumerate(poly)], r) * r * r
+
+
+_odd_power_coeff = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e3),
+                             st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308]))
+
+
+@st.composite
+def _betas(draw):
+    if draw(st.booleans()):
+        return Nonlinearity("cubic", (draw(st.floats(min_value=5e-324, max_value=1e6)),))
+    odd = draw(st.lists(_odd_power_coeff, min_size=1, max_size=4))
+    coeffs = [c for a in odd for c in (a, 0.0)][:-1]
+    return Nonlinearity("odd_poly", tuple(coeffs + [0.0] * draw(st.integers(0, 3))))
+
+
+_finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(nl=_betas(), r=hnp.arrays(float, st.integers(0, 12), elements=_finite))
+def test_beta_family_equals_the_zero_start_horner_bitwise(nl, r):
+    with np.errstate(over="ignore"):
+        pairs = ((nl.beta(r), _reference_beta(nl._poly, r)),
+                 (nl.beta_prime(r), _reference_beta_prime(nl._poly, r)),
+                 (nl.beta_potential(r), _reference_beta_potential(nl._poly, r)))
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))  # zeros keep their sign
+
+
+def test_beta_of_infinity_is_infinite():
+    # the zero start computed 0 * inf = NaN here
+    r = np.array([np.inf, -np.inf])
+    assert np.array_equal(cubic_nonlinearity(2.0).beta(r), r)

@@ -6,7 +6,7 @@ from conftest import (all_preset_bundles, dirichlet_sine, p1_defaults,
                       p2_defaults, preset_bundle)
 
 from thermowave import (Grid1D, NewtonDivergedError, Nonlinearity, State, StepAuditError,
-                        StepConfig, StepPlan, cubic_nonlinearity, h_norm,
+                        StepConfig, StepPlan, StepReport, cubic_nonlinearity, h_norm,
                         laplacian_eigenvalues, linear_reaction, modal_generator,
                         phi_equation_rhs, random_smooth, run, single_mode,
                         solve_phi, step, step_count, zero_nonlinearity,
@@ -475,3 +475,110 @@ def test_run_returns_partial_trajectory_on_audit_failure(monkeypatch):
     assert result.failure_index == 0
     assert len(result.states) == 1 and result.reports == []
     assert np.array_equal(result.states[0].phi, init[1])
+
+
+def reference_step(state, bundle, nonlin, cfg, solve=solve_phi):
+    """One step that computes every product it uses afresh, through a new
+    plan, so nothing carries over from an earlier computation: the
+    straightforward step that step() must match bit for bit."""
+    plan = StepPlan(bundle, cfg.h, nonlin)
+    grid, h, eta = bundle.grid, cfg.h, bundle.eta
+    shifted = plan.resolvent.solve(eta * state.phi + state.theta)
+    g = (bundle.mass.apply(state.phi) + h * bundle.mass.apply(state.v)
+         + h * bundle.damping.apply(state.phi) + h * h * bundle.coupling.apply(shifted))
+    phi1, iters, res = solve(g, bundle, nonlin, cfg,
+                             phi0=state.phi + h * (state.v + h * state.z), plan=plan)
+    theta_rhs = state.theta + eta * (state.phi - phi1)
+    theta1 = plan.resolvent.solve(theta_rhs)
+    theta_res = h_norm(grid, theta1 + h * bundle.diffusion.apply(theta1) - theta_rhs)
+    v1 = (phi1 - state.phi) / h
+    z1 = (v1 - state.v) / h
+    heat_res = h_norm(grid, (theta1 - state.theta) / h + eta * v1
+                      + bundle.diffusion.apply(theta1))
+    wave_res = h_norm(grid, bundle.mass.apply(z1) + bundle.damping.apply(v1)
+                      + bundle.stiffness.apply(phi1) + nonlin.beta(phi1)
+                      + nonlin.pi(phi1) - bundle.coupling.apply(theta1))
+    report = StepReport(newton_iters=iters, final_residual=res, theta_residual=theta_res,
+                        heat_residual=heat_res, wave_residual=wave_res,
+                        rhs_norm=h_norm(grid, g))
+    return State(theta1, phi1, v1, z1, state.t_index + 1, h), report
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(preset=st.sampled_from(["P1", "P2", "P3", "P4", "P5"]),
+       bc=st.sampled_from(["dirichlet", "neumann"]),
+       n=st.integers(min_value=2, max_value=24),
+       beta=st.sampled_from([("cubic", (0.5,)), ("cubic", (10.0,)),
+                             ("odd_poly", (1.0, 0.0, 2.0, 0.0, 0.5))]),
+       pi=st.sampled_from([("zero", 0.0), ("linear", -0.8), ("linear", 1.5),
+                           ("scaled_sine", 1.2)]),
+       path=st.sampled_from(["direct", "yosida"]),
+       h_fraction=st.floats(min_value=0.01, max_value=0.95),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_steps_through_one_plan_equal_the_recomputing_reference(preset, bc, n, beta, pi, path,
+                                                                h_fraction, seed):
+    bundle = preset_bundle(preset, n=n, bc=bc)
+    nl = Nonlinearity(beta[0], beta[1], pi[0], pi[1])
+    h = h_fraction * bundle.h_threshold(nl.lipschitz_const)
+    cfg = StepConfig(h=h, solve_path=path)
+    plan = StepPlan(bundle, h, nl)
+    state = want = make_state(bundle.grid, *random_smooth(bundle.grid, seed), h)
+    for _ in range(4):
+        state, report = step(state, bundle, nl, cfg, plan)
+        want, want_report = reference_step(want, bundle, nl, cfg)
+        for field in ("theta", "phi", "v", "z"):
+            assert same_bits(getattr(state, field), getattr(want, field)), field
+        for field in StepReport.__dataclass_fields__:
+            assert same_bits(getattr(report, field), getattr(want_report, field)), field
+
+
+def test_step_recomputes_the_products_of_another_phi(monkeypatch):
+    # a phi+ one ulp away from Newton's passes the audit; its products must
+    # be its own, not those recorded for Newton's iterate
+    import thermowave.stepper as stepper
+    bundle, nl = p2_defaults(n=16)
+    h = 1.0 / 64
+    cfg = StepConfig(h=h, newton_tol=1e-10)
+
+    def nudged(*args, **kwargs):
+        phi, iters, res = solve_phi(*args, **kwargs)
+        return np.nextafter(phi, np.inf), iters, res
+
+    monkeypatch.setattr(stepper, "solve_phi", nudged)
+    state = make_state(bundle.grid, *random_smooth(bundle.grid, 2), h)
+    got, report = step(state, bundle, nl, cfg, StepPlan(bundle, h, nl))
+    want, want_report = reference_step(state, bundle, nl, cfg, solve=nudged)
+    assert same_bits(got.phi, want.phi) and report == want_report
+    _, plain = reference_step(state, bundle, nl, cfg)
+    assert plain.wave_residual != report.wave_residual
+
+
+def test_step_computes_each_product_once(monkeypatch):
+    # P2 cubic at n = 64, h = 1/1024 (the run-p2-n64 case): one Newton
+    # iteration per step after the first.  Per step: rhs 3 applies (mass v,
+    # coupling, the resolvent audit's), Newton 2 residuals of 5 and one
+    # (I + h diffusion) w, the theta+ solve 1, the audit 3 (mass z+,
+    # damping v+, coupling theta+); four audited resolvent solves; beta at
+    # the two residuals only.
+    from thermowave import DiscreteOperator, Resolvent
+    calls = {"apply": 0, "solve": 0, "beta": 0}
+    for cls, name in ((DiscreteOperator, "apply"), (Resolvent, "solve"), (Nonlinearity, "beta")):
+        def counted(*args, _fn=getattr(cls, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+    bundle, nl = p2_defaults(n=64)
+    h = 1.0 / 1024
+    cfg = StepConfig(h=h)
+    plan = StepPlan(bundle, h, nl)
+    state = make_state(bundle.grid, *random_smooth(bundle.grid, 0), h)
+    state, _ = step(state, bundle, nl, cfg, plan)
+    for _ in range(8):
+        calls.update(dict.fromkeys(calls, 0))
+        state, report = step(state, bundle, nl, cfg, plan)
+        assert report.newton_iters == 1
+        assert calls == {"apply": 18, "solve": 4, "beta": 2}
