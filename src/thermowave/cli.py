@@ -218,6 +218,9 @@ def validate_config(raw: dict, need_h_list: bool = False, need_linear: bool = Fa
         errors.append(f"snapshot_stride: must be nonnegative, got {stride}")
     if errors:
         raise ConfigError(list(dict.fromkeys(errors)))  # sweep members repeat solver errors
+    if (need_h_list or need_linear) and resolved["_nonlin"].is_linear:
+        # the modal reference's expm: load scipy.linalg with the set-up, not in the job
+        import scipy.linalg  # noqa: F401
     return resolved
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import LinAlgError, get_lapack_funcs
+
+from ._lapack import _check_lapack_info, pttrf as _PTTRF, pttrs as _PTTRS, tridiagonal_eigvals
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -35,7 +35,6 @@ LAPLACIAN = "laplacian"
 CUSTOM = "custom"
 
 _EPS = float(np.finfo(float).eps)
-_PTTRF, _PTTRS = get_lapack_funcs(("pttrf", "pttrs"), (np.zeros(1),))
 
 PRESET_NAMES = ("P1", "P2", "P3", "P4", "P5")
 
@@ -140,10 +139,7 @@ class DiscreteOperator:
                 + np.diag(self.offdiag, -1))
 
     def min_eigenvalue(self) -> float:
-        vals = scipy.linalg.eigh_tridiagonal(
-            self.diag, self.offdiag, select="i", select_range=(0, 0),
-            eigvals_only=True)
-        return float(vals[0])
+        return float(tridiagonal_eigvals(self.diag, self.offdiag, lowest=True)[0])
 
     def norm_bound(self) -> float:
         """Infinity-norm bound, used to scale audit tolerances."""
@@ -304,16 +300,6 @@ def resolvent_solve(op: DiscreteOperator, h: float, rhs: np.ndarray) -> np.ndarr
     return Resolvent(op, h).solve(rhs)
 
 
-def _check_lapack_info(info: int, routine: str, failure: str) -> None:
-    """Raise as SciPy's LAPACK wrappers do: ``LinAlgError(failure)`` when
-    the routine reports a numerical failure (info > 0), ``ValueError`` for
-    an illegal argument (info < 0)."""
-    if info > 0:
-        raise LinAlgError(failure.format(info=info))
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal {routine}")
-
-
 # ----------------------------------------------------------------------
 # Bundles and presets
 
@@ -446,8 +432,7 @@ def _lanczos_top_eigenvalue(apply, n: int, m: int = 128) -> float:
                 break
             beta[j] = b
             q = w / b
-    vals = scipy.linalg.eigh_tridiagonal(alpha[:k], beta[: k - 1], eigvals_only=True)
-    return float(vals[-1])
+    return float(tridiagonal_eigvals(alpha[:k], beta[: k - 1])[-1])
 
 
 def coupling_relative_bound(coupling: DiscreteOperator, diffusion: DiscreteOperator) -> float:
@@ -468,9 +453,7 @@ def coupling_relative_bound(coupling: DiscreteOperator, diffusion: DiscreteOpera
     if tagged:
         if LAPLACIAN in (coupling.kind, diffusion.kind):
             src = coupling if coupling.kind == LAPLACIAN else diffusion
-            mu = scipy.linalg.eigh_tridiagonal(src.diag / src.coeff,
-                                               src.offdiag / src.coeff,
-                                               eigvals_only=True)
+            mu = tridiagonal_eigvals(src.diag / src.coeff, src.offdiag / src.coeff)
             mu = np.clip(mu, 0.0, None)
         else:
             mu = np.array([0.0])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .diagnostics import TrajectoryInterpolants, build_interpolants
 from .nonlinearity import Nonlinearity

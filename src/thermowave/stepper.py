@@ -29,14 +29,12 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
+from ._lapack import _check_lapack_info, gbsv as _GBSV, gbtrf as _GBTRF, gbtrs as _GBTRS
 from .nonlinearity import Nonlinearity
-from .operators import (OperatorBundle, Resolvent, ResolventAuditError, _check_lapack_info,
-                        h_norm)
+from .operators import OperatorBundle, Resolvent, ResolventAuditError, h_norm
 
 _EPS = float(np.finfo(float).eps)
-_GBSV, _GBTRF, _GBTRS = get_lapack_funcs(("gbsv", "gbtrf", "gbtrs"), (np.zeros(1),))
 
 DEFAULT_YOSIDA_LAMBDAS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 
@@ -63,6 +61,9 @@ class StepConfig:
     def __post_init__(self):
         if not self.h > 0:
             raise ValueError(f"h must be positive, got {self.h}")
+        if not (self.h * self.h > 0 and math.isfinite(1.0 / (self.h * self.h))):
+            # the step equation is scaled by 1/h^2
+            raise ValueError(f"h must be large enough that 1/h^2 is finite, got {self.h}")
         if not self.newton_tol > 0:
             raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
         if self.newton_max_iter < 1:

@@ -142,6 +142,22 @@ def test_malformed_field_exits_1(tmp_path, capsys, command, fragment, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, steps", [
+    ("run", {"T": 0.0625, "h": 1e-300}),
+    ("energy-audit", {"T": 0.0625, "h": 1e-300}),
+    ("sweep", {"T": 4e-298, "h_list": [4e-300, 2e-300, 1e-300]}),
+])
+def test_tiny_h_exits_1_with_a_config_error(tmp_path, capsys, command, steps):
+    cfg = {k: v for k, v in base_config(**steps).items() if command != "sweep" or k != "h"}
+    out = tmp_path / "out"
+    rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    field = "h_list" if command == "sweep" else "h"
+    assert f"config error: {field}: h must be large enough that 1/h^2 is finite" in err
+    assert not out.exists()
+
+
 def test_snapshot_stride_flag_follows_the_config_rule(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["run", "--config", write_config(tmp_path, base_config()), "--out", str(out),

@@ -180,6 +180,14 @@ def test_step_config_messages_name_the_parameter(kwargs, param):
         StepConfig(**kwargs)
 
 
+@pytest.mark.parametrize("h", [1e-160, 1e-300, 5e-324])
+def test_step_config_rejects_an_h_whose_inverse_square_overflows(h):
+    # 1e-300 squared underflows to 0; 1e-160 squared is subnormal, 1/h^2 inf
+    with pytest.raises(ValueError, match="^h must be large enough that 1/h\\^2 is finite"):
+        StepConfig(h=h)
+    assert StepConfig(h=1e-154).h == 1e-154  # 1/h^2 = 1e308 is finite
+
+
 def test_run_rejects_bad_initial_data():
     bundle, nl = p1_defaults(n=16)
     theta, phi, v = zero_profile(bundle.grid)
