@@ -12,7 +12,8 @@ oracle-check  linear configurations only; compares the trajectory against
 
 Every output embeds the fully resolved config plus the computed coupling
 bound and step-size threshold in a header block, and is byte-deterministic
-for a fixed config.  Exit codes: 0 success, 1 config validation failure,
+for a fixed config.  Exit codes: 0 success, 1 bad input (a usage error,
+an invalid config, or an --out that cannot be created; nothing is written),
 2 solver divergence (partial outputs are still written, and one ``error:``
 line on stderr names the cause).
 """
@@ -238,11 +239,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _header_lines(resolved: dict, bundle, nonlin) -> list:
-    """The JSON outputs' meta block, as the header lines of every output."""
-    meta = _json_meta(resolved, bundle, nonlin)
-    config = json.dumps(meta.pop("config"), sort_keys=True, separators=(",", ":"))
-    return [f"config: {config}"] + [f"{key}: {value!r}" for key, value in meta.items()]
+def _header_lines(meta: dict) -> list:
+    """The JSON summary's meta block, as the header lines of every CSV."""
+    config = json.dumps(meta["config"], sort_keys=True, separators=(",", ":"))
+    return [f"config: {config}"] + [f"{key}: {value!r}" for key, value in meta.items()
+                                    if key != "config"]
 
 
 def _write_csv(path, header_lines, columns, rows):
@@ -273,25 +274,26 @@ def _json_meta(resolved, bundle, nonlin):
     }
 
 
-def cmd_run(resolved: dict, out_dir: str) -> None:
-    grid, bundle, nonlin, initial, cfg = build_problem(resolved)
+# A command computes from the validated config and its built problem.  It
+# hands each CSV table to ``table(name, columns, rows)`` and returns its JSON
+# summary entries and the failure that stopped it, or None; main writes both.
+
+def cmd_run(resolved: dict, problem, table):
+    grid, bundle, nonlin, initial, cfg = problem
     result = run(initial, bundle, nonlin, resolved["T"], cfg)
-    header = _header_lines(resolved, bundle, nonlin)
 
     # rows are streamed, and the ledger is freed once energy.csv is written
     entries = enumerate(diagnostics.energy_ledger(result.states, bundle, nonlin))
     fields = ("kinetic", "elastic", "thermal", "potential", "dissipation_b1", "dissipation_cross")
     split = attrgetter(*fields)
     rows = ((n, n * cfg.h, *split(entry.record), entry.identity_residual) for n, entry in entries)
-    _write_csv(os.path.join(out_dir, "energy.csv"), header,
-               ["n", "t", *fields, "identity_residual"], rows)
+    table("energy.csv", ["n", "t", *fields, "identity_residual"], rows)
 
     rows = [(i + 1, (i + 1) * cfg.h, r.newton_iters, r.final_residual,
              r.theta_residual, r.heat_residual, r.wave_residual, r.rhs_norm)
             for i, r in enumerate(result.reports)]
-    _write_csv(os.path.join(out_dir, "steps.csv"), header,
-               ["n", "t", "newton_iters", "final_residual", "theta_residual",
-                "heat_residual", "wave_residual", "rhs_norm"], rows)
+    table("steps.csv", ["n", "t", "newton_iters", "final_residual", "theta_residual",
+                        "heat_residual", "wave_residual", "rhs_norm"], rows)
 
     stride = resolved["snapshot_stride"]
     if stride > 0:
@@ -301,50 +303,38 @@ def cmd_run(resolved: dict, out_dir: str) -> None:
                 for field in ("theta", "phi", "v", "z"):
                     rows.append([s.t_index, s.t_index * cfg.h, field]
                                 + [float(x) for x in getattr(s, field)])
-        _write_csv(os.path.join(out_dir, "snapshots.csv"), header,
-                   ["n", "t", "field"] + [f"x{i}" for i in range(grid.n_interior)], rows)
+        table("snapshots.csv", ["n", "t", "field"] + [f"x{i}" for i in range(grid.n_interior)],
+              rows)
 
-    payload = _json_meta(resolved, bundle, nonlin)
-    payload.update({"complete": result.complete, "failure_index": result.failure_index,
-                    "steps_taken": len(result.reports)})
-    _write_json(os.path.join(out_dir, "run.json"), payload)
-    if result.failure is not None:
-        raise result.failure
+    return {"complete": result.complete, "failure_index": result.failure_index,
+            "steps_taken": len(result.reports)}, result.failure
 
 
-def cmd_sweep(resolved: dict, out_dir: str) -> None:
-    grid, bundle, nonlin, initial, _ = build_problem(resolved)
-    header = _header_lines(resolved, bundle, nonlin)
-    payload = _json_meta(resolved, bundle, nonlin)
-    error = None
+def cmd_sweep(resolved: dict, problem, table):
+    _, bundle, nonlin, initial, _ = problem
     try:
         result = convergence.sweep(initial, bundle, nonlin, resolved["T"],
                                    resolved["h_list"], configs=resolved["_cfgs"])
     except ReferenceDivergedError as exc:
-        error, reports = exc, []
-        payload.update({"complete": False, "reference": "fine_step",
-                        "diverged_h": exc.h_ref, "failure_index": exc.failure_index})
+        failure, reports = exc, []
+        entries = {"complete": False, "reference": "fine_step",
+                   "diverged_h": exc.h_ref, "failure_index": exc.failure_index}
     except convergence.SweepDivergedError as exc:
-        error, reports = exc, exc.partial
-        payload.update({"complete": False, "diverged_h": exc.h,
-                        "failure_index": exc.failure_index})
+        failure, reports = exc, exc.partial
+        entries = {"complete": False, "diverged_h": exc.h, "failure_index": exc.failure_index}
     else:
-        reports = result.reports
-        payload.update({"complete": True, "fitted_order": result.fitted_order,
-                        "fitted_M": result.fitted_M, "reference": result.reference_kind,
-                        "totals": {repr(r.h): r.total for r in reports}})
+        failure, reports = None, result.reports
+        entries = {"complete": True, "fitted_order": result.fitted_order,
+                   "fitted_M": result.fitted_M, "reference": result.reference_kind,
+                   "totals": {repr(r.h): r.total for r in reports}}
     rows = [[r.h] + list(r.as_tuple()) + [r.total] for r in reports]
-    _write_csv(os.path.join(out_dir, "sweep.csv"), header,
-               ["h", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "total"], rows)
-    _write_json(os.path.join(out_dir, "sweep.json"), payload)
-    if error is not None:
-        raise error
+    table("sweep.csv", ["h", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "total"], rows)
+    return entries, failure
 
 
-def cmd_energy_audit(resolved: dict, out_dir: str) -> None:
-    _, bundle, nonlin, initial, cfg = build_problem(resolved)
+def cmd_energy_audit(resolved: dict, problem, table):
+    _, bundle, nonlin, initial, cfg = problem
     result = run(initial, bundle, nonlin, resolved["T"], cfg)
-    header = _header_lines(resolved, bundle, nonlin)
 
     ledger = diagnostics.energy_ledger(result.states, bundle, nonlin)
     pi_zero = nonlin.pi_kind == "zero"
@@ -353,24 +343,18 @@ def cmd_energy_audit(resolved: dict, out_dir: str) -> None:
     rows = [[i, i * cfg.h, entry.identity_residual, entry.record.lyapunov, entry.pi_source]
             for i, entry in enumerate(ledger[1:], start=1)]
     max_resid = max(entry.identity_residual for entry in ledger)
-    _write_csv(os.path.join(out_dir, "audit.csv"), header,
-               ["n", "t", "identity_residual", "lyapunov_value", "pi_source_term"], rows)
+    table("audit.csv", ["n", "t", "identity_residual", "lyapunov_value", "pi_source_term"], rows)
 
-    payload = _json_meta(resolved, bundle, nonlin)
-    payload.update({"complete": result.complete, "failure_index": result.failure_index,
-                    "pi_zero": pi_zero, "max_identity_residual": max_resid,
-                    "lyapunov_violations": [[int(i), float(v)] for i, v in violations],
-                    "lyapunov_mode": "checked" if pi_zero else "monitor_only"})
-    _write_json(os.path.join(out_dir, "audit.json"), payload)
-    if result.failure is not None:
-        raise result.failure
+    return {"complete": result.complete, "failure_index": result.failure_index,
+            "pi_zero": pi_zero, "max_identity_residual": max_resid,
+            "lyapunov_violations": [[int(i), float(v)] for i, v in violations],
+            "lyapunov_mode": "checked" if pi_zero else "monitor_only"}, result.failure
 
 
-def cmd_oracle_check(resolved: dict, out_dir: str) -> None:
-    grid, bundle, nonlin, initial, cfg = build_problem(resolved)
+def cmd_oracle_check(resolved: dict, problem, table):
+    _, bundle, nonlin, initial, cfg = problem
     reference = LinearReference(initial, bundle, nonlin)
     result = run(initial, bundle, nonlin, resolved["T"], cfg)
-    header = _header_lines(resolved, bundle, nonlin)
 
     traj = diagnostics.build_interpolants(result.states)
     ref = reference.sample(traj.times)
@@ -378,33 +362,37 @@ def cmd_oracle_check(resolved: dict, out_dir: str) -> None:
             for name in ("theta", "phi", "v")]
     rows = np.column_stack([traj.times, *devs]).tolist()
     max_dev = max(0.0, *(float(np.max(d)) for d in devs))
-    _write_csv(os.path.join(out_dir, "oracle.csv"), header,
-               ["t", "theta_dev", "phi_dev", "v_dev"], rows)
+    table("oracle.csv", ["t", "theta_dev", "phi_dev", "v_dev"], rows)
 
-    payload = _json_meta(resolved, bundle, nonlin)
-    payload.update({"complete": result.complete, "failure_index": result.failure_index,
-                    "max_deviation": max_dev})
-    _write_json(os.path.join(out_dir, "oracle.json"), payload)
-    if result.failure is not None:
-        raise result.failure
+    return {"complete": result.complete, "failure_index": result.failure_index,
+            "max_deviation": max_dev}, result.failure
+
+
+# name: (command, its JSON summary file)
+COMMANDS = {"run": (cmd_run, "run.json"), "sweep": (cmd_sweep, "sweep.json"),
+            "energy-audit": (cmd_energy_audit, "audit.json"),
+            "oracle-check": (cmd_oracle_check, "oracle.json")}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="thermowave",
                                      description="Implicit integration of coupled heat/wave systems")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run", "sweep", "energy-audit", "oracle-check"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--snapshot-stride", type=int, default=None,
                        help="write every k-th state (run only)")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # --help exits 0; argparse's usage errors are bad input
+        return 1 if exc.code else 0
 
     try:
         with open(args.config) as f:
             raw = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
@@ -418,11 +406,25 @@ def main(argv=None) -> int:
             print(f"config error: {msg}", file=sys.stderr)
         return 1
 
-    os.makedirs(args.out, exist_ok=True)
-    commands = {"run": cmd_run, "sweep": cmd_sweep, "energy-audit": cmd_energy_audit,
-                "oracle-check": cmd_oracle_check}
     try:
-        commands[args.command](resolved, args.out)
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: --out: {exc}", file=sys.stderr)
+        return 1
+
+    command, summary = COMMANDS[args.command]
+    try:
+        problem = build_problem(resolved)
+        meta = _json_meta(resolved, problem[1], problem[2])
+        header = _header_lines(meta)
+
+        def table(name, columns, rows):
+            _write_csv(os.path.join(args.out, name), header, columns, rows)
+
+        entries, failure = command(resolved, problem, table)
+        _write_json(os.path.join(args.out, summary), {**meta, **entries})
+        if failure is not None:
+            raise failure
     except RuntimeError as exc:
         # solver failures (divergence, residual audits), raised once the
         # partial outputs are written, and non-finite output values exit 2

@@ -61,14 +61,6 @@ class SweepResult:
     fitted_M: float
     reference_kind: str
 
-    @property
-    def h_values(self):
-        return [r.h for r in self.reports]
-
-    @property
-    def totals(self):
-        return [r.total for r in self.reports]
-
 
 class SweepDivergedError(RuntimeError):
     """A sweep member diverged; completed members ride along as `partial`."""

@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -657,3 +659,122 @@ def test_non_finite_output_value_exits_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: run.json not written") and "Traceback" not in err
     assert not (out / "run.json").exists()
+
+
+# ----------------------------------------------------------------------
+# the output contract, the same for every command
+
+def _command_configs():
+    sweep = base_config(initial={"profile": "single_mode", "mode": 1, "theta_amp": 0.5,
+                                 "phi_amp": 0.5, "v_amp": 0.0})
+    del sweep["h"]
+    sweep["h_list"] = [1.0 / 16, 1.0 / 32]
+    oracle = {"preset": "P1", "n_interior": 24, "T": 0.125, "h": 1.0 / 64, "m": 0.5,
+              "initial": {"profile": "random_smooth", "seed": 2}}
+    return {"run": (base_config(snapshot_stride=3), ("energy.csv", "steps.csv", "snapshots.csv"),
+                    "run.json"),
+            "sweep": (sweep, ("sweep.csv",), "sweep.json"),
+            "energy-audit": (base_config(), ("audit.csv",), "audit.json"),
+            "oracle-check": (oracle, ("oracle.csv",), "oracle.json")}
+
+
+@pytest.mark.parametrize("command", ["energy-audit", "oracle-check"])
+def test_byte_deterministic(tmp_path, command):
+    cfg, tables, summary = _command_configs()[command]
+    cpath = write_config(tmp_path, cfg)
+    for out in ("a", "b"):
+        assert main([command, "--config", cpath, "--out", str(tmp_path / out)]) == 0
+    for name in tables + (summary,):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "energy-audit", "oracle-check"])
+def test_csv_headers_carry_the_json_summary_meta(tmp_path, monkeypatch, command):
+    meta_calls = []
+    real_meta = cli._json_meta
+
+    def counted(*args):
+        meta_calls.append(args)
+        return real_meta(*args)
+
+    monkeypatch.setattr(cli, "_json_meta", counted)
+    cfg, tables, summary = _command_configs()[command]
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert len(meta_calls) == 1
+    meta = json.loads((out / summary).read_text())
+    assert sorted(os.listdir(out)) == sorted(tables + (summary,))
+    for name in tables:
+        comments, _, _ = read_csv(out / name)
+        header = dict(line[2:].split(": ", 1) for line in comments)
+        assert sorted(header) == ["config", "coupling_bound", "h_threshold"]
+        assert json.loads(header["config"]) == meta["config"]
+        assert float(header["coupling_bound"]) == meta["coupling_bound"]
+        assert float(header["h_threshold"]) == meta["h_threshold"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "cfg.json"],
+    ["bogus", "--config", "cfg.json", "--out", "out"],
+    [],
+    ["run", "--config", "cfg.json", "--out", "out", "--snapshot-stride", "x"],
+    ["run", "--config", "cfg.json", "--out", "out", "--unknown"],
+])
+def test_usage_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, base_config(), name="cfg.json")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: thermowave") and "error: " in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("usage: thermowave")
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_out_that_cannot_be_created_exits_1(tmp_path, capsys, under):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = blocker / "out" if under else blocker
+    rc = main(["run", "--config", write_config(tmp_path, base_config()), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: --out: "), err
+    assert blocker.read_text() == "not a directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["blocker", "config.json"]
+
+
+def test_config_that_is_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"preset": "P2\xff"}')
+    rc = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_python_m_thermowave_exit_codes(tmp_path):
+    """Each command on a 16-point config exits 0; a missing --out, an unknown
+    command and an --out naming a file exit 1; none prints a traceback."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    calls = []
+    for command, (cfg, _, _) in _command_configs().items():
+        cfg = dict(cfg, n_interior=16)
+        cpath = write_config(tmp_path, cfg, name=f"{command}.json")
+        calls.append(([command, "--config", cpath, "--out", str(tmp_path / command)], 0))
+    cpath = str(tmp_path / "run.json")
+    calls += [(["run", "--config", cpath], 1),
+              (["bogus", "--config", cpath, "--out", str(tmp_path / "bogus")], 1),
+              (["run", "--config", cpath, "--out", str(blocker)], 1)]
+    for argv, want in calls:
+        proc = subprocess.run([sys.executable, "-m", "thermowave", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == want, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, (argv, proc.stderr)
