@@ -1,11 +1,11 @@
 """The LAPACK routines of the per-step linear algebra, without ``scipy.linalg``.
 
-Stepping calls seven double-precision LAPACK routines: ``pttrf``/``pttrs``
-for the heat resolvent, ``gbsv``/``gbtrf``/``gbtrs`` for the Newton
-Jacobian, and ``stebz``/``stevd`` for the eigenvalue bounds of a bundle.
-All seven are in SciPy's Fortran extension ``scipy.linalg._flapack``, but
-importing the ``scipy.linalg`` package that holds it costs more than the
-rest of the package together.  So the extension is loaded from its file
+Stepping calls six double-precision LAPACK routines: ``pttrf``/``pttrs``
+for the heat resolvent, ``gbtrf``/``gbtrs`` for the Newton Jacobian, and
+``stebz``/``stevd`` for the eigenvalue bounds of a bundle.  All six are in
+SciPy's Fortran extension ``scipy.linalg._flapack``, but importing the
+``scipy.linalg`` package that holds it costs more than the rest of the
+package together.  So the extension is loaded from its file
 under its own module name and registered in ``sys.modules``; a later
 ``import scipy.linalg`` (the modal reference's ``expm``) reuses that very
 module object.  Should the direct load fail for any reason, the routines
@@ -25,7 +25,7 @@ import scipy
 from numpy.linalg import LinAlgError
 
 _FLAPACK = "scipy.linalg._flapack"
-_NAMES = ("pttrf", "pttrs", "gbsv", "gbtrf", "gbtrs", "stebz", "stevd")
+_NAMES = ("pttrf", "pttrs", "gbtrf", "gbtrs", "stebz", "stevd")
 
 
 def _load_flapack():
@@ -60,7 +60,7 @@ def _routines() -> list:
         return get_lapack_funcs(_NAMES, (np.zeros(1),))
 
 
-pttrf, pttrs, gbsv, gbtrf, gbtrs, stebz, stevd = _routines()
+pttrf, pttrs, gbtrf, gbtrs, stebz, stevd = _routines()
 
 
 def _check_lapack_info(info: int, routine: str, failure: str) -> None:

@@ -75,10 +75,12 @@ def _int(value, field, errors):
 
 
 def _obj(value, field, errors):
-    """A JSON object, or {} with the error recorded."""
+    """A JSON object, or {} with the error recorded; so is each key that is
+    not one of the object's ``_KEYS``."""
     if not isinstance(value, dict):
         errors.append(f"{field}: expected an object, got {type(value).__name__}")
         return {}
+    errors += [f"{field}.{key}: unknown key" for key in value if key not in _KEYS[field]]
     return value
 
 
@@ -95,11 +97,17 @@ def _nums(value, field, errors):
 # opens the library's ValueError messages.
 _FIELD_OF = {"beta_kind": "beta.kind", "beta_coeffs": "beta", "pi_kind": "pi.kind",
              "pi_param": "pi", "solve_path": "solver.path", "T": "T",
-             **{k: "solver." + k for k in ("newton_tol", "newton_max_iter", "yosida_lambdas")},
+             **{k: "solver." + k for k in ("newton_tol", "newton_max_iter")},
              **{k: "initial." + k for k in ("profile", "mode", "seed", "decay")},
              **{k: k for k in ("bc", "sigma", "c", "gamma", "epsilon")}}
 _INITIAL_TYPES = {"mode": _int, "seed": _int, **dict.fromkeys(
     ("theta_amp", "phi_amp", "v_amp", "decay", "amplitude"), _num)}
+# the keys of the config and of its objects; any other key is an error
+_KEYS = {"config": ("preset", "bc", "sigma", "c", "m", "epsilon", "gamma", "n_interior", "T",
+                    "h", "h_list", "beta", "pi", "initial", "solver", "snapshot_stride"),
+         "beta": ("kind", "scale", "coeffs"), "pi": ("kind", "slope", "amplitude"),
+         "initial": ("profile", *_INITIAL_TYPES),
+         "solver": ("newton_tol", "newton_max_iter", "path")}
 
 
 def _build(errors, label, build, *args, **kwargs):
@@ -128,7 +136,7 @@ def validate_config(raw: dict, need_h_list: bool = False, need_linear: bool = Fa
     preset = raw.get("preset")
     if preset not in PRESET_NAMES:
         raise ConfigError([f"preset: must be one of {PRESET_NAMES}, got {preset!r}"])
-    errors = []
+    errors = [f"{key}: unknown key" for key in raw if key not in _KEYS["config"]]
     bc = raw.get("bc", "dirichlet")
     resolved = {"preset": preset, "bc": bc}
 
@@ -195,16 +203,14 @@ def validate_config(raw: dict, need_h_list: bool = False, need_linear: bool = Fa
                            "solver.newton_tol", errors),
         "newton_max_iter": _int(solver.get("newton_max_iter", StepConfig.newton_max_iter),
                                 "solver.newton_max_iter", errors),
-        "path": solver.get("path", StepConfig.solve_path),
-        "yosida_lambdas": solver.get("yosida_lambdas", list(StepConfig.yosida_lambdas))}
-    lams = _nums(s["yosida_lambdas"], "solver.yosida_lambdas", errors)
+        "path": solver.get("path", StepConfig.solve_path)}
 
     # one step config per step size: the run's h or each sweep member's
     hs = resolved.get("h_list") if need_h_list else [resolved["h"]]
-    if hs is not None and None not in hs + [s["newton_tol"], s["newton_max_iter"], lams]:
+    if hs is not None and None not in hs + [s["newton_tol"], s["newton_max_iter"]]:
         start = len(errors)
         cfgs = [_build(errors, steps, StepConfig, h, s["newton_tol"], s["newton_max_iter"],
-                       s["path"], tuple(lams)) for h in hs]
+                       s["path"]) for h in hs]
         if len(errors) == start and T is not None:
             if need_h_list:
                 resolved["_cfgs"] = cfgs
@@ -382,8 +388,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--snapshot-stride", type=int, default=None,
-                       help="write every k-th state (run only)")
+        if name == "run":
+            p.add_argument("--snapshot-stride", type=int, help="write every k-th state")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help exits 0; argparse's usage errors are bad input
@@ -396,8 +402,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    if args.snapshot_stride is not None and isinstance(raw, dict):
-        raw["snapshot_stride"] = args.snapshot_stride
+    stride = getattr(args, "snapshot_stride", None)  # run only
+    if stride is not None and isinstance(raw, dict):
+        raw["snapshot_stride"] = stride
     try:
         resolved = validate_config(raw, need_h_list=(args.command == "sweep"),
                                    need_linear=(args.command == "oracle-check"))

@@ -63,13 +63,15 @@ class SweepResult:
 
 
 class SweepDivergedError(RuntimeError):
-    """A sweep member diverged; completed members ride along as `partial`."""
+    """A sweep member diverged; completed members ride along as `partial`,
+    and the member run's exception is the ``__cause__``."""
 
-    def __init__(self, h: float, failure_index: int, partial: list):
-        super().__init__(f"sweep member h = {h} diverged at step {failure_index}")
+    def __init__(self, h: float, failure_index: int, partial: list, cause: RuntimeError):
+        super().__init__(f"sweep member h = {h} diverged: {cause}")
         self.h = h
         self.failure_index = failure_index
         self.partial = partial
+        self.__cause__ = cause
 
 
 def _simpson_pair(q_a, q_m, q_b, length):
@@ -199,11 +201,11 @@ def sweep(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
         if result.complete:
             reports.append(error_norms(result.states, reference, bundle))
         else:
-            failures.append((cfg.h, result.failure_index))
+            failures.append((cfg.h, result.failure_index, result.failure))
         del result  # free this member's trajectory before the next run starts
     if failures:
-        h_bad, idx = failures[0]
-        raise SweepDivergedError(h_bad, idx, reports)
+        h_bad, idx, cause = failures[0]
+        raise SweepDivergedError(h_bad, idx, reports, cause)
 
     logs_h = np.log([r.h for r in reports])
     logs_e = np.log([max(r.total, 1e-300) for r in reports])

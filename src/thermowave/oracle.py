@@ -176,12 +176,14 @@ def exact_linear_solution(initial, bundle: OperatorBundle, nonlin: Nonlinearity,
 
 
 class ReferenceDivergedError(RuntimeError):
-    """The fine-step reference run stopped early at step ``failure_index``."""
+    """The fine-step reference run stopped early at step ``failure_index``;
+    the run's exception is the ``__cause__``."""
 
-    def __init__(self, h_ref: float, failure_index: int):
-        super().__init__(f"fine reference h = {h_ref} diverged at step {failure_index}")
+    def __init__(self, h_ref: float, failure_index: int, cause: RuntimeError):
+        super().__init__(f"fine reference h = {h_ref} diverged: {cause}")
         self.h_ref = h_ref
         self.failure_index = failure_index
+        self.__cause__ = cause
 
 
 def fine_reference(initial, bundle: OperatorBundle, nonlin: Nonlinearity,
@@ -190,5 +192,5 @@ def fine_reference(initial, bundle: OperatorBundle, nonlin: Nonlinearity,
     across a refinement sweep; ``ReferenceDivergedError`` if it stops early."""
     result = run(initial, bundle, nonlin, T, StepConfig(h=h_ref, newton_tol=1e-13))
     if not result.complete:
-        raise ReferenceDivergedError(h_ref, result.failure_index)
+        raise ReferenceDivergedError(h_ref, result.failure_index, result.failure)
     return build_interpolants(result.states)

@@ -30,13 +30,14 @@ from functools import partial
 
 import numpy as np
 
-from ._lapack import _check_lapack_info, gbsv as _GBSV, gbtrf as _GBTRF, gbtrs as _GBTRS
+from ._lapack import _check_lapack_info, gbtrf as _GBTRF, gbtrs as _GBTRS
 from .nonlinearity import Nonlinearity
 from .operators import OperatorBundle, Resolvent, ResolventAuditError, h_norm
 
 _EPS = float(np.finfo(float).eps)
 
-DEFAULT_YOSIDA_LAMBDAS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
+# the smoothing parameters of the regularized path's continuation, in order
+YOSIDA_LAMBDAS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 
 
 class NewtonDivergedError(RuntimeError):
@@ -56,7 +57,6 @@ class StepConfig:
     newton_tol: float = 1e-12
     newton_max_iter: int = 25
     solve_path: str = "direct"  # "direct" | "yosida"
-    yosida_lambdas: tuple = DEFAULT_YOSIDA_LAMBDAS
 
     def __post_init__(self):
         if not self.h > 0:
@@ -70,13 +70,6 @@ class StepConfig:
             raise ValueError(f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
         if self.solve_path not in ("direct", "yosida"):
             raise ValueError(f"solve_path must be 'direct' or 'yosida', got {self.solve_path!r}")
-        if self.solve_path == "yosida":
-            lams = tuple(float(l) for l in self.yosida_lambdas)
-            if not lams or any(l <= 0 for l in lams):
-                raise ValueError("yosida_lambdas must be positive")
-            if any(b >= a for a, b in zip(lams, lams[1:])):
-                raise ValueError("yosida_lambdas must decrease")
-            object.__setattr__(self, "yosida_lambdas", lams)
 
 
 @dataclass(frozen=True)
@@ -152,13 +145,12 @@ class StepPlan:
     once per run, so no step factors or assembles anything constant.
 
     It holds the heat resolvent (I + h diffusion) factored once, the
-    constant bands of the Newton Jacobian, one gbsv band buffer that every
-    Newton iteration refills in place, and the operator-norm scales of the
-    step audit.  When ``nonlin`` is linear the Jacobian does not depend on
-    phi, so it is factored once here (gbtrf) and each Newton iteration is a
-    single gbtrs.  ``nonlin`` may be omitted by callers that only need the
-    resolvent (``phi_equation_rhs``).  The band buffer makes a plan
-    single-threaded: concurrent runs each build their own.
+    constant bands of the Newton Jacobian, one band buffer that holds the
+    Jacobian's LU factor, and the operator-norm scales of the step audit
+    (see ``newton_direction`` for when the factor is renewed).  ``nonlin``
+    may be omitted by callers that only need the resolvent
+    (``phi_equation_rhs``).  The band buffer makes a plan single-threaded:
+    concurrent runs each build their own.
 
     A plan also carries values from one computation to the next that needs
     them, one entry per name (see ``step``): ``_remember`` records values
@@ -181,7 +173,7 @@ class StepPlan:
                       + h * h * bundle.stiffness.offdiag)
         self.cpl_d = bundle.eta * h * h * bundle.coupling.diag
         self.cpl_o = bundle.eta * h * h * bundle.coupling.offdiag
-        # gbsv band layout: rows 0-1 hold the LU fill-in, rows 2-6 the
+        # gbtrf band layout: rows 0-1 hold the LU fill-in, rows 2-6 the
         # pentadiagonal (solve_banded layout); the outermost bands and the
         # T1-independent products are the same for every iteration.
         n = bundle.grid.n_interior
@@ -193,13 +185,8 @@ class StepPlan:
         self._lower = o1 * d2[:-1]
         self._cross = o1 * o2
         self._bands = np.empty((7, n), order="F")
-        self._lu = None
-        if nonlin is not None and nonlin.is_linear:
-            zero = np.zeros(n)
-            self._fill_bands(self.lin_d + h * h * (nonlin.beta_prime(zero)
-                                                   + nonlin.pi_prime(zero)))
-            self._lu, self._piv, info = _GBTRF(self._bands, 2, 2)
-            _check_lapack_info(info, "gbtrf", "singular matrix")
+        self._lu = None  # the Jacobian's LU factor, once computed, and its pivots
+        self._piv = None
 
         # Rounding scales of the step audit; see step().
         self.coupling_norm = bundle.coupling.norm_bound()
@@ -223,7 +210,7 @@ class StepPlan:
 
     def _fill_bands(self, d1):
         """Pentadiagonal bands of T1 (I + h diffusion) + eta h^2 coupling
-        for T1 = (d1, lin_o), written into the gbsv buffer."""
+        for T1 = (d1, lin_o), written into the band buffer."""
         P = self._bands
         P[...] = self._template
         np.multiply(d1[:-1], self.o2, out=P[3, 1:])
@@ -237,18 +224,21 @@ class StepPlan:
         P[5, :-1] += self._lower
         P[5, :-1] += self.cpl_o
 
-    def newton_direction(self, phi, rhs, beta_p, pi_p):
+    def newton_direction(self, phi, rhs, lam):
         """w with J(phi) w = rhs, J the Newton Jacobian in the eliminated
-        form; ``rhs`` is overwritten.  A linear plan reuses its factor and
-        ignores ``beta_p``/``pi_p``."""
-        if self._lu is not None:
-            w, info = _GBTRS(self._lu, 2, 2, rhs, self._piv, overwrite_b=1)
-            _check_lapack_info(info, "gbtrs", "singular matrix")
-            return w
-        h = self.h
-        self._fill_bands(self.lin_d + h * h * (beta_p(phi) + pi_p(phi)))
-        _, _, w, info = _GBSV(2, 2, self._bands, rhs, overwrite_ab=1, overwrite_b=1)
-        _check_lapack_info(info, "gbsv", "singular matrix")
+        form of the equation smoothed with ``lam`` (None: as stated);
+        ``rhs`` is overwritten.  The Jacobian is factored afresh at every
+        call unless the plan is linear: beta' + pi' of a linear nonlinearity
+        is the same at every phi, so its first factor serves the whole run."""
+        nonlin, h = self.nonlin, self.h
+        if self._lu is None or not nonlin.is_linear:
+            beta_p = nonlin.beta_prime(phi) if lam is None else nonlin.yosida_prime(lam, phi)
+            self._fill_bands(self.lin_d + h * h * (beta_p + nonlin.pi_prime(phi)))
+            lu, piv, info = _GBTRF(self._bands, 2, 2, overwrite_ab=1)
+            _check_lapack_info(info, "gbtrf", "singular matrix")
+            self._lu, self._piv = lu, piv
+        w, info = _GBTRS(self._lu, 2, 2, rhs, self._piv, overwrite_b=1)
+        _check_lapack_info(info, "gbtrs", "singular matrix")
         return w
 
 
@@ -273,11 +263,13 @@ def phi_equation_rhs(state: State, bundle: OperatorBundle, h: float,
             + h * h * bundle.coupling.apply(shifted))
 
 
-def _elliptic_residual(phi, g, plan, beta_f, pi_f):
-    """The residual at phi, and its terms that depend on phi alone."""
-    bundle, h = plan.bundle, plan.h
+def _elliptic_residual(phi, g, plan, lam):
+    """The residual at phi of the equation smoothed with ``lam`` (None: as
+    stated), and its terms that depend on phi alone."""
+    bundle, h, nonlin = plan.bundle, plan.h, plan.nonlin
+    beta = nonlin.beta(phi) if lam is None else nonlin.yosida(lam, phi)
     terms = dict(mass=bundle.mass.apply(phi), damping=bundle.damping.apply(phi),
-                 stiffness=bundle.stiffness.apply(phi), beta=beta_f(phi), pi=pi_f(phi))
+                 stiffness=bundle.stiffness.apply(phi), beta=beta, pi=nonlin.pi(phi))
     mass, damping, stiffness, beta, pi = terms.values()
     shifted = plan.resolvent.solve(phi)
     return (mass
@@ -289,8 +281,9 @@ def _elliptic_residual(phi, g, plan, beta_f, pi_f):
             - g), terms
 
 
-def _newton(g, gn, plan, cfg, beta_f, beta_p, pi_f, pi_p, phi0):
-    """Newton iteration on the per-step elliptic equation.
+def _newton(g, gn, plan, cfg, lam, phi0):
+    """Newton iteration on the per-step elliptic equation, smoothed with
+    ``lam`` (None: as stated).
 
     The Jacobian is T1 + eta h^2 coupling (I + h diffusion)^{-1} with T1
     tridiagonal; writing the update as (I + h diffusion) w eliminates the
@@ -305,7 +298,7 @@ def _newton(g, gn, plan, cfg, beta_f, beta_p, pi_f, pi_p, phi0):
     floor = 8.0 * _EPS * (1.0 + gn)
 
     phi = np.array(phi0, dtype=float)
-    res_vec, terms = _elliptic_residual(phi, g, plan, beta_f, pi_f)
+    res_vec, terms = _elliptic_residual(phi, g, plan, lam)
     res = h_norm(grid, res_vec)
     if res == 0.0:
         return phi, 0, res, terms
@@ -313,9 +306,9 @@ def _newton(g, gn, plan, cfg, beta_f, beta_p, pi_f, pi_p, phi0):
     for it in range(1, cfg.newton_max_iter + 1):
         if not math.isfinite(res):
             raise NewtonDivergedError(it - 1, res)
-        w = plan.newton_direction(phi, -res_vec, beta_p, pi_p)
+        w = plan.newton_direction(phi, -res_vec, lam)
         phi = phi + plan.resolvent.shifted.apply(w)
-        res_vec, terms = _elliptic_residual(phi, g, plan, beta_f, pi_f)
+        res_vec, terms = _elliptic_residual(phi, g, plan, lam)
         res = h_norm(grid, res_vec)
         if res <= floor:
             return phi, it, res, terms
@@ -334,7 +327,7 @@ def solve_phi(g: np.ndarray, bundle: OperatorBundle, nonlin: Nonlinearity,
 
     The direct path applies Newton to the equation as stated.  The
     regularized path first replaces beta by its resolvent smoothing and
-    continues the smoothing parameter down a decreasing schedule with warm
+    continues the smoothing parameter down ``YOSIDA_LAMBDAS`` with warm
     starts; from its last iterate it then solves the equation as stated,
     like the direct path.  The iterations of every stage are counted.
 
@@ -347,19 +340,13 @@ def solve_phi(g: np.ndarray, bundle: OperatorBundle, nonlin: Nonlinearity,
     if phi0 is None:
         phi0 = np.zeros(grid.n_interior)
     gn = plan._reuse("g_norm", g, partial(h_norm, grid))
-    iters = 0
-    if cfg.solve_path == "yosida" and nonlin.has_beta:
-        for lam in cfg.yosida_lambdas:
-            phi0, it, _, _ = _newton(
-                g, gn, plan, cfg,
-                lambda r, lam=lam: nonlin.yosida(lam, r),
-                lambda r, lam=lam: nonlin.yosida_prime(lam, r),
-                nonlin.pi, nonlin.pi_prime, phi0)
-            iters += it
-    phi, it, res, terms = _newton(g, gn, plan, cfg, nonlin.beta, nonlin.beta_prime,
-                                  nonlin.pi, nonlin.pi_prime, phi0)
+    smoothed = YOSIDA_LAMBDAS if cfg.solve_path == "yosida" and nonlin.has_beta else ()
+    phi, iters = phi0, 0
+    for lam in (*smoothed, None):
+        phi, it, res, terms = _newton(g, gn, plan, cfg, lam, phi)
+        iters += it
     plan._remember(phi, **terms)
-    return phi, iters + it, res
+    return phi, iters, res
 
 
 def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,

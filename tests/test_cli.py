@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,35 @@ def test_malformed_field_exits_1(tmp_path, capsys, command, fragment, field):
     assert not out.exists()
 
 
+UNKNOWN_KEYS = [
+    ({"snapshot_strid": 1}, "snapshot_strid"),
+    ({"solver": {"newton_max_itr": 1}}, "solver.newton_max_itr"),
+    ({"solver": {"path": "yosida", "yosida_lambdas": [1e-2]}}, "solver.yosida_lambdas"),
+    ({"beta": {"kind": "cubic", "scale": 1.0, "scael": 2.0}}, "beta.scael"),
+    ({"pi": {"kind": "linear", "slop": -1.0}}, "pi.slop"),
+    ({"initial": {"profile": "random_smooth", "seed": 4, "sed": 5}}, "initial.sed"),
+]
+
+
+@pytest.mark.parametrize("fragment, field", UNKNOWN_KEYS, ids=[f for _, f in UNKNOWN_KEYS])
+def test_unknown_config_key_exits_1(tmp_path, capsys, fragment, field):
+    out = tmp_path / "out"
+    rc = main(["run", "--config", write_config(tmp_path, base_config(**fragment)),
+               "--out", str(out)])
+    assert rc == 1
+    assert f"config error: {field}: unknown key" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_config_keys_are_collected_with_other_errors():
+    cfg = base_config(snapshot_strid=1, n_interior=1, solver={"newton_max_itr": 1})
+    with pytest.raises(ConfigError) as info:
+        validate_config(cfg)
+    fields = [msg.split(":")[0] for msg in info.value.errors]
+    assert {"snapshot_strid", "n_interior", "solver.newton_max_itr"} <= set(fields)
+    assert fields.count("snapshot_strid") == fields.count("solver.newton_max_itr") == 1
+
+
 @pytest.mark.parametrize("command, steps", [
     ("run", {"T": 0.0625, "h": 1e-300}),
     ("energy-audit", {"T": 0.0625, "h": 1e-300}),
@@ -166,6 +196,20 @@ def test_snapshot_stride_flag_follows_the_config_rule(tmp_path, capsys):
                "--snapshot-stride", "-1"])
     assert rc == 1
     assert "config error: snapshot_stride: must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "energy-audit", "oracle-check"])
+def test_snapshot_stride_flag_is_a_run_option(tmp_path, capsys, command):
+    cfg = base_config()
+    if command == "sweep":
+        h = cfg.pop("h")
+        cfg["h_list"] = [h, h / 2]
+    out = tmp_path / "out"
+    rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out),
+               "--snapshot-stride", "3"])
+    assert rc == 1
+    assert "unrecognized arguments: --snapshot-stride" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -233,7 +277,7 @@ _VALID_FIELDS = {
                 {"profile": "single_mode", "mode": 1, "theta_amp": 1e8, "phi_amp": 1e8,
                  "v_amp": 1e8}],
     "solver": [{}, {"newton_tol": 1e-10, "newton_max_iter": 30}, {"newton_max_iter": 2},
-               {"path": "yosida", "yosida_lambdas": [1e-2, 1e-4]}],
+               {"path": "yosida"}],
     "snapshot_stride": [0, 1, 3],
 }
 _INVALID_FIELDS = {
@@ -299,7 +343,7 @@ def test_random_config_exits_cleanly_with_strict_json(data, command, stride_flag
             json.dump(cfg, f)
         out = os.path.join(tmp, "out")
         argv = [command, "--config", path, "--out", out]
-        if stride_flag is not None:
+        if stride_flag is not None and command == "run":
             argv += ["--snapshot-stride", str(stride_flag)]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -614,6 +658,35 @@ def test_step_audit_failure_writes_partial_outputs(tmp_path, monkeypatch, comman
     meta = json.loads((out / files[-1]).read_text())
     assert meta["complete"] is False
     assert meta["failure_index"] == 0
+
+
+@pytest.mark.parametrize("kind", ["member", "reference"])
+def test_sweep_divergence_error_line_names_its_cause(tmp_path, capsys, kind):
+    # a cubic member with a one-iteration Newton budget; a fine reference
+    # whose data overflows in Newton's first residual
+    if kind == "member":
+        cfg = base_config(n_interior=16, T=0.25, initial={"profile": "random_smooth", "seed": 4},
+                          solver={"newton_max_iter": 1})
+        h_list, line = [0.25, 0.125], "error: sweep member h = 0.25 diverged: "
+        cause = "Newton did not converge in 1 iterations"
+    else:
+        cfg = base_config(n_interior=16, T=0.02, beta={"kind": "cubic", "scale": 100.0},
+                          initial={"profile": "single_mode", "mode": 1, "theta_amp": 1e103,
+                                   "phi_amp": 1e103, "v_amp": 1e103})
+        h_list, line = [0.01, 0.005], "error: fine reference h = 0.00015625 diverged: "
+        cause = "Newton did not converge in 0 iterations (last residual inf)"
+    del cfg["h"]
+    cfg["h_list"] = h_list
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # h above threshold; overflow
+        rc = main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert rc == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
+    assert len(errors) == 1 and errors[0].startswith(line + cause), errors
+    assert errors[0].endswith(" at step 0")
+    meta = json.loads((out / "sweep.json").read_text())
+    assert meta["complete"] is False and meta["failure_index"] == 0
 
 
 def test_sweep_reference_divergence_writes_partial_outputs(tmp_path, monkeypatch, capsys):

@@ -194,6 +194,24 @@ def test_sweep_runs_each_member_with_its_config():
         sweep(init, bundle, nl, T=0.25, h_list=h_list, configs=one_iter[::-1])
 
 
+def test_divergence_errors_keep_the_run_exception():
+    from thermowave import NewtonDivergedError, ReferenceDivergedError
+    bundle, nl = p2_defaults(n=16)
+    init = single_mode(bundle.grid, 1, 1.0, 1.0, 0.0)
+    h_list = [1 / 16, 1 / 32]
+    with pytest.raises(SweepDivergedError) as info:
+        sweep(init, bundle, nl, T=0.25, h_list=h_list,
+              configs=[StepConfig(h=h, newton_max_iter=1) for h in h_list])
+    assert isinstance(info.value.__cause__, NewtonDivergedError)
+    assert str(info.value) == f"sweep member h = 0.0625 diverged: {info.value.__cause__}"
+    huge = tuple(1e103 * u for u in init)
+    with pytest.raises(ReferenceDivergedError) as info, pytest.warns(RuntimeWarning):
+        fine_reference(huge, bundle, nl, T=0.25, h_ref=1 / 64)
+    assert isinstance(info.value.__cause__, NewtonDivergedError)
+    assert str(info.value) == f"fine reference h = 0.015625 diverged: {info.value.__cause__}"
+    assert info.value.failure_index == 0
+
+
 def test_check_h_list():
     assert check_h_list(0.5, [0.25, "0.125"]) == [0.25, 0.125]
     for h_list in ([], [0.25]):

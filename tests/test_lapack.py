@@ -25,7 +25,7 @@ from thermowave import DiscreteOperator, _lapack, assemble_laplacian, operators,
 from thermowave.operators import Grid1D, _lanczos_top_eigenvalue, coupling_relative_bound
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(thermowave.__file__)))
-NAMES = ("pttrf", "pttrs", "gbsv", "gbtrf", "gbtrs", "stebz", "stevd")
+NAMES = ("pttrf", "pttrs", "gbtrf", "gbtrs", "stebz", "stevd")
 SIZES = (1, 2, 64, 1024)
 
 
@@ -43,7 +43,7 @@ def tridiagonal_system(rng, n):
 
 
 def banded_system(rng, n):
-    """A diagonally dominant pentadiagonal system in gbsv's 7-row layout
+    """A diagonally dominant pentadiagonal system in gbtrf's 7-row layout
     (rows 0-1 the LU fill-in, rows 2-6 the bands), and a right-hand side."""
     ab = np.zeros((7, n), order="F")
     ab[2:] = rng.standard_normal((5, n))
@@ -70,9 +70,8 @@ def test_direct_gb_routines_equal_get_lapack_funcs(n):
     rng = np.random.default_rng(100 + n)
     ab, b = banded_system(rng, n)
     sp_gbsv, sp_gbtrf, sp_gbtrs = scipy_routines("gbsv", "gbtrf", "gbtrs")
-    got, want = _lapack.gbsv(2, 2, ab, b), sp_gbsv(2, 2, ab, b)
-    assert got[3] == want[3] == 0
-    assert all(np.array_equal(g, w) for g, w in zip(got[:3], want[:3]))
+    want = sp_gbsv(2, 2, ab, b)
+    assert want[3] == 0
     lu, piv, info = _lapack.gbtrf(ab, 2, 2)
     lu_ref, piv_ref, info_ref = sp_gbtrf(ab, 2, 2)
     assert info == info_ref == 0
@@ -81,13 +80,12 @@ def test_direct_gb_routines_equal_get_lapack_funcs(n):
     x_ref, info_ref = sp_gbtrs(lu_ref, 2, 2, b, piv_ref)
     assert info == info_ref == 0
     assert np.array_equal(x, x_ref)
-    assert np.array_equal(x, got[2])
+    assert np.array_equal(x, want[2])  # the bits of SciPy's one-call gbsv
 
 
 def test_package_calls_the_lapack_module_routines():
     assert (operators._PTTRF, operators._PTTRS) == (_lapack.pttrf, _lapack.pttrs)
-    assert (stepper._GBSV, stepper._GBTRF, stepper._GBTRS) == (_lapack.gbsv, _lapack.gbtrf,
-                                                               _lapack.gbtrs)
+    assert (stepper._GBTRF, stepper._GBTRS) == (_lapack.gbtrf, _lapack.gbtrs)
 
 
 # ----------------------------------------------------------------------
@@ -193,12 +191,16 @@ seen["validate"] = "scipy.linalg" in sys.modules
 seen["code"] = cli.main([command, "--config", config, "--out", out])
 seen["job"] = "scipy.linalg" in sys.modules
 from scipy.linalg import get_lapack_funcs
-used = [getattr(_lapack, name) for name in %r]
-used += [operators._PTTRF, operators._PTTRS, stepper._GBSV, stepper._GBTRF, stepper._GBTRS]
-want = get_lapack_funcs(%r, (__import__("numpy").zeros(1),))
-seen["scipy_routines"] = all(a is b for a, b in zip(used, want + want[:5]))
+names = %r
+# the routines operators and stepper hold, as _PTTRF, _GBTRS, ...
+called = [(name, getattr(mod, "_" + name.upper())) for mod in (operators, stepper)
+          for name in names if hasattr(mod, "_" + name.upper())]
+used = [getattr(_lapack, name) for name in names] + [fn for _, fn in called]
+want = get_lapack_funcs(names + tuple(name for name, _ in called),
+                        (__import__("numpy").zeros(1),))
+seen["scipy_routines"] = len(called) == 4 and all(a is b for a, b in zip(used, want))
 print(json.dumps(seen))
-""" % (NAMES, NAMES)
+""" % (NAMES,)
 
 P2_CUBIC = {"preset": "P2", "n_interior": 16, "T": 0.125, "h": 1.0 / 64,
             "beta": {"kind": "cubic", "scale": 1.0},

@@ -386,9 +386,10 @@ def test_step_without_plan_matches_run_bitwise(name, bc):
         assert report == want_report
 
 
-def test_linear_run_factors_jacobian_once(monkeypatch):
+def count_jacobian_calls(monkeypatch, bundle, nl):
+    """The gbtrf and gbtrs calls of a complete run, and its Newton iterations."""
     import thermowave.stepper as stepper
-    calls = {"gbtrf": 0, "gbtrs": 0, "gbsv": 0}
+    calls = {"gbtrf": 0, "gbtrs": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -399,12 +400,21 @@ def test_linear_run_factors_jacobian_once(monkeypatch):
     for name in calls:
         attr = "_" + name.upper()
         monkeypatch.setattr(stepper, attr, counted(name, getattr(stepper, attr)))
-    bundle, nl = p1_defaults(n=32, m=1.0)
     result = run(random_smooth(bundle.grid, 3), bundle, nl, T=0.25,
                  cfg=StepConfig(h=1.0 / 64))
     iters = sum(r.newton_iters for r in result.reports)
     assert result.complete and iters >= len(result.reports)
-    assert calls == {"gbtrf": 1, "gbtrs": iters, "gbsv": 0}
+    return calls, iters
+
+
+def test_linear_run_factors_jacobian_once(monkeypatch):
+    calls, iters = count_jacobian_calls(monkeypatch, *p1_defaults(n=32, m=1.0))
+    assert calls == {"gbtrf": 1, "gbtrs": iters}
+
+
+def test_nonlinear_run_factors_jacobian_every_iteration(monkeypatch):
+    calls, iters = count_jacobian_calls(monkeypatch, *p2_defaults(n=32))
+    assert calls == {"gbtrf": iters, "gbtrs": iters}
 
 
 def test_step_plan_must_match_its_arguments():
