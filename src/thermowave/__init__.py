@@ -11,7 +11,7 @@ from .convergence import (ErrorReport, SweepDivergedError, SweepResult,
                           check_h_list, error_norms, pick_reference, sweep)
 from .diagnostics import (EnergyRecord, apriori_monitor, apriori_ratios,
                           build_interpolants, energy, energy_ledger,
-                          interpolation_identities_check, lyapunov_check,
+                          interpolation_identities_check, iter_ledger, lyapunov_check,
                           step_identity_residual)
 from .nonlinearity import (Nonlinearity, cubic_nonlinearity, linear_reaction,
                            potential_total, zero_nonlinearity)
@@ -27,8 +27,8 @@ from .oracle import (FieldSnapshot, LinearReference, ReferenceDivergedError,
                      laplacian_eigenvalues, modal_generator, modal_transform)
 from .profiles import make_initial, mode_vector, random_smooth, single_mode, zero_profile
 from .stepper import (NewtonDivergedError, RunResult, State, StepAuditError,
-                      StepConfig, StepPlan, StepReport, phi_equation_rhs, run,
-                      solve_phi, step, step_count)
+                      StepConfig, StepPlan, StepReport, iter_run, phi_equation_rhs,
+                      run, solve_phi, step, step_count)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

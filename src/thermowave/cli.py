@@ -12,10 +12,12 @@ oracle-check  linear configurations only; compares the trajectory against
 
 Every output embeds the fully resolved config plus the computed coupling
 bound and step-size threshold in a header block, and is byte-deterministic
-for a fixed config.  Exit codes: 0 success, 1 bad input (a usage error,
-an invalid config, or an --out that cannot be created; nothing is written),
-2 solver divergence (partial outputs are still written, and one ``error:``
-line on stderr names the cause).
+for a fixed config.  run and energy-audit write each state's rows as the
+stepper yields it, so their memory does not grow with the number of steps.
+Exit codes: 0 success, 1 bad input (a usage error, an invalid config, or an
+--out that cannot be created; nothing is written), 2 solver divergence
+(partial outputs are still written: every row before the failed step, then
+the JSON summary, and one ``error:`` line on stderr names the cause).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import json
 import math
 import os
 import sys
+from contextlib import ExitStack
 from operator import attrgetter
 
 import numpy as np
@@ -34,7 +37,7 @@ from .nonlinearity import Nonlinearity
 from .operators import PRESET_NAMES, Grid1D, ProblemPreset, build_bundle
 from .oracle import LinearReference, ReferenceDivergedError
 from .profiles import make_initial
-from .stepper import StepConfig, run, step_count
+from .stepper import StepConfig, _states, iter_run, run, step_count
 
 
 class ConfigError(ValueError):
@@ -239,26 +242,12 @@ def build_problem(resolved: dict):
             resolved["_initial"], resolved.get("_cfg"))
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def _header_lines(meta: dict) -> list:
-    """The JSON summary's meta block, as the header lines of every CSV."""
+def _header(meta: dict) -> str:
+    """The JSON summary's meta block, as the header block of every CSV."""
     config = json.dumps(meta["config"], sort_keys=True, separators=(",", ":"))
-    return [f"config: {config}"] + [f"{key}: {value!r}" for key, value in meta.items()
-                                    if key != "config"]
-
-
-def _write_csv(path, header_lines, columns, rows):
-    with open(path, "w") as f:
-        for line in header_lines:
-            f.write(f"# {line}\n")
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(x) for x in row) + "\n")
+    lines = [f"config: {config}"] + [f"{key}: {value!r}" for key, value in meta.items()
+                                     if key != "config"]
+    return "".join(f"# {line}\n" for line in lines)
 
 
 def _write_json(path, payload):
@@ -281,39 +270,54 @@ def _json_meta(resolved, bundle, nonlin):
 
 
 # A command computes from the validated config and its built problem.  It
-# hands each CSV table to ``table(name, columns, rows)`` and returns its JSON
-# summary entries and the failure that stopped it, or None; main writes both.
+# opens each CSV table with ``table(name, columns, rows=())``, which writes
+# the header, the column line and ``rows`` and returns the function that
+# writes one more row; the tables stay open until the command returns, so
+# it may write to several as its rows come.  It returns its JSON summary
+# entries and the failure that stopped it, or None; main writes both.
+
+def _run_states(resolved, problem, outcome, on_step):
+    """The states of the config's run, each once as it is computed (see
+    ``stepper._states``); ``outcome`` then also holds the run's summary
+    entries."""
+    _, bundle, nonlin, initial, cfg = problem
+    yield from _states(iter_run(initial, bundle, nonlin, resolved["T"], cfg), outcome, on_step)
+    failure = outcome["failure"]
+    outcome["entries"] = {"complete": failure is None,
+                          "failure_index": None if failure is None else outcome["last"].t_index}
+
 
 def cmd_run(resolved: dict, problem, table):
-    grid, bundle, nonlin, initial, cfg = problem
-    result = run(initial, bundle, nonlin, resolved["T"], cfg)
-
-    # rows are streamed, and the ledger is freed once energy.csv is written
-    entries = enumerate(diagnostics.energy_ledger(result.states, bundle, nonlin))
+    grid, bundle, nonlin, _, cfg = problem
     fields = ("kinetic", "elastic", "thermal", "potential", "dissipation_b1", "dissipation_cross")
-    split = attrgetter(*fields)
-    rows = ((n, n * cfg.h, *split(entry.record), entry.identity_residual) for n, entry in entries)
-    table("energy.csv", ["n", "t", *fields, "identity_residual"], rows)
-
-    rows = [(i + 1, (i + 1) * cfg.h, r.newton_iters, r.final_residual,
-             r.theta_residual, r.heat_residual, r.wave_residual, r.rhs_norm)
-            for i, r in enumerate(result.reports)]
-    table("steps.csv", ["n", "t", "newton_iters", "final_residual", "theta_residual",
-                        "heat_residual", "wave_residual", "rhs_norm"], rows)
-
+    energy = table("energy.csv", ["n", "t", *fields, "identity_residual"])
+    steps = table("steps.csv", ["n", "t", "newton_iters", "final_residual", "theta_residual",
+                                "heat_residual", "wave_residual", "rhs_norm"])
     stride = resolved["snapshot_stride"]
     if stride > 0:
-        rows = []
-        for s in result.states:
-            if s.t_index % stride == 0 or s.t_index == len(result.states) - 1:
-                for field in ("theta", "phi", "v", "z"):
-                    rows.append([s.t_index, s.t_index * cfg.h, field]
-                                + [float(x) for x in getattr(s, field)])
-        table("snapshots.csv", ["n", "t", "field"] + [f"x{i}" for i in range(grid.n_interior)],
-              rows)
+        snapshots = table("snapshots.csv",
+                          ["n", "t", "field"] + [f"x{i}" for i in range(grid.n_interior)])
 
-    return {"complete": result.complete, "failure_index": result.failure_index,
-            "steps_taken": len(result.reports)}, result.failure
+    def snapshot(s):
+        for field in ("theta", "phi", "v", "z"):
+            snapshots([s.t_index, s.t_index * cfg.h, field, *getattr(s, field).tolist()])
+
+    def on_step(state, r):
+        if r is not None:
+            steps((state.t_index, state.t_index * cfg.h, r.newton_iters, r.final_residual,
+                   r.theta_residual, r.heat_residual, r.wave_residual, r.rhs_norm))
+        if stride > 0 and state.t_index % stride == 0:
+            snapshot(state)
+
+    outcome = {}
+    split = attrgetter(*fields)
+    ledger = diagnostics.iter_ledger(_run_states(resolved, problem, outcome, on_step),
+                                     bundle, nonlin)
+    for n, entry in enumerate(ledger):
+        energy((n, n * cfg.h, *split(entry.record), entry.identity_residual))
+    if stride > 0 and outcome["last"].t_index % stride != 0:
+        snapshot(outcome["last"])  # the last state, off the stride
+    return {**outcome["entries"], "steps_taken": outcome["last"].t_index}, outcome["failure"]
 
 
 def cmd_sweep(resolved: dict, problem, table):
@@ -339,22 +343,31 @@ def cmd_sweep(resolved: dict, problem, table):
 
 
 def cmd_energy_audit(resolved: dict, problem, table):
-    _, bundle, nonlin, initial, cfg = problem
-    result = run(initial, bundle, nonlin, resolved["T"], cfg)
-
-    ledger = diagnostics.energy_ledger(result.states, bundle, nonlin)
+    _, bundle, nonlin, _, cfg = problem
+    audit = table("audit.csv", ["n", "t", "identity_residual", "lyapunov_value", "pi_source_term"])
     pi_zero = nonlin.pi_kind == "zero"
-    violations = diagnostics.decay_violations(ledger) if pi_zero else []
+    outcome = {}
+    max_resid = 0.0  # the initial entry's
 
-    rows = [[i, i * cfg.h, entry.identity_residual, entry.record.lyapunov, entry.pi_source]
-            for i, entry in enumerate(ledger[1:], start=1)]
-    max_resid = max(entry.identity_residual for entry in ledger)
-    table("audit.csv", ["n", "t", "identity_residual", "lyapunov_value", "pi_source_term"], rows)
+    def written(ledger):
+        """The ledger's entries, each written to audit.csv as it passes."""
+        nonlocal max_resid
+        for n, entry in enumerate(ledger):
+            if n:
+                audit((n, n * cfg.h, entry.identity_residual, entry.record.lyapunov,
+                       entry.pi_source))
+                max_resid = max(max_resid, entry.identity_residual)
+            yield entry
 
-    return {"complete": result.complete, "failure_index": result.failure_index,
-            "pi_zero": pi_zero, "max_identity_residual": max_resid,
+    entries = written(diagnostics.iter_ledger(_run_states(resolved, problem, outcome, None),
+                                              bundle, nonlin))
+    violations = diagnostics.decay_violations(entries) if pi_zero else []
+    for _ in entries:  # monitor mode: the rows without the decay check
+        pass
+
+    return {**outcome["entries"], "pi_zero": pi_zero, "max_identity_residual": max_resid,
             "lyapunov_violations": [[int(i), float(v)] for i, v in violations],
-            "lyapunov_mode": "checked" if pi_zero else "monitor_only"}, result.failure
+            "lyapunov_mode": "checked" if pi_zero else "monitor_only"}, outcome["failure"]
 
 
 def cmd_oracle_check(resolved: dict, problem, table):
@@ -423,12 +436,21 @@ def main(argv=None) -> int:
     try:
         problem = build_problem(resolved)
         meta = _json_meta(resolved, problem[1], problem[2])
-        header = _header_lines(meta)
+        header = _header(meta)
 
-        def table(name, columns, rows):
-            _write_csv(os.path.join(args.out, name), header, columns, rows)
+        with ExitStack() as files:
+            def table(name, columns, rows=()):
+                f = files.enter_context(open(os.path.join(args.out, name), "w"))
+                f.write(header + ",".join(columns) + "\n")
 
-        entries, failure = command(resolved, problem, table)
+                def write(row):  # str of a float is its shortest round-trip repr
+                    f.write(",".join(map(str, row)) + "\n")
+
+                for row in rows:
+                    write(row)
+                return write
+
+            entries, failure = command(resolved, problem, table)
         _write_json(os.path.join(args.out, summary), {**meta, **entries})
         if failure is not None:
             raise failure

@@ -11,7 +11,8 @@ measures how far a computed step is from that algebraic identity (zero in
 exact arithmetic, solver tolerance in practice).  ``energy_ledger`` gives
 each state of a trajectory its energy and the identity residual and pi
 source of the step into it, in one rowwise pass over blocks of states;
-``energy`` and ``step_identity_residual`` are its one- and two-state cases.
+``energy`` and ``step_identity_residual`` are its one- and two-state cases, and
+``iter_ledger`` streams it for a trajectory read once.
 The module also carries the uniform-boundedness monitors used by the
 refinement studies, and the piecewise-constant / piecewise-linear time
 reconstructions of a trajectory with their exact norm identities.
@@ -133,28 +134,44 @@ def step_identity_residual(state_n, state_np1, bundle: OperatorBundle,
     return _ledger_rows([state_n, state_np1], bundle, nonlin)[1].identity_residual
 
 
-def energy_ledger(states, bundle: OperatorBundle, nonlin: Nonlinearity) -> list:
-    """Energy bookkeeping of a whole trajectory, one ``LedgerEntry`` per state.
+def iter_ledger(states, bundle: OperatorBundle, nonlin: Nonlinearity):
+    """Energy bookkeeping of a trajectory, one ``LedgerEntry`` per state.
 
-    The states go through ``_ledger_rows`` in blocks of about 8192 values
-    per field, which bounds the stacks' memory on fine grids.  Every entry
-    has the bits of ``energy`` and ``step_identity_residual`` of its states.
+    ``states`` is any iterable of consecutive states, read once.  They go
+    through ``_ledger_rows`` in blocks of about 8192 values per field, and
+    only one block is held, so memory does not grow with the trajectory;
+    a block's entries come as soon as it is full, the last block's when the
+    states run out.  Every entry has the bits of ``energy`` and
+    ``step_identity_residual`` of its states.
     """
-    block = max(1, 8192 // bundle.grid.n_interior)
-    ledger = _ledger_rows(states[:block], bundle, nonlin)
-    for i in range(block, len(states), block):
-        ledger += _ledger_rows(states[i:i + block], bundle, nonlin,
-                               (states[i - 1], ledger[-1]))
-    return ledger
+    size = max(1, 8192 // bundle.grid.n_interior)
+    block, prev = [], None
+    for state in states:
+        block.append(state)
+        if len(block) == size:
+            rows = _ledger_rows(block, bundle, nonlin, prev)
+            yield from rows
+            block, prev = [], (block[-1], rows[-1])
+    if block:
+        yield from _ledger_rows(block, bundle, nonlin, prev)
+
+
+def energy_ledger(states, bundle: OperatorBundle, nonlin: Nonlinearity) -> list:
+    """``iter_ledger`` of the states, as a list."""
+    return list(iter_ledger(states, bundle, nonlin))
 
 
 def decay_violations(ledger, slack: float = 1e-10):
     """(index, overshoot) pairs where energy + potential rose by more than
-    ``slack * (1 + E(n))`` from one ledger entry to the next."""
-    records = [entry.record for entry in ledger]
-    return [(n, cur.lyapunov - prev.lyapunov)
-            for n, (prev, cur) in enumerate(zip(records, records[1:]), start=1)
-            if cur.lyapunov > prev.lyapunov + slack * (1.0 + prev.total)]
+    ``slack * (1 + E(n))`` from one ledger entry to the next; ``ledger`` is
+    any iterable of entries, read once."""
+    out, prev = [], None
+    for n, entry in enumerate(ledger):
+        cur = entry.record
+        if prev is not None and cur.lyapunov > prev.lyapunov + slack * (1.0 + prev.total):
+            out.append((n, cur.lyapunov - prev.lyapunov))
+        prev = cur
+    return out
 
 
 def lyapunov_check(states, bundle: OperatorBundle, nonlin: Nonlinearity,
@@ -261,11 +278,21 @@ class TrajectoryInterpolants:
 
 
 def build_interpolants(states) -> TrajectoryInterpolants:
-    h = states[1].h if len(states) > 1 else states[0].h
-    times = np.array([s.t_index * h for s in states])
-    fields = {name: Interpolant(times, np.stack([getattr(s, name) for s in states]))
+    """The stacked view of consecutive states, any iterable of them, read
+    once.  Only their field rows are held until each field is stacked, and
+    each field's rows are let go as soon as its stack is built."""
+    rows = {name: [] for name in ("theta", "phi", "v", "z")}
+    t_index = []
+    for s in states:
+        for name, field_rows in rows.items():
+            field_rows.append(getattr(s, name))
+        t_index.append(s.t_index)
+        if len(t_index) <= 2:  # the step of the second state, if any
+            h = s.h
+    times = np.array([i * h for i in t_index])
+    fields = {name: Interpolant(times, np.stack(rows.pop(name)))
               for name in ("theta", "phi", "v")}
-    return TrajectoryInterpolants(**fields, z_rows=tuple(s.z for s in states))
+    return TrajectoryInterpolants(**fields, z_rows=tuple(rows.pop("z")))
 
 
 def _rel_dev(a: float, b: float) -> float:

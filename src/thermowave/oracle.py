@@ -24,7 +24,7 @@ import scipy
 from .diagnostics import TrajectoryInterpolants, build_interpolants
 from .nonlinearity import Nonlinearity
 from .operators import DIRICHLET, Grid1D, OperatorBundle
-from .stepper import StepConfig, run
+from .stepper import StepConfig, _states, iter_run
 
 
 @lru_cache(maxsize=32)
@@ -32,12 +32,13 @@ def _basis_data(n: int, bc: str):
     grid = Grid1D(n, bc)
     dx = grid.dx
     x = grid.x
-    if bc == DIRICHLET:
-        k = np.arange(1, n + 1)
-        B = math.sqrt(2.0) * np.sin(np.outer(x, k * np.pi))
-    else:
-        k = np.arange(0, n)
-        B = math.sqrt(2.0) * np.cos(np.outer(x, k * np.pi))
+    # sqrt(2) sin(k pi x) (Dirichlet) or sqrt(2) cos(k pi x) with a constant
+    # first mode (Neumann), built in the one n x n buffer of the outer product
+    k = np.arange(1, n + 1) if bc == DIRICHLET else np.arange(0, n)
+    B = np.outer(x, k * np.pi)
+    (np.sin if bc == DIRICHLET else np.cos)(B, out=B)
+    B *= math.sqrt(2.0)
+    if bc != DIRICHLET:
         B[:, 0] = 1.0
     mu = 2.0 / dx ** 2 * (1.0 - np.cos(k * np.pi * dx))
     B.setflags(write=False)
@@ -189,8 +190,11 @@ class ReferenceDivergedError(RuntimeError):
 def fine_reference(initial, bundle: OperatorBundle, nonlin: Nonlinearity,
                    T: float, h_ref: float) -> TrajectoryInterpolants:
     """Time reconstructions of a tight-tolerance run at h_ref, reusable
-    across a refinement sweep; ``ReferenceDivergedError`` if it stops early."""
-    result = run(initial, bundle, nonlin, T, StepConfig(h=h_ref, newton_tol=1e-13))
-    if not result.complete:
-        raise ReferenceDivergedError(h_ref, result.failure_index, result.failure)
-    return build_interpolants(result.states)
+    across a refinement sweep; ``ReferenceDivergedError`` if it stops early.
+    Only the run's field rows are kept, never its states."""
+    pairs = iter_run(initial, bundle, nonlin, T, StepConfig(h=h_ref, newton_tol=1e-13))
+    outcome = {}
+    reference = build_interpolants(_states(pairs, outcome))
+    if outcome["failure"] is not None:
+        raise ReferenceDivergedError(h_ref, outcome["last"].t_index, outcome["failure"])
+    return reference

@@ -440,16 +440,23 @@ def step_count(T: float, h: float) -> int:
     return n_steps
 
 
-def run(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
-        cfg: StepConfig) -> RunResult:
-    """Integrate from t = 0 to T; T / h must be a whole number of steps.
+def iter_run(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
+             cfg: StepConfig):
+    """Integrate from t = 0 to T one state at a time; T / h must be a whole
+    number of steps.
 
-    On Newton divergence, a failed step audit or a failed resolvent audit
-    the partial trajectory is returned with the index of the failed step
-    and its exception; every such message names the step ("at step k").
-    The initial state's acceleration is backfilled with the first computed
-    one, matching the scheme's startup convention.  The constant linear
-    algebra of all steps is built once, as one ``StepPlan``.
+    Returns a generator of (state, report) pairs, each state once: the
+    initial state with report None, then every stepped state with the
+    report of the step into it.  The initial state comes after the first
+    step, with its acceleration backfilled by the first computed one (the
+    scheme's startup convention), or alone when that step fails.  The
+    generator returns None once the run is complete, or the exception of
+    the failed step on Newton divergence, a failed step audit or a failed
+    resolvent audit; every such message names the step ("at step k").
+    The data are checked, and a step at or above ``h_threshold`` warned
+    about, when ``iter_run`` is called.  The constant linear algebra of all
+    steps is built once, as one ``StepPlan``.  Nothing is kept beyond the
+    current state, so memory does not grow with the number of steps.
     """
     theta0, phi0, v0 = (np.array(u, dtype=float) for u in initial)
     for name, u in (("theta0", theta0), ("phi0", phi0), ("v0", v0)):
@@ -463,22 +470,57 @@ def run(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
         warnings.warn(f"h = {cfg.h} is at or above the solvability threshold "
                       f"{threshold:.6g}; attempting anyway", RuntimeWarning,
                       stacklevel=2)
-
     plan = StepPlan(bundle, cfg.h, nonlin)
     state = State(theta0, phi0, v0, np.zeros_like(phi0), 0, cfg.h)
-    states = [state]
-    reports = []
-    failure = None
+    return _trajectory(state, n_steps, bundle, nonlin, cfg, plan)
+
+
+def _trajectory(state, n_steps, bundle, nonlin, cfg, plan):
+    """``iter_run``'s generator, from its initial state."""
+    initial = state
     for _ in range(n_steps):
         try:
             state, report = step(state, bundle, nonlin, cfg, plan)
         except (NewtonDivergedError, StepAuditError, ResolventAuditError) as exc:
             if not isinstance(exc, StepAuditError):  # which names its step already
                 exc.args = (f"{exc} at step {state.t_index}",)
-            failure = exc
-            break
-        states.append(state)
-        reports.append(report)
-    if len(states) > 1:
-        states[0] = replace(states[0], z=states[1].z)
-    return RunResult(states=states, reports=reports, failure=failure)
+            if initial is not None:
+                yield initial, None
+            return exc
+        if initial is not None:
+            yield replace(initial, z=state.z), None
+            initial = None
+        yield state, report
+
+
+def _states(pairs, outcome: dict, on_step=None):
+    """The states of ``iter_run``'s ``pairs``, each once, for readers of
+    states alone; ``on_step(state, report)`` sees each pair first.  Once
+    the states run out, ``outcome`` holds the run's ``failure`` (None when
+    it is complete) and its ``last`` state, whose index is the number of
+    steps taken."""
+    def passed():
+        outcome["failure"] = yield from pairs
+
+    for state, report in passed():
+        if on_step is not None:
+            on_step(state, report)
+        yield state
+    outcome["last"] = state
+
+
+def run(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
+        cfg: StepConfig) -> RunResult:
+    """The states and reports of ``iter_run``, collected; a failed step
+    ends the run with its index as ``failure_index`` and its exception as
+    ``failure``, and the partial trajectory is returned."""
+    result = RunResult(states=[], reports=[])
+
+    def collected():
+        result.failure = yield from iter_run(initial, bundle, nonlin, T, cfg)
+
+    for state, report in collected():
+        result.states.append(state)
+        if report is not None:
+            result.reports.append(report)
+    return result

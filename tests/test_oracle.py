@@ -3,13 +3,14 @@ import pytest
 import scipy.linalg
 from conftest import all_preset_bundles, p1_defaults, preset_bundle
 
-from thermowave import (Grid1D, LinearReference, OperatorBundle, StepConfig,
-                        cubic_nonlinearity, exact_linear_solution,
+from thermowave import (Grid1D, LinearReference, OperatorBundle, ReferenceDivergedError,
+                        StepConfig, build_interpolants, cubic_nonlinearity, exact_linear_solution,
                         fine_reference, identity_operator,
                         inverse_modal_transform, laplacian_eigenvalues,
                         linear_reaction, make_initial, modal_generator,
                         modal_transform, random_smooth, run, single_mode, zero_nonlinearity,
                         zero_operator, assemble_laplacian)
+from thermowave.oracle import _basis_data
 
 
 def test_modal_transform_unit_mode():
@@ -267,3 +268,50 @@ def test_fine_reference_propagates_divergence():
     init = tuple(1e8 * u for u in single_mode(grid, 1, 1.0, 1.0, 1.0))
     with pytest.raises(RuntimeError), pytest.warns(RuntimeWarning):
         fine_reference(init, bundle, nl, T=1.5, h_ref=0.75)
+
+
+@pytest.mark.parametrize("n", [2, 7, 64, 255, 256, 1024])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_basis_data_is_the_closed_form_bit_for_bit(n, bc):
+    grid = Grid1D(n, bc)
+    if bc == "dirichlet":
+        k = np.arange(1, n + 1)
+        want = np.sqrt(2.0) * np.sin(np.outer(grid.x, k * np.pi))
+    else:
+        k = np.arange(0, n)
+        want = np.sqrt(2.0) * np.cos(np.outer(grid.x, k * np.pi))
+        want[:, 0] = 1.0
+    mu, B = _basis_data(n, bc)
+    assert np.array_equal(B, want)
+    assert np.array_equal(mu, 2.0 / grid.dx ** 2 * (1.0 - np.cos(k * np.pi * grid.dx)))
+    assert not B.flags.writeable and not mu.flags.writeable
+
+
+def test_fine_reference_stacks_the_collected_run_bit_for_bit():
+    bundle = preset_bundle("P2", n=16, epsilon=1.0)
+    nl = cubic_nonlinearity(1.0)
+    init = random_smooth(bundle.grid, 5)
+    ref = fine_reference(init, bundle, nl, T=0.125, h_ref=1 / 256)
+    want = build_interpolants(run(init, bundle, nl, 0.125,
+                                  StepConfig(h=1 / 256, newton_tol=1e-13)).states)
+    assert np.array_equal(ref.times, want.times)
+    for name in ("theta", "phi", "v", "z"):
+        assert np.array_equal(getattr(ref, name).nodes, getattr(want, name).nodes)
+
+
+def test_fine_reference_divergence_part_way_names_the_failed_step():
+    from unittest import mock
+    from thermowave import NewtonDivergedError, stepper
+    bundle = preset_bundle("P2", n=16, epsilon=1.0)
+    real = stepper.step
+
+    def step(state, *args):
+        if state.t_index == 3:
+            raise NewtonDivergedError(4, 2.0)
+        return real(state, *args)
+
+    with mock.patch.object(stepper, "step", step), pytest.raises(ReferenceDivergedError) as info:
+        fine_reference(random_smooth(bundle.grid, 5), bundle, cubic_nonlinearity(1.0),
+                       T=0.125, h_ref=1 / 256)
+    assert info.value.failure_index == 3
+    assert str(info.value.__cause__).endswith("at step 3")
