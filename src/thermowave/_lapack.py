@@ -1,20 +1,23 @@
-"""The LAPACK routines of the per-step linear algebra, without ``scipy.linalg``.
+"""SciPy's compiled linear algebra, without importing ``scipy.linalg``.
 
 Stepping calls six double-precision LAPACK routines: ``pttrf``/``pttrs``
 for the heat resolvent, ``gbtrf``/``gbtrs`` for the Newton Jacobian, and
 ``stebz``/``stevd`` for the eigenvalue bounds of a bundle.  All six are in
-SciPy's Fortran extension ``scipy.linalg._flapack``, but importing the
-``scipy.linalg`` package that holds it costs more than the rest of the
-package together.  So the extension is loaded from its file
-under its own module name and registered in ``sys.modules``; a later
-``import scipy.linalg`` (the modal reference's ``expm``) reuses that very
-module object.  Should the direct load fail for any reason, the routines
-come from ``scipy.linalg.get_lapack_funcs``.  Either way they are the same
-Fortran wrappers, called on the same arrays, so results are the same bits.
+SciPy's Fortran extension ``scipy.linalg._flapack``.  The modal reference's
+matrix exponential runs on the two Padé kernels of SciPy's extension
+``scipy.linalg._matfuncs_expm``.  Importing the ``scipy.linalg`` package
+that holds both costs more than the rest of the package together.  So each
+extension is loaded from its file under its own module name and registered
+in ``sys.modules``: ``_flapack`` on import, ``_matfuncs_expm`` on the first
+exponential.  Should the direct load fail for any reason, the routines come
+from ``scipy.linalg.get_lapack_funcs`` and the exponential from
+``scipy.linalg.expm``.  Either way the same compiled code runs on the same
+arrays, so results are the same bits.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
@@ -24,36 +27,36 @@ import numpy as np
 import scipy
 from numpy.linalg import LinAlgError
 
-_FLAPACK = "scipy.linalg._flapack"
 _NAMES = ("pttrf", "pttrs", "gbtrf", "gbtrs", "stebz", "stevd")
 
 
-def _load_flapack():
-    """``scipy.linalg._flapack`` loaded from its file, or the module already
-    imported under that name."""
-    module = sys.modules.get(_FLAPACK)
+def _load_extension(name: str):
+    """The extension ``scipy.linalg.<name>`` loaded from its file, or the
+    module already imported under that name."""
+    fullname = "scipy.linalg." + name
+    module = sys.modules.get(fullname)
     if module is not None:
         return module
     directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
-    paths = [os.path.join(directory, "_flapack" + suffix)
+    paths = [os.path.join(directory, name + suffix)
              for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if os.path.isfile(p)), None)
     if path is None:
-        raise ImportError(f"no {_FLAPACK} extension in {directory}")
-    spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+        raise ImportError(f"no {fullname} extension in {directory}")
+    spec = importlib.util.spec_from_file_location(fullname, path)
     module = importlib.util.module_from_spec(spec)
-    sys.modules[_FLAPACK] = module
+    sys.modules[fullname] = module
     try:
         spec.loader.exec_module(module)
     except BaseException:
-        del sys.modules[_FLAPACK]
+        del sys.modules[fullname]
         raise
     return module
 
 
 def _routines() -> list:
     try:
-        flapack = _load_flapack()
+        flapack = _load_extension("_flapack")
         return [getattr(flapack, "d" + name) for name in _NAMES]
     except Exception:  # any failure: the standard import gives the same routines
         from scipy.linalg import get_lapack_funcs
@@ -100,3 +103,109 @@ def tridiagonal_eigvals(d, e, lowest: bool = False) -> np.ndarray:
     w, _, info = stevd(d, e, compute_v=0)
     _check_lapack_info(info, "stevd", "stevd did not converge (LAPACK info={info})")
     return w
+
+
+@functools.cache
+def _pade_kernels():
+    """SciPy's ``pick_pade_structure`` and ``pade_UV_calc``, loaded on the
+    first call; None when they cannot be loaded or do not take the arguments
+    ``scipy.linalg.expm`` passes them in SciPy 1.17 (older SciPy's
+    ``pade_UV_calc`` took ``(Am, n, m)``)."""
+    try:
+        kernels = _load_extension("_matfuncs_expm")
+        pick_pade_structure, pade_UV_calc = kernels.pick_pade_structure, kernels.pade_UV_calc
+        Am = np.zeros((5, 2, 2))
+        Am[0, 0, 1] = 1.0  # nilpotent: exp is I + A, exactly
+        m, _ = pick_pade_structure(Am)
+        if pade_UV_calc(Am, m) != 0 or not np.array_equal(Am[0], [[1.0, 1.0], [0.0, 1.0]]):
+            return None
+    except Exception:  # any failure: scipy.linalg.expm runs the same kernels
+        return None
+    return pick_pade_structure, pade_UV_calc
+
+
+def _exp_sinch(x):
+    """Higham's formula (10.42) for the first off-diagonal of the
+    exponential of a bidiagonal matrix, as ``scipy.linalg.expm`` has it."""
+    lexp_diff = np.diff(np.exp(x))
+    l_diff = np.diff(x)
+    mask_z = l_diff == 0.
+    lexp_diff[~mask_z] /= l_diff[~mask_z]
+    lexp_diff[mask_z] = np.exp(x[:-1][mask_z])
+    return lexp_diff
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """The matrix exponential of each slice of a float64 stack ``(k, n, n)``,
+    n >= 2, with the bits of ``scipy.linalg.expm(a)``.
+
+    SciPy's kernels run Al-Mohy & Higham's scaling-and-squaring Padé
+    algorithm (SIAM J. Matrix Anal. Appl. 31(3), 2009).  Each slice takes
+    the steps of ``scipy.linalg.expm`` in SciPy 1.17: a diagonal slice is
+    the exponential of its diagonal; any other is scaled by 2**-s and
+    approximated by the kernels, then squared s times, and a triangular one
+    has its diagonal and first off-diagonal recomputed in closed form at
+    each squaring.  It raises as SciPy does.  Without the kernels it is
+    ``scipy.linalg.expm`` itself.
+    """
+    kernels = _pade_kernels()
+    if kernels is None:
+        from scipy.linalg import expm as scipy_expm
+        return scipy_expm(a)
+    pick_pade_structure, pade_UV_calc = kernels
+    n = a.shape[-1]
+    # the lower and upper bandwidth of every slice, as scipy.linalg.bandwidth
+    offset = np.subtract.outer(np.arange(n), np.arange(n))  # i - j
+    nonzero = a != 0
+    lower = np.where(nonzero, offset, 0).max(axis=(1, 2)).tolist()
+    upper = np.where(nonzero, -offset, 0).max(axis=(1, 2)).tolist()
+    eA = np.empty(a.shape)
+    Am = np.empty((5, n, n))  # the kernels' work space, shared by the slices
+    for ind, aw in enumerate(a):
+        lu = (lower[ind], upper[ind])
+        if not any(lu):  # diagonal
+            eA[ind] = np.diag(np.exp(np.diag(aw)))
+            continue
+
+        # pick_pade_structure overwrites Am, scaled by 2**-s when s > 0
+        Am[0, :, :] = aw
+        m, s = pick_pade_structure(Am)
+        if m < 0:
+            raise MemoryError("scipy.linalg.expm could not allocate sufficient"
+                              " memory while trying to compute the Pade "
+                              f"structure (error code {m}).")
+        info = pade_UV_calc(Am, m)
+        if info != 0:
+            if info <= -11:  # failed mallocs; LAPACK's own codes are > -7
+                raise MemoryError("scipy.linalg.expm could not allocate "
+                                  "sufficient memory while trying to compute the "
+                                  f"exponential (error code {info}).")
+            raise RuntimeError("scipy.linalg.expm got an internal LAPACK "
+                               "error during the exponential computation "
+                               f"(error code {info})")
+        eAw = Am[0]
+
+        if s != 0:
+            if lu[1] == 0 or lu[0] == 0:  # lower or upper triangular
+                # Code Fragment 2.1 of Al-Mohy & Higham
+                diag_aw = np.diag(aw)
+                np.einsum('ii->i', eAw)[:] = np.exp(diag_aw * 2**(-s))
+                sd = np.diag(aw, k=-1 if lu[1] == 0 else 1)
+                for i in range(s - 1, -1, -1):
+                    eAw = eAw @ eAw
+                    np.einsum('ii->i', eAw)[:] = np.exp(diag_aw * 2.**(-i))
+                    exp_sd = _exp_sinch(diag_aw * (2.**(-i))) * (sd * 2**(-i))
+                    if lu[1] == 0:
+                        np.einsum('ii->i', eAw[1:, :-1])[:] = exp_sd
+                    else:
+                        np.einsum('ii->i', eAw[:-1, 1:])[:] = exp_sd
+            else:
+                for _ in range(s):
+                    eAw = eAw @ eAw
+
+        # a triangular slice keeps exact zeros in its other triangle
+        if lu[0] == 0 or lu[1] == 0:
+            eA[ind] = np.triu(eAw) if lu[0] == 0 else np.tril(eAw)
+        else:
+            eA[ind] = eAw
+    return eA

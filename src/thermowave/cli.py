@@ -37,7 +37,7 @@ from .nonlinearity import Nonlinearity
 from .operators import PRESET_NAMES, Grid1D, ProblemPreset, build_bundle
 from .oracle import LinearReference, ReferenceDivergedError
 from .profiles import make_initial
-from .stepper import StepConfig, _states, iter_run, run, step_count
+from .stepper import StepConfig, _states, iter_run, step_count
 
 
 class ConfigError(ValueError):
@@ -228,9 +228,6 @@ def validate_config(raw: dict, need_h_list: bool = False, need_linear: bool = Fa
         errors.append(f"snapshot_stride: must be nonnegative, got {stride}")
     if errors:
         raise ConfigError(list(dict.fromkeys(errors)))  # sweep members repeat solver errors
-    if (need_h_list or need_linear) and resolved["_nonlin"].is_linear:
-        # the modal reference's expm: load scipy.linalg with the set-up, not in the job
-        import scipy.linalg  # noqa: F401
     return resolved
 
 
@@ -371,11 +368,10 @@ def cmd_energy_audit(resolved: dict, problem, table):
 
 
 def cmd_oracle_check(resolved: dict, problem, table):
-    _, bundle, nonlin, initial, cfg = problem
+    _, bundle, nonlin, initial, _ = problem
     reference = LinearReference(initial, bundle, nonlin)
-    result = run(initial, bundle, nonlin, resolved["T"], cfg)
-
-    traj = diagnostics.build_interpolants(result.states)
+    outcome = {}
+    traj = diagnostics.build_interpolants(_run_states(resolved, problem, outcome, None))
     ref = reference.sample(traj.times)
     devs = [np.max(np.abs(getattr(traj, name).nodes - ref[name]), axis=1)
             for name in ("theta", "phi", "v")]
@@ -383,8 +379,7 @@ def cmd_oracle_check(resolved: dict, problem, table):
     max_dev = max(0.0, *(float(np.max(d)) for d in devs))
     table("oracle.csv", ["t", "theta_dev", "phi_dev", "v_dev"], rows)
 
-    return {"complete": result.complete, "failure_index": result.failure_index,
-            "max_deviation": max_dev}, result.failure
+    return {**outcome["entries"], "max_deviation": max_dev}, outcome["failure"]
 
 
 # name: (command, its JSON summary file)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy
 
+from . import _lapack
 from .diagnostics import TrajectoryInterpolants, build_interpolants
 from .nonlinearity import Nonlinearity
 from .operators import DIRICHLET, Grid1D, OperatorBundle
@@ -101,7 +101,7 @@ class LinearReference:
     """Exact-in-time solution of a linear configuration on the grid.
 
     The per-mode exponentials ``exp(t * G_k)`` are computed once per distinct
-    float ``t``, one batched ``expm`` over all modes, and cached (at most
+    float ``t``, one batched ``_lapack.expm`` over all modes, and cached (at most
     ``EXPM_CACHE_SIZE`` times, the oldest dropped first), so a reference
     shared by a refinement sweep pays once for every step length its members
     have in common.  ``sample(times)`` propagates uniformly spaced requests
@@ -133,7 +133,7 @@ class LinearReference:
         if E is None:
             if len(self._expm) >= self.EXPM_CACHE_SIZE:
                 del self._expm[next(iter(self._expm))]
-            E = self._expm[t] = scipy.linalg.expm(t * self._gen)
+            E = self._expm[t] = _lapack.expm(t * self._gen)
             E.setflags(write=False)
         return E
 

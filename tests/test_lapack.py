@@ -1,10 +1,10 @@
 """The LAPACK routines of ``thermowave._lapack`` against SciPy's own route.
 
 The package loads SciPy's Fortran LAPACK extension from its file, so that
-stepping never imports ``scipy.linalg``.  These tests pin that the routines
+no command imports ``scipy.linalg``.  These tests pin that the routines
 and the eigenvalue helper give the bits of ``get_lapack_funcs`` and
 ``eigh_tridiagonal``, that the fallback through ``scipy.linalg`` gives the
-same outputs, and which commands load ``scipy.linalg`` at all.
+same outputs, and that no command loads ``scipy.linalg``.
 """
 
 import json
@@ -171,10 +171,15 @@ def test_eigenvalues_reject_mismatched_bands():
 # ----------------------------------------------------------------------
 # what each command imports, and the fallback
 
-# Runs one CLI command in a fresh interpreter and reports whether
-# scipy.linalg was loaded after `import thermowave`, after validate_config
-# and after the command.  With "fallback" it first makes every by-path
-# module load fail, so thermowave takes its routines from scipy.linalg.
+# Runs one CLI command in a fresh interpreter and reports which of the
+# modules a `scipy.linalg` import brings (the package, and the array-API
+# layer that makes most of its cost) were loaded after `import thermowave`,
+# after validate_config and after the command, and whether the command
+# loaded the exponential's kernels.  With "fallback" it first makes every
+# by-path module load fail, so thermowave takes its routines from
+# scipy.linalg; and it gives the kernels the signature of older SciPy's
+# (`pade_UV_calc(Am, n, m)`), so the exponential is scipy.linalg.expm,
+# whose calls it counts.
 PROBE = """
 import importlib.util, json, sys
 mode, command, config, out = sys.argv[1:]
@@ -183,13 +188,23 @@ if mode == "fallback":
         raise ImportError("by-path loading refused")
     importlib.util.spec_from_file_location = refuse
 from thermowave import _lapack, cli, operators, stepper
-seen = {"import": "scipy.linalg" in sys.modules}
+loaded = lambda: [m for m in ("scipy.linalg", "scipy._lib._array_api") if m in sys.modules]
+seen = {"import": loaded(), "scipy_expm_calls": 0}
+if mode == "fallback":
+    import scipy.linalg, scipy.linalg._matfuncs_expm as kernels
+    kernels.pade_UV_calc = lambda Am, n, m: 0
+    scipy_expm = scipy.linalg.expm
+    def counted(a):
+        seen["scipy_expm_calls"] += 1
+        return scipy_expm(a)
+    scipy.linalg.expm = counted
 with open(config) as f:
     cli.validate_config(json.load(f), need_h_list=command == "sweep",
                         need_linear=command == "oracle-check")
-seen["validate"] = "scipy.linalg" in sys.modules
+seen["validate"] = loaded()
 seen["code"] = cli.main([command, "--config", config, "--out", out])
-seen["job"] = "scipy.linalg" in sys.modules
+seen["job"] = loaded()
+seen["kernels"] = "scipy.linalg._matfuncs_expm" in sys.modules
 from scipy.linalg import get_lapack_funcs
 names = %r
 # the routines operators and stepper hold, as _PTTRF, _GBTRS, ...
@@ -208,6 +223,10 @@ P2_CUBIC = {"preset": "P2", "n_interior": 16, "T": 0.125, "h": 1.0 / 64,
 P1_LINEAR = {"preset": "P1", "n_interior": 16, "T": 0.25, "m": 1.0,
              "initial": {"profile": "single_mode", "mode": 1, "theta_amp": 0.5,
                          "phi_amp": 0.5, "v_amp": 0.0}}
+# each command with a config on which it builds the modal reference, if it can
+CONFIGS = {"run": P2_CUBIC, "energy-audit": P2_CUBIC,
+           "sweep": {**P1_LINEAR, "h_list": [1.0 / 16, 1.0 / 32, 1.0 / 64]},
+           "oracle-check": {**P1_LINEAR, "h": 1.0 / 64}}
 
 
 def probe(tmp_path, command, config, mode="direct"):
@@ -221,11 +240,13 @@ def probe(tmp_path, command, config, mode="direct"):
     return json.loads(proc.stdout.splitlines()[-1]), out
 
 
-@pytest.mark.parametrize("command", ["run", "energy-audit"])
+@pytest.mark.parametrize("command", list(CONFIGS))
 def test_stepping_commands_never_import_scipy_linalg(tmp_path, command):
-    seen, _ = probe(tmp_path, command, P2_CUBIC)
+    seen, _ = probe(tmp_path, command, CONFIGS[command])
     assert seen["code"] == 0
-    assert not (seen["import"] or seen["validate"] or seen["job"])
+    assert seen["import"] == seen["validate"] == seen["job"] == []
+    # the kernels load on the first exponential: only the modal reference's
+    assert seen["kernels"] == (command in ("sweep", "oracle-check"))
     assert seen["scipy_routines"]  # a later import of scipy.linalg reuses the module
 
 
@@ -234,29 +255,24 @@ def test_nonlinear_sweep_never_imports_scipy_linalg(tmp_path):
     del config["h"]
     seen, _ = probe(tmp_path, "sweep", config)
     assert seen["code"] == 0
-    assert not (seen["import"] or seen["validate"] or seen["job"])
-
-
-@pytest.mark.parametrize("command, steps", [
-    ("sweep", {"h_list": [1.0 / 16, 1.0 / 32, 1.0 / 64]}),
-    ("oracle-check", {"h": 1.0 / 64}),
-])
-def test_modal_reference_imports_scipy_linalg_in_validation(tmp_path, command, steps):
-    seen, _ = probe(tmp_path, command, {**P1_LINEAR, **steps})
-    assert seen["code"] == 0
-    assert not seen["import"]
-    assert seen["validate"]
+    assert seen["import"] == seen["validate"] == seen["job"] == []
+    assert not seen["kernels"]
 
 
 def test_fallback_takes_scipy_routines_and_writes_the_same_bytes(tmp_path):
-    config = {**P2_CUBIC, "snapshot_stride": 2}
-    direct, direct_out = probe(tmp_path, "run", config)
-    fallback, fallback_out = probe(tmp_path, "run", config, mode="fallback")
-    assert not direct["import"]
-    assert fallback["import"]  # the routines came through scipy.linalg
-    assert fallback["scipy_routines"] and fallback["code"] == direct["code"] == 0
-    names = sorted(os.listdir(direct_out))
-    assert names == sorted(os.listdir(fallback_out))
-    assert "snapshots.csv" in names
-    for name in names:
-        assert (direct_out / name).read_bytes() == (fallback_out / name).read_bytes(), name
+    configs = {"run": {**P2_CUBIC, "snapshot_stride": 2},
+               "sweep": CONFIGS["sweep"], "oracle-check": CONFIGS["oracle-check"]}
+    for command, config in configs.items():
+        direct, direct_out = probe(tmp_path, command, config)
+        fallback, fallback_out = probe(tmp_path, command, config, mode="fallback")
+        assert not direct["import"]
+        assert fallback["import"]  # the routines came through scipy.linalg
+        assert fallback["scipy_routines"] and fallback["code"] == direct["code"] == 0
+        # the exponentials came from scipy.linalg.expm
+        assert (fallback["scipy_expm_calls"] > 0) == (command != "run")
+        names = sorted(os.listdir(direct_out))
+        assert names == sorted(os.listdir(fallback_out))
+        assert {"run": "snapshots.csv", "sweep": "sweep.csv",
+                "oracle-check": "oracle.csv"}[command] in names
+        for name in names:
+            assert (direct_out / name).read_bytes() == (fallback_out / name).read_bytes(), name

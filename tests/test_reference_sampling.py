@@ -13,8 +13,8 @@ import pytest
 import scipy.linalg
 from conftest import p1_defaults
 
-from thermowave import (LinearReference, StepConfig, error_norms, inverse_modal_transform,
-                        oracle, random_smooth, run, sweep)
+from thermowave import (LinearReference, StepConfig, _lapack, error_norms,
+                        inverse_modal_transform, random_smooth, run, sweep)
 
 FIELDS = ("theta", "phi", "v")
 
@@ -136,13 +136,13 @@ def test_sweep_matches_seven_sample_algorithm(bc):
 def test_halving_sweep_takes_one_exponential_batch_per_distinct_time(monkeypatch):
     n = 16
     shapes = []
-    real = scipy.linalg.expm
+    real = _lapack.expm
 
     def counted(A):
         shapes.append(np.shape(A))
         return real(A)
 
-    monkeypatch.setattr(oracle.scipy.linalg, "expm", counted)
+    monkeypatch.setattr(_lapack, "expm", counted)
     bundle, nl = p1_defaults(n=n, m=1.0)
     init = random_smooth(bundle.grid, 7)
     ref = LinearReference(init, bundle, nl)

@@ -1,10 +1,12 @@
 """Streamed runs: ``iter_run`` and ``iter_ledger``, and the CLI's one pass.
 
 ``run`` and ``energy-audit`` write each state's rows as the stepper yields
-it.  Their files must equal, byte for byte, the files rendered from a
-collected ``run()`` result after the run, as the commands once wrote them,
-whether the run completes or fails part-way; and their memory must not
-grow with the number of steps.
+it, and ``oracle-check`` keeps only the field rows of each state.  Their
+files must equal, byte for byte, the files rendered from a collected
+``run()`` result after the run, as the commands once wrote them, whether
+the run completes or fails part-way; and their memory must not grow with
+the number of steps, or for ``oracle-check`` must stay below the collected
+run's.
 """
 
 import contextlib
@@ -23,8 +25,9 @@ from hypothesis import strategies as st
 
 import thermowave
 import thermowave.cli as cli
-from thermowave import (NewtonDivergedError, StepAuditError, StepConfig, build_interpolants,
-                        cubic_nonlinearity, energy_ledger, random_smooth, run, stepper)
+from thermowave import (LinearReference, NewtonDivergedError, StepAuditError, StepConfig,
+                        build_interpolants, cubic_nonlinearity, energy_ledger, random_smooth, run,
+                        stepper)
 
 FIELDS = ("kinetic", "elastic", "thermal", "potential", "dissipation_b1", "dissipation_cross")
 
@@ -70,6 +73,15 @@ def _render_collected(command, raw, out):
                        for field in ("theta", "phi", "v", "z")])
         entries["steps_taken"] = len(result.reports)
         summary = "run.json"
+    elif command == "oracle-check":
+        traj = build_interpolants(result.states)
+        ref = LinearReference(initial, bundle, nonlin).sample(traj.times)
+        devs = [np.max(np.abs(getattr(traj, name).nodes - ref[name]), axis=1)
+                for name in ("theta", "phi", "v")]
+        write_csv("oracle.csv", ["t", "theta_dev", "phi_dev", "v_dev"],
+                  np.column_stack([traj.times, *devs]).tolist())
+        entries["max_deviation"] = max(0.0, *(float(np.max(d)) for d in devs))
+        summary = "oracle.json"
     else:
         pi_zero = nonlin.pi_kind == "zero"
         violations = []
@@ -173,19 +185,28 @@ def test_streamed_files_equal_collected_rendering(command, preset, bc, n, h_frac
             assert (tmp / "got" / name).read_bytes() == (tmp / "want" / name).read_bytes(), name
 
 
-def _traced_peak(tmp_path, command, n_steps):
-    """tracemalloc's peak over one CLI job of ``n_steps`` steps at n = 128."""
+def _traced_peak(tmp_path, command, n_steps, collected=False):
+    """tracemalloc's peak over one CLI job of ``n_steps`` steps at n = 128;
+    with ``collected``, over ``_render_collected`` of the same job."""
     h = 1.0 / 256
     raw = {"preset": "P2", "n_interior": 128, "h": h, "T": n_steps * h,
            "beta": {"kind": "cubic", "scale": 1.0},
            "initial": {"profile": "random_smooth", "seed": 1}}
     if command == "run":
         raw["snapshot_stride"] = 7
-    path = tmp_path / f"{command}-{n_steps}.json"
+    if command == "oracle-check":
+        del raw["beta"]
+        raw.update(preset="P1", m=1.0)
+    path = tmp_path / f"{command}-{n_steps}-{collected}.json"
     path.write_text(json.dumps(raw))
+    out = tmp_path / path.stem
     tracemalloc.start()
     try:
-        code = cli.main([command, "--config", str(path), "--out", str(tmp_path / path.stem)])
+        if collected:
+            out.mkdir()
+            code = 2 if _render_collected(command, raw, out) else 0
+        else:
+            code = cli.main([command, "--config", str(path), "--out", str(out)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -202,6 +223,40 @@ def test_cli_memory_does_not_grow_with_steps(tmp_path, command):
     _traced_peak(tmp_path, command, 4)
     short, long = (_traced_peak(tmp_path, command, n) for n in (64, 512))
     assert long - short < 256 * 1024, (short, long)
+
+
+def test_oracle_check_memory_stays_below_the_collected_run(tmp_path):
+    # the stacking of each field lets its rows go, unless the run's states
+    # hold them too: 513 states of four 1 KiB rows at n = 128, about 2 MiB
+    # (collected, the peak is about 7.2 MiB; streamed, 5.2 MiB)
+    _traced_peak(tmp_path, "oracle-check", 4)
+    streamed = _traced_peak(tmp_path, "oracle-check", 512)
+    collected = _traced_peak(tmp_path, "oracle-check", 512, collected=True)
+    assert collected - streamed > 1024 * 1024, (streamed, collected)
+
+
+@pytest.mark.parametrize("fail", [None, (0, "newton"), (5, "audit")])
+def test_oracle_check_files_equal_collected_rendering(tmp_path, fail):
+    raw = _config("P1", "neumann", 16, 0.5, 12, 0.0, 3, 0)
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    (tmp_path / "want").mkdir()
+    with _patched_step(fail, 12):
+        failure = _render_collected("oracle-check", raw, tmp_path / "want")
+    err = io.StringIO()
+    with _patched_step(fail, 12), contextlib.redirect_stderr(err):
+        code = cli.main(["oracle-check", "--config", str(tmp_path / "config.json"),
+                         "--out", str(tmp_path / "got")])
+    assert code == (0 if fail is None else 2)
+    assert [line for line in err.getvalue().splitlines() if line.startswith("error:")] == (
+        [] if fail is None else [f"error: {failure}"])
+    for name in ("oracle.csv", "oracle.json"):
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+    summary = json.loads((tmp_path / "got" / "oracle.json").read_text())
+    assert summary["complete"] == (fail is None)
+    assert summary["failure_index"] == (None if fail is None else fail[0])
+    rows = (tmp_path / "got" / "oracle.csv").read_text().splitlines()
+    assert len([row for row in rows if not row.startswith("#")]) == 2 + (
+        12 if fail is None else fail[0])  # the column line and one row per state
 
 
 def test_iter_run_yields_each_state_once_then_returns_failure():
