@@ -18,10 +18,9 @@ from .nonlinearity import (Nonlinearity, cubic_nonlinearity, linear_reaction,
 from .operators import (DIRICHLET, NEUMANN, DiscreteOperator, Grid1D,
                         OperatorBundle, ProblemPreset, Resolvent, ResolventAuditError,
                         assemble_laplacian, audit_bundle, build_bundle,
-                        coupling_relative_bound, estimate_structural_constants,
-                        gradient_inner, h_inner, h_norm, identity_operator,
-                        resolvent_solve, solvability_threshold,
-                        v_coercivity_constant, v_norm, v_norm_sq, zero_operator)
+                        coupling_relative_bound, gradient_inner, h_inner, h_norm,
+                        identity_operator, resolvent_solve, solvability_threshold,
+                        v_norm, v_norm_sq, zero_operator)
 from .oracle import (FieldSnapshot, LinearReference, ReferenceDivergedError,
                      exact_linear_solution, fine_reference, inverse_modal_transform,
                      laplacian_eigenvalues, modal_generator, modal_transform)

@@ -40,6 +40,11 @@ from .profiles import make_initial
 from .stepper import StepConfig, _states, iter_run, step_count
 
 
+# The most steps one job may take: a run's, or a sweep's members and its
+# fine reference at h_min / 32 together.
+MAX_STEPS = 10_000_000
+
+
 class ConfigError(ValueError):
     def __init__(self, errors):
         super().__init__("; ".join(errors))
@@ -221,6 +226,10 @@ def validate_config(raw: dict, need_h_list: bool = False, need_linear: bool = Fa
             else:
                 resolved["_cfg"] = cfgs[0]
                 _build(errors, steps, step_count, T, hs[0])
+        if len(errors) == start and T is not None:  # a sweep adds its fine reference
+            total = sum(step_count(T, h) for h in hs + ([min(hs) / 32] if need_h_list else []))
+            if total > MAX_STEPS:
+                errors.append(f"{steps}: {total:.3g} steps, more than the limit of {MAX_STEPS:.0e}")
 
     stride = resolved["snapshot_stride"] = _int(raw.get("snapshot_stride", 0),
                                                 "snapshot_stride", errors)

@@ -487,33 +487,6 @@ def solvability_threshold(mass_lb: float, lipschitz_const: float, eta: float,
     return val
 
 
-def estimate_structural_constants(bundle: OperatorBundle,
-                                  lipschitz_const: float = 0.0) -> tuple[float, float]:
-    """Recompute the coupling bound and the induced step-size threshold."""
-    bound = coupling_relative_bound(bundle.coupling, bundle.diffusion)
-    return bound, solvability_threshold(bundle.mass_lb, lipschitz_const, bundle.eta, bound)
-
-
-def v_coercivity_constant(op: DiscreteOperator, grid: Grid1D, alpha: float) -> float:
-    """Constant w with (op u, u) + alpha |u|^2 >= w |u|_V^2 for all u.
-
-    Diagnostics only; the stepping path never uses it.  Laplacian-kind
-    operators control the gradient part directly; identity and zero kinds
-    are folded through the inverse inequality bounding the discrete
-    gradient by 4/dx^2 times the mean square.
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    poincare = 1.0 + 4.0 / grid.dx ** 2
-    if op.kind == LAPLACIAN:
-        return min(op.coeff, alpha)
-    if op.kind == IDENTITY:
-        return (op.coeff + alpha) / poincare
-    if op.kind == ZERO:
-        return alpha / poincare
-    return max(op.min_eigenvalue(), 0.0) / poincare + alpha / poincare
-
-
 # ----------------------------------------------------------------------
 # Structural audits
 

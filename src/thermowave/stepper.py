@@ -89,18 +89,26 @@ class State:
     h: float
 
     def __post_init__(self):
-        arrs = {}
-        dim = None
-        for name in ("theta", "phi", "v", "z"):
-            a = np.ascontiguousarray(getattr(self, name), dtype=float)
-            if dim is None:
-                dim = a.shape
-            if a.shape != dim or a.ndim != 1:
-                raise ValueError("state vectors must share one dimension")
+        arrs = [np.ascontiguousarray(getattr(self, name), dtype=float)
+                for name in ("theta", "phi", "v", "z")]
+        if arrs[0].ndim != 1 or any(a.shape != arrs[0].shape for a in arrs):
+            raise ValueError("state vectors must share one dimension")
+        self._seal(*arrs)
+
+    def _seal(self, theta, phi, v, z):
+        """Set the vectors, made read-only."""
+        for a in (theta, phi, v, z):
             a.setflags(write=False)
-            arrs[name] = a
-        for name, a in arrs.items():
-            object.__setattr__(self, name, a)
+        self.__dict__.update(theta=theta, phi=phi, v=v, z=z)
+
+    @classmethod
+    def _stepped(cls, theta, phi, v, z, t_index, h):
+        """The state of vectors a step computed: 1-D float arrays of one
+        shape by construction, so ``__post_init__``'s checks are skipped."""
+        state = object.__new__(cls)
+        state.__dict__.update(t_index=t_index, h=h)
+        state._seal(theta, phi, v, z)
+        return state
 
     @property
     def t(self) -> float:
@@ -147,10 +155,13 @@ class StepPlan:
     It holds the heat resolvent (I + h diffusion) factored once, the
     constant bands of the Newton Jacobian, one band buffer that holds the
     Jacobian's LU factor, and the operator-norm scales of the step audit
-    (see ``newton_direction`` for when the factor is renewed).  ``nonlin``
-    may be omitted by callers that only need the resolvent
-    (``phi_equation_rhs``).  The band buffer makes a plan single-threaded:
-    concurrent runs each build their own.
+    (see ``newton_direction`` for when the factor is renewed).  It decides
+    once whether the step has a pi term (``has_pi``: a zero pi adds
+    nothing, so no step evaluates it) and binds ``norm``, the grid H norm
+    of the stepper's own vectors: ``h_norm``'s bits without its shape
+    check.  ``nonlin`` may be omitted by callers that only need the
+    resolvent (``phi_equation_rhs``).  The band buffer makes a plan
+    single-threaded: concurrent runs each build their own.
 
     A plan also carries values from one computation to the next that needs
     them, one entry per name (see ``step``): ``_remember`` records values
@@ -163,6 +174,10 @@ class StepPlan:
         self.bundle = bundle
         self.h = h
         self.nonlin = nonlin
+        self.linear = nonlin is not None and nonlin.is_linear
+        self.has_pi = nonlin is not None and nonlin.pi_kind != "zero"
+        dx = bundle.grid.dx
+        self.norm = lambda u: math.sqrt(dx * u.dot(u))
 
         # Newton Jacobian T1 (I + h diffusion) + eta h^2 coupling with
         # T1 = lin + h^2 (beta' + pi'); see _newton.
@@ -184,9 +199,9 @@ class StepPlan:
         self._upper = o1 * d2[1:]
         self._lower = o1 * d2[:-1]
         self._cross = o1 * o2
-        self._bands = np.empty((7, n), order="F")
-        self._lu = None  # the Jacobian's LU factor, once computed, and its pivots
-        self._piv = None
+        self._bands = P = np.empty((7, n), order="F")
+        self._rows = (P[3, 1:], P[4], P[4, 1:], P[4, :-1], P[5, :-1])  # what _fill_bands writes
+        self._lu = self._piv = None  # the Jacobian's LU factor, once computed, and its pivots
 
         # Rounding scales of the step audit; see step().
         self.coupling_norm = bundle.coupling.norm_bound()
@@ -211,18 +226,18 @@ class StepPlan:
     def _fill_bands(self, d1):
         """Pentadiagonal bands of T1 (I + h diffusion) + eta h^2 coupling
         for T1 = (d1, lin_o), written into the band buffer."""
-        P = self._bands
-        P[...] = self._template
-        np.multiply(d1[:-1], self.o2, out=P[3, 1:])
-        P[3, 1:] += self._upper
-        P[3, 1:] += self.cpl_o
-        np.multiply(d1, self.d2, out=P[4])
-        P[4, 1:] += self._cross
-        P[4, :-1] += self._cross
-        P[4] += self.cpl_d
-        np.multiply(d1[1:], self.o2, out=P[5, :-1])
-        P[5, :-1] += self._lower
-        P[5, :-1] += self.cpl_o
+        upper, diag, diag_right, diag_left, lower = self._rows
+        self._bands[...] = self._template
+        np.multiply(d1[:-1], self.o2, out=upper)
+        upper += self._upper
+        upper += self.cpl_o
+        np.multiply(d1, self.d2, out=diag)
+        diag_right += self._cross
+        diag_left += self._cross
+        diag += self.cpl_d
+        np.multiply(d1[1:], self.o2, out=lower)
+        lower += self._lower
+        lower += self.cpl_o
 
     def newton_direction(self, phi, rhs, lam):
         """w with J(phi) w = rhs, J the Newton Jacobian in the eliminated
@@ -230,10 +245,12 @@ class StepPlan:
         ``rhs`` is overwritten.  The Jacobian is factored afresh at every
         call unless the plan is linear: beta' + pi' of a linear nonlinearity
         is the same at every phi, so its first factor serves the whole run."""
-        nonlin, h = self.nonlin, self.h
-        if self._lu is None or not nonlin.is_linear:
-            beta_p = nonlin.beta_prime(phi) if lam is None else nonlin.yosida_prime(lam, phi)
-            self._fill_bands(self.lin_d + h * h * (beta_p + nonlin.pi_prime(phi)))
+        if self._lu is None or not self.linear:
+            nonlin = self.nonlin
+            slope = nonlin.beta_prime(phi) if lam is None else nonlin.yosida_prime(lam, phi)
+            if self.has_pi:
+                slope = slope + nonlin.pi_prime(phi)
+            self._fill_bands(self.lin_d + self.h * self.h * slope)
             lu, piv, info = _GBTRF(self._bands, 2, 2, overwrite_ab=1)
             _check_lapack_info(info, "gbtrf", "singular matrix")
             self._lu, self._piv = lu, piv
@@ -265,20 +282,20 @@ def phi_equation_rhs(state: State, bundle: OperatorBundle, h: float,
 
 def _elliptic_residual(phi, g, plan, lam):
     """The residual at phi of the equation smoothed with ``lam`` (None: as
-    stated), and its terms that depend on phi alone."""
+    stated), and its terms that depend on phi alone; pi is one of them only
+    when the plan has a pi term."""
     bundle, h, nonlin = plan.bundle, plan.h, plan.nonlin
+    mass, damping, stiffness = (bundle.mass.apply(phi), bundle.damping.apply(phi),
+                                bundle.stiffness.apply(phi))
     beta = nonlin.beta(phi) if lam is None else nonlin.yosida(lam, phi)
-    terms = dict(mass=bundle.mass.apply(phi), damping=bundle.damping.apply(phi),
-                 stiffness=bundle.stiffness.apply(phi), beta=beta, pi=nonlin.pi(phi))
-    mass, damping, stiffness, beta, pi = terms.values()
-    shifted = plan.resolvent.solve(phi)
-    return (mass
-            + h * damping
-            + h * h * stiffness
-            + h * h * beta
-            + h * h * pi
-            + bundle.eta * h * h * bundle.coupling.apply(shifted)
-            - g), terms
+    terms = {"mass": mass, "damping": damping, "stiffness": stiffness, "beta": beta}
+    res = mass + h * damping + h * h * stiffness + h * h * beta
+    if plan.has_pi:
+        terms["pi"] = pi = nonlin.pi(phi)
+        res += h * h * pi
+    res += bundle.eta * h * h * bundle.coupling.apply(plan.resolvent.solve(phi))
+    res -= g
+    return res, terms
 
 
 def _newton(g, gn, plan, cfg, lam, phi0):
@@ -293,13 +310,12 @@ def _newton(g, gn, plan, cfg, lam, phi0):
     iterate, the iteration count, the residual norm and the residual's
     terms at the iterate.
     """
-    grid = plan.bundle.grid
     target = cfg.newton_tol * (1.0 + gn)
     floor = 8.0 * _EPS * (1.0 + gn)
 
     phi = np.array(phi0, dtype=float)
     res_vec, terms = _elliptic_residual(phi, g, plan, lam)
-    res = h_norm(grid, res_vec)
+    res = plan.norm(res_vec)
     if res == 0.0:
         return phi, 0, res, terms
     prev = math.inf
@@ -309,7 +325,7 @@ def _newton(g, gn, plan, cfg, lam, phi0):
         w = plan.newton_direction(phi, -res_vec, lam)
         phi = phi + plan.resolvent.shifted.apply(w)
         res_vec, terms = _elliptic_residual(phi, g, plan, lam)
-        res = h_norm(grid, res_vec)
+        res = plan.norm(res_vec)
         if res <= floor:
             return phi, it, res, terms
         if res <= target and res > 0.125 * prev:
@@ -336,10 +352,9 @@ def solve_phi(g: np.ndarray, bundle: OperatorBundle, nonlin: Nonlinearity,
     a smoothed stage's terms are never kept.
     """
     plan = _plan_for(plan, bundle, cfg.h, nonlin)
-    grid = bundle.grid
     if phi0 is None:
-        phi0 = np.zeros(grid.n_interior)
-    gn = plan._reuse("g_norm", g, partial(h_norm, grid))
+        phi0 = np.zeros(bundle.grid.n_interior)
+    gn = plan._reuse("g_norm", g, partial(h_norm, bundle.grid))
     smoothed = YOSIDA_LAMBDAS if cfg.solve_path == "yosida" and nonlin.has_beta else ()
     phi, iters = phi0, 0
     for lam in (*smoothed, None):
@@ -375,14 +390,13 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
 
     Every product of the audit that an earlier computation made from the
     same array is taken from it (see ``StepPlan``): stiffness(phi+),
-    beta(phi+) and pi(phi+) from Newton's last residual, diffusion(theta+)
+    beta(phi+) and any pi(phi+) from Newton's last residual, diffusion(theta+)
     and the resolvent equation's residual from the theta+ solve's own
     audit, |g| from here, and |phi|, |theta| from the previous step.
     """
     plan = _plan_for(plan, bundle, cfg.h, nonlin)
-    grid = bundle.grid
     h = cfg.h
-    norm = partial(h_norm, grid)
+    norm = plan.norm
     g = phi_equation_rhs(state, bundle, h, plan)
     gn = norm(g)
     plan._remember(g, g_norm=gn)
@@ -401,10 +415,13 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
     z1 = (v1 - state.v) / h
 
     heat_res = norm((theta1 - state.theta) / h + bundle.eta * v1 + diffusion_theta1)
-    wave_res = norm(bundle.mass.apply(z1) + bundle.damping.apply(v1)
-                    + plan._reuse("stiffness", phi1, bundle.stiffness.apply)
-                    + plan._reuse("beta", phi1, nonlin.beta)
-                    + plan._reuse("pi", phi1, nonlin.pi) - bundle.coupling.apply(theta1))
+    wave = (bundle.mass.apply(z1) + bundle.damping.apply(v1)
+            + plan._reuse("stiffness", phi1, bundle.stiffness.apply)
+            + plan._reuse("beta", phi1, nonlin.beta))
+    if plan.has_pi:
+        wave += plan._reuse("pi", phi1, nonlin.pi)
+    wave -= bundle.coupling.apply(theta1)
+    wave_res = norm(wave)
 
     phi1_n = norm(phi1)
     theta1_n = norm(theta1)
@@ -423,7 +440,7 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
 
     plan._remember(phi1, phi_norm=phi1_n)
     plan._remember(theta1, theta_norm=theta1_n)
-    new_state = State(theta1, phi1, v1, z1, state.t_index + 1, h)
+    new_state = State._stepped(theta1, phi1, v1, z1, state.t_index + 1, h)
     report = StepReport(newton_iters=iters, final_residual=res,
                         theta_residual=theta_res, heat_residual=heat_res,
                         wave_residual=wave_res, rhs_norm=gn)
@@ -434,6 +451,8 @@ def step_count(T: float, h: float) -> int:
     """Number of steps of size h from t = 0 to T, which must be whole."""
     if not T > 0:
         raise ValueError(f"T must be positive, got {T}")
+    if h > 0 and math.isinf(T / h):
+        raise ValueError(f"h = {h} divides T = {T} into more steps than a float can count")
     n_steps = round(T / h) if h > 0 else 0
     if n_steps < 1 or abs(n_steps * h - T) > 1e-9 * T:
         raise ValueError(f"h = {h} does not divide T = {T} into a whole number of steps")

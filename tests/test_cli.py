@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -828,6 +829,35 @@ def test_config_that_is_not_utf8_exits_1(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith("config error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,steps,message", [
+    ("run", {"T": 1.0, "h": 1e-150}, "h: 1e+150 steps, more than the limit of 1e+07"),
+    ("sweep", {"T": 1.0, "h_list": [1e-6, 5e-7]},
+     "h_list: 6.7e+07 steps, more than the limit of 1e+07"),
+    ("run", {"T": 1e300, "h": 1e-100},
+     "h: h = 1e-100 divides T = 1e+300 into more steps than a float can count")],
+    ids=["run", "sweep", "overflow"])
+def test_step_count_beyond_the_limit_exits_1_at_once(tmp_path, capsys, command, steps, message):
+    # 1/h^2 is finite at h = 1e-150, so StepConfig takes it; 1e150 steps
+    # would never end.  A sweep counts its members and the fine reference
+    # at h_min / 32: 1e6 + 2e6 + 6.4e7 steps.  T / h may even overflow.
+    cfg = {k: v for k, v in base_config().items() if k != "h"}
+    cfg.update(steps)
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not out.exists()
+
+
+def test_step_limit_admits_the_largest_count():
+    cfg = base_config(T=1.0, h=1.0 / cli.MAX_STEPS)
+    assert validate_config(cfg)["_cfg"].h == 1.0 / cli.MAX_STEPS
+    with pytest.raises(ConfigError, match="more than the limit"):
+        validate_config(base_config(T=1.0, h=1.0 / (cli.MAX_STEPS + 1)))
 
 
 def test_python_m_thermowave_exit_codes(tmp_path):

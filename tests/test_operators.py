@@ -12,7 +12,7 @@ import scipy.linalg
 from thermowave import (DiscreteOperator, Grid1D, ProblemPreset, Resolvent,
                         assemble_laplacian, audit_bundle,
                         build_bundle, coupling_relative_bound, cubic_nonlinearity,
-                        estimate_structural_constants, gradient_inner, h_inner,
+                        gradient_inner, h_inner,
                         h_norm, identity_operator, potential_total, resolvent_solve,
                         solvability_threshold, v_norm, v_norm_sq, zero_operator)
 
@@ -382,14 +382,6 @@ def test_solvability_threshold_formula():
     assert abs(got - want) <= 1e-12
 
 
-def test_estimate_structural_constants_roundtrip():
-    bundle = preset_bundle("P1", n=16)
-    bound, thr = estimate_structural_constants(bundle, lipschitz_const=0.0)
-    assert abs(bound - bundle.coupling_bound) <= 1e-10
-    assert abs(thr - bundle.h_threshold(0.0)) <= 1e-12
-    assert thr > 0.0
-
-
 def test_threshold_shrinks_with_lipschitz_constant():
     bundle = preset_bundle("P2", n=16)
     thresholds = [bundle.h_threshold(c) for c in (0.0, 0.5, 2.0, 10.0)]
@@ -401,22 +393,6 @@ def test_operators_are_immutable():
     op = assemble_laplacian(Grid1D(8), 1.0)
     with pytest.raises(ValueError):
         op.diag[0] = 5.0
-
-
-def test_v_coercivity_constant_holds():
-    from thermowave import v_coercivity_constant
-    rng = np.random.default_rng(9)
-    for _, _, bundle in all_preset_bundles(n=20):
-        grid = bundle.grid
-        for opname in ("diffusion", "stiffness", "damping", "coupling"):
-            op = getattr(bundle, opname)
-            for alpha in (0.5, 1.0, 3.0):
-                w = v_coercivity_constant(op, grid, alpha)
-                assert w > 0.0
-                for _ in range(20):
-                    u = rng.standard_normal(20)
-                    lhs = h_inner(grid, op.apply(u), u) + alpha * h_inner(grid, u, u)
-                    assert lhs >= w * v_norm_sq(grid, u) - 1e-10 * max(1.0, lhs)
 
 
 def test_smoothed_beta_compatible_with_elliptic_operators():

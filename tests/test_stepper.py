@@ -162,7 +162,8 @@ def test_run_rejects_non_integer_step_count():
 def test_step_count():
     assert step_count(1.0, 0.25) == 4
     assert step_count(0.3, 0.1) == 3  # 0.3 / 0.1 rounds to a whole count
-    for T, h in ((1.0, 0.3), (0.25, 0.5), (1.0, 0.0), (1.0, -0.25), (1.0, float("nan"))):
+    for T, h in ((1.0, 0.3), (0.25, 0.5), (1.0, 0.0), (1.0, -0.25), (1.0, float("nan")),
+                 (1e300, 1e-100)):
         with pytest.raises(ValueError, match="^h = "):
             step_count(T, h)
     for T in (0.0, -1.0, float("nan")):
@@ -600,3 +601,50 @@ def test_step_computes_each_product_once(monkeypatch):
         state, report = step(state, bundle, nl, cfg, plan)
         assert report.newton_iters == 1
         assert calls == {"apply": 18, "solve": 4, "beta": 2}
+
+
+@pytest.mark.parametrize("pi", [("zero", 0.0), ("scaled_sine", 1.2)])
+def test_step_evaluates_pi_only_when_there_is_one(monkeypatch, pi):
+    # a zero pi adds nothing to the residuals, the Jacobian or the wave
+    # audit, so no step evaluates it; any other pi is evaluated at each
+    # Newton residual and in each Jacobian, and the audit reuses the last
+    calls = {"pi": 0, "pi_prime": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(Nonlinearity, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(Nonlinearity, name, counted)
+    bundle, _ = p2_defaults(n=64)
+    nl = cubic_nonlinearity(1.0, *pi)
+    h = 1.0 / 1024
+    cfg = StepConfig(h=h)
+    plan = StepPlan(bundle, h, nl)
+    assert plan.has_pi == (pi[0] != "zero")
+    state = make_state(bundle.grid, *random_smooth(bundle.grid, 0), h)
+    for _ in range(8):
+        calls.update(dict.fromkeys(calls, 0))
+        state, report = step(state, bundle, nl, cfg, plan)
+        iters = report.newton_iters if plan.has_pi else 0
+        assert calls == {"pi": iters + plan.has_pi, "pi_prime": iters}
+
+
+def bits(x):
+    return np.array(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("n", [2, 3, 64, 1000])
+def test_plan_norm_has_the_bits_of_h_norm(bc, n):
+    grid = Grid1D(n, bc)
+    bundle = preset_bundle("P2", n=n, bc=bc)
+    norm = StepPlan(bundle, 0.01).norm
+    rng = np.random.default_rng(n)
+    vectors = [rng.standard_normal(n) * scale for scale in (1e-300, 1e-160, 1.0, 1e150, 1e300)]
+    vectors += [np.zeros(n), -np.zeros(n), np.full(n, 5e-324)]
+    for special in (np.inf, -np.inf, np.nan):
+        u = rng.standard_normal(n)
+        u[n // 2] = special
+        vectors.append(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u in vectors:
+            assert bits(norm(u)) == bits(h_norm(grid, u)), u
