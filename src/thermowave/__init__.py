@@ -19,11 +19,11 @@ from .operators import (DIRICHLET, NEUMANN, DiscreteOperator, Grid1D,
                         OperatorBundle, ProblemPreset, Resolvent, ResolventAuditError,
                         assemble_laplacian, audit_bundle, build_bundle,
                         coupling_relative_bound, gradient_inner, h_inner, h_norm,
-                        identity_operator, resolvent_solve, solvability_threshold,
-                        v_norm, v_norm_sq, zero_operator)
+                        identity_operator, laplacian_eigenvalues, resolvent_solve,
+                        solvability_threshold, v_norm, v_norm_sq, zero_operator)
 from .oracle import (FieldSnapshot, LinearReference, ReferenceDivergedError,
                      exact_linear_solution, fine_reference, inverse_modal_transform,
-                     laplacian_eigenvalues, modal_generator, modal_transform)
+                     modal_generator, modal_transform)
 from .profiles import make_initial, mode_vector, random_smooth, single_mode, zero_profile
 from .stepper import (NewtonDivergedError, RunResult, State, StepAuditError,
                       StepConfig, StepPlan, StepReport, iter_run, phi_equation_rhs,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -170,6 +170,24 @@ def assemble_laplacian(grid: Grid1D, coeff: float) -> DiscreteOperator:
         diag[0] = a
         diag[-1] = a
     return DiscreteOperator(diag, off, LAPLACIAN, float(coeff))
+
+
+@lru_cache(maxsize=32)
+def laplacian_eigenvalues(grid: Grid1D) -> np.ndarray:
+    """Closed-form spectrum of the unit grid Laplacian, in the order of ``oracle``'s modes."""
+    n = grid.n_interior
+    k = np.arange(1, n + 1) if grid.bc == DIRICHLET else np.arange(0, n)
+    mu = 2.0 / grid.dx ** 2 * (1.0 - np.cos(k * np.pi * grid.dx))
+    mu.setflags(write=False)
+    return mu
+
+
+def _laplacian_grid(op: DiscreteOperator):
+    """The grid whose ``assemble_laplacian(grid, op.coeff)`` has op's bands, or None."""
+    grid = Grid1D(op.dim, NEUMANN if op.diag[0] == -op.offdiag[0] else DIRICHLET)
+    lap = assemble_laplacian(grid, op.coeff)
+    same = np.array_equal(lap.diag, op.diag) and np.array_equal(lap.offdiag, op.offdiag)
+    return grid if same else None
 
 
 # ----------------------------------------------------------------------
@@ -442,21 +460,21 @@ def coupling_relative_bound(coupling: DiscreteOperator, diffusion: DiscreteOpera
     unit-shift resolvent of diffusion; by the triangle inequality that
     singular value majorizes the optimal ratio constant.  Kind-tagged
     operator pairs share an eigenbasis, so the value is an exact maximum of
-    symbol ratios over the spectrum; custom pairs go through a
-    deterministic Lanczos iteration on the composed normal operator.
+    symbol ratios over the closed-form spectrum ``laplacian_eigenvalues``
+    of the grid that a tagged Laplacian's bands belong to; custom pairs go
+    through a deterministic Lanczos iteration on the composed normal
+    operator, and so does a Laplacian tag on bands of no grid.
     """
     if coupling.is_zero:
         return 0.0
     n = coupling.dim
-    tagged = (coupling.kind in (IDENTITY, LAPLACIAN)
-              and diffusion.kind in (IDENTITY, LAPLACIAN))
-    if tagged:
+    mu = None
+    if coupling.kind in (IDENTITY, LAPLACIAN) and diffusion.kind in (IDENTITY, LAPLACIAN):
+        mu = np.array([0.0])
         if LAPLACIAN in (coupling.kind, diffusion.kind):
-            src = coupling if coupling.kind == LAPLACIAN else diffusion
-            mu = tridiagonal_eigvals(src.diag / src.coeff, src.offdiag / src.coeff)
-            mu = np.clip(mu, 0.0, None)
-        else:
-            mu = np.array([0.0])
+            grid = _laplacian_grid(coupling if coupling.kind == LAPLACIAN else diffusion)
+            mu = None if grid is None else laplacian_eigenvalues(grid)
+    if mu is not None:
         vals = np.abs(coupling.symbol(mu)) / (1.0 + diffusion.symbol(mu))
         return float(np.max(vals))
 

@@ -16,77 +16,89 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import _lapack
 from .diagnostics import TrajectoryInterpolants, build_interpolants
 from .nonlinearity import Nonlinearity
-from .operators import DIRICHLET, Grid1D, OperatorBundle
+from .operators import DIRICHLET, Grid1D, OperatorBundle, laplacian_eigenvalues
 from .stepper import StepConfig, _states, iter_run
 
 
-@lru_cache(maxsize=32)
-def _basis_data(n: int, bc: str):
-    grid = Grid1D(n, bc)
-    dx = grid.dx
-    x = grid.x
-    # sqrt(2) sin(k pi x) (Dirichlet) or sqrt(2) cos(k pi x) with a constant
-    # first mode (Neumann), built in the one n x n buffer of the outer product
-    k = np.arange(1, n + 1) if bc == DIRICHLET else np.arange(0, n)
-    B = np.outer(x, k * np.pi)
-    (np.sin if bc == DIRICHLET else np.cos)(B, out=B)
+# Rows (or columns) of the basis per block, 0.5 MB at n = 1024.  Products
+# over blocks of 64 have the bits of the dense one on this OpenBLAS; blocks
+# of 1 or 7, or a tail of 1-3, do not, so the last block takes 64 to 127.
+_BLOCK = 64
+
+
+def _blocks(n: int) -> list:
+    stops = [*range(_BLOCK, n - _BLOCK + 1, _BLOCK), n]
+    return [slice(a, b) for a, b in zip([0, *stops[:-1]], stops)]
+
+
+def _basis_block(grid: Grid1D, rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """Rows ``rows`` and columns ``cols`` of the orthonormal Laplacian
+    eigenbasis B: sqrt(2) sin(k pi x), k = 1..n (Dirichlet), or sqrt(2)
+    cos(k pi x), k = 0..n-1, with a constant first mode (Neumann).  Built in
+    the one buffer of the outer product, each entry has the same bits in
+    any block."""
+    n = grid.n_interior
+    k = np.arange(1, n + 1) if grid.bc == DIRICHLET else np.arange(0, n)
+    B = np.outer(grid.x[rows], (k * np.pi)[cols])
+    (np.sin if grid.bc == DIRICHLET else np.cos)(B, out=B)
     B *= math.sqrt(2.0)
-    if bc != DIRICHLET:
-        B[:, 0] = 1.0
-    mu = 2.0 / dx ** 2 * (1.0 - np.cos(k * np.pi * dx))
-    B.setflags(write=False)
-    mu.setflags(write=False)
-    return mu, B
+    if grid.bc != DIRICHLET:
+        B[:, k[cols] == 0] = 1.0
+    return B
 
 
-def laplacian_eigenvalues(grid: Grid1D) -> np.ndarray:
-    """Eigenvalues of the unit-coefficient discrete Laplacian on the grid."""
-    return _basis_data(grid.n_interior, grid.bc)[0]
+def _synthesize(grid: Grid1D, *coeffs) -> list:
+    """``B @ c`` for every c, in one pass over row blocks of the basis."""
+    n = grid.n_interior
+    out = [np.empty(n) for _ in coeffs]
+    for rows in _blocks(n):
+        B = _basis_block(grid, rows=rows)
+        for u, c in zip(out, coeffs):
+            u[rows] = B @ c
+    return out
 
 
 def modal_transform(grid: Grid1D, u: np.ndarray) -> np.ndarray:
-    """Coefficients of u in the orthonormal Laplacian eigenbasis."""
+    """Coefficients ``dx * (B.T @ u)`` of u, over column blocks of B."""
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.n_interior,):
         raise ValueError("dimension mismatch in modal_transform")
-    _, B = _basis_data(grid.n_interior, grid.bc)
-    return grid.dx * (B.T @ u)
+    c = np.empty(grid.n_interior)
+    for cols in _blocks(grid.n_interior):
+        c[cols] = _basis_block(grid, cols=cols).T @ u
+    return grid.dx * c
 
 
 def inverse_modal_transform(grid: Grid1D, coeffs: np.ndarray) -> np.ndarray:
+    """Grid values ``B @ coeffs`` of modal coefficients, over row blocks of B."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (grid.n_interior,):
         raise ValueError("dimension mismatch in inverse_modal_transform")
-    _, B = _basis_data(grid.n_interior, grid.bc)
-    return B @ coeffs
+    return _synthesize(grid, coeffs)[0]
 
 
-def modal_generator(bundle: OperatorBundle, nonlin: Nonlinearity, mu: float) -> np.ndarray:
-    """3x3 generator of the semi-discrete dynamics on one Laplacian mode.
+def modal_generator(bundle: OperatorBundle, nonlin: Nonlinearity, mu) -> np.ndarray:
+    """3x3 generator of the semi-discrete dynamics on one Laplacian mode, or
+    for an array ``mu`` the stack of the generators of its modes.
 
     Rows evolve (theta_hat, phi_hat, v_hat); requires symbol-evaluable
     operators and a linear configuration.
     """
     if not nonlin.is_linear:
         raise ValueError("modal generators exist only for linear configurations")
-    a1 = float(bundle.diffusion.symbol(mu))
-    a2 = float(bundle.stiffness.symbol(mu))
-    b1 = float(bundle.damping.symbol(mu))
-    b2 = float(bundle.coupling.symbol(mu))
-    ell = float(bundle.mass.symbol(mu))
-    s = nonlin.pi_slope
-    return np.array([
-        [-a1, 0.0, -bundle.eta],
-        [0.0, 0.0, 1.0],
-        [b2 / ell, -(a2 + s) / ell, -b1 / ell],
-    ])
+    mu = np.asarray(mu, dtype=float)
+    a1, a2, b1, b2, ell = (op.symbol(mu) for op in (
+        bundle.diffusion, bundle.stiffness, bundle.damping, bundle.coupling, bundle.mass))
+    G = np.zeros(mu.shape + (3, 3))
+    G[..., 0, 0], G[..., 0, 2], G[..., 1, 2] = -a1, -bundle.eta, 1.0
+    G[..., 2, 0], G[..., 2, 1], G[..., 2, 2] = b2 / ell, -(a2 + nonlin.pi_slope) / ell, -b1 / ell
+    return G
 
 
 @dataclass(frozen=True)
@@ -106,7 +118,8 @@ class LinearReference:
     shared by a refinement sweep pays once for every step length its members
     have in common.  ``sample(times)`` propagates uniformly spaced requests
     with the exponential of the spacing; arbitrary times take one cached
-    exponential each.  Modal rows map to grid values in one product per field.
+    exponential each.  The reference keeps the dense basis B (8n² bytes)
+    for its lifetime and maps modal rows to grid values in one product.
     """
 
     EXPM_CACHE_SIZE = 64
@@ -120,12 +133,10 @@ class LinearReference:
         self._initial = {"theta": theta0.copy(), "phi": phi0.copy(), "v": v0.copy()}
         mu = laplacian_eigenvalues(self.grid)
         self._mu = mu
-        self._y0 = np.stack([
-            modal_transform(self.grid, theta0),
-            modal_transform(self.grid, phi0),
-            modal_transform(self.grid, v0),
-        ], axis=1)  # (n_modes, 3)
-        self._gen = np.stack([modal_generator(bundle, nonlin, m) for m in mu])
+        B = self._basis = _basis_block(self.grid)
+        self._y0 = np.stack([self.grid.dx * (B.T @ u) for u in (theta0, phi0, v0)],
+                            axis=1)  # (n_modes, 3)
+        self._gen = modal_generator(bundle, nonlin, mu)
         self._expm = {}  # t -> (n_modes, 3, 3) exponentials, oldest first
 
     def _expm_batch(self, t: float) -> np.ndarray:
@@ -139,7 +150,7 @@ class LinearReference:
 
     def _assemble(self, Y: np.ndarray) -> dict:
         """Grid values of modal rows Y (n_times, n_modes, 3), per field."""
-        _, B = _basis_data(self.grid.n_interior, self.grid.bc)
+        B = self._basis
         return {name: (B @ Y[:, :, j, None])[..., 0]
                 for j, name in enumerate(("theta", "phi", "v"))}
 
@@ -148,7 +159,7 @@ class LinearReference:
         fields = {k: rows[0] for k, rows in self.sample([t]).items()}
         Y = np.einsum("kij,kj->ki", self._expm_batch(float(t)), self._y0)
         dY = np.einsum("kij,kj->ki", self._gen, Y)
-        z = inverse_modal_transform(self.grid, dY[:, 2])
+        z = self._basis @ dY[:, 2]
         return FieldSnapshot(fields["theta"], fields["phi"], fields["v"], z)
 
     def sample(self, times) -> dict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .operators import Grid1D
-from .oracle import inverse_modal_transform
+from .oracle import _basis_block, _synthesize
 
 
 def zero_profile(grid: Grid1D):
@@ -22,15 +22,13 @@ def mode_vector(grid: Grid1D, k: int) -> np.ndarray:
     """The k-th orthonormal eigenvector of the grid Laplacian.
 
     Dirichlet modes are indexed k = 1..n, Neumann modes k = 0..n-1 (the
-    zero mode is the constant).
+    zero mode is the constant).  One column of the basis, built in O(n).
     """
     n = grid.n_interior
     lo = 1 if grid.bc == "dirichlet" else 0
     if not lo <= k <= n - 1 + lo:
         raise ValueError(f"mode index {k} out of range [{lo}, {n - 1 + lo}]")
-    coeffs = np.zeros(n)
-    coeffs[k - lo] = 1.0
-    return inverse_modal_transform(grid, coeffs)
+    return _basis_block(grid, cols=slice(k - lo, k - lo + 1))[:, 0]
 
 
 def single_mode(grid: Grid1D, k: int, theta_amp: float, phi_amp: float,
@@ -49,11 +47,8 @@ def random_smooth(grid: Grid1D, seed: int, decay: float = 2.0,
     n = grid.n_interior
     rng = np.random.default_rng(seed)
     weights = (1.0 + np.arange(n)) ** (-float(decay))
-    fields = []
-    for _ in range(3):
-        coeffs = amplitude * rng.standard_normal(n) * weights
-        fields.append(inverse_modal_transform(grid, coeffs))
-    return tuple(fields)
+    coeffs = [amplitude * rng.standard_normal(n) * weights for _ in range(3)]
+    return tuple(_synthesize(grid, *coeffs))
 
 
 def make_initial(grid: Grid1D, desc: dict):

@@ -1,6 +1,9 @@
 """tools/compare_outputs.py on one source tree against itself: every job
-of the comparison set, on 16-point grids, must give the same bytes twice."""
+of the comparison set, on 16-point grids, must give the same bytes twice.
+Two CSV files that differ only in their header block are reported field by
+field."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -18,3 +21,19 @@ def test_one_tree_against_itself_is_identical(tmp_path):
     assert lines[-1] == "17 jobs, 36 files: identical", lines[-1]
     assert sum(line.startswith("  ") and line.endswith(": identical") for line in lines) == 36
     assert not any("stderr" in line or "differs" in line for line in lines)
+
+
+def test_moved_header_fields_are_reported_one_line_each(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", os.path.join(ROOT, "tools", "compare_outputs.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    table = ('# config: {{"T":{T},"initial":{{"seed":7}}}}\n# coupling_bound: {bound!r}\n'
+             "# h_threshold: 0.25\nn,t,kinetic\n0,0.0,1.5\n1,0.5,1.25\n")
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    paths[0].write_text(table.format(T=0.5, bound=1.0))
+    paths[1].write_text(table.format(T=0.25, bound=1.5))
+    assert tool._csv_diffs(*paths) == ["header config.T: relative difference 0.5",
+                                       "header coupling_bound: relative difference 0.333"]
+    paths[1].write_text(table.format(T=0.5, bound=1.0).replace("1.25", "1.0"))
+    assert tool._csv_diffs(*paths) == ["column kinetic: largest relative difference 0.2"]

@@ -13,8 +13,9 @@ from thermowave import (DiscreteOperator, Grid1D, ProblemPreset, Resolvent,
                         assemble_laplacian, audit_bundle,
                         build_bundle, coupling_relative_bound, cubic_nonlinearity,
                         gradient_inner, h_inner,
-                        h_norm, identity_operator, potential_total, resolvent_solve,
-                        solvability_threshold, v_norm, v_norm_sq, zero_operator)
+                        h_norm, identity_operator, laplacian_eigenvalues, potential_total,
+                        resolvent_solve, solvability_threshold, v_norm, v_norm_sq,
+                        zero_operator)
 
 
 def mu_k(grid, k):
@@ -364,6 +365,31 @@ def test_coupling_bound_custom_operators_match_dense_svd():
         dense = coupling.to_dense() @ np.linalg.inv(np.eye(n) + diffusion.to_dense())
         svd = np.linalg.svd(dense, compute_uv=False)[0]
         assert abs(coupling_relative_bound(coupling, diffusion) - svd) <= 1e-10 * svd
+
+
+@pytest.mark.parametrize("n", [16, 64, 1024])
+def test_tagged_coupling_bound_is_the_closed_form_symbol_ratio(n):
+    for name, bc, bundle in all_preset_bundles(n=n):
+        mu = laplacian_eigenvalues(bundle.grid)
+        ratio = np.abs(bundle.coupling.symbol(mu)) / (1.0 + bundle.diffusion.symbol(mu))
+        assert bundle.coupling_bound == float(np.max(ratio)), (name, bc)
+        if n <= 256:
+            dense = bundle.coupling.to_dense() @ np.linalg.inv(
+                np.eye(n) + bundle.diffusion.to_dense())
+            svd = np.linalg.svd(dense, compute_uv=False)[0]
+            assert abs(bundle.coupling_bound - svd) <= 1e-8 * svd, (name, bc)
+
+
+def test_laplacian_tag_on_bands_of_no_grid_takes_the_lanczos_bound():
+    n = 16
+    diag, off = np.full(n, 3.0), np.full(n - 1, -1.0)
+    tagged = DiscreteOperator(diag, off, "laplacian", 1.0)
+    diffusion = assemble_laplacian(Grid1D(n), 1.0)
+    bound = coupling_relative_bound(tagged, diffusion)
+    assert bound == coupling_relative_bound(DiscreteOperator(diag, off), diffusion)
+    dense = tagged.to_dense() @ np.linalg.inv(np.eye(n) + diffusion.to_dense())
+    svd = np.linalg.svd(dense, compute_uv=False)[0]
+    assert abs(bound - svd) <= 1e-10 * svd
 
 
 def test_coupling_bound_p4_below_one():

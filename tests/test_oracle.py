@@ -10,7 +10,7 @@ from thermowave import (Grid1D, LinearReference, OperatorBundle, ReferenceDiverg
                         linear_reaction, make_initial, modal_generator,
                         modal_transform, random_smooth, run, single_mode, zero_nonlinearity,
                         zero_operator, assemble_laplacian)
-from thermowave.oracle import _basis_data
+from thermowave.oracle import _basis_block
 
 
 def test_modal_transform_unit_mode():
@@ -53,8 +53,11 @@ def test_generator_encodes_both_equations():
         nl = linear_reaction(-0.25) if name == "P1" else zero_nonlinearity()
         s = nl.pi_slope
         mu = laplacian_eigenvalues(bundle.grid)
+        stack = modal_generator(bundle, nl, mu)  # one generator per mode
+        assert stack.shape == (16, 3, 3)
         for k in (0, 3, 15):
             M = modal_generator(bundle, nl, mu[k])
+            assert np.array_equal(stack[k], M)
             a1 = bundle.diffusion.symbol(mu[k])
             a2 = bundle.stiffness.symbol(mu[k])
             b1 = bundle.damping.symbol(mu[k])
@@ -273,6 +276,8 @@ def test_fine_reference_propagates_divergence():
 @pytest.mark.parametrize("n", [2, 7, 64, 255, 256, 1024])
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
 def test_basis_data_is_the_closed_form_bit_for_bit(n, bc):
+    # the block builder, whole and in row or column blocks of any size,
+    # gives every entry of the closed form with the same bits
     grid = Grid1D(n, bc)
     if bc == "dirichlet":
         k = np.arange(1, n + 1)
@@ -281,10 +286,15 @@ def test_basis_data_is_the_closed_form_bit_for_bit(n, bc):
         k = np.arange(0, n)
         want = np.sqrt(2.0) * np.cos(np.outer(grid.x, k * np.pi))
         want[:, 0] = 1.0
-    mu, B = _basis_data(n, bc)
-    assert np.array_equal(B, want)
+    assert np.array_equal(_basis_block(grid), want)
+    for b in (1, 7, 64):
+        starts = range(0, n, b)
+        rows = np.concatenate([_basis_block(grid, rows=slice(i, i + b)) for i in starts])
+        cols = np.concatenate([_basis_block(grid, cols=slice(j, j + b)) for j in starts], axis=1)
+        assert np.array_equal(rows, want) and np.array_equal(cols, want)
+    mu = laplacian_eigenvalues(grid)
     assert np.array_equal(mu, 2.0 / grid.dx ** 2 * (1.0 - np.cos(k * np.pi * grid.dx)))
-    assert not B.flags.writeable and not mu.flags.writeable
+    assert not mu.flags.writeable
 
 
 def test_fine_reference_stacks_the_collected_run_bit_for_bit():

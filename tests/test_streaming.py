@@ -121,7 +121,8 @@ def _config(preset, bc, n, h_fraction, n_steps, pi_amp, seed, stride):
     else:
         raw = {"preset": preset, "beta": {"kind": "cubic", "scale": 1.0},
                "pi": {"kind": "scaled_sine", "amplitude": pi_amp} if pi_amp else {"kind": "zero"}}
-    # random_smooth builds the dense n x n modal basis: single modes on fine grids
+    # random_smooth evaluates every entry of the n x n modal basis once, in
+    # row blocks: single modes, one O(n) column each, on fine grids
     initial = ({"profile": "random_smooth", "seed": seed} if n <= 64 else
                {"profile": "single_mode", "mode": 1 + seed % 5, "theta_amp": 1.0,
                 "phi_amp": 0.5, "v_amp": -0.25})
@@ -219,7 +220,7 @@ def test_cli_memory_does_not_grow_with_steps(tmp_path, command):
     # 64 and 512 steps: each state's four fields take 4 KiB at n = 128, so
     # keeping the trajectory would add about 2 MB; a 128-state ledger block
     # is held either way.  A first short job loads and caches what any job
-    # needs once (the modal basis of the initial data among them).
+    # needs once (the Laplacian spectrum and numpy.random among them).
     _traced_peak(tmp_path, command, 4)
     short, long = (_traced_peak(tmp_path, command, n) for n in (64, 512))
     assert long - short < 256 * 1024, (short, long)

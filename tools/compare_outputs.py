@@ -14,7 +14,8 @@ scaled-sine ``energy-audit``, a P1 ``oracle-check`` and a cubic P2
 For every job it prints both exit codes and any ``error:`` line that
 differs, and for every output file whether the two trees wrote the same
 bytes; when they did not, the largest relative difference of each CSV
-column (or JSON field) that moved.  The last line reads ``identical`` when
+column, CSV header field (``header coupling_bound: ...``) or JSON field
+that moved.  The last line reads ``identical`` when
 every exit code, error line and file agree; the exit status is then 0,
 otherwise 1.
 """
@@ -120,7 +121,7 @@ def _csv_diffs(path_a: str, path_b: str) -> list:
         body = [line for line in lines if not line.startswith("#")]
         tables.append((header, list(csv.reader(body))))
     (head_a, rows_a), (head_b, rows_b) = tables
-    out = ["header block differs"] if head_a != head_b else []
+    out = _field_diffs(_header_fields(head_a), _header_fields(head_b), "header ")
     if not rows_a or not rows_b or rows_a[0] != rows_b[0] or len(rows_a) != len(rows_b):
         return out + [f"columns or row counts differ ({len(rows_a)} against {len(rows_b)} lines)"]
     for j, column in enumerate(rows_a[0]):
@@ -149,10 +150,24 @@ def _flat(value, key=""):
         yield key, value
 
 
-def _json_diffs(path_a: str, path_b: str) -> list:
-    """Lines describing how two JSON summaries differ, field by field."""
-    with open(path_a) as fa, open(path_b) as fb:
-        a, b = dict(_flat(json.load(fa))), dict(_flat(json.load(fb)))
+def _header_fields(lines: list) -> dict:
+    """The ``# key: value`` lines of a CSV header block, flattened as a JSON
+    summary is; a value that is not JSON (a float's repr such as ``inf``)
+    is kept as its text."""
+    out = {}
+    for line in lines:
+        key, _, text = line.lstrip("# ").partition(": ")
+        try:
+            value = json.loads(text)
+        except ValueError:
+            value = text
+        out.update(_flat(value, key))
+    return out
+
+
+def _field_diffs(a: dict, b: dict, prefix: str = "") -> list:
+    """One line per flattened field that differs: its largest relative
+    difference when both values are numbers, else both values."""
     out = []
     for key in sorted(set(a) | set(b)):
         va, vb = a.get(key), b.get(key)
@@ -160,10 +175,17 @@ def _json_diffs(path_a: str, path_b: str) -> list:
             continue
         na, nb = _num(va), _num(vb)
         if na is not None and nb is not None:
-            out.append(f"{key}: relative difference {_rel(na, nb):.3g}")
+            out.append(f"{prefix}{key}: relative difference {_rel(na, nb):.3g}")
         else:
-            out.append(f"{key}: {va!r} against {vb!r}")
-    return out or ["bytes differ, values equal"]
+            out.append(f"{prefix}{key}: {va!r} against {vb!r}")
+    return out
+
+
+def _json_diffs(path_a: str, path_b: str) -> list:
+    """Lines describing how two JSON summaries differ, field by field."""
+    with open(path_a) as fa, open(path_b) as fb:
+        a, b = dict(_flat(json.load(fa))), dict(_flat(json.load(fb)))
+    return _field_diffs(a, b) or ["bytes differ, values equal"]
 
 
 def compare(work: str, todo: dict) -> bool:
