@@ -43,6 +43,10 @@ from .stepper import StepConfig, _states, iter_run, step_count
 # The most steps one job may take: a run's, or a sweep's members and its
 # fine reference at h_min / 32 together.
 MAX_STEPS = 10_000_000
+# The most unknowns per field, checked before anything is allocated: a
+# linear reference holds the dense n x n modal basis (8 n^2 bytes, 2 GiB at
+# the limit), and random_smooth evaluates n^2 sines or cosines.
+MAX_UNKNOWNS = 2 ** 14
 
 
 class ConfigError(ValueError):
@@ -160,6 +164,9 @@ def validate_config(raw: dict, need_h_list: bool = False, need_linear: bool = Fa
         resolved["_preset"] = _build(errors, "preset", ProblemPreset, preset, *coeffs, bc)
 
     n = resolved["n_interior"] = _int(raw.get("n_interior"), "n_interior", errors)
+    if n is not None and n > MAX_UNKNOWNS:
+        errors.append(f"n_interior: {n:.3g} unknowns, more than the limit of {MAX_UNKNOWNS}")
+        n = None
     grid = resolved["_grid"] = None if n is None else _build(errors, "n_interior", Grid1D, n, bc)
 
     T = resolved["T"] = _num(raw.get("T"), "T", errors)

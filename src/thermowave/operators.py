@@ -172,11 +172,17 @@ def assemble_laplacian(grid: Grid1D, coeff: float) -> DiscreteOperator:
     return DiscreteOperator(diag, off, LAPLACIAN, float(coeff))
 
 
+def _mode_numbers(grid: Grid1D) -> np.ndarray:
+    """The wavenumbers k of the grid Laplacian's modes, in order: k = 1..n
+    (Dirichlet), k = 0..n-1 with the constant as the zero mode (Neumann)."""
+    n = grid.n_interior
+    return np.arange(1, n + 1) if grid.bc == DIRICHLET else np.arange(0, n)
+
+
 @lru_cache(maxsize=32)
 def laplacian_eigenvalues(grid: Grid1D) -> np.ndarray:
     """Closed-form spectrum of the unit grid Laplacian, in the order of ``oracle``'s modes."""
-    n = grid.n_interior
-    k = np.arange(1, n + 1) if grid.bc == DIRICHLET else np.arange(0, n)
+    k = _mode_numbers(grid)
     mu = 2.0 / grid.dx ** 2 * (1.0 - np.cos(k * np.pi * grid.dx))
     mu.setflags(write=False)
     return mu
@@ -389,6 +395,8 @@ class ProblemPreset:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not self.c > 0.0:
             raise ValueError(f"c must be positive, got {self.c}")
+        if not math.isfinite(self.c * self.c):
+            raise ValueError(f"c must be small enough that c^2 is finite, got {self.c}")
         if not self.epsilon >= 0.0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
 

@@ -22,7 +22,8 @@ import numpy as np
 from . import _lapack
 from .diagnostics import TrajectoryInterpolants, build_interpolants
 from .nonlinearity import Nonlinearity
-from .operators import DIRICHLET, Grid1D, OperatorBundle, laplacian_eigenvalues
+from .operators import (DIRICHLET, Grid1D, OperatorBundle, _mode_numbers,
+                        laplacian_eigenvalues)
 from .stepper import StepConfig, _states, iter_run
 
 
@@ -39,12 +40,12 @@ def _blocks(n: int) -> list:
 
 def _basis_block(grid: Grid1D, rows=slice(None), cols=slice(None)) -> np.ndarray:
     """Rows ``rows`` and columns ``cols`` of the orthonormal Laplacian
-    eigenbasis B: sqrt(2) sin(k pi x), k = 1..n (Dirichlet), or sqrt(2)
-    cos(k pi x), k = 0..n-1, with a constant first mode (Neumann).  Built in
+    eigenbasis B: sqrt(2) sin(k pi x) (Dirichlet), or sqrt(2) cos(k pi x)
+    with a constant zero mode (Neumann), over the grid's mode numbers k
+    (``operators._mode_numbers``).  Built in
     the one buffer of the outer product, each entry has the same bits in
     any block."""
-    n = grid.n_interior
-    k = np.arange(1, n + 1) if grid.bc == DIRICHLET else np.arange(0, n)
+    k = _mode_numbers(grid)
     B = np.outer(grid.x[rows], (k * np.pi)[cols])
     (np.sin if grid.bc == DIRICHLET else np.cos)(B, out=B)
     B *= math.sqrt(2.0)

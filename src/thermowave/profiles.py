@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .operators import Grid1D
+from .operators import Grid1D, _mode_numbers
 from .oracle import _basis_block, _synthesize
 
 
@@ -24,10 +24,10 @@ def mode_vector(grid: Grid1D, k: int) -> np.ndarray:
     Dirichlet modes are indexed k = 1..n, Neumann modes k = 0..n-1 (the
     zero mode is the constant).  One column of the basis, built in O(n).
     """
-    n = grid.n_interior
-    lo = 1 if grid.bc == "dirichlet" else 0
-    if not lo <= k <= n - 1 + lo:
-        raise ValueError(f"mode index {k} out of range [{lo}, {n - 1 + lo}]")
+    modes = _mode_numbers(grid)
+    lo, hi = int(modes[0]), int(modes[-1])
+    if not lo <= k <= hi:
+        raise ValueError(f"mode index {k} out of range [{lo}, {hi}]")
     return _basis_block(grid, cols=slice(k - lo, k - lo + 1))[:, 0]
 
 
@@ -52,7 +52,8 @@ def random_smooth(grid: Grid1D, seed: int, decay: float = 2.0,
 
 
 def make_initial(grid: Grid1D, desc: dict):
-    """Dispatch a profile description to its builder (config-file entry)."""
+    """Dispatch a profile description to its builder (config-file entry);
+    data that overflow the float range are a ValueError."""
     profile = desc.get("profile")
     if profile == "zero":
         return zero_profile(grid)
@@ -62,11 +63,17 @@ def make_initial(grid: Grid1D, desc: dict):
     required = "mode" if profile == "single_mode" else "seed"
     if required not in desc:
         raise ValueError(f"{required} is required by the {profile} profile")
-    if profile == "single_mode":
-        return single_mode(grid, int(desc["mode"]),
-                           float(desc.get("theta_amp", 1.0)),
-                           float(desc.get("phi_amp", 1.0)),
-                           float(desc.get("v_amp", 0.0)))
-    return random_smooth(grid, int(desc["seed"]),
-                         float(desc.get("decay", 2.0)),
-                         float(desc.get("amplitude", 1.0)))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        if profile == "single_mode":
+            fields = single_mode(grid, int(desc["mode"]),
+                                 float(desc.get("theta_amp", 1.0)),
+                                 float(desc.get("phi_amp", 1.0)),
+                                 float(desc.get("v_amp", 0.0)))
+        else:
+            fields = random_smooth(grid, int(desc["seed"]),
+                                   float(desc.get("decay", 2.0)),
+                                   float(desc.get("amplitude", 1.0)))
+    if not all(np.isfinite(u).all() for u in fields):
+        raise ValueError(f"the {profile} profile overflows to non-finite data; "
+                         "its amplitudes are too large")
+    return fields

@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -163,10 +162,10 @@ class StepPlan:
     resolvent (``phi_equation_rhs``).  The band buffer makes a plan
     single-threaded: concurrent runs each build their own.
 
-    A plan also carries values from one computation to the next that needs
-    them, one entry per name (see ``step``): ``_remember`` records values
-    computed from an array, ``_reuse`` returns one only for that very array
-    object, so any other array, however close, gets a fresh value.
+    A plan also records Newton's last solution, made read-only, with the
+    terms of its last residual (see ``solve_phi``); a later computation
+    takes a term from the record only for that very array object, so any
+    other array, however close, gets its own.
     """
 
     def __init__(self, bundle: OperatorBundle, h: float, nonlin: Nonlinearity | None = None):
@@ -208,20 +207,7 @@ class StepPlan:
         self.wave_scale = (bundle.mass.norm_bound() / (h * h) + bundle.damping.norm_bound() / h
                            + bundle.stiffness.norm_bound() + bundle.eta * self.coupling_norm)
         self.heat_scale = 1.0 / h + bundle.diffusion.norm_bound()
-        self._known = {}  # name -> (array, value computed from it)
-
-    def _remember(self, u, **values):
-        """Record values computed from the array ``u``, which is made
-        read-only so that it cannot change under them."""
-        u.setflags(write=False)
-        for name, value in values.items():
-            self._known[name] = (u, value)
-
-    def _reuse(self, name, u, compute):
-        """The value recorded as ``name`` when ``u`` is the array it was
-        computed from, else ``compute(u)``."""
-        entry = self._known.get(name)
-        return entry[1] if entry is not None and entry[0] is u else compute(u)
+        self._last = (None, None)  # Newton's last solution and its residual terms
 
     def _fill_bands(self, d1):
         """Pentadiagonal bands of T1 (I + h diffusion) + eta h^2 coupling
@@ -273,29 +259,31 @@ def phi_equation_rhs(state: State, bundle: OperatorBundle, h: float,
                      plan: StepPlan | None = None) -> np.ndarray:
     """Right-hand side g of the per-step elliptic equation for phi+."""
     plan = _plan_for(plan, bundle, h)
-    shifted = plan.resolvent.solve(bundle.eta * state.phi + state.theta)
-    return (plan._reuse("mass", state.phi, bundle.mass.apply)
-            + h * bundle.mass.apply(state.v)
-            + h * plan._reuse("damping", state.phi, bundle.damping.apply)
+    phi = state.phi
+    shifted = plan.resolvent.solve(bundle.eta * phi + state.theta)
+    last, terms = plan._last
+    mass, damping = terms[:2] if phi is last else (bundle.mass.apply(phi),
+                                                   bundle.damping.apply(phi))
+    return (mass + h * bundle.mass.apply(state.v) + h * damping
             + h * h * bundle.coupling.apply(shifted))
 
 
 def _elliptic_residual(phi, g, plan, lam):
     """The residual at phi of the equation smoothed with ``lam`` (None: as
-    stated), and its terms that depend on phi alone; pi is one of them only
-    when the plan has a pi term."""
+    stated), and its terms that depend on phi alone: (mass, damping,
+    stiffness, beta, pi), pi None when the plan has no pi term."""
     bundle, h, nonlin = plan.bundle, plan.h, plan.nonlin
     mass, damping, stiffness = (bundle.mass.apply(phi), bundle.damping.apply(phi),
                                 bundle.stiffness.apply(phi))
     beta = nonlin.beta(phi) if lam is None else nonlin.yosida(lam, phi)
-    terms = {"mass": mass, "damping": damping, "stiffness": stiffness, "beta": beta}
     res = mass + h * damping + h * h * stiffness + h * h * beta
+    pi = None
     if plan.has_pi:
-        terms["pi"] = pi = nonlin.pi(phi)
+        pi = nonlin.pi(phi)
         res += h * h * pi
     res += bundle.eta * h * h * bundle.coupling.apply(plan.resolvent.solve(phi))
     res -= g
-    return res, terms
+    return res, (mass, damping, stiffness, beta, pi)
 
 
 def _newton(g, gn, plan, cfg, lam, phi0):
@@ -347,20 +335,22 @@ def solve_phi(g: np.ndarray, bundle: OperatorBundle, nonlin: Nonlinearity,
     starts; from its last iterate it then solves the equation as stated,
     like the direct path.  The iterations of every stage are counted.
 
-    The plan remembers the terms of the last residual, evaluated at the
-    returned phi (made read-only), for ``step``'s audit and the next step;
-    a smoothed stage's terms are never kept.
+    The returned phi is made read-only and recorded in the plan with the
+    terms of the last residual, which were evaluated at it, for ``step``'s
+    audit and the next step's right-hand side; a smoothed stage's terms are
+    never recorded.
     """
     plan = _plan_for(plan, bundle, cfg.h, nonlin)
     if phi0 is None:
         phi0 = np.zeros(bundle.grid.n_interior)
-    gn = plan._reuse("g_norm", g, partial(h_norm, bundle.grid))
+    gn = h_norm(bundle.grid, g)
     smoothed = YOSIDA_LAMBDAS if cfg.solve_path == "yosida" and nonlin.has_beta else ()
     phi, iters = phi0, 0
     for lam in (*smoothed, None):
         phi, it, res, terms = _newton(g, gn, plan, cfg, lam, phi)
         iters += it
-    plan._remember(phi, **terms)
+    phi.setflags(write=False)
+    plan._last = (phi, terms)
     return phi, iters, res
 
 
@@ -388,18 +378,17 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
 
     A step that fails either audit raises ``StepAuditError``.
 
-    Every product of the audit that an earlier computation made from the
-    same array is taken from it (see ``StepPlan``): stiffness(phi+),
-    beta(phi+) and any pi(phi+) from Newton's last residual, diffusion(theta+)
-    and the resolvent equation's residual from the theta+ solve's own
-    audit, |g| from here, and |phi|, |theta| from the previous step.
+    The audit takes the products that an earlier computation made from the
+    same array from it: stiffness(phi+), beta(phi+) and any pi(phi+) from
+    Newton's last residual when phi+ is the solution the plan records,
+    diffusion(theta+) and the resolvent equation's residual from the theta+
+    solve's own audit.
     """
     plan = _plan_for(plan, bundle, cfg.h, nonlin)
     h = cfg.h
     norm = plan.norm
     g = phi_equation_rhs(state, bundle, h, plan)
     gn = norm(g)
-    plan._remember(g, g_norm=gn)
     # second-order predictor: phi + h v+ with v+ extrapolated as v + h z
     phi1, iters, res = solve_phi(g, bundle, nonlin, cfg,
                                  phi0=state.phi + h * (state.v + h * state.z), plan=plan)
@@ -415,11 +404,15 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
     z1 = (v1 - state.v) / h
 
     heat_res = norm((theta1 - state.theta) / h + bundle.eta * v1 + diffusion_theta1)
-    wave = (bundle.mass.apply(z1) + bundle.damping.apply(v1)
-            + plan._reuse("stiffness", phi1, bundle.stiffness.apply)
-            + plan._reuse("beta", phi1, nonlin.beta))
+    last, terms = plan._last
+    if phi1 is last:
+        _, _, stiffness, beta, pi = terms
+    else:
+        stiffness, beta = bundle.stiffness.apply(phi1), nonlin.beta(phi1)
+        pi = nonlin.pi(phi1) if plan.has_pi else None
+    wave = bundle.mass.apply(z1) + bundle.damping.apply(v1) + stiffness + beta
     if plan.has_pi:
-        wave += plan._reuse("pi", phi1, nonlin.pi)
+        wave += pi
     wave -= bundle.coupling.apply(theta1)
     wave_res = norm(wave)
 
@@ -429,8 +422,8 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
     wave_floor = 32.0 * _EPS * ((1.0 + gn) / (h * h) + plan.wave_scale * phi1_n
                                 + plan.coupling_norm * theta1_n)
     heat_floor = 32.0 * _EPS * (plan.heat_scale * theta1_n
-                                + (plan._reuse("theta_norm", state.theta, norm) + bundle.eta
-                                   * (plan._reuse("phi_norm", state.phi, norm) + phi1_n)) / h)
+                                + (norm(state.theta) + bundle.eta
+                                   * (norm(state.phi) + phi1_n)) / h)
     wave_allowed = max(solver_term, wave_floor)
     heat_allowed = max(solver_term, heat_floor)
     if not (wave_res <= wave_allowed and heat_res <= heat_allowed):
@@ -438,8 +431,6 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
                              f"heat {heat_res:.3e} (allowed {heat_allowed:.3e}), "
                              f"wave {wave_res:.3e} (allowed {wave_allowed:.3e})")
 
-    plan._remember(phi1, phi_norm=phi1_n)
-    plan._remember(theta1, theta_norm=theta1_n)
     new_state = State._stepped(theta1, phi1, v1, z1, state.t_index + 1, h)
     report = StepReport(newton_iters=iters, final_residual=res,
                         theta_residual=theta_res, heat_residual=heat_res,

@@ -284,12 +284,12 @@ _VALID_FIELDS = {
 _INVALID_FIELDS = {
     "preset": ["P7", 3, None],
     "bc": ["robin", 1],
-    "n_interior": [1, -3, 2.5, True, "x", [8], 1e400, None],
+    "n_interior": [1, -3, 2.5, True, "x", [8], 1e400, 1e12, None],
     "T": [0, -1, "nan", True, [1], None],
     "h": [0, -0.125, 0.03, True, "x", None],
     "h_list": [[], [1 / 32], [0.1, 0.03], [1 / 16, 1 / 48], [1 / 32, 1 / 16], "x", [True], [0], None],
     "sigma": [0, -1, "inf", False],
-    "c": [0, -1, "x"],
+    "c": [0, -1, "x", 1e200],
     "gamma": [1, 0.5, "nan", True],
     "m": ["x", [1]],
     "epsilon": [-1, "nan"],
@@ -301,6 +301,7 @@ _INVALID_FIELDS = {
                 {"profile": "single_mode", "mode": 1, "v_amp": "x"},
                 {"profile": "random_smooth", "seed": -1}, {"profile": "random_smooth", "seed": 1.5},
                 {"profile": "random_smooth", "seed": 3, "amplitude": "inf"},
+                {"profile": "random_smooth", "seed": 3, "amplitude": 1e308},
                 {"profile": "random_smooth", "seed": 3, "decay": -1}, {"profile": "x"}, {},
                 "zero"],
     "solver": [{"newton_tol": -1}, {"newton_max_iter": True}, {"newton_max_iter": 0},
@@ -858,6 +859,34 @@ def test_step_limit_admits_the_largest_count():
     assert validate_config(cfg)["_cfg"].h == 1.0 / cli.MAX_STEPS
     with pytest.raises(ConfigError, match="more than the limit"):
         validate_config(base_config(T=1.0, h=1.0 / (cli.MAX_STEPS + 1)))
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("c", 1e200, "c: c must be small enough that c^2 is finite, got 1e+200"),
+    ("initial", {"profile": "random_smooth", "seed": 3, "amplitude": 1e308},
+     "initial: the random_smooth profile overflows to non-finite data; "
+     "its amplitudes are too large"),
+    ("n_interior", 1e12, "n_interior: 1e+12 unknowns, more than the limit of 16384")],
+    ids=["c", "initial", "n_interior"])
+def test_values_beyond_the_float_or_size_range_exit_1(tmp_path, capsys, field, value, message):
+    # c^2 overflows in build_bundle, the data overflow to inf in synthesis,
+    # and 1e12 unknowns cannot be allocated; no warning may escape either
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["run", "--config", write_config(tmp_path, base_config(**{field: value})),
+                   "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not out.exists()
+
+
+def test_unknowns_limit_admits_the_largest_grid():
+    zero = {"profile": "zero"}
+    cfg = base_config(n_interior=cli.MAX_UNKNOWNS, initial=zero)
+    assert validate_config(cfg)["_grid"].n_interior == cli.MAX_UNKNOWNS
+    with pytest.raises(ConfigError, match="more than the limit"):
+        validate_config(base_config(n_interior=cli.MAX_UNKNOWNS + 1, initial=zero))
 
 
 def test_python_m_thermowave_exit_codes(tmp_path):
