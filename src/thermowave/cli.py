@@ -37,7 +37,7 @@ from .nonlinearity import Nonlinearity
 from .operators import PRESET_NAMES, Grid1D, ProblemPreset, build_bundle
 from .oracle import LinearReference, ReferenceDivergedError
 from .profiles import make_initial
-from .stepper import StepConfig, _states, iter_run, step_count
+from .stepper import StepConfig, iter_run, step_count
 
 
 # The most steps one job may take: a run's, or a sweep's members and its
@@ -111,7 +111,7 @@ _FIELD_OF = {"beta_kind": "beta.kind", "beta_coeffs": "beta", "pi_kind": "pi.kin
              "pi_param": "pi", "solve_path": "solver.path", "T": "T",
              **{k: "solver." + k for k in ("newton_tol", "newton_max_iter")},
              **{k: "initial." + k for k in ("profile", "mode", "seed", "decay")},
-             **{k: k for k in ("bc", "sigma", "c", "gamma", "epsilon")}}
+             **{k: k for k in ("bc", "sigma", "c", "m", "gamma", "epsilon")}}
 _INITIAL_TYPES = {"mode": _int, "seed": _int, **dict.fromkeys(
     ("theta_amp", "phi_amp", "v_amp", "decay", "amplitude"), _num)}
 # the keys of the config and of its objects; any other key is an error
@@ -156,9 +156,10 @@ def validate_config(raw: dict, need_h_list: bool = False, need_linear: bool = Fa
     fixed = {"P1": ("epsilon",), "P2": ("m",), "P3": ("m",)}.get(preset, names)
     for key in names:
         val = raw.get(key)
-        resolved[key] = getattr(ProblemPreset, key) if val is None else _num(val, key, errors)
-        if val is not None and key in fixed:
+        if val is not None and key in fixed:  # reported once, and the preset takes its default
             errors.append(f"{key}: preset {preset} fixes this coefficient")
+            val = None
+        resolved[key] = getattr(ProblemPreset, key) if val is None else _num(val, key, errors)
     coeffs = [resolved[k] for k in names]
     if None not in coeffs:
         resolved["_preset"] = _build(errors, "preset", ProblemPreset, preset, *coeffs, bc)
@@ -183,7 +184,7 @@ def validate_config(raw: dict, need_h_list: bool = False, need_linear: bool = Fa
         if raw.get("beta") is not None or raw.get("pi") is not None:
             errors.append("beta/pi: preset P1 fixes beta = 0 and derives pi from m")
         beta = {"kind": "zero"}
-        m = resolved["m"] or 0.0
+        m = resolved["m"] if resolved.get("_preset") else 0.0  # an invalid m is m's error only
         pi = {"kind": "linear", "slope": -m * m} if m != 0.0 else {"kind": "zero"}
     resolved["beta"], resolved["pi"] = beta, pi
     # beta is {kind, scale (cubic) | coeffs (odd_poly)}, pi {kind, slope | amplitude}
@@ -249,10 +250,20 @@ def validate_config(raw: dict, need_h_list: bool = False, need_linear: bool = Fa
 
 def build_problem(resolved: dict):
     """Grid, bundle, nonlinearity, initial data and step config of a
-    validated config; only the bundle is built here."""
-    grid = resolved["_grid"]
-    return (grid, build_bundle(resolved["_preset"], grid), resolved["_nonlin"],
-            resolved["_initial"], resolved.get("_cfg"))
+    validated config; only the bundle is built here.  ConfigError when a
+    derived constant of the header is not finite: coupling_bound grows with
+    c^2 / dx^2, and h_threshold squares (gamma - 1) * coupling_bound."""
+    grid, nonlin = resolved["_grid"], resolved["_nonlin"]
+    with np.errstate(all="ignore"):  # a c^2 / dx^2 beyond the float range
+        bundle = build_bundle(resolved["_preset"], grid)
+    if not math.isfinite(bundle.coupling_bound):
+        raise ConfigError(["c: the coupling bound is not finite; c is too large for this grid"])
+    if not math.isfinite(bundle.h_threshold(nonlin.lipschitz_const)):
+        # the larger factor of (gamma - 1) * coupling_bound names the cause
+        raise ConfigError([f"{'gamma' if bundle.eta > bundle.coupling_bound else 'c'}: "
+                           f"h_threshold is not finite; (gamma - 1) * coupling_bound = "
+                           f"{bundle.eta * bundle.coupling_bound:.3g} is too large"])
+    return grid, bundle, nonlin, resolved["_initial"], resolved.get("_cfg")
 
 
 def _header(meta: dict) -> str:
@@ -263,13 +274,15 @@ def _header(meta: dict) -> str:
     return "".join(f"# {line}\n" for line in lines)
 
 
-def _write_json(path, payload):
+def _write_json(path, payload, failure):
     """Strict JSON: a non-finite number is a solver failure (exit 2), and
-    the file is not written."""
+    the file is not written; the error then names the run's ``failure``
+    first, if it had one."""
     try:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     except ValueError as exc:
-        raise RuntimeError(f"{os.path.basename(path)} not written: {exc}") from exc
+        cause = f"{failure}; " if failure else ""
+        raise RuntimeError(f"{cause}{os.path.basename(path)} not written: {exc}") from exc
     with open(path, "w") as f:
         f.write(text + "\n")
 
@@ -286,22 +299,20 @@ def _json_meta(resolved, bundle, nonlin):
 # opens each CSV table with ``table(name, columns, rows=())``, which writes
 # the header, the column line and ``rows`` and returns the function that
 # writes one more row; the tables stay open until the command returns, so
-# it may write to several as its rows come.  It returns its JSON summary
-# entries and the failure that stopped it, or None; main writes both.
+# it may write to several as its rows come.  A command reads each state from
+# its ``iter_run`` trajectory as it is computed, then how the run ended.  It
+# returns its JSON summary entries and the failure that stopped it, or None;
+# main writes both.
 
-def _run_states(resolved, problem, outcome, on_step):
-    """The states of the config's run, each once as it is computed (see
-    ``stepper._states``); ``outcome`` then also holds the run's summary
-    entries."""
-    _, bundle, nonlin, initial, cfg = problem
-    yield from _states(iter_run(initial, bundle, nonlin, resolved["T"], cfg), outcome, on_step)
-    failure = outcome["failure"]
-    outcome["entries"] = {"complete": failure is None,
-                          "failure_index": None if failure is None else outcome["last"].t_index}
+def _ending(trajectory):
+    """How a run ended, as summary entries; its failed step is the one
+    from its last state."""
+    failed = trajectory.failure is not None
+    return {"complete": not failed, "failure_index": trajectory.last.t_index if failed else None}
 
 
 def cmd_run(resolved: dict, problem, table):
-    grid, bundle, nonlin, _, cfg = problem
+    grid, bundle, nonlin, initial, cfg = problem
     fields = ("kinetic", "elastic", "thermal", "potential", "dissipation_b1", "dissipation_cross")
     energy = table("energy.csv", ["n", "t", *fields, "identity_residual"])
     steps = table("steps.csv", ["n", "t", "newton_iters", "final_residual", "theta_residual",
@@ -315,22 +326,24 @@ def cmd_run(resolved: dict, problem, table):
         for field in ("theta", "phi", "v", "z"):
             snapshots([s.t_index, s.t_index * cfg.h, field, *getattr(s, field).tolist()])
 
-    def on_step(state, r):
-        if r is not None:
-            steps((state.t_index, state.t_index * cfg.h, r.newton_iters, r.final_residual,
-                   r.theta_residual, r.heat_residual, r.wave_residual, r.rhs_norm))
-        if stride > 0 and state.t_index % stride == 0:
-            snapshot(state)
+    trajectory = iter_run(initial, bundle, nonlin, resolved["T"], cfg)
 
-    outcome = {}
+    def states():  # each written to steps.csv and, on the stride, snapshots.csv
+        for state, r in trajectory:
+            if r is not None:
+                steps((state.t_index, state.t_index * cfg.h, r.newton_iters, r.final_residual,
+                       r.theta_residual, r.heat_residual, r.wave_residual, r.rhs_norm))
+            if stride > 0 and state.t_index % stride == 0:
+                snapshot(state)
+            yield state
+
     split = attrgetter(*fields)
-    ledger = diagnostics.iter_ledger(_run_states(resolved, problem, outcome, on_step),
-                                     bundle, nonlin)
-    for n, entry in enumerate(ledger):
+    for n, entry in enumerate(diagnostics.iter_ledger(states(), bundle, nonlin)):
         energy((n, n * cfg.h, *split(entry.record), entry.identity_residual))
-    if stride > 0 and outcome["last"].t_index % stride != 0:
-        snapshot(outcome["last"])  # the last state, off the stride
-    return {**outcome["entries"], "steps_taken": outcome["last"].t_index}, outcome["failure"]
+    last = trajectory.last
+    if stride > 0 and last.t_index % stride != 0:
+        snapshot(last)  # the last state, off the stride
+    return {**_ending(trajectory), "steps_taken": last.t_index}, trajectory.failure
 
 
 def cmd_sweep(resolved: dict, problem, table):
@@ -356,10 +369,10 @@ def cmd_sweep(resolved: dict, problem, table):
 
 
 def cmd_energy_audit(resolved: dict, problem, table):
-    _, bundle, nonlin, _, cfg = problem
+    _, bundle, nonlin, initial, cfg = problem
     audit = table("audit.csv", ["n", "t", "identity_residual", "lyapunov_value", "pi_source_term"])
     pi_zero = nonlin.pi_kind == "zero"
-    outcome = {}
+    trajectory = iter_run(initial, bundle, nonlin, resolved["T"], cfg)
     max_resid = 0.0  # the initial entry's
 
     def written(ledger):
@@ -372,22 +385,20 @@ def cmd_energy_audit(resolved: dict, problem, table):
                 max_resid = max(max_resid, entry.identity_residual)
             yield entry
 
-    entries = written(diagnostics.iter_ledger(_run_states(resolved, problem, outcome, None),
-                                              bundle, nonlin))
-    violations = diagnostics.decay_violations(entries) if pi_zero else []
-    for _ in entries:  # monitor mode: the rows without the decay check
-        pass
-
-    return {**outcome["entries"], "pi_zero": pi_zero, "max_identity_residual": max_resid,
+    ledger = written(diagnostics.iter_ledger((s for s, _ in trajectory), bundle, nonlin))
+    # monitor mode (pi nonzero) reads every row too; its infinite slack
+    # lets no rise count as a violation
+    violations = diagnostics.decay_violations(ledger, 1e-10 if pi_zero else math.inf)
+    return {**_ending(trajectory), "pi_zero": pi_zero, "max_identity_residual": max_resid,
             "lyapunov_violations": [[int(i), float(v)] for i, v in violations],
-            "lyapunov_mode": "checked" if pi_zero else "monitor_only"}, outcome["failure"]
+            "lyapunov_mode": "checked" if pi_zero else "monitor_only"}, trajectory.failure
 
 
 def cmd_oracle_check(resolved: dict, problem, table):
-    _, bundle, nonlin, initial, _ = problem
+    _, bundle, nonlin, initial, cfg = problem
     reference = LinearReference(initial, bundle, nonlin)
-    outcome = {}
-    traj = diagnostics.build_interpolants(_run_states(resolved, problem, outcome, None))
+    trajectory = iter_run(initial, bundle, nonlin, resolved["T"], cfg)
+    traj = diagnostics.build_interpolants(s for s, _ in trajectory)
     ref = reference.sample(traj.times)
     devs = [np.max(np.abs(getattr(traj, name).nodes - ref[name]), axis=1)
             for name in ("theta", "phi", "v")]
@@ -395,7 +406,7 @@ def cmd_oracle_check(resolved: dict, problem, table):
     max_dev = max(0.0, *(float(np.max(d)) for d in devs))
     table("oracle.csv", ["t", "theta_dev", "phi_dev", "v_dev"], rows)
 
-    return {**outcome["entries"], "max_deviation": max_dev}, outcome["failure"]
+    return {**_ending(trajectory), "max_deviation": max_dev}, trajectory.failure
 
 
 # name: (command, its JSON summary file)
@@ -432,6 +443,7 @@ def main(argv=None) -> int:
     try:
         resolved = validate_config(raw, need_h_list=(args.command == "sweep"),
                                    need_linear=(args.command == "oracle-check"))
+        problem = build_problem(resolved)
     except ConfigError as exc:
         for msg in exc.errors:
             print(f"config error: {msg}", file=sys.stderr)
@@ -445,7 +457,6 @@ def main(argv=None) -> int:
 
     command, summary = COMMANDS[args.command]
     try:
-        problem = build_problem(resolved)
         meta = _json_meta(resolved, problem[1], problem[2])
         header = _header(meta)
 
@@ -462,7 +473,7 @@ def main(argv=None) -> int:
                 return write
 
             entries, failure = command(resolved, problem, table)
-        _write_json(os.path.join(args.out, summary), {**meta, **entries})
+        _write_json(os.path.join(args.out, summary), {**meta, **entries}, failure)
         if failure is not None:
             raise failure
     except RuntimeError as exc:

@@ -395,8 +395,10 @@ class ProblemPreset:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not self.c > 0.0:
             raise ValueError(f"c must be positive, got {self.c}")
-        if not math.isfinite(self.c * self.c):
-            raise ValueError(f"c must be small enough that c^2 is finite, got {self.c}")
+        for name, value in (("c", self.c), ("m", self.m)):
+            if not math.isfinite(value * value):
+                raise ValueError(f"{name} must be small enough that {name}^2 is finite, "
+                                 f"got {value}")
         if not self.epsilon >= 0.0:
             raise ValueError(f"epsilon must be nonnegative, got {self.epsilon}")
 

@@ -24,7 +24,7 @@ from .diagnostics import TrajectoryInterpolants, build_interpolants
 from .nonlinearity import Nonlinearity
 from .operators import (DIRICHLET, Grid1D, OperatorBundle, _mode_numbers,
                         laplacian_eigenvalues)
-from .stepper import StepConfig, _states, iter_run
+from .stepper import StepConfig, iter_run
 
 
 # Rows (or columns) of the basis per block, 0.5 MB at n = 1024.  Products
@@ -202,11 +202,11 @@ class ReferenceDivergedError(RuntimeError):
 def fine_reference(initial, bundle: OperatorBundle, nonlin: Nonlinearity,
                    T: float, h_ref: float) -> TrajectoryInterpolants:
     """Time reconstructions of a tight-tolerance run at h_ref, reusable
-    across a refinement sweep; ``ReferenceDivergedError`` if it stops early.
-    Only the run's field rows are kept, never its states."""
-    pairs = iter_run(initial, bundle, nonlin, T, StepConfig(h=h_ref, newton_tol=1e-13))
-    outcome = {}
-    reference = build_interpolants(_states(pairs, outcome))
-    if outcome["failure"] is not None:
-        raise ReferenceDivergedError(h_ref, outcome["last"].t_index, outcome["failure"])
+    across a refinement sweep; ``ReferenceDivergedError`` if it stops early,
+    with the index and exception of the trajectory's failed step.  Only the
+    run's field rows are kept, never its states."""
+    trajectory = iter_run(initial, bundle, nonlin, T, StepConfig(h=h_ref, newton_tol=1e-13))
+    reference = build_interpolants(s for s, _ in trajectory)
+    if trajectory.failure is not None:
+        raise ReferenceDivergedError(h_ref, trajectory.last.t_index, trajectory.failure)
     return reference

@@ -451,21 +451,24 @@ def step_count(T: float, h: float) -> int:
 
 
 def iter_run(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
-             cfg: StepConfig):
+             cfg: StepConfig) -> Trajectory:
     """Integrate from t = 0 to T one state at a time; T / h must be a whole
     number of steps.
 
-    Returns a generator of (state, report) pairs, each state once: the
-    initial state with report None, then every stepped state with the
+    Returns a ``Trajectory`` of (state, report) pairs, each state once:
+    the initial state with report None, then every stepped state with the
     report of the step into it.  The initial state comes after the first
     step, with its acceleration backfilled by the first computed one (the
-    scheme's startup convention), or alone when that step fails.  The
-    generator returns None once the run is complete, or the exception of
-    the failed step on Newton divergence, a failed step audit or a failed
-    resolvent audit; every such message names the step ("at step k").
-    The data are checked, and a step at or above ``h_threshold`` warned
-    about, when ``iter_run`` is called.  The constant linear algebra of all
-    steps is built once, as one ``StepPlan``.  Nothing is kept beyond the
+    scheme's startup convention), or alone when that step fails.  Once the
+    pairs run out, the trajectory's ``failure`` is None for a complete run,
+    or the exception of the failed step on Newton divergence, a failed
+    step audit or a failed resolvent audit (every such message names the
+    step, "at step k"), and its ``last`` is the last state, whose
+    ``t_index`` is the number of steps taken.  Its ``StopIteration``
+    carries the failure, so ``yield from iter_run(...)`` returns it.  The
+    data are checked, and a step at or above ``h_threshold`` warned about,
+    when ``iter_run`` is called.  The constant linear algebra of all steps
+    is built once, as one ``StepPlan``.  Nothing is kept beyond the
     current state, so memory does not grow with the number of steps.
     """
     theta0, phi0, v0 = (np.array(u, dtype=float) for u in initial)
@@ -482,55 +485,48 @@ def iter_run(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
                       stacklevel=2)
     plan = StepPlan(bundle, cfg.h, nonlin)
     state = State(theta0, phi0, v0, np.zeros_like(phi0), 0, cfg.h)
-    return _trajectory(state, n_steps, bundle, nonlin, cfg, plan)
+    return Trajectory(state, n_steps, bundle, nonlin, cfg, plan)
 
 
-def _trajectory(state, n_steps, bundle, nonlin, cfg, plan):
-    """``iter_run``'s generator, from its initial state."""
-    initial = state
-    for _ in range(n_steps):
-        try:
-            state, report = step(state, bundle, nonlin, cfg, plan)
-        except (NewtonDivergedError, StepAuditError, ResolventAuditError) as exc:
-            if not isinstance(exc, StepAuditError):  # which names its step already
-                exc.args = (f"{exc} at step {state.t_index}",)
+class Trajectory:
+    """``iter_run``'s run: an iterator of its (state, report) pairs that,
+    once they run out, holds how the run ended as ``failure`` and ``last``."""
+
+    def __init__(self, state, n_steps, bundle, nonlin, cfg, plan):
+        self.failure = self.last = None
+        self._pairs = self._steps(state, n_steps, bundle, nonlin, cfg, plan)
+
+    def _steps(self, state, n_steps, bundle, nonlin, cfg, plan):
+        initial = state
+        for _ in range(n_steps):
+            try:
+                state, report = step(state, bundle, nonlin, cfg, plan)
+            except (NewtonDivergedError, StepAuditError, ResolventAuditError) as exc:
+                if not isinstance(exc, StepAuditError):  # which names its step already
+                    exc.args = (f"{exc} at step {state.t_index}",)
+                if initial is not None:
+                    yield initial, None
+                self.failure = exc
+                return exc
             if initial is not None:
-                yield initial, None
-            return exc
-        if initial is not None:
-            yield replace(initial, z=state.z), None
-            initial = None
-        yield state, report
+                yield replace(initial, z=state.z), None
+                initial = None
+            yield state, report
 
+    def __iter__(self):
+        return self
 
-def _states(pairs, outcome: dict, on_step=None):
-    """The states of ``iter_run``'s ``pairs``, each once, for readers of
-    states alone; ``on_step(state, report)`` sees each pair first.  Once
-    the states run out, ``outcome`` holds the run's ``failure`` (None when
-    it is complete) and its ``last`` state, whose index is the number of
-    steps taken."""
-    def passed():
-        outcome["failure"] = yield from pairs
-
-    for state, report in passed():
-        if on_step is not None:
-            on_step(state, report)
-        yield state
-    outcome["last"] = state
+    def __next__(self):  # the pairs' StopIteration carries the failure
+        self.last, report = next(self._pairs)
+        return self.last, report
 
 
 def run(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
         cfg: StepConfig) -> RunResult:
-    """The states and reports of ``iter_run``, collected; a failed step
-    ends the run with its index as ``failure_index`` and its exception as
-    ``failure``, and the partial trajectory is returned."""
-    result = RunResult(states=[], reports=[])
-
-    def collected():
-        result.failure = yield from iter_run(initial, bundle, nonlin, T, cfg)
-
-    for state, report in collected():
-        result.states.append(state)
-        if report is not None:
-            result.reports.append(report)
-    return result
+    """The states and reports of ``iter_run``'s trajectory, collected with
+    its ``failure``: a failed step ends the run, and the partial trajectory
+    is returned with the step's index as ``failure_index``."""
+    trajectory = iter_run(initial, bundle, nonlin, T, cfg)
+    pairs = list(trajectory)  # only the first pair has no report
+    return RunResult(states=[s for s, _ in pairs], reports=[r for _, r in pairs[1:]],
+                     failure=trajectory.failure)

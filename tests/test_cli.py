@@ -289,9 +289,9 @@ _INVALID_FIELDS = {
     "h": [0, -0.125, 0.03, True, "x", None],
     "h_list": [[], [1 / 32], [0.1, 0.03], [1 / 16, 1 / 48], [1 / 32, 1 / 16], "x", [True], [0], None],
     "sigma": [0, -1, "inf", False],
-    "c": [0, -1, "x", 1e200],
-    "gamma": [1, 0.5, "nan", True],
-    "m": ["x", [1]],
+    "c": [0, -1, "x", 1e200, 1e80, 1e140, 1e154],
+    "gamma": [1, 0.5, "nan", True, 1e300],
+    "m": ["x", [1], 1e200],
     "epsilon": [-1, "nan"],
     "beta": [{"kind": "cubic"}, {"kind": "cubic", "scale": -1}, {"kind": "cubic", "scale": "nan"},
              {"kind": "odd_poly", "coeffs": "x"}, {"kind": "odd_poly", "coeffs": [1, 1]},
@@ -861,24 +861,55 @@ def test_step_limit_admits_the_largest_count():
         validate_config(base_config(T=1.0, h=1.0 / (cli.MAX_STEPS + 1)))
 
 
-@pytest.mark.parametrize("field,value,message", [
-    ("c", 1e200, "c: c must be small enough that c^2 is finite, got 1e+200"),
-    ("initial", {"profile": "random_smooth", "seed": 3, "amplitude": 1e308},
+@pytest.mark.parametrize("cfg,message", [
+    (base_config(c=1e200), "c: c must be small enough that c^2 is finite, got 1e+200"),
+    (base_config(initial={"profile": "random_smooth", "seed": 3, "amplitude": 1e308}),
      "initial: the random_smooth profile overflows to non-finite data; "
      "its amplitudes are too large"),
-    ("n_interior", 1e12, "n_interior: 1e+12 unknowns, more than the limit of 16384")],
-    ids=["c", "initial", "n_interior"])
-def test_values_beyond_the_float_or_size_range_exit_1(tmp_path, capsys, field, value, message):
-    # c^2 overflows in build_bundle, the data overflow to inf in synthesis,
-    # and 1e12 unknowns cannot be allocated; no warning may escape either
+    (base_config(n_interior=1e12), "n_interior: 1e+12 unknowns, more than the limit of 16384"),
+    (base_config(c=1e80),
+     "c: h_threshold is not finite; (gamma - 1) * coupling_bound = 1e+160 is too large"),
+    (base_config(c=1e140),
+     "c: h_threshold is not finite; (gamma - 1) * coupling_bound = 1e+280 is too large"),
+    (base_config(c=1e154), "c: the coupling bound is not finite; c is too large for this grid"),
+    (base_config(gamma=1e300),
+     "gamma: h_threshold is not finite; (gamma - 1) * coupling_bound = 1e+300 is too large"),
+    ({"preset": "P1", "n_interior": 24, "T": 0.125, "h": 1.0 / 64, "m": 1e200},
+     "m: m must be small enough that m^2 is finite, got 1e+200")],
+    ids=["c", "initial", "n_interior", "c-1e80", "c-1e140", "c-1e154", "gamma-1e300", "m-1e200"])
+def test_values_beyond_the_float_or_size_range_exit_1(tmp_path, capsys, cfg, message):
+    # c^2 or m^2 overflows in ProblemPreset, the coupling bound (c^2 / dx^2)
+    # or h_threshold (which squares (gamma - 1) * coupling_bound) in the
+    # derived constants of the header, the data overflow to inf in
+    # synthesis, and 1e12 unknowns cannot be allocated; no warning may
+    # escape either
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rc = main(["run", "--config", write_config(tmp_path, base_config(**{field: value})),
-                   "--out", str(out)])
+        rc = main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,summary", [("energy-audit", "audit.json"),
+                                             ("oracle-check", "oracle.json")])
+def test_error_line_names_the_step_failure_behind_an_unwritten_summary(tmp_path, capsys,
+                                                                       command, summary):
+    # h = 1/64 is above h_threshold with this pi: the run diverges at step
+    # 456, by when the summary's largest residual or deviation is inf
+    cfg = {"preset": "P2", "n_interior": 16, "T": 8.0, "h": 1.0 / 64,
+           "pi": {"kind": "linear", "slope": -1e4},
+           "initial": {"profile": "random_smooth", "seed": 7}}
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
+    assert rc == 2
+    assert [line for line in capsys.readouterr().err.splitlines() if "error" in line] == [
+        "error: Newton did not converge in 0 iterations (last residual inf) at step 456; "
+        f"{summary} not written: Out of range float values are not JSON compliant: inf"]
+    assert not (out / summary).exists()
 
 
 def test_unknowns_limit_admits_the_largest_grid():

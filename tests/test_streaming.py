@@ -270,6 +270,8 @@ def test_iter_run_yields_each_state_once_then_returns_failure():
         while True:
             pairs.append(next(trajectory))
     assert end.value.value is None
+    assert trajectory.failure is end.value.value and trajectory.last is pairs[-1][0]
+    assert trajectory.last.t_index == 8
     assert [s.t_index for s, _ in pairs] == list(range(9))
     assert pairs[0][1] is None and [r for _, r in pairs[1:]] == want.reports
     assert pairs[0][0].z is pairs[1][0].z  # the backfilled acceleration
@@ -290,6 +292,8 @@ def test_iter_run_ends_with_the_failed_step(fail_at):
                 states.append(next(trajectory)[0])
     failure = end.value.value
     assert isinstance(failure, NewtonDivergedError) and str(failure).endswith(f"at step {fail_at}")
+    assert trajectory.failure is failure and trajectory.last is states[-1]
+    assert trajectory.last.t_index == fail_at
     assert [s.t_index for s in states] == list(range(fail_at + 1))
     # a run that never stepped keeps the initial acceleration, zero
     assert (fail_at > 0) == bool(np.any(states[0].z))

@@ -8,8 +8,11 @@ PARENT_SRC and CHANGE_SRC are checkouts or their ``src`` directories.  Each
 tree runs the same jobs through ``thermowave.cli.main`` in a fresh process
 with one BLAS thread: the three benchmark configs and the ten P1-P5 x bc
 coverage configs of ``perfbench/workloads.py``, a yosida-path ``run``, a
-scaled-sine ``energy-audit``, a P1 ``oracle-check`` and a cubic P2
-``sweep``.  ``--n`` puts every job on an N-point grid (a quick check).
+scaled-sine ``energy-audit``, a P1 ``oracle-check``, a cubic P2 ``sweep``,
+and a ``run`` (snapshot stride 7), an ``energy-audit`` and an
+``oracle-check`` of a linear-pi P2 config whose h is above h_threshold, so
+that they diverge (exit 2 at step 74 on a 64-point grid) and leave partial
+outputs.  ``--n`` puts every job on an N-point grid (a quick check).
 
 For every job it prints both exit codes and any ``error:`` line that
 differs, and for every output file whether the two trees wrote the same
@@ -57,6 +60,12 @@ def jobs(seed: int, n: int | None) -> dict:
         "m": 1.0, "initial": {"profile": "random_smooth", "seed": seed}})
     sweep = {k: v for k, v in cubic.items() if k != "h"}
     out["p2-cubic-sweep"] = ("sweep", {**sweep, "h_list": [1.0 / 16, 1.0 / 32, 1.0 / 64]})
+    diverging = {"preset": "P2", "bc": "dirichlet", "n_interior": 64, "T": 8.0, "h": 1.0 / 64,
+                 "pi": {"kind": "linear", "slope": -1e4},
+                 "initial": {"profile": "random_smooth", "seed": seed}}
+    out["diverging-run"] = ("run", {**diverging, "snapshot_stride": 7})
+    out["diverging-audit"] = ("energy-audit", diverging)
+    out["diverging-oracle-check"] = ("oracle-check", diverging)
     if n is not None:
         out = {name: (command, {**cfg, "n_interior": n}) for name, (command, cfg) in out.items()}
     return out
