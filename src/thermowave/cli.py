@@ -13,7 +13,8 @@ oracle-check  linear configurations only; compares the trajectory against
 Every output embeds the fully resolved config plus the computed coupling
 bound and step-size threshold in a header block, and is byte-deterministic
 for a fixed config.  run and energy-audit write each state's rows as the
-stepper yields it, so their memory does not grow with the number of steps.
+stepper yields it, oracle-check each block's, and sweep reads each member
+in blocks, so their memory does not grow with the number of steps.
 Exit codes: 0 success, 1 bad input (a usage error, an invalid config, or an
 --out that cannot be created; nothing is written), 2 solver divergence
 (partial outputs are still written: every row before the failed step, then
@@ -35,7 +36,7 @@ import numpy as np
 from . import convergence, diagnostics
 from .nonlinearity import Nonlinearity
 from .operators import PRESET_NAMES, Grid1D, ProblemPreset, build_bundle
-from .oracle import LinearReference, ReferenceDivergedError
+from .oracle import LinearReference, ReferenceDivergedError, max_deviation
 from .profiles import make_initial
 from .stepper import StepConfig, iter_run, step_count
 
@@ -252,7 +253,9 @@ def build_problem(resolved: dict):
     """Grid, bundle, nonlinearity, initial data and step config of a
     validated config; only the bundle is built here.  ConfigError when a
     derived constant of the header is not finite: coupling_bound grows with
-    c^2 / dx^2, and h_threshold squares (gamma - 1) * coupling_bound."""
+    c^2 / dx^2, and h_threshold squares (gamma - 1) * coupling_bound; or
+    when the square of h * |damping| is not, at the largest h: a step's
+    residual norms square its damping term."""
     grid, nonlin = resolved["_grid"], resolved["_nonlin"]
     with np.errstate(all="ignore"):  # a c^2 / dx^2 beyond the float range
         bundle = build_bundle(resolved["_preset"], grid)
@@ -263,6 +266,12 @@ def build_problem(resolved: dict):
         raise ConfigError([f"{'gamma' if bundle.eta > bundle.coupling_bound else 'c'}: "
                            f"h_threshold is not finite; (gamma - 1) * coupling_bound = "
                            f"{bundle.eta * bundle.coupling_bound:.3g} is too large"])
+    cfgs = resolved.get("_cfgs") or [resolved["_cfg"]]  # a sweep's largest h comes first
+    h, damping = cfgs[0].h, bundle.damping.norm_bound()
+    if not math.isfinite(h * damping * h * damping):  # the larger factor names the cause
+        field = "epsilon" if damping > h else "h_list" if len(cfgs) > 1 else "h"
+        raise ConfigError([f"{field}: h * |damping| = {h * damping:.3g} is too large; "
+                           "its square must be finite"])
     return grid, bundle, nonlin, resolved["_initial"], resolved.get("_cfg")
 
 
@@ -398,14 +407,8 @@ def cmd_oracle_check(resolved: dict, problem, table):
     _, bundle, nonlin, initial, cfg = problem
     reference = LinearReference(initial, bundle, nonlin)
     trajectory = iter_run(initial, bundle, nonlin, resolved["T"], cfg)
-    traj = diagnostics.build_interpolants(s for s, _ in trajectory)
-    ref = reference.sample(traj.times)
-    devs = [np.max(np.abs(getattr(traj, name).nodes - ref[name]), axis=1)
-            for name in ("theta", "phi", "v")]
-    rows = np.column_stack([traj.times, *devs]).tolist()
-    max_dev = max(0.0, *(float(np.max(d)) for d in devs))
-    table("oracle.csv", ["t", "theta_dev", "phi_dev", "v_dev"], rows)
-
+    write = table("oracle.csv", ["t", "theta_dev", "phi_dev", "v_dev"])
+    max_dev = max_deviation((s for s, _ in trajectory), reference, write)
     return {**_ending(trajectory), "max_deviation": max_dev}, trajectory.failure
 
 

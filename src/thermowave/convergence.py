@@ -2,8 +2,9 @@
 
 ``error_norms`` measures the distance between one trajectory's time
 reconstructions and a reference solution in the seven quantities the
-scheme's error analysis controls; ``sweep`` runs a halving sequence of step
-sizes against a shared reference and fits the observed convergence order.
+scheme's error analysis controls, reading the trajectory in blocks;
+``sweep`` runs a halving sequence of step sizes against a shared reference
+and fits the observed convergence order.
 The total over all seven terms decays at least like sqrt(h) (first order
 is what backward differencing typically delivers), and total / sqrt(h)
 stays bounded across the sweep.
@@ -16,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import build_interpolants
+from .diagnostics import stream_blocks
 from .nonlinearity import Nonlinearity
 from .operators import OperatorBundle, h_inner, v_norm_sq
 from .oracle import LinearReference, fine_reference
-from .stepper import StepConfig, run, step_count
+from .stepper import StepConfig, iter_run, step_count
 
 
 @dataclass(frozen=True)
@@ -79,79 +80,130 @@ def _simpson_pair(q_a, q_m, q_b, length):
     return length / 6.0 * (q_a + 4.0 * q_m + q_b)
 
 
+_FIELDS = ("theta", "phi", "v")
+_QUARTERS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+
+def _interval_rows(reference, sample, short, lefts, h, ends):
+    """Reference rows of a block's intervals, which start at ``lefts``:
+    at their midpoints, and at the five quarter points of each interval.
+
+    Piecewise-constant errors compare against the reference's own
+    piecewise-constant view when it has one (a fine-step reference), with
+    interval endpoints sampled from inside the open interval; against the
+    pointwise values otherwise.  The reference is resolved at quarter
+    points so its piecewise-linear stand-in tracks curvature well below the
+    discretization error being measured.  Pointwise values at interval ends
+    and midpoints are the node rows ``ends`` (the intervals' left and right
+    ends) and the midpoint rows, except on a ``short`` grid of N <= 2 steps,
+    where a LinearReference samples each time on its own and exp(2h) y0
+    differs in the last bits from exp(h) exp(h) y0.
+    """
+    mids = sample(lefts + 0.5 * h, 0.5)
+    if hasattr(reference, "sample_bar"):
+        return mids, [reference.sample_bar(lefts + w * h, side=(+1 if w == 0.0 else -1))
+                      for w in _QUARTERS]
+    if short:
+        return mids, [reference.sample(lefts + w * h) for w in _QUARTERS]
+    return mids, [{name: r[:-1] for name, r in ends.items()},
+                  sample(lefts + 0.25 * h, 0.25), mids,
+                  sample(lefts + 0.75 * h, 0.75), {name: r[1:] for name, r in ends.items()}]
+
+
 def error_norms(states, reference, bundle: OperatorBundle) -> ErrorReport:
     """Error figures of one trajectory against a reference.
 
     Sup norms are taken over time nodes and interval midpoints; time
     integrals treat the reference as piecewise linear between its samples,
     making every integrand piecewise quadratic and the interval integrals
-    exact.  The trajectory's rows come from ``build_interpolants``.
+    exact.  ``states`` is a list or any iterable of consecutive states,
+    read once, each at time ``t_index * h``.  They come in the blocks of
+    ``diagnostics.stream_blocks``: each block is stacked with the node
+    before it, its sups fold into running maxima, and its intervals' Simpson
+    values are kept, one scalar per interval and quarter, to be summed once
+    at the end.  Every figure has the bits of the whole trajectory's.
+
+    A trajectory longer than one block is sampled block by block when the
+    reference has ``chain``: ``sample(times, chain)`` with one chain per
+    time grid, and a ``sample_bar`` that depends on each time alone.  Its
+    memory does not grow with the trajectory, apart from those scalars.
+    One block, or any trajectory against a reference with only ``sample``
+    (and ``sample_bar``), is sampled over the whole grid.  The figures are
+    computed without floating-point warnings (an overflow reads inf), so
+    the figures of a run that diverges add none to the run's own.
     """
     grid = bundle.grid
-    n = grid.n_interior
-    N = len(states) - 1
-    traj = build_interpolants(states)
-    h = traj.h
-    t_nodes = traj.times
-    t_mids = t_nodes[:-1] + 0.5 * h
+    # figure: (field, rowwise form); sups at nodes and midpoints, and time
+    # integrals of the piecewise-constant error
+    sups = {"e1": ("v", lambda r: h_inner(grid, bundle.mass.apply(r), r)),
+            "e3": ("phi", lambda r: v_norm_sq(grid, r)),
+            "e4": ("theta", lambda r: h_inner(grid, r, r)),
+            "e6": ("theta", lambda r: h_inner(grid, bundle.coupling.apply(r), r))}
+    integrals = {"e2": ("v", lambda r: h_inner(grid, bundle.damping.apply(r), r)),
+                 "e5": ("theta", lambda r: v_norm_sq(grid, r)),
+                 "e7": ("theta", lambda r: h_inner(grid, bundle.coupling.apply(r),
+                                                   bundle.diffusion.apply(r)))}
+    peaks = {key: ([], []) for key in sups}  # block maxima at nodes, at midpoints
+    pieces = {key: ([], [], [], []) for key in integrals}  # per quarter of the intervals
 
-    ref_n = reference.sample(t_nodes)
-    ref_m = reference.sample(t_mids)
-    for name in ("theta", "phi", "v"):
-        if ref_n[name].shape[1] != n:
-            raise ValueError("reference grid does not match trajectory grid")
+    blocks, whole = stream_blocks(states, grid.n_interior)
+    if not (whole or hasattr(reference, "chain")):
+        blocks, whole = [[s for block in blocks for s in block]], True
+    chains = {w: None if whole else reference.chain() for w in (None, 0.25, 0.5, 0.75)}
 
-    def sup_of(err_nodes, err_mids, q_rows):
-        return math.sqrt(max(np.max(q_rows(err_nodes)), np.max(q_rows(err_mids)), 0.0))
+    def sample(times, w=None):
+        return reference.sample(times) if whole else reference.sample(times, chains[w])
 
-    def hat_errors(name):
-        field = getattr(traj, name)
-        return field.nodes - ref_n[name], field.midpoints() - ref_m[name]
+    prev = h = None  # the node before the block: its state and reference rows
 
-    ev_n, ev_m = hat_errors("v")
-    e1 = sup_of(ev_n, ev_m, lambda r: h_inner(grid, bundle.mass.apply(r), r))
-    ep_n, ep_m = hat_errors("phi")
-    e3 = sup_of(ep_n, ep_m, lambda r: v_norm_sq(grid, r))
-    et_n, et_m = hat_errors("theta")
-    e4 = sup_of(et_n, et_m, lambda r: h_inner(grid, r, r))
-    e6 = sup_of(et_n, et_m, lambda r: h_inner(grid, bundle.coupling.apply(r), r))
+    def add(block):
+        nonlocal prev, h
+        stack = block if prev is None else [prev[0], *block]
+        k = len(stack) - len(block)  # the block's first row in the stack
+        rows = {name: np.stack([getattr(s, name) for s in stack]) for name in _FIELDS}
+        times = np.array([s.t_index * s.h for s in stack])
+        ref_n = sample(times[k:])
+        for name in _FIELDS:
+            if ref_n[name].shape[1] != grid.n_interior:
+                raise ValueError("reference grid does not match trajectory grid")
+        for key, (name, q_rows) in sups.items():
+            peaks[key][0].append(np.max(q_rows(rows[name][k:] - ref_n[name])))
+        if len(stack) > 1:
+            h = float(times[1] - times[0]) if h is None else h
+            ends = ref_n if k == 0 else {name: np.concatenate([prev[1][name][None], r])
+                                         for name, r in ref_n.items()}
+            ref_m, ref_q = _interval_rows(reference, sample, whole and len(stack) <= 3,
+                                          times[:-1], h, ends)
+            for key, (name, q_rows) in sups.items():
+                mids = 0.5 * (rows[name][:-1] + rows[name][1:])
+                peaks[key][1].append(np.max(q_rows(mids - ref_m[name])))
+            for key, (name, q_rows) in integrals.items():
+                d = [rows[name][1:] - rq[name] for rq in ref_q]
+                for quarter, left, right in zip(pieces[key], d[:-1], d[1:]):
+                    mid = 0.5 * (left + right)
+                    quarter.append(_simpson_pair(q_rows(left), q_rows(mid), q_rows(right),
+                                                 h / 4.0))
+        prev = block[-1], {name: r[-1] for name, r in ref_n.items()}
 
-    # Piecewise-constant errors compare against the reference's own
-    # piecewise-constant view when it has one (a fine-step reference), with
-    # interval endpoints sampled from inside the open interval; against the
-    # pointwise values otherwise.  The reference is resolved at quarter
-    # points so its piecewise-linear stand-in tracks curvature well below
-    # the discretization error being measured.  Pointwise values at interval
-    # ends and midpoints are the node and midpoint samples above, except for
-    # N <= 2 steps, where a LinearReference samples each time on its own and
-    # exp(2h) y0 differs in the last bits from exp(h) exp(h) y0.
-    offsets = (0.0, 0.25, 0.5, 0.75, 1.0)
-    if hasattr(reference, "sample_bar"):
-        ref_q = [reference.sample_bar(t_nodes[:-1] + w * h, side=(+1 if w == 0.0 else -1))
-                 for w in offsets]
-    elif N > 2:
-        ref_q = [{name: rows[:-1] for name, rows in ref_n.items()},
-                 reference.sample(t_nodes[:-1] + 0.25 * h), ref_m,
-                 reference.sample(t_nodes[:-1] + 0.75 * h),
-                 {name: rows[1:] for name, rows in ref_n.items()}]
-    else:
-        ref_q = [reference.sample(t_nodes[:-1] + w * h) for w in offsets]
+    for block in blocks:  # the states are read outside the errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            add(block)
+        del block  # before the next block is read
 
-    def l2_bar(name, q_rows):
-        bar = getattr(traj, name).nodes[1:]
-        d = [bar - rq[name] for rq in ref_q]
+    def sup(key):
+        at_nodes, at_mids = peaks[key]
+        return math.sqrt(max(np.max(at_nodes), np.max(at_mids, initial=-math.inf), 0.0))
+
+    def integral(key):
         total = 0.0
-        for left, right in zip(d[:-1], d[1:]):
-            mid = 0.5 * (left + right)
-            total += np.sum(_simpson_pair(q_rows(left), q_rows(mid), q_rows(right), h / 4.0))
+        for quarter in pieces[key]:
+            total += np.sum(np.concatenate(quarter)) if quarter else 0.0
         return float(total)
 
-    e2 = math.sqrt(max(l2_bar("v", lambda r: h_inner(grid, bundle.damping.apply(r), r)), 0.0))
-    e5 = math.sqrt(max(l2_bar("theta", lambda r: v_norm_sq(grid, r)), 0.0))
-    e7 = l2_bar("theta",
-                lambda r: h_inner(grid, bundle.coupling.apply(r), bundle.diffusion.apply(r)))
-
-    return ErrorReport(h=h, e1=e1, e2=e2, e3=e3, e4=e4, e5=e5, e6=e6, e7=e7)
+    return ErrorReport(h=prev[0].h if h is None else h,
+                       e1=sup("e1"), e2=math.sqrt(max(integral("e2"), 0.0)), e3=sup("e3"),
+                       e4=sup("e4"), e5=math.sqrt(max(integral("e5"), 0.0)), e6=sup("e6"),
+                       e7=integral("e7"))
 
 
 def pick_reference(initial, bundle: OperatorBundle, nonlin: Nonlinearity,
@@ -184,7 +236,12 @@ def sweep(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
     unless one is supplied), fits the slope of log(total) against log(h),
     and records the empirical constant max(total / sqrt(h)).  ``configs``
     gives each member its own StepConfig, in ``h_list`` order; by default
-    member h runs ``StepConfig(h)``.
+    member h runs ``StepConfig(h)``.  Each member's ``iter_run`` trajectory
+    goes straight into ``error_norms``, so no member's states are
+    collected.  A member that diverges still runs through ``error_norms``
+    up to its failed step, and its figures are dropped; the members after
+    it still run, and ``SweepDivergedError`` names the first failure, with
+    the reports of the members that completed.
     """
     h_list = check_h_list(T, h_list)
     if configs is None:
@@ -197,12 +254,12 @@ def sweep(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
 
     reports, failures = [], []
     for cfg in configs:
-        result = run(initial, bundle, nonlin, T, cfg)
-        if result.complete:
-            reports.append(error_norms(result.states, reference, bundle))
-        else:
-            failures.append((cfg.h, result.failure_index, result.failure))
-        del result  # free this member's trajectory before the next run starts
+        trajectory = iter_run(initial, bundle, nonlin, T, cfg)
+        report = error_norms((s for s, _ in trajectory), reference, bundle)
+        if trajectory.failure is None:
+            reports.append(report)
+        else:  # the figures of the states before the failed step are dropped
+            failures.append((cfg.h, trajectory.last.t_index, trajectory.failure))
     if failures:
         h_bad, idx, cause = failures[0]
         raise SweepDivergedError(h_bad, idx, reports, cause)

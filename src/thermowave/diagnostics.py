@@ -12,20 +12,22 @@ exact arithmetic, solver tolerance in practice).  ``energy_ledger`` gives
 each state of a trajectory its energy and the identity residual and pi
 source of the step into it, in one rowwise pass over blocks of states;
 ``energy`` and ``step_identity_residual`` are its one- and two-state cases, and
-``iter_ledger`` streams it for a trajectory read once.
+``iter_ledger`` streams it for a trajectory read once, in the blocks of
+``iter_blocks`` (about ``BLOCK_VALUES`` values per field) that
+``convergence.error_norms`` and ``oracle.max_deviation`` read too.
 The module also carries the uniform-boundedness monitors used by the
 refinement studies, and the piecewise-constant / piecewise-linear time
 reconstructions of a trajectory with their exact norm identities.
 ``build_interpolants`` is the one stacked view of a trajectory: the
-monitors, ``convergence.error_norms`` and the CLI read their per-field
-rows from it, and ``oracle.fine_reference`` returns it as the fine-step
-reference.
+monitors read their per-field rows from it, and ``oracle.fine_reference``
+returns it as the fine-step reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, islice
 
 import numpy as np
 
@@ -134,26 +136,50 @@ def step_identity_residual(state_n, state_np1, bundle: OperatorBundle,
     return _ledger_rows([state_n, state_np1], bundle, nonlin)[1].identity_residual
 
 
+# Values per field in one block of a streamed trajectory: the ledger, the
+# error figures and the oracle deviations all hold one block of states.
+BLOCK_VALUES = 8192
+
+
+def iter_blocks(states, n: int):
+    """Lists of consecutive states of any iterable, read once, each of
+    ``max(1, BLOCK_VALUES // n)`` states but the last; a block comes as
+    soon as it is full, the last when the states run out.  A block is let
+    go before the next is read, so a consumer that drops it too holds one
+    block at a time."""
+    states, size = iter(states), max(1, BLOCK_VALUES // n)
+    while block := list(islice(states, size)):
+        yield block
+        del block
+
+
+def stream_blocks(states, n: int):
+    """``(blocks, whole)``: the blocks of ``iter_blocks``, and whether the
+    states fit one block of at least three.  That many states and one more
+    are read ahead, so a consumer knows before its first block whether the
+    trajectory is one block (then ``blocks`` is the list of it) or longer
+    than two steps."""
+    states, size = iter(states), max(1, BLOCK_VALUES // n)
+    head = list(islice(states, max(3, size) + 1))
+    if len(head) <= max(3, size):
+        return [head], True
+    return chain([head[:size]], iter_blocks(chain(head[size:], states), n)), False
+
+
 def iter_ledger(states, bundle: OperatorBundle, nonlin: Nonlinearity):
     """Energy bookkeeping of a trajectory, one ``LedgerEntry`` per state.
 
     ``states`` is any iterable of consecutive states, read once.  They go
-    through ``_ledger_rows`` in blocks of about 8192 values per field, and
-    only one block is held, so memory does not grow with the trajectory;
-    a block's entries come as soon as it is full, the last block's when the
-    states run out.  Every entry has the bits of ``energy`` and
-    ``step_identity_residual`` of its states.
+    through ``_ledger_rows`` in ``iter_blocks``, and only one block is
+    held, so memory does not grow with the trajectory.  Every entry has
+    the bits of ``energy`` and ``step_identity_residual`` of its states.
     """
-    size = max(1, 8192 // bundle.grid.n_interior)
-    block, prev = [], None
-    for state in states:
-        block.append(state)
-        if len(block) == size:
-            rows = _ledger_rows(block, bundle, nonlin, prev)
-            yield from rows
-            block, prev = [], (block[-1], rows[-1])
-    if block:
-        yield from _ledger_rows(block, bundle, nonlin, prev)
+    prev = None
+    for block in iter_blocks(states, bundle.grid.n_interior):
+        rows = _ledger_rows(block, bundle, nonlin, prev)
+        prev = block[-1], rows[-1]
+        del block  # before the next block is read
+        yield from rows
 
 
 def energy_ledger(states, bundle: OperatorBundle, nonlin: Nonlinearity) -> list:
@@ -270,7 +296,13 @@ class TrajectoryInterpolants:
     def times(self) -> np.ndarray:
         return self.theta.times
 
-    def sample(self, times) -> dict:
+    def chain(self):
+        """None: every row of ``sample`` and ``sample_bar`` depends on its
+        own time alone, so a time grid is sampled block by block with no
+        state carried between the blocks (see ``convergence.error_norms``)."""
+        return None
+
+    def sample(self, times, chain=None) -> dict:
         return {name: getattr(self, name).hat(times) for name in ("theta", "phi", "v")}
 
     def sample_bar(self, times, side: int = -1) -> dict:

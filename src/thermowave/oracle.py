@@ -9,7 +9,8 @@ isolating exactly the time-discretization error the stepper commits.  For
 nonlinear configurations a nested fine-step run serves as the reference:
 ``fine_reference`` returns its ``diagnostics.TrajectoryInterpolants``,
 whose ``sample`` / ``sample_bar`` are the run's piecewise-linear and
-piecewise-constant reconstructions.
+piecewise-constant reconstructions.  ``max_deviation`` holds a trajectory
+against a ``LinearReference`` one block of states at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
-from .diagnostics import TrajectoryInterpolants, build_interpolants
+from .diagnostics import TrajectoryInterpolants, build_interpolants, stream_blocks
 from .nonlinearity import Nonlinearity
 from .operators import (DIRICHLET, Grid1D, OperatorBundle, _mode_numbers,
                         laplacian_eigenvalues)
@@ -119,8 +120,10 @@ class LinearReference:
     shared by a refinement sweep pays once for every step length its members
     have in common.  ``sample(times)`` propagates uniformly spaced requests
     with the exponential of the spacing; arbitrary times take one cached
-    exponential each.  The reference keeps the dense basis B (8n² bytes)
-    for its lifetime and maps modal rows to grid values in one product.
+    exponential each.  With a ``chain()`` a long uniform grid is sampled in
+    consecutive blocks, one block of rows held at a time.  The reference
+    keeps the dense basis B (8n² bytes) for its lifetime and maps modal rows
+    to grid values in one product per block.
     """
 
     EXPM_CACHE_SIZE = 64
@@ -149,12 +152,6 @@ class LinearReference:
             E.setflags(write=False)
         return E
 
-    def _assemble(self, Y: np.ndarray) -> dict:
-        """Grid values of modal rows Y (n_times, n_modes, 3), per field."""
-        B = self._basis
-        return {name: (B @ Y[:, :, j, None])[..., 0]
-                for j, name in enumerate(("theta", "phi", "v"))}
-
     def at(self, t: float) -> FieldSnapshot:
         """The fields of ``sample([t])`` and the acceleration z at t."""
         fields = {k: rows[0] for k, rows in self.sample([t]).items()}
@@ -163,20 +160,42 @@ class LinearReference:
         z = self._basis @ dY[:, 2]
         return FieldSnapshot(fields["theta"], fields["phi"], fields["v"], z)
 
-    def sample(self, times) -> dict:
+    def chain(self) -> dict:
+        """A new, empty chain for ``sample``, which keeps in it the start
+        time, the step exponential and the last modal row of one grid."""
+        return {}
+
+    def sample(self, times, chain=None) -> dict:
+        """Grid values of theta, phi and v, one row per time.
+
+        More than two uniformly spaced times are one chain Y[i] = exp(dt G)
+        Y[i - 1] from exp(times[0] G) y0, dt = times[1] - times[0]; any
+        other times take one exponential each.  Given a ``chain``, the
+        times are the next block of one uniform grid of more than two times
+        whose earlier blocks came with the same chain: it continues across
+        the blocks from the grid's first time and spacing, so each row has
+        the bits of the whole grid's call.  The rows at time zero are the
+        initial data.
+        """
         times = np.asarray(times, dtype=float)
+        if chain is None:
+            dt = np.diff(times)
+            if times.size > 2 and np.allclose(dt, dt[0], rtol=1e-12, atol=1e-15):
+                chain = {}
         Y = np.empty((times.size, self.grid.n_interior, 3))
-        dt = np.diff(times)
-        if times.size > 2 and np.allclose(dt, dt[0], rtol=1e-12, atol=1e-15):
-            E = self._expm_batch(float(dt[0]))
-            y = Y[0] = np.einsum("kij,kj->ki", self._expm_batch(float(times[0])), self._y0)
-            for i in range(1, times.size):
-                y = Y[i] = np.einsum("kij,kj->ki", E, y)
-        else:
-            for i, t in enumerate(times):
+        for i, t in enumerate(times):
+            if chain is None:
                 Y[i] = np.einsum("kij,kj->ki", self._expm_batch(float(t)), self._y0)
-        out = self._assemble(Y)
-        # the reference at time zero is the initial data itself
+            elif "y" not in chain:
+                chain["t0"] = t
+                chain["y"] = Y[i] = np.einsum("kij,kj->ki", self._expm_batch(float(t)), self._y0)
+            else:
+                if "E" not in chain:
+                    chain["E"] = self._expm_batch(float(t - chain["t0"]))
+                chain["y"] = Y[i] = np.einsum("kij,kj->ki", chain["E"], chain["y"])
+        B = self._basis
+        out = {name: (B @ Y[:, :, j, None])[..., 0]
+               for j, name in enumerate(("theta", "phi", "v"))}
         for name, rows in out.items():
             rows[times == 0.0] = self._initial[name]
         return out
@@ -186,6 +205,34 @@ def exact_linear_solution(initial, bundle: OperatorBundle, nonlin: Nonlinearity,
                           t: float) -> FieldSnapshot:
     """Semi-discrete solution at time t via per-mode matrix exponentials."""
     return LinearReference(initial, bundle, nonlin).at(t)
+
+
+def max_deviation(states, reference: LinearReference, write) -> float:
+    """Largest pointwise deviation of the states' fields from the
+    reference at their times, and at least 0.0.  ``states`` is any iterable
+    of consecutive states, read once, each at time ``t_index * h``; they go
+    in the blocks of ``diagnostics.stream_blocks``, and ``write`` takes one
+    row (t, theta_dev, phi_dev, v_dev) per state as soon as its block is
+    done.  A trajectory longer than one block samples the reference along
+    one chain, so only one block of rows is held."""
+    blocks, whole = stream_blocks(states, reference.grid.n_interior)
+    chain = None if whole else reference.chain()
+
+    def deviations(block):
+        times = np.array([s.t_index * s.h for s in block])
+        ref = reference.sample(times, chain)
+        return np.column_stack([times, *(
+            np.max(np.abs(np.stack([getattr(s, name) for s in block]) - ref[name]), axis=1)
+            for name in ("theta", "phi", "v"))])
+
+    peaks = []  # each block's largest deviation per field
+    for block in blocks:
+        rows = deviations(block)
+        del block  # before the next block is read
+        for row in rows.tolist():
+            write(row)
+        peaks.append(np.max(rows[:, 1:], axis=0))
+    return max(0.0, *np.max(peaks, axis=0).tolist())
 
 
 class ReferenceDivergedError(RuntimeError):

@@ -875,8 +875,11 @@ def test_step_limit_admits_the_largest_count():
     (base_config(gamma=1e300),
      "gamma: h_threshold is not finite; (gamma - 1) * coupling_bound = 1e+300 is too large"),
     ({"preset": "P1", "n_interior": 24, "T": 0.125, "h": 1.0 / 64, "m": 1e200},
-     "m: m must be small enough that m^2 is finite, got 1e+200")],
-    ids=["c", "initial", "n_interior", "c-1e80", "c-1e140", "c-1e154", "gamma-1e300", "m-1e200"])
+     "m: m must be small enough that m^2 is finite, got 1e+200"),
+    (base_config(T=1.0 / 16, epsilon=1e300, initial={"profile": "random_smooth", "seed": 1}),
+     "epsilon: h * |damping| = 1.56e+298 is too large; its square must be finite")],
+    ids=["c", "initial", "n_interior", "c-1e80", "c-1e140", "c-1e154", "gamma-1e300", "m-1e200",
+         "epsilon-1e300"])
 def test_values_beyond_the_float_or_size_range_exit_1(tmp_path, capsys, cfg, message):
     # c^2 or m^2 overflows in ProblemPreset, the coupling bound (c^2 / dx^2)
     # or h_threshold (which squares (gamma - 1) * coupling_bound) in the

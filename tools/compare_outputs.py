@@ -12,7 +12,11 @@ scaled-sine ``energy-audit``, a P1 ``oracle-check``, a cubic P2 ``sweep``,
 and a ``run`` (snapshot stride 7), an ``energy-audit`` and an
 ``oracle-check`` of a linear-pi P2 config whose h is above h_threshold, so
 that they diverge (exit 2 at step 74 on a 64-point grid) and leave partial
-outputs.  ``--n`` puts every job on an N-point grid (a quick check).
+outputs.  A ``sweep`` of that config on a 256-point grid, h_list 1/16,
+1/32, 1/64 to T = 2, loses its finest member (exit 2 at step 87 or 88)
+and keeps the two coarser ones; every member spans several blocks of
+``convergence.error_norms``.  ``--n`` puts every job on an N-point grid (a
+quick check).
 
 For every job it prints both exit codes and any ``error:`` line that
 differs, and for every output file whether the two trees wrote the same
@@ -66,6 +70,9 @@ def jobs(seed: int, n: int | None) -> dict:
     out["diverging-run"] = ("run", {**diverging, "snapshot_stride": 7})
     out["diverging-audit"] = ("energy-audit", diverging)
     out["diverging-oracle-check"] = ("oracle-check", diverging)
+    out["diverging-sweep"] = ("sweep", {**{k: v for k, v in diverging.items() if k != "h"},
+                                        "n_interior": 256, "T": 2.0,
+                                        "h_list": [1.0 / 16, 1.0 / 32, 1.0 / 64]})
     if n is not None:
         out = {name: (command, {**cfg, "n_interior": n}) for name, (command, cfg) in out.items()}
     return out
