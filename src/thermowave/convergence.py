@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import stream_blocks
+from .diagnostics import iter_blocks
 from .nonlinearity import Nonlinearity
 from .operators import OperatorBundle, h_inner, v_norm_sq
 from .oracle import LinearReference, fine_reference
@@ -84,7 +84,7 @@ _FIELDS = ("theta", "phi", "v")
 _QUARTERS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def _interval_rows(reference, sample, short, lefts, h, ends):
+def _interval_rows(reference, sample, lefts, h, ends):
     """Reference rows of a block's intervals, which start at ``lefts``:
     at their midpoints, and at the five quarter points of each interval.
 
@@ -95,16 +95,12 @@ def _interval_rows(reference, sample, short, lefts, h, ends):
     points so its piecewise-linear stand-in tracks curvature well below the
     discretization error being measured.  Pointwise values at interval ends
     and midpoints are the node rows ``ends`` (the intervals' left and right
-    ends) and the midpoint rows, except on a ``short`` grid of N <= 2 steps,
-    where a LinearReference samples each time on its own and exp(2h) y0
-    differs in the last bits from exp(h) exp(h) y0.
+    ends) and the midpoint rows.
     """
     mids = sample(lefts + 0.5 * h, 0.5)
     if hasattr(reference, "sample_bar"):
         return mids, [reference.sample_bar(lefts + w * h, side=(+1 if w == 0.0 else -1))
                       for w in _QUARTERS]
-    if short:
-        return mids, [reference.sample(lefts + w * h) for w in _QUARTERS]
     return mids, [{name: r[:-1] for name, r in ends.items()},
                   sample(lefts + 0.25 * h, 0.25), mids,
                   sample(lefts + 0.75 * h, 0.75), {name: r[1:] for name, r in ends.items()}]
@@ -117,20 +113,18 @@ def error_norms(states, reference, bundle: OperatorBundle) -> ErrorReport:
     integrals treat the reference as piecewise linear between its samples,
     making every integrand piecewise quadratic and the interval integrals
     exact.  ``states`` is a list or any iterable of consecutive states,
-    read once, each at time ``t_index * h``.  They come in the blocks of
-    ``diagnostics.stream_blocks``: each block is stacked with the node
-    before it, its sups fold into running maxima, and its intervals' Simpson
-    values are kept, one scalar per interval and quarter, to be summed once
-    at the end.  Every figure has the bits of the whole trajectory's.
-
-    A trajectory longer than one block is sampled block by block when the
-    reference has ``chain``: ``sample(times, chain)`` with one chain per
-    time grid, and a ``sample_bar`` that depends on each time alone.  Its
-    memory does not grow with the trajectory, apart from those scalars.
-    One block, or any trajectory against a reference with only ``sample``
-    (and ``sample_bar``), is sampled over the whole grid.  The figures are
-    computed without floating-point warnings (an overflow reads inf), so
-    the figures of a run that diverges add none to the run's own.
+    read once, each at time ``t_index * h``.  When the reference has
+    ``chain``, they come in the blocks of ``diagnostics.iter_blocks`` and
+    sample it block by block: ``sample(times, chain)`` with one chain per
+    time grid, and a ``sample_bar`` that depends on each time alone.  Each
+    block is stacked with the node before it, its sups fold into running
+    maxima, and its intervals' Simpson values are kept, one scalar per
+    interval and quarter, to be summed once at the end.  Every figure has
+    the bits of the whole trajectory's, and memory does not grow with the
+    trajectory, apart from those scalars.  A reference with only ``sample``
+    (and ``sample_bar``) is sampled over the whole grid, one block.  The
+    figures are computed without floating-point warnings (an overflow reads
+    inf), so the figures of a run that diverges add none to the run's own.
     """
     grid = bundle.grid
     # figure: (field, rowwise form); sups at nodes and midpoints, and time
@@ -146,13 +140,12 @@ def error_norms(states, reference, bundle: OperatorBundle) -> ErrorReport:
     peaks = {key: ([], []) for key in sups}  # block maxima at nodes, at midpoints
     pieces = {key: ([], [], [], []) for key in integrals}  # per quarter of the intervals
 
-    blocks, whole = stream_blocks(states, grid.n_interior)
-    if not (whole or hasattr(reference, "chain")):
-        blocks, whole = [[s for block in blocks for s in block]], True
-    chains = {w: None if whole else reference.chain() for w in (None, 0.25, 0.5, 0.75)}
+    chains = ({w: reference.chain() for w in (None, 0.25, 0.5, 0.75)}
+              if hasattr(reference, "chain") else None)
+    blocks = [list(states)] if chains is None else iter_blocks(states, grid.n_interior)
 
     def sample(times, w=None):
-        return reference.sample(times) if whole else reference.sample(times, chains[w])
+        return reference.sample(times) if chains is None else reference.sample(times, chains[w])
 
     prev = h = None  # the node before the block: its state and reference rows
 
@@ -172,8 +165,7 @@ def error_norms(states, reference, bundle: OperatorBundle) -> ErrorReport:
             h = float(times[1] - times[0]) if h is None else h
             ends = ref_n if k == 0 else {name: np.concatenate([prev[1][name][None], r])
                                          for name, r in ref_n.items()}
-            ref_m, ref_q = _interval_rows(reference, sample, whole and len(stack) <= 3,
-                                          times[:-1], h, ends)
+            ref_m, ref_q = _interval_rows(reference, sample, times[:-1], h, ends)
             for key, (name, q_rows) in sups.items():
                 mids = 0.5 * (rows[name][:-1] + rows[name][1:])
                 peaks[key][1].append(np.max(q_rows(mids - ref_m[name])))
@@ -189,6 +181,8 @@ def error_norms(states, reference, bundle: OperatorBundle) -> ErrorReport:
         with np.errstate(over="ignore", invalid="ignore"):
             add(block)
         del block  # before the next block is read
+    if prev is None:
+        raise ValueError("error_norms needs at least one state")
 
     def sup(key):
         at_nodes, at_mids = peaks[key]

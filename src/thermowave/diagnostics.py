@@ -17,7 +17,9 @@ source of the step into it, in one rowwise pass over blocks of states;
 ``convergence.error_norms`` and ``oracle.max_deviation`` read too.
 The module also carries the uniform-boundedness monitors used by the
 refinement studies, and the piecewise-constant / piecewise-linear time
-reconstructions of a trajectory with their exact norm identities.
+reconstructions of a trajectory with their exact norm identities, on a
+time grid that ``is_uniform``, the spacing test that
+``oracle.LinearReference.sample`` chains by too.
 ``build_interpolants`` is the one stacked view of a trajectory: the
 monitors read their per-field rows from it, and ``oracle.fine_reference``
 returns it as the fine-step reference.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -153,19 +155,6 @@ def iter_blocks(states, n: int):
         del block
 
 
-def stream_blocks(states, n: int):
-    """``(blocks, whole)``: the blocks of ``iter_blocks``, and whether the
-    states fit one block of at least three.  That many states and one more
-    are read ahead, so a consumer knows before its first block whether the
-    trajectory is one block (then ``blocks`` is the list of it) or longer
-    than two steps."""
-    states, size = iter(states), max(1, BLOCK_VALUES // n)
-    head = list(islice(states, max(3, size) + 1))
-    if len(head) <= max(3, size):
-        return [head], True
-    return chain([head[:size]], iter_blocks(chain(head[size:], states), n)), False
-
-
 def iter_ledger(states, bundle: OperatorBundle, nonlin: Nonlinearity):
     """Energy bookkeeping of a trajectory, one ``LedgerEntry`` per state.
 
@@ -211,11 +200,24 @@ def lyapunov_check(states, bundle: OperatorBundle, nonlin: Nonlinearity,
     """
     if nonlin.pi_kind != "zero":
         raise ValueError("lyapunov_check requires pi == 0; run the audit in monitor mode instead")
-    return decay_violations(energy_ledger(states, bundle, nonlin), slack)
+    return decay_violations(iter_ledger(states, bundle, nonlin), slack)
 
 
 # ----------------------------------------------------------------------
 # Time reconstructions
+
+
+def is_uniform(times) -> bool:
+    """Whether two or more times are evenly spaced: every step equals the
+    first to a relative 1e-12, or to four roundings of the largest time,
+    which bound the drift of ``k * h`` and ``k * h + h / 4`` on a long
+    grid."""
+    times = np.asarray(times, dtype=float)
+    if times.size < 2:
+        return False
+    dt = np.diff(times)
+    atol = 4.0 * np.finfo(float).eps * np.max(np.abs(times))
+    return bool(np.allclose(dt, dt[0], rtol=1e-12, atol=atol))
 
 
 @dataclass(frozen=True)
@@ -237,7 +239,7 @@ class Interpolant:
         y = np.ascontiguousarray(self.nodes, dtype=float)
         if y.shape[0] != t.size:
             raise ValueError("node array does not match time grid")
-        if t.size > 2 and not np.allclose(np.diff(t), t[1] - t[0]):
+        if t.size > 2 and not is_uniform(t):
             raise ValueError("time grid must be uniform")
         t.setflags(write=False)
         y.setflags(write=False)

@@ -10,7 +10,8 @@ nonlinear configurations a nested fine-step run serves as the reference:
 ``fine_reference`` returns its ``diagnostics.TrajectoryInterpolants``,
 whose ``sample`` / ``sample_bar`` are the run's piecewise-linear and
 piecewise-constant reconstructions.  ``max_deviation`` holds a trajectory
-against a ``LinearReference`` one block of states at a time.
+against a ``LinearReference`` one block of states at a time, along one
+chain of its time grid.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _lapack
-from .diagnostics import TrajectoryInterpolants, build_interpolants, stream_blocks
+from .diagnostics import TrajectoryInterpolants, build_interpolants, is_uniform, iter_blocks
 from .nonlinearity import Nonlinearity
 from .operators import (DIRICHLET, Grid1D, OperatorBundle, _mode_numbers,
                         laplacian_eigenvalues)
@@ -120,10 +121,11 @@ class LinearReference:
     shared by a refinement sweep pays once for every step length its members
     have in common.  ``sample(times)`` propagates uniformly spaced requests
     with the exponential of the spacing; arbitrary times take one cached
-    exponential each.  With a ``chain()`` a long uniform grid is sampled in
-    consecutive blocks, one block of rows held at a time.  The reference
-    keeps the dense basis B (8n² bytes) for its lifetime and maps modal rows
-    to grid values in one product per block.
+    exponential each.  With a ``chain()`` a uniform grid is sampled in
+    consecutive blocks, one block of rows held at a time, with the rows of
+    the whole grid's call.  The reference keeps the dense basis B (8n²
+    bytes) for its lifetime and maps modal rows to grid values in one
+    product per block.
     """
 
     EXPM_CACHE_SIZE = 64
@@ -168,20 +170,18 @@ class LinearReference:
     def sample(self, times, chain=None) -> dict:
         """Grid values of theta, phi and v, one row per time.
 
-        More than two uniformly spaced times are one chain Y[i] = exp(dt G)
-        Y[i - 1] from exp(times[0] G) y0, dt = times[1] - times[0]; any
-        other times take one exponential each.  Given a ``chain``, the
-        times are the next block of one uniform grid of more than two times
-        whose earlier blocks came with the same chain: it continues across
-        the blocks from the grid's first time and spacing, so each row has
-        the bits of the whole grid's call.  The rows at time zero are the
+        Two or more times that are ``diagnostics.is_uniform`` are one chain
+        Y[i] = exp(dt G) Y[i - 1] from exp(times[0] G) y0, dt = times[1] -
+        times[0]; any other times take one exponential each.  Given a
+        ``chain``, the times are the next block of one uniform grid whose
+        earlier blocks came with the same chain: it continues across the
+        blocks from the grid's first time and spacing, so each row has the
+        bits of the whole grid's call.  The rows at time zero are the
         initial data.
         """
         times = np.asarray(times, dtype=float)
-        if chain is None:
-            dt = np.diff(times)
-            if times.size > 2 and np.allclose(dt, dt[0], rtol=1e-12, atol=1e-15):
-                chain = {}
+        if chain is None and is_uniform(times):
+            chain = {}
         Y = np.empty((times.size, self.grid.n_interior, 3))
         for i, t in enumerate(times):
             if chain is None:
@@ -211,24 +211,19 @@ def max_deviation(states, reference: LinearReference, write) -> float:
     """Largest pointwise deviation of the states' fields from the
     reference at their times, and at least 0.0.  ``states`` is any iterable
     of consecutive states, read once, each at time ``t_index * h``; they go
-    in the blocks of ``diagnostics.stream_blocks``, and ``write`` takes one
-    row (t, theta_dev, phi_dev, v_dev) per state as soon as its block is
-    done.  A trajectory longer than one block samples the reference along
-    one chain, so only one block of rows is held."""
-    blocks, whole = stream_blocks(states, reference.grid.n_interior)
-    chain = None if whole else reference.chain()
-
-    def deviations(block):
+    in the blocks of ``diagnostics.iter_blocks`` and sample the reference
+    along one chain, and ``write`` takes one row (t, theta_dev, phi_dev,
+    v_dev) per state as soon as its block is done.  Only one block of rows
+    is held."""
+    chain = reference.chain()
+    peaks = []  # each block's largest deviation per field
+    for block in iter_blocks(states, reference.grid.n_interior):
         times = np.array([s.t_index * s.h for s in block])
         ref = reference.sample(times, chain)
-        return np.column_stack([times, *(
+        rows = np.column_stack([times, *(
             np.max(np.abs(np.stack([getattr(s, name) for s in block]) - ref[name]), axis=1)
             for name in ("theta", "phi", "v"))])
-
-    peaks = []  # each block's largest deviation per field
-    for block in blocks:
-        rows = deviations(block)
-        del block  # before the next block is read
+        del block, ref  # before the next block is read
         for row in rows.tolist():
             write(row)
         peaks.append(np.max(rows[:, 1:], axis=0))

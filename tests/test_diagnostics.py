@@ -11,7 +11,7 @@ from thermowave import (Grid1D, State, StepConfig, apriori_monitor,
                         linear_reaction, lyapunov_check, random_smooth, run,
                         single_mode, step_identity_residual,
                         zero_nonlinearity, zero_profile)
-from thermowave.diagnostics import decay_violations
+from thermowave.diagnostics import Interpolant, decay_violations
 
 
 def make_state(grid, theta, phi, v, h, t_index=0, z=None):
@@ -278,6 +278,23 @@ def test_interpolant_evaluators():
     assert np.array_equal(interp.phi.bar(0.1), states[1].phi)
     assert np.array_equal(interp.phi.bar(0.25), states[1].phi)
     assert np.array_equal(interp.phi.bar(0.26), states[2].phi)
+
+
+@pytest.mark.parametrize("times", [
+    [0.0, 1e-9, 5e-9, 6e-9],  # steps of 1e-9, 4e-9 and 1e-9
+    [0.0, 0.1, 0.2 + 1e-6, 0.3 + 1e-6],  # one step longer by a relative 1e-5
+    [0.0, 0.1, 0.2, 0.3 + 1e-12]])
+def test_interpolant_rejects_a_grid_that_is_not_uniform(times):
+    with pytest.raises(ValueError, match="time grid must be uniform"):
+        Interpolant(np.array(times), np.zeros((len(times), 3)))
+
+
+def test_interpolant_accepts_a_long_non_dyadic_grid():
+    # k * 0.001 to T = 20 drifts from the first step by about eps * T
+    times = np.array([k * 0.001 for k in range(20001)])
+    assert np.ptp(np.diff(times)) > 1e-15
+    field = Interpolant(times, np.arange(times.size, dtype=float)[:, None])
+    assert field.hat(10.0)[0] == pytest.approx(10000.0, rel=1e-12)
 
 
 class StackedReference:

@@ -1,7 +1,7 @@
 """Block-streamed error figures, oracle deviations and reference rows.
 
 ``error_norms`` and ``oracle.max_deviation`` read a trajectory in the
-blocks of ``diagnostics.stream_blocks`` and sample a ``LinearReference``
+blocks of ``diagnostics.iter_blocks`` and sample a ``LinearReference``
 along one chain per time grid, block by block.  Every row of every block,
 and so every figure, must have the bits of the whole-grid computation, and
 the memory of a member's error pass must not grow with its step count.
@@ -19,10 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermowave import (LinearReference, NewtonDivergedError, StepConfig, SweepDivergedError,
-                        build_interpolants, error_norms, fine_reference, iter_run,
-                        random_smooth, run, stepper, sweep)
+                        _lapack, build_interpolants, error_norms, fine_reference,
+                        iter_run, random_smooth, run, stepper, sweep)
 from thermowave.cli import main
-from thermowave.diagnostics import BLOCK_VALUES, stream_blocks
+from thermowave.diagnostics import BLOCK_VALUES
 from thermowave.oracle import max_deviation
 
 FIELDS = ("theta", "phi", "v")
@@ -64,13 +64,14 @@ def _cuts(size, split):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(bc=st.sampled_from(["dirichlet", "neumann"]), steps=st.integers(3, 40),
+@given(bc=st.sampled_from(["dirichlet", "neumann"]), steps=st.integers(1, 40),
        h=st.sampled_from([1.0 / 64, 0.01, 1.0 / 48, 0.3 / 7]),
        offset=st.sampled_from([0.0, 0.25, 0.5, 0.75]),
        split=st.one_of(st.none(), st.integers(1, 7), st.sets(st.integers(1, 40))))
 @example(bc="neumann", steps=9, h=0.01, offset=0.5, split=1)
 @example(bc="dirichlet", steps=17, h=0.3 / 7, offset=0.25, split=4)
 @example(bc="dirichlet", steps=12, h=1.0 / 48, offset=0.0, split=None)
+@example(bc="neumann", steps=2, h=0.3 / 7, offset=0.75, split=1)
 def test_blocked_reference_rows_equal_the_whole_grid_rows(bc, steps, h, offset, split):
     # a grid of nodes k h, or of the points a quarter, a half or three
     # quarters into each interval, whose spacing rounds off h; in one
@@ -90,6 +91,26 @@ def test_blocked_reference_rows_equal_the_whole_grid_rows(bc, steps, h, offset, 
         got = [blocked(times[a:b]) for a, b in bounds]
         for name in FIELDS:
             assert np.array_equal(np.concatenate([g[name] for g in got]), want[name]), name
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.25])
+def test_long_non_dyadic_grid_is_one_chain_whole_or_in_blocks(monkeypatch, offset):
+    # 20,001 nodes of h = 0.001 to T = 20, whose spacing drifts by about
+    # eps * T, or the points a quarter into their intervals
+    bundle, nl = p1_defaults(n=23, m=0.7)
+    ref = LinearReference(random_smooth(bundle.grid, 3), bundle, nl)
+    times = np.array([k * 0.001 for k in range(20001)])
+    if offset:
+        times = times[:-1] + offset * 0.001
+    calls = []
+    real = _lapack.expm
+    monkeypatch.setattr(_lapack, "expm", lambda A: calls.append(A.shape) or real(A))
+    want = ref.sample(times)
+    assert len(calls) == 2  # the first time and the spacing
+    chain = ref.chain()
+    got = [ref.sample(times[a:b], chain) for a, b in _cuts(times.size, BLOCK_VALUES // 23)]
+    for name in FIELDS:
+        assert np.array_equal(np.concatenate([g[name] for g in got]), want[name]), name
 
 
 def _member(n, bc="dirichlet", seed=5):
@@ -136,7 +157,7 @@ def _error_pass_peak(steps):
 
 def test_error_pass_memory_does_not_grow_with_the_step_count():
     # both members span blocks of 128 states; a member of at most one
-    # block (64 steps, say) is compared as a whole and peaks lower still
+    # block (64 steps, say) holds fewer rows and peaks lower still
     small, large = _error_pass_peak(256), _error_pass_peak(2048)
     assert large < 1.5 * small, (small, large)
 
@@ -178,14 +199,10 @@ def test_oracle_deviations_equal_the_whole_grid_rows(steps):
     assert peak == max(0.0, *(float(np.max(d)) for d in devs))
 
 
-def test_stream_blocks_reads_ahead_one_block_of_at_least_three():
-    blocks, whole = stream_blocks(range(3), 8192)  # one state a block
-    assert whole and blocks == [[0, 1, 2]]
-    blocks, whole = stream_blocks(range(4), 8192)
-    assert not whole and list(blocks) == [[0], [1], [2], [3]]
-    blocks, whole = stream_blocks(range(300), 64)  # 128 states a block
-    assert not whole and [len(b) for b in blocks] == [128, 128, 44]
-    assert stream_blocks(range(128), 64) == ([list(range(128))], True)
+def test_error_norms_of_no_states_is_a_value_error():
+    bundle, _, _, ref = _member(16)
+    with pytest.raises(ValueError, match="at least one state"):
+        error_norms(iter([]), ref, bundle)
 
 
 @pytest.mark.parametrize("command,cfg,message", [

@@ -5,7 +5,8 @@ replaced: one ``expm`` per (mode, time) with no cache, one
 ``inverse_modal_transform`` per field and row, and seven ``sample`` calls
 per ``error_norms`` (its ``sample_bar`` is the pointwise ``sample``, which
 sends ``error_norms`` down the path that samples every quarter-point offset
-anew).  Every figure of the cached reference must equal it exactly.
+anew).  Like the cached reference, it chains any two or more evenly spaced
+times.  Every figure of the cached reference must equal it exactly.
 """
 
 import numpy as np
@@ -44,7 +45,7 @@ class PerMatrixReference:
         if times.size == 0:
             return out
         dt = np.diff(times)
-        if times.size > 2 and np.allclose(dt, dt[0], rtol=1e-12, atol=1e-15):
+        if times.size > 1 and np.allclose(dt, dt[0], rtol=1e-12, atol=1e-15):
             E = self._expm_batch(float(dt[0]))
             Y = np.einsum("kij,kj->ki", self._expm_batch(float(times[0])), self._y0)
             for i in range(times.size):
@@ -84,6 +85,7 @@ TIMES = {
     "one-zero": [0.0],
     "two": [0.0, 0.125],
     "three-uniform": [0.0, 0.125, 0.25],
+    "two-offset": [0.0625, 0.1875],
     "three-offset": [0.0625, 0.1875, 0.3125],
     "uniform": list(np.arange(9) * (1.0 / 64)),
     "non-uniform": [0.0, 0.01, 0.05, 0.3, 0.31, 1.0],
@@ -148,7 +150,7 @@ def test_halving_sweep_takes_one_exponential_batch_per_distinct_time(monkeypatch
     ref = LinearReference(init, bundle, nl)
     calls = []
     sample = ref.sample
-    ref.sample = lambda times: calls.append(len(times)) or sample(times)
+    ref.sample = lambda times, chain=None: calls.append(len(times)) or sample(times, chain)
     h_list = [1.0 / 2 ** k for k in range(5, 10)]
     sweep(init, bundle, nl, T=0.5, h_list=h_list, reference=ref)
     # t = 0, the five step lengths h, and h/2, h/4, 3h/4 of each member:
@@ -159,15 +161,18 @@ def test_halving_sweep_takes_one_exponential_batch_per_distinct_time(monkeypatch
     assert len(calls) == 4 * len(h_list)
 
 
-def test_short_member_keeps_seven_samples():
+@pytest.mark.parametrize("N", [1, 2])
+def test_short_member_takes_four_samples(N):
+    # a member of one or two steps samples its nodes, midpoints and 1/4
+    # and 3/4 points along one chain each, as a longer one does
     ref, bundle, nl = _reference("dirichlet")
     calls = []
     sample = ref.sample
-    ref.sample = lambda times: calls.append(len(times)) or sample(times)
+    ref.sample = lambda times, chain=None: calls.append(len(times)) or sample(times, chain)
     states = run(random_smooth(bundle.grid, 3), bundle, nl, T=0.25,
-                 cfg=StepConfig(h=0.125)).states
+                 cfg=StepConfig(h=0.25 / N)).states
     error_norms(states, ref, bundle)
-    assert len(calls) == 7
+    assert calls == [N + 1, N, N, N]
 
 
 def test_exponential_cache_is_bounded():
