@@ -94,10 +94,14 @@ def _ledger_rows(states, bundle: OperatorBundle, nonlin: Nonlinearity, prev=None
 
     kinetic = 0.5 * h_inner(grid, bundle.mass.apply(v), v)
     elastic = 0.5 * h_inner(grid, bundle.stiffness.apply(phi), phi)
-    thermal = 0.5 / eta * h_inner(grid, bundle.coupling.apply(theta), theta)
+    coupling_theta = bundle.coupling.apply(theta)
+    diffusion_theta = (coupling_theta if bundle.coupling.applies_as(bundle.diffusion)
+                       else bundle.diffusion.apply(theta))
+    thermal = 0.5 / eta * h_inner(grid, coupling_theta, theta)
+    cross = h / eta * h_inner(grid, coupling_theta, diffusion_theta)
+    del coupling_theta, diffusion_theta  # block-sized arrays, not held through the rest
     potential = potential_total(nonlin, grid, phi)
     b1 = h * h_inner(grid, bundle.damping.apply(v), v)
-    cross = h / eta * h_inner(grid, bundle.coupling.apply(theta), bundle.diffusion.apply(theta))
     total = kinetic + elastic + thermal
     # (h * dx) * sum, not h * h_inner's dx * sum: kept for byte-stable outputs
     pi_source = h * dx * np.sum(nonlin.pi(phi) * v, axis=1)

@@ -34,6 +34,7 @@ IDENTITY = "identity"
 LAPLACIAN = "laplacian"
 CUSTOM = "custom"
 
+_SCALED = (IDENTITY, ZERO)  # the kinds whose product is one multiply by coeff
 _EPS = float(np.finfo(float).eps)
 
 PRESET_NAMES = ("P1", "P2", "P3", "P4", "P5")
@@ -80,6 +81,8 @@ class DiscreteOperator:
     (``symbol``), which the modal reference paths rely on.  ``custom``
     operators support everything else.  A scaled identity or zero operator
     applies as one multiply by ``coeff``, so its bands must match its tag.
+    ``_product`` is the one product kernel, unchecked: ``apply`` calls it
+    after its check, and a ``StepPlan`` binds it.
     """
 
     diag: np.ndarray
@@ -112,16 +115,36 @@ class DiscreteOperator:
         return self.kind == ZERO
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """Apply to a vector, or to every row of a (..., dim) stack."""
+        """Apply to a vector, or to every row of a (..., dim) stack: the
+        input checked, then the product kernel ``_product``."""
         u = np.asarray(u, dtype=float)
         if u.shape[-1:] != self.diag.shape:
             raise ValueError(f"dimension mismatch: operator dim {self.dim}, vector shape {u.shape}")
-        if self.kind in (IDENTITY, ZERO):
-            return self.coeff * u
+        return self._product(u)
+
+    @property
+    def _product(self):
+        return self._scaled if self.kind in _SCALED else self._banded
+
+    def _scaled(self, u):
+        return self.coeff * u
+
+    def _banded(self, u):
         y = self.diag * u
         y[..., :-1] += self.offdiag * u[..., 1:]
         y[..., 1:] += self.offdiag * u[..., :-1]
         return y
+
+    def applies_as(self, other: DiscreteOperator) -> bool:
+        """Whether this operator's product has ``other``'s bits on every
+        input: both kernels are ``_scaled`` with one ``coeff``, or both are
+        ``_banded`` with the same bands, bit for bit."""
+        if (self.kind in _SCALED) != (other.kind in _SCALED):
+            return False
+        if self.kind in _SCALED:
+            return np.float64(self.coeff).tobytes() == np.float64(other.coeff).tobytes()
+        return (self.diag.tobytes() == other.diag.tobytes()
+                and self.offdiag.tobytes() == other.offdiag.tobytes())
 
     def symbol(self, mu):
         """Action on a Laplacian eigenvector with eigenvalue ``mu``."""
@@ -273,7 +296,8 @@ class Resolvent:
 
     ``last`` holds the latest solve's x with the products of its audit,
     ``(x, op x, rhs - (x + h op x))``, for callers that need them again; it
-    makes a resolvent single-threaded.
+    makes a resolvent single-threaded.  ``solve`` checks its rhs and calls
+    ``_solve``, the unchecked solve, audit included, that a ``StepPlan`` calls.
     """
 
     def __init__(self, op: DiscreteOperator, h: float):
@@ -281,6 +305,7 @@ class Resolvent:
             raise ValueError(f"h must be positive, got {h}")
         self.op = op
         self.h = h
+        self._product = op._product
         self.shifted = DiscreteOperator(1.0 + h * op.diag, h * op.offdiag)
         self._d, self._e, info = _PTTRF(self.shifted.diag, self.shifted.offdiag)
         _check_lapack_info(info, "pttrf", "{info}th leading minor not positive definite")
@@ -298,18 +323,23 @@ class Resolvent:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """x with (I + h*op) x = rhs, refined once if needed, audited."""
         rhs = np.asarray(rhs, dtype=float)
-        op, h = self.op, self.h
+        op = self.op
         if rhs.shape != (op.dim,):
             raise ValueError(f"dimension mismatch: operator dim {op.dim}, rhs shape {rhs.shape}")
+        return self._solve(rhs)
+
+    def _solve(self, rhs):
+        """``solve`` of a float vector of the operator's dimension, unchecked."""
+        product, h = self._product, self.h
         x = self._pttrs(rhs)
-        ax = op.apply(x)
+        ax = product(x)
         res = rhs - (x + h * ax)
         rn = math.sqrt(res.dot(res))
         bn = math.sqrt(rhs.dot(rhs))
         floor = self._floor_per_x * math.sqrt(x.dot(x))
         if rn > max(1e-14 * bn, 0.5 * floor):
             x = x + self._pttrs(res, overwrite_b=1)
-            ax = op.apply(x)
+            ax = product(x)
             res = rhs - (x + h * ax)
             rn = math.sqrt(res.dot(res))
         if not rn <= 1e-13 * bn + floor:  # also rejects a NaN residual

@@ -162,6 +162,12 @@ class StepPlan:
     resolvent (``phi_equation_rhs``).  The band buffer makes a plan
     single-threaded: concurrent runs each build their own.
 
+    It binds the unchecked product kernels of the operators (``mass``,
+    ``damping``, ``stiffness``, ``coupling``, ``shifted``) and the audited
+    ``Resolvent._solve`` (``solve``), with the bits of the checked calls.
+    ``coupling_of`` takes coupling(x) of a resolvent solution x from that
+    solve's audit when coupling applies as diffusion.
+
     A plan also records Newton's last solution, made read-only, with the
     terms of its last residual (see ``solve_phi``); a later computation
     takes a term from the record only for that very array object, so any
@@ -177,6 +183,11 @@ class StepPlan:
         self.has_pi = nonlin is not None and nonlin.pi_kind != "zero"
         dx = bundle.grid.dx
         self.norm = lambda u: math.sqrt(dx * u.dot(u))
+        self.mass, self.damping, self.stiffness, self.coupling = (
+            op._product for op in (bundle.mass, bundle.damping, bundle.stiffness, bundle.coupling))
+        self.shifted = self.resolvent.shifted._product
+        self.solve = self.resolvent._solve
+        self.coupling_is_diffusion = bundle.coupling.applies_as(bundle.diffusion)
 
         # Newton Jacobian T1 (I + h diffusion) + eta h^2 coupling with
         # T1 = lin + h^2 (beta' + pi'); see _newton.
@@ -208,6 +219,14 @@ class StepPlan:
                            + bundle.stiffness.norm_bound() + bundle.eta * self.coupling_norm)
         self.heat_scale = 1.0 / h + bundle.diffusion.norm_bound()
         self._last = (None, None)  # Newton's last solution and its residual terms
+
+    def coupling_of(self, x):
+        """coupling(x), taken from the audit of the resolvent's last solve
+        when x is its solution and coupling applies as diffusion."""
+        last = self.resolvent.last
+        if self.coupling_is_diffusion and x is last[0]:
+            return last[1]
+        return self.coupling(x)
 
     def _fill_bands(self, d1):
         """Pentadiagonal bands of T1 (I + h diffusion) + eta h^2 coupling
@@ -260,28 +279,28 @@ def phi_equation_rhs(state: State, bundle: OperatorBundle, h: float,
     """Right-hand side g of the per-step elliptic equation for phi+."""
     plan = _plan_for(plan, bundle, h)
     phi = state.phi
-    shifted = plan.resolvent.solve(bundle.eta * phi + state.theta)
+    if phi.shape != (bundle.grid.n_interior,):
+        raise ValueError(f"dimension mismatch: grid has {bundle.grid.n_interior} unknowns, "
+                         f"state shape {phi.shape}")
+    shifted = plan.solve(bundle.eta * phi + state.theta)
     last, terms = plan._last
-    mass, damping = terms[:2] if phi is last else (bundle.mass.apply(phi),
-                                                   bundle.damping.apply(phi))
-    return (mass + h * bundle.mass.apply(state.v) + h * damping
-            + h * h * bundle.coupling.apply(shifted))
+    mass, damping = terms[:2] if phi is last else (plan.mass(phi), plan.damping(phi))
+    return mass + h * plan.mass(state.v) + h * damping + h * h * plan.coupling_of(shifted)
 
 
 def _elliptic_residual(phi, g, plan, lam):
     """The residual at phi of the equation smoothed with ``lam`` (None: as
     stated), and its terms that depend on phi alone: (mass, damping,
     stiffness, beta, pi), pi None when the plan has no pi term."""
-    bundle, h, nonlin = plan.bundle, plan.h, plan.nonlin
-    mass, damping, stiffness = (bundle.mass.apply(phi), bundle.damping.apply(phi),
-                                bundle.stiffness.apply(phi))
+    h, nonlin = plan.h, plan.nonlin
+    mass, damping, stiffness = plan.mass(phi), plan.damping(phi), plan.stiffness(phi)
     beta = nonlin.beta(phi) if lam is None else nonlin.yosida(lam, phi)
     res = mass + h * damping + h * h * stiffness + h * h * beta
     pi = None
     if plan.has_pi:
         pi = nonlin.pi(phi)
         res += h * h * pi
-    res += bundle.eta * h * h * bundle.coupling.apply(plan.resolvent.solve(phi))
+    res += plan.bundle.eta * h * h * plan.coupling_of(plan.solve(phi))
     res -= g
     return res, (mass, damping, stiffness, beta, pi)
 
@@ -311,7 +330,7 @@ def _newton(g, gn, plan, cfg, lam, phi0):
         if not math.isfinite(res):
             raise NewtonDivergedError(it - 1, res)
         w = plan.newton_direction(phi, -res_vec, lam)
-        phi = phi + plan.resolvent.shifted.apply(w)
+        phi = phi + plan.shifted(w)
         res_vec, terms = _elliptic_residual(phi, g, plan, lam)
         res = plan.norm(res_vec)
         if res <= floor:
@@ -341,8 +360,10 @@ def solve_phi(g: np.ndarray, bundle: OperatorBundle, nonlin: Nonlinearity,
     never recorded.
     """
     plan = _plan_for(plan, bundle, cfg.h, nonlin)
-    if phi0 is None:
-        phi0 = np.zeros(bundle.grid.n_interior)
+    n = bundle.grid.n_interior
+    phi0 = np.zeros(n) if phi0 is None else phi0
+    if np.shape(phi0) != (n,):
+        raise ValueError(f"dimension mismatch: grid has {n} unknowns, phi0 shape {np.shape(phi0)}")
     gn = h_norm(bundle.grid, g)
     smoothed = YOSIDA_LAMBDAS if cfg.solve_path == "yosida" and nonlin.has_beta else ()
     phi, iters = phi0, 0
@@ -381,8 +402,8 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
     The audit takes the products that an earlier computation made from the
     same array from it: stiffness(phi+), beta(phi+) and any pi(phi+) from
     Newton's last residual when phi+ is the solution the plan records,
-    diffusion(theta+) and the resolvent equation's residual from the theta+
-    solve's own audit.
+    diffusion(theta+), the resolvent equation's residual and, when coupling
+    applies as diffusion, coupling(theta+) from the theta+ solve's own audit.
     """
     plan = _plan_for(plan, bundle, cfg.h, nonlin)
     h = cfg.h
@@ -394,7 +415,7 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
                                  phi0=state.phi + h * (state.v + h * state.z), plan=plan)
 
     theta_rhs = state.theta + bundle.eta * (state.phi - phi1)
-    theta1 = plan.resolvent.solve(theta_rhs)
+    theta1 = plan.solve(theta_rhs)
     # the solve's audit evaluated rhs - (theta1 + h diffusion(theta1)): the
     # negated heat resolvent residual, whose norm has the same bits
     _, diffusion_theta1, theta_misfit = plan.resolvent.last
@@ -408,12 +429,12 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
     if phi1 is last:
         _, _, stiffness, beta, pi = terms
     else:
-        stiffness, beta = bundle.stiffness.apply(phi1), nonlin.beta(phi1)
+        stiffness, beta = plan.stiffness(phi1), nonlin.beta(phi1)
         pi = nonlin.pi(phi1) if plan.has_pi else None
-    wave = bundle.mass.apply(z1) + bundle.damping.apply(v1) + stiffness + beta
+    wave = plan.mass(z1) + plan.damping(v1) + stiffness + beta
     if plan.has_pi:
         wave += pi
-    wave -= bundle.coupling.apply(theta1)
+    wave -= plan.coupling_of(theta1)
     wave_res = norm(wave)
 
     phi1_n = norm(phi1)

@@ -436,3 +436,110 @@ def test_smoothed_beta_compatible_with_elliptic_operators():
                 assert h_inner(grid, smoothed, bundle.stiffness.apply(w)) >= -1e-12
                 assert h_inner(grid, smoothed, bundle.damping.apply(w)) >= -1e-12
                 assert h_inner(grid, nl.beta(w), bundle.stiffness.apply(w)) >= -1e-12
+
+
+# ----------------------------------------------------------------------
+# The unchecked product kernels and resolvent solve, and ``applies_as``
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def operator_of(kind, n, coeff, rng):
+    if kind == "zero":
+        return zero_operator(n)
+    if kind == "identity":
+        return identity_operator(n, coeff)
+    if kind == "laplacian":
+        return assemble_laplacian(Grid1D(n, rng.choice(["dirichlet", "neumann"])), abs(coeff))
+    return DiscreteOperator(rng.standard_normal(n) * coeff, rng.standard_normal(n - 1) * coeff)
+
+
+KINDS = ("zero", "identity", "laplacian", "custom")
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(kind=st.sampled_from(KINDS), n=st.integers(2, 40), m=st.none() | st.integers(1, 6),
+       coeff=st.floats(1e-3, 1e3), seed=st.integers(0, 2 ** 32 - 1))
+def test_product_kernel_has_the_bits_of_apply(kind, n, m, coeff, seed):
+    rng = np.random.default_rng(seed)
+    op = operator_of(kind, n, coeff, rng)
+    u = rng.standard_normal((n,) if m is None else (m, n)) * rng.uniform(1e-3, 1e3)
+    if kind in ("zero", "identity"):
+        want = op.coeff * u
+    else:
+        want = op.diag * u
+        want[..., :-1] += op.offdiag * u[..., 1:]
+        want[..., 1:] += op.offdiag * u[..., :-1]
+    assert np.array_equal(bits(op._product(u)), bits(want))
+    assert np.array_equal(bits(op.apply(u)), bits(want))
+    assert np.array_equal(bits(op.apply(u.tolist())), bits(want))
+    for bad in (u[..., :-1], np.zeros(n + 1), np.zeros((n, n + 1)), 1.0):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            op.apply(bad)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(n=st.integers(2, 200), h=st.sampled_from([1e-4, 0.1, 10.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_unchecked_resolvent_solve_has_the_bits_and_last_of_solve(n, h, seed):
+    rng = np.random.default_rng(seed)
+    op = random_monotone_operator(rng, n)
+    checked, unchecked = Resolvent(op, h), Resolvent(op, h)
+    for _ in range(3):
+        rhs = rng.standard_normal(n) * rng.uniform(1e-3, 1e3)
+        x = checked.solve(rhs.tolist())
+        assert np.array_equal(bits(unchecked._solve(rhs)), bits(x))
+        assert x is checked.last[0] and unchecked.last[0] is not x
+        for got, want in zip(unchecked.last, checked.last):
+            assert np.array_equal(bits(got), bits(want))
+    for bad in (rhs[:-1], np.zeros(n + 1), np.zeros((1, n)), 1.0):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            checked.solve(bad)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)), n=st.integers(2, 30),
+       coeffs=st.tuples(st.sampled_from([0.5, 2.0]), st.sampled_from([0.5, 2.0])),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_applies_as_holds_for_one_kernel_on_equal_bands(kinds, n, coeffs, seed):
+    # the custom operator takes the Laplacian's bands half the time, so
+    # equal bands under different kind tags come up
+    rng = np.random.default_rng(seed)
+    ops = [operator_of(kind, n, coeff, np.random.default_rng(seed))
+           for kind, coeff in zip(kinds, coeffs)]
+    for i, kind in enumerate(kinds):
+        if kind == "custom" and rng.random() < 0.5:
+            lap = operator_of("laplacian", n, coeffs[i], np.random.default_rng(seed))
+            ops[i] = DiscreteOperator(lap.diag, lap.offdiag)
+    a, b = ops
+    scaled = [kind in ("zero", "identity") for kind in kinds]
+    if scaled[0] != scaled[1]:
+        want = False
+    elif scaled[0]:
+        want = a.coeff == b.coeff
+    else:
+        want = np.array_equal(a.diag, b.diag) and np.array_equal(a.offdiag, b.offdiag)
+    assert a.applies_as(b) == b.applies_as(a) == want
+    if want:
+        u = rng.standard_normal((3, n))
+        assert np.array_equal(bits(a._product(u)), bits(b._product(u)))
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+@pytest.mark.parametrize("name", ["P1", "P2", "P3", "P4", "P5"])
+@pytest.mark.parametrize("sigma, c", [(1.0, 1.0), (4.0, 2.0), (0.01, 0.1), (0.5, 2.0),
+                                      (1.0, 2.0), (2.0, 1.0)])
+def test_coupling_applies_as_diffusion_for_p1_to_p3_at_sigma_c_squared(name, bc, sigma, c):
+    bundle = preset_bundle(name, n=24, bc=bc, sigma=sigma, c=c)
+    want = name in ("P1", "P2", "P3") and sigma == c * c
+    assert bundle.coupling.applies_as(bundle.diffusion) == want
+
+
+def test_applies_as_tells_signed_zero_coefficients_apart():
+    # -0.0 == 0.0, but the two products differ in the sign of their zeros
+    negative, zero = identity_operator(4, -0.0), zero_operator(4)
+    u = np.array([-1.0, 1.0, 0.0, 2.0])
+    assert not np.array_equal(bits(negative.apply(u)), bits(zero.apply(u)))
+    assert not negative.applies_as(zero)
+    assert zero.applies_as(zero_operator(4)) and negative.applies_as(identity_operator(4, -0.0))

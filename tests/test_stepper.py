@@ -576,31 +576,48 @@ def test_step_recomputes_the_products_of_another_phi(monkeypatch):
     assert plain.wave_residual != report.wave_residual
 
 
-def test_step_computes_each_product_once(monkeypatch):
-    # P2 cubic at n = 64, h = 1/1024 (the run-p2-n64 case): one Newton
-    # iteration per step after the first.  Per step: rhs 3 applies (mass v,
-    # coupling, the resolvent audit's), Newton 2 residuals of 5 and one
-    # (I + h diffusion) w, the theta+ solve 1, the audit 3 (mass z+,
-    # damping v+, coupling theta+); four audited resolvent solves; beta at
-    # the two residuals only.
+@pytest.mark.parametrize("sigma, c, fixed, per_iter", [(1.0, 1.0, 9, 5), (0.5, 2.0, 12, 6)],
+                         ids=["sigma-c-squared", "sigma-other"])
+def test_step_computes_each_product_once(monkeypatch, sigma, c, fixed, per_iter):
+    # P2 cubic at n = 64, h = 1/1024 (the run-p2-n64 case), counted as
+    # calls of the operators' product kernels and of the unchecked
+    # resolvent solve.  Per step: rhs 3 products (mass v, coupling, the
+    # resolvent audit's); Newton 5 per residual, with one residual more
+    # than iterations, and one (I + h diffusion) w per iteration; the
+    # theta+ solve 1; the audit 3 (mass z+, damping v+, coupling theta+):
+    # 12 + 6 per Newton iteration.  With sigma = c^2 coupling applies as
+    # diffusion, and each coupling product of a resolvent solution is that
+    # solve's audit product: 9 + 5 per iteration.  One iteration, as at the
+    # defaults after the first step, makes 14 and 18.  The rhs, every
+    # residual and the theta+ step make one audited solve each; beta is
+    # evaluated at the residuals only.
     from thermowave import DiscreteOperator, Resolvent
-    calls = {"apply": 0, "solve": 0, "beta": 0}
-    for cls, name in ((DiscreteOperator, "apply"), (Resolvent, "solve"), (Nonlinearity, "beta")):
-        def counted(*args, _fn=getattr(cls, name), _name=name, **kwargs):
-            calls[_name] += 1
+    calls = {"product": 0, "solve": 0, "beta": 0}
+    for cls, name, key in ((DiscreteOperator, "_scaled", "product"),
+                           (DiscreteOperator, "_banded", "product"),
+                           (Resolvent, "_solve", "solve"), (Nonlinearity, "beta", "beta")):
+        def counted(*args, _fn=getattr(cls, name), _key=key, **kwargs):
+            calls[_key] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(cls, name, counted)
-    bundle, nl = p2_defaults(n=64)
+    bundle = preset_bundle("P2", n=64, sigma=sigma, c=c)
+    nl = cubic_nonlinearity(1.0)
     h = 1.0 / 1024
     cfg = StepConfig(h=h)
     plan = StepPlan(bundle, h, nl)
+    assert plan.coupling_is_diffusion == (sigma == c * c)
     state = make_state(bundle.grid, *random_smooth(bundle.grid, 0), h)
     state, _ = step(state, bundle, nl, cfg, plan)
+    iters = []
     for _ in range(8):
         calls.update(dict.fromkeys(calls, 0))
         state, report = step(state, bundle, nl, cfg, plan)
-        assert report.newton_iters == 1
-        assert calls == {"apply": 18, "solve": 4, "beta": 2}
+        it = report.newton_iters
+        iters.append(it)
+        assert calls == {"product": fixed + per_iter * it, "solve": 3 + it, "beta": 1 + it}
+    assert 1 in iters
+    if sigma == c * c:
+        assert iters == [1] * 8
 
 
 @pytest.mark.parametrize("pi", [("zero", 0.0), ("scaled_sine", 1.2)])

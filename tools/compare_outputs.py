@@ -8,14 +8,16 @@ PARENT_SRC and CHANGE_SRC are checkouts or their ``src`` directories.  Each
 tree runs the same jobs through ``thermowave.cli.main`` in a fresh process
 with one BLAS thread: the three benchmark configs and the ten P1-P5 x bc
 coverage configs of ``perfbench/workloads.py``, a yosida-path ``run``, a
-scaled-sine ``energy-audit``, a P1 ``oracle-check``, a linear P1 ``sweep``
-whose first member has two steps, a cubic P2 ``sweep``, and a ``run``
-(snapshot stride 7), an ``energy-audit`` and an ``oracle-check`` of a
-linear-pi P2 config whose h is above h_threshold, so that they diverge
-(exit 2 at step 74 on a 64-point grid) and leave partial outputs.  A
-``sweep`` of that config on a 256-point grid, h_list 1/16,
-1/32, 1/64 to T = 2, loses its finest member (exit 2 at step 87 or 88)
-and keeps the two coarser ones; every member spans several blocks of
+scaled-sine ``energy-audit``, an ``energy-audit`` of P3 Neumann with
+sigma = 0.5 and c = 2 (the one P1-P3 job whose coupling, c^2 times the
+Laplacian, is not its diffusion), a P1 ``oracle-check``, a linear P1
+``sweep`` whose first member has two steps, a cubic P2 ``sweep``, and a
+``run`` (snapshot stride 7), an ``energy-audit`` and an ``oracle-check``
+of a linear-pi P2 config whose h is above h_threshold, so that they
+diverge (exit 2 at step 74 on a 64-point grid) and leave partial outputs.
+A ``sweep`` of that config on a 256-point grid, h_list 1/16, 1/32, 1/64
+to T = 2, loses its finest member (exit 2 at step 87 or 88) and keeps the
+two coarser ones; every member spans several blocks of
 ``convergence.error_norms``.  ``--n`` puts every job on an N-point grid (a
 quick check).
 
@@ -60,6 +62,8 @@ def jobs(seed: int, n: int | None) -> dict:
     out["yosida-run"] = ("run", {**cubic, "solver": {"path": "yosida"}})
     out["scaled-sine-audit"] = ("energy-audit",
                                 {**cubic, "pi": {"kind": "scaled_sine", "amplitude": 0.5}})
+    out["p3-neumann-audit"] = ("energy-audit", {**cubic, "preset": "P3", "bc": "neumann",
+                                                "sigma": 0.5, "c": 2.0, "T": 0.125})
     linear = {"preset": "P1", "bc": "dirichlet", "n_interior": 64, "T": 0.25, "m": 1.0,
               "initial": {"profile": "random_smooth", "seed": seed}}
     out["p1-oracle-check"] = ("oracle-check", {**linear, "h": 1.0 / 128})
