@@ -8,7 +8,7 @@ harness measures the convergence order against modal or nested references.
 """
 
 from .convergence import (ErrorReport, SweepDivergedError, SweepResult,
-                          check_h_list, error_norms, pick_reference, sweep)
+                          check_h_list, error_norms, pick_reference, sweep, usable_cpus)
 from .diagnostics import (EnergyRecord, apriori_monitor, apriori_ratios,
                           build_interpolants, energy, energy_ledger,
                           interpolation_identities_check, iter_ledger, lyapunov_check,

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import convergence, diagnostics
 from .nonlinearity import Nonlinearity
-from .operators import PRESET_NAMES, Grid1D, ProblemPreset, build_bundle
+from .operators import PRESET_NAMES, Grid1D, PicklableError, ProblemPreset, build_bundle
 from .oracle import LinearReference, ReferenceDivergedError, max_deviation
 from .profiles import make_initial
 from .stepper import StepConfig, iter_run, step_count
@@ -50,7 +50,7 @@ MAX_STEPS = 10_000_000
 MAX_UNKNOWNS = 2 ** 14
 
 
-class ConfigError(ValueError):
+class ConfigError(PicklableError, ValueError):
     def __init__(self, errors):
         super().__init__("; ".join(errors))
         self.errors = errors

@@ -3,8 +3,9 @@
 ``error_norms`` measures the distance between one trajectory's time
 reconstructions and a reference solution in the seven quantities the
 scheme's error analysis controls, reading the trajectory in blocks;
-``sweep`` runs a halving sequence of step sizes against a shared reference
-and fits the observed convergence order.
+``sweep`` runs a halving sequence of step sizes against a shared reference,
+its members split over the CPUs the process may use, and fits the observed
+convergence order.
 The total over all seven terms decays at least like sqrt(h) (first order
 is what backward differencing typically delivers), and total / sqrt(h)
 stays bounded across the sweep.
@@ -13,13 +14,16 @@ stays bounded across the sweep.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
 
 from .diagnostics import iter_blocks
 from .nonlinearity import Nonlinearity
-from .operators import OperatorBundle, h_inner, v_norm_sq
+from .operators import OperatorBundle, PicklableError, h_inner, v_norm_sq
 from .oracle import LinearReference, fine_reference
 from .stepper import StepConfig, iter_run, step_count
 
@@ -63,7 +67,7 @@ class SweepResult:
     reference_kind: str
 
 
-class SweepDivergedError(RuntimeError):
+class SweepDivergedError(PicklableError, RuntimeError):
     """A sweep member diverged; completed members ride along as `partial`,
     and the member run's exception is the ``__cause__``."""
 
@@ -222,6 +226,107 @@ def check_h_list(T: float, h_list) -> list:
     return h_list
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where the platform cannot say,
+    or where the process runs more than one thread.  A forked worker holds
+    only the forking thread, and a BLAS thread pool (OpenBLAS starts one
+    unless it is told to use one thread) would leave two pools busy-waiting
+    on each other's CPUs: a split sweep then ran slower than one process."""
+    try:
+        cpus, threads = len(os.sched_getaffinity(0)), len(os.listdir("/proc/self/task"))
+    except (AttributeError, OSError):
+        return 1
+    return cpus if threads == 1 else 1
+
+
+def _shares(costs, count):
+    """Indices of ``costs`` split into ``count`` shares, longest first, each
+    to the least-loaded share; the first share gets the longest, and each
+    share lists its members in index order."""
+    shares, loads = [[] for _ in range(count)], [0] * count
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        j = loads.index(min(loads))
+        shares[j].append(i)
+        loads[j] += costs[i]
+    return [sorted(share) for share in shares]
+
+
+def _fork(share, measure):
+    """A worker process that sends one pickle ``(i, measure(i))`` per member
+    ``i`` of ``share``, in order, or ``(i, exception)`` for a member that
+    raised, and then stops; it leaves by ``os._exit`` on every path, with
+    code 0 once every pickle is sent.  Returns its pid and the pipe's read
+    end, as a file."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    code = 1
+    try:
+        os.close(read)
+        with os.fdopen(write, "wb") as out:
+            for i in share:
+                try:
+                    result = measure(i)
+                except Exception as exc:  # the parent raises it again
+                    result = exc
+                out.write(pickle.dumps((i, result)))
+                out.flush()
+                if isinstance(result, Exception):
+                    break
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _measure_all(measure, h_list, T):
+    """``measure(i)`` of every member of ``h_list``, in its order, over
+    ``min(usable_cpus(), members)`` processes: the ``_shares`` of their
+    step counts, this process running the first and a forked worker each
+    other one.  A member's exception is raised here, as is a
+    ``RuntimeError`` for a worker that ends before sending all its results.
+    Every worker is reaped before this returns or raises; one still
+    running when anything raises here is killed first."""
+    costs = [step_count(T, h) for h in h_list]
+    shares = _shares(costs, min(usable_cpus(), len(costs)))
+    results = [None] * len(costs)
+    workers = []  # (pid, pipe, share), each until it is reaped
+    try:
+        for share in shares[1:]:
+            workers.append((*_fork(share, measure), share))
+        for i in shares[0]:
+            results[i] = measure(i)
+        while workers:
+            pid, pipe, share = workers[0]
+            with pipe:
+                while True:
+                    try:
+                        i, result = pickle.load(pipe)
+                    except (EOFError, pickle.UnpicklingError):  # the pipe's end
+                        break
+                    if isinstance(result, Exception):
+                        raise result
+                    results[i] = result
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            lost = [h_list[i] for i in share if results[i] is None]
+            if lost:
+                raise RuntimeError(f"a sweep worker ended with wait status {status} before "
+                                   f"sending the results of members h = {lost}")
+    finally:
+        for pid, pipe, _ in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
 def sweep(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
           h_list, reference=None, configs=None) -> SweepResult:
     """Refinement study over a halving list of step sizes.
@@ -232,10 +337,17 @@ def sweep(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
     gives each member its own StepConfig, in ``h_list`` order; by default
     member h runs ``StepConfig(h)``.  Each member's ``iter_run`` trajectory
     goes straight into ``error_norms``, so no member's states are
-    collected.  A member that diverges still runs through ``error_norms``
-    up to its failed step, and its figures are dropped; the members after
-    it still run, and ``SweepDivergedError`` names the first failure, with
-    the reports of the members that completed.
+    collected.  The trajectories are all made here first, in ``h_list``
+    order, then the members run over ``min(usable_cpus(), members)``
+    processes, longest first, each member to the least-loaded one by its
+    step count: this process runs the longest member's share, and a forked
+    worker, which inherits the reference, each other share.  With one
+    usable CPU nothing is forked.  A member that diverges still runs
+    through ``error_norms`` up to its failed step, and its figures are
+    dropped; the members after it still run, and ``SweepDivergedError``
+    names the first failure in ``h_list`` order, with the reports of the
+    members that completed.  The results are those of running the members
+    one after another in this process.
     """
     h_list = check_h_list(T, h_list)
     if configs is None:
@@ -246,14 +358,19 @@ def sweep(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
     if reference is None:
         reference, reference_kind = pick_reference(initial, bundle, nonlin, T, min(h_list))
 
-    reports, failures = [], []
-    for cfg in configs:
-        trajectory = iter_run(initial, bundle, nonlin, T, cfg)
+    trajectories = [iter_run(initial, bundle, nonlin, T, cfg) for cfg in configs]
+
+    def measure(i):
+        trajectory = trajectories[i]
         report = error_norms((s for s, _ in trajectory), reference, bundle)
-        if trajectory.failure is None:
+        return report, trajectory.last.t_index, trajectory.failure
+
+    reports, failures = [], []
+    for h, (report, last, failure) in zip(h_list, _measure_all(measure, h_list, T)):
+        if failure is None:
             reports.append(report)
         else:  # the figures of the states before the failed step are dropped
-            failures.append((cfg.h, trajectory.last.t_index, trajectory.failure))
+            failures.append((h, last, failure))
     if failures:
         h_bad, idx, cause = failures[0]
         raise SweepDivergedError(h_bad, idx, reports, cause)

@@ -279,7 +279,24 @@ def v_norm(grid: Grid1D, u: np.ndarray):
 # Resolvent solves
 
 
-class ResolventAuditError(RuntimeError):
+class PicklableError:
+    """Mixin of the package's exceptions: they pickle as their type, ``args``,
+    attributes and ``__cause__``, so one raised in a sweep's worker process
+    arrives whole, although their ``__init__`` take other arguments than
+    ``args``."""
+
+    def __reduce__(self):
+        return _rebuild_error, (type(self), self.args, vars(self), self.__cause__)
+
+
+def _rebuild_error(cls, args, attributes, cause):
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(attributes)
+    exc.__cause__ = cause
+    return exc
+
+
+class ResolventAuditError(PicklableError, RuntimeError):
     """A resolvent solve missed its residual bound (non-finite data included)."""
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from . import _lapack
 from .diagnostics import TrajectoryInterpolants, build_interpolants, is_uniform, iter_blocks
 from .nonlinearity import Nonlinearity
-from .operators import (DIRICHLET, Grid1D, OperatorBundle, _mode_numbers,
+from .operators import (DIRICHLET, Grid1D, OperatorBundle, PicklableError, _mode_numbers,
                         laplacian_eigenvalues)
 from .stepper import StepConfig, iter_run
 
@@ -119,9 +119,11 @@ class LinearReference:
     float ``t``, one batched ``_lapack.expm`` over all modes, and cached (at most
     ``EXPM_CACHE_SIZE`` times, the oldest dropped first), so a reference
     shared by a refinement sweep pays once for every step length its members
-    have in common.  ``sample(times)`` propagates uniformly spaced requests
-    with the exponential of the spacing; arbitrary times take one cached
-    exponential each.  With a ``chain()`` a uniform grid is sampled in
+    have in common.  The cache is per process: a sweep's forked worker
+    inherits what was cached before the fork and pays once more for each
+    distinct time it samples.  ``sample(times)`` propagates uniformly
+    spaced requests with the exponential of the spacing; arbitrary times
+    take one cached exponential each.  With a ``chain()`` a uniform grid is sampled in
     consecutive blocks, one block of rows held at a time, with the rows of
     the whole grid's call.  The reference keeps the dense basis B (8n²
     bytes) for its lifetime and maps modal rows to grid values in one
@@ -230,7 +232,7 @@ def max_deviation(states, reference: LinearReference, write) -> float:
     return max(0.0, *np.max(peaks, axis=0).tolist())
 
 
-class ReferenceDivergedError(RuntimeError):
+class ReferenceDivergedError(PicklableError, RuntimeError):
     """The fine-step reference run stopped early at step ``failure_index``;
     the run's exception is the ``__cause__``."""
 

@@ -31,7 +31,8 @@ import numpy as np
 
 from ._lapack import _check_lapack_info, gbtrf as _GBTRF, gbtrs as _GBTRS
 from .nonlinearity import Nonlinearity
-from .operators import OperatorBundle, Resolvent, ResolventAuditError, h_norm
+from .operators import (OperatorBundle, PicklableError, Resolvent, ResolventAuditError,
+                        h_norm)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -39,7 +40,7 @@ _EPS = float(np.finfo(float).eps)
 YOSIDA_LAMBDAS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 
 
-class NewtonDivergedError(RuntimeError):
+class NewtonDivergedError(PicklableError, RuntimeError):
     """Newton ran out of iterations or met a non-finite residual; h may
     exceed the solvability threshold, or the data the float range."""
 
@@ -143,7 +144,7 @@ class RunResult:
         return self.failure is None
 
 
-class StepAuditError(RuntimeError):
+class StepAuditError(PicklableError, RuntimeError):
     """A computed step failed the scheme-residual audit."""
 
 

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermowave import (LinearReference, NewtonDivergedError, StepConfig, SweepDivergedError,
-                        _lapack, build_interpolants, error_norms, fine_reference,
+                        _lapack, build_interpolants, convergence, error_norms, fine_reference,
                         iter_run, random_smooth, run, stepper, sweep)
 from thermowave.cli import main
 from thermowave.diagnostics import BLOCK_VALUES
@@ -182,6 +182,35 @@ def test_member_diverging_mid_stream_raises_with_the_other_reports(monkeypatch, 
     assert info.value.failure_index == 100
     assert isinstance(info.value.__cause__, NewtonDivergedError)
     assert info.value.partial == [r for i, r in enumerate(full.reports) if i != failing]
+
+
+@pytest.mark.parametrize("failing,step", [(0, 40), (1, 100)])
+def test_member_diverging_in_a_worker_raises_as_in_one_process(monkeypatch, failing, step):
+    # with two processes this one runs h = 1/256 and a worker the other two
+    bundle, nl, init, ref = _member(128)
+    h_list = [1.0 / 64, 1.0 / 128, 1.0 / 256]
+    assert convergence._shares([64, 128, 256], 2) == [[2], [0, 1]]
+    real_step = stepper.step
+
+    def diverging(state, bundle, nonlin, cfg, plan=None):
+        if cfg.h == h_list[failing] and state.t_index == step:
+            raise NewtonDivergedError(cfg.newton_max_iter, 1.0)
+        return real_step(state, bundle, nonlin, cfg, plan)
+
+    monkeypatch.setattr(stepper, "step", diverging)
+    raised = []
+    for count in (1, 2):
+        monkeypatch.setattr(convergence, "usable_cpus", lambda: count)
+        with pytest.raises(SweepDivergedError) as info:
+            sweep(init, bundle, nl, T=1.0, h_list=h_list, reference=ref)
+        raised.append(info.value)
+    serial, split = raised
+    assert (split.h, split.failure_index) == (serial.h, serial.failure_index) == \
+        (h_list[failing], step)
+    assert split.partial == serial.partial and len(split.partial) == 2
+    assert type(split.__cause__) is type(serial.__cause__) is NewtonDivergedError
+    assert str(split.__cause__) == str(serial.__cause__)
+    assert str(split) == str(serial)
 
 
 @pytest.mark.parametrize("steps", [2, 3, 64, 300])

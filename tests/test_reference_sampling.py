@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 from conftest import p1_defaults
 
-from thermowave import (LinearReference, StepConfig, _lapack, error_norms,
+from thermowave import (LinearReference, StepConfig, _lapack, convergence, error_norms,
                         inverse_modal_transform, random_smooth, run, sweep)
 
 FIELDS = ("theta", "phi", "v")
@@ -136,6 +136,9 @@ def test_sweep_matches_seven_sample_algorithm(bc):
 
 
 def test_halving_sweep_takes_one_exponential_batch_per_distinct_time(monkeypatch):
+    # the exponential cache is per process: counted here with every member
+    # in this one
+    monkeypatch.setattr(convergence, "usable_cpus", lambda: 1)
     n = 16
     shapes = []
     real = _lapack.expm
