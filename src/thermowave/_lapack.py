@@ -140,12 +140,16 @@ def expm(a: np.ndarray) -> np.ndarray:
     n >= 2, with the bits of ``scipy.linalg.expm(a)``.
 
     SciPy's kernels run Al-Mohy & Higham's scaling-and-squaring Padé
-    algorithm (SIAM J. Matrix Anal. Appl. 31(3), 2009).  Each slice takes
-    the steps of ``scipy.linalg.expm`` in SciPy 1.17: a diagonal slice is
-    the exponential of its diagonal; any other is scaled by 2**-s and
-    approximated by the kernels, then squared s times, and a triangular one
-    has its diagonal and first off-diagonal recomputed in closed form at
-    each squaring.  It raises as SciPy does.  Without the kernels it is
+    algorithm (SIAM J. Matrix Anal. Appl. 31(3), 2009), with the arithmetic
+    of ``scipy.linalg.expm`` in SciPy 1.17 on every slice.  The diagonal
+    slices are the exponentials of their diagonals, all in one operation.
+    The others are copied once into one ``(k, 5, n, n)`` work buffer, and
+    the kernels scale each slice's view by 2**-s and approximate it, slice
+    by slice in index order.  Squaring round r then squares every slice
+    with s > r in one stacked product; a triangular slice has its diagonal
+    and first off-diagonal recomputed in closed form after each of its
+    squarings, and keeps exact zeros in its other triangle.  It raises as
+    SciPy does, at the same slice.  Without the kernels it is
     ``scipy.linalg.expm`` itself.
     """
     kernels = _pade_kernels()
@@ -157,18 +161,18 @@ def expm(a: np.ndarray) -> np.ndarray:
     # the lower and upper bandwidth of every slice, as scipy.linalg.bandwidth
     offset = np.subtract.outer(np.arange(n), np.arange(n))  # i - j
     nonzero = a != 0
-    lower = np.where(nonzero, offset, 0).max(axis=(1, 2)).tolist()
-    upper = np.where(nonzero, -offset, 0).max(axis=(1, 2)).tolist()
-    eA = np.empty(a.shape)
-    Am = np.empty((5, n, n))  # the kernels' work space, shared by the slices
-    for ind, aw in enumerate(a):
-        lu = (lower[ind], upper[ind])
-        if not any(lu):  # diagonal
-            eA[ind] = np.diag(np.exp(np.diag(aw)))
-            continue
+    lower = np.where(nonzero, offset, 0).max(axis=(1, 2))
+    upper = np.where(nonzero, -offset, 0).max(axis=(1, 2))
+    diagonal = (lower == 0) & (upper == 0)
+    general = np.flatnonzero(~diagonal)
+    eA = np.zeros(a.shape)
+    np.einsum("kii->ki", eA)[diagonal] = np.exp(np.einsum("kii->ki", a)[diagonal])
 
-        # pick_pade_structure overwrites Am, scaled by 2**-s when s > 0
-        Am[0, :, :] = aw
+    # the kernels overwrite each slice's view, scaled by 2**-s when s > 0
+    work = np.empty((len(general), 5, n, n))
+    work[:, 0] = a[general]
+    squarings = []
+    for Am in work:
         m, s = pick_pade_structure(Am)
         if m < 0:
             raise MemoryError("scipy.linalg.expm could not allocate sufficient"
@@ -183,29 +187,40 @@ def expm(a: np.ndarray) -> np.ndarray:
             raise RuntimeError("scipy.linalg.expm got an internal LAPACK "
                                "error during the exponential computation "
                                f"(error code {info})")
-        eAw = Am[0]
+        squarings.append(s)
+    eAk = work[:, 0]
 
+    # Code Fragment 2.1 of Al-Mohy & Higham on each triangular slice that
+    # squares: its s, diagonal and first off-diagonal, and writable views of
+    # both in its result
+    upper_triangular, lower_triangular = lower[general] == 0, upper[general] == 0
+    fragments = []
+    for j in np.flatnonzero(upper_triangular | lower_triangular).tolist():
+        s, aw, eAw = squarings[j], a[general[j]], eAk[j]
         if s != 0:
-            if lu[1] == 0 or lu[0] == 0:  # lower or upper triangular
-                # Code Fragment 2.1 of Al-Mohy & Higham
-                diag_aw = np.diag(aw)
-                np.einsum('ii->i', eAw)[:] = np.exp(diag_aw * 2**(-s))
-                sd = np.diag(aw, k=-1 if lu[1] == 0 else 1)
-                for i in range(s - 1, -1, -1):
-                    eAw = eAw @ eAw
-                    np.einsum('ii->i', eAw)[:] = np.exp(diag_aw * 2.**(-i))
-                    exp_sd = _exp_sinch(diag_aw * (2.**(-i))) * (sd * 2**(-i))
-                    if lu[1] == 0:
-                        np.einsum('ii->i', eAw[1:, :-1])[:] = exp_sd
-                    else:
-                        np.einsum('ii->i', eAw[:-1, 1:])[:] = exp_sd
+            diag_aw = np.diag(aw)
+            np.einsum("ii->i", eAw)[:] = np.exp(diag_aw * 2**(-s))
+            if upper_triangular[j]:
+                sd, exp_sd = np.diag(aw, k=1), np.einsum("ii->i", eAw[:-1, 1:])
             else:
-                for _ in range(s):
-                    eAw = eAw @ eAw
+                sd, exp_sd = np.diag(aw, k=-1), np.einsum("ii->i", eAw[1:, :-1])
+            fragments.append((s, diag_aw, sd, np.einsum("ii->i", eAw), exp_sd))
 
-        # a triangular slice keeps exact zeros in its other triangle
-        if lu[0] == 0 or lu[1] == 0:
-            eA[ind] = np.triu(eAw) if lu[0] == 0 else np.tril(eAw)
-        else:
-            eA[ind] = eAw
+    # round r squares every slice with s > r; a triangular slice then has
+    # its two diagonals at the exponent i = s - 1 - r of scipy.linalg.expm
+    s_k = np.array(squarings, dtype=int)
+    for r in range(s_k.max(initial=0)):
+        squaring = np.flatnonzero(s_k > r)
+        eAr = eAk[squaring]
+        eAk[squaring] = eAr @ eAr
+        for s, diag_aw, sd, exp_diag, exp_sd in fragments:
+            if s > r:
+                i = s - 1 - r
+                exp_diag[:] = np.exp(diag_aw * 2.**(-i))
+                exp_sd[:] = _exp_sinch(diag_aw * (2.**(-i))) * (sd * 2**(-i))
+
+    # a triangular slice keeps exact zeros in its other triangle
+    eAk[upper_triangular] = np.triu(eAk[upper_triangular])
+    eAk[lower_triangular] = np.tril(eAk[lower_triangular])
+    eA[general] = eAk
     return eA

@@ -1,11 +1,15 @@
 """The modal reference's matrix exponential against ``scipy.linalg.expm``.
 
-``_lapack.expm`` drives SciPy's compiled Padé kernels, loaded without
-importing ``scipy.linalg``, through the per-slice steps of
-``scipy.linalg.expm``.  Every result must be the same bits as SciPy's, on
-every P1 generator batch the reference takes and on random batches that
-reach each branch: diagonal, triangular (with and without squaring) and
-generic.  Without usable kernels it must be ``scipy.linalg.expm`` itself.
+``_lapack.expm`` runs SciPy's compiled Padé kernels, loaded without
+importing ``scipy.linalg``, on each non-diagonal slice's view of one work
+buffer, in index order, and then squares the slices in stacked rounds.
+Every result must be the same bits as SciPy's, on every P1 generator batch
+the reference takes and on batches that reach each branch: diagonal,
+triangular (with and without squaring) and generic, mixed in one batch and
+with s from 0 to 8 and more.  The kernels must run once per non-diagonal
+slice, in index order, and a kernel failure must raise at the slice where
+SciPy raises.  Without usable kernels it must be ``scipy.linalg.expm``
+itself.
 """
 
 import types
@@ -92,6 +96,49 @@ def test_triangular_slices_recompute_diagonals_at_each_squaring(pade_calls, monk
     assert len(calls) == sum(squarings)
 
 
+def test_mixed_batch_equals_scipy_expm_slice_by_slice(pade_calls, monkeypatch):
+    """Generic slices from 1e-3 to 1e3 (s from 0 to 8 and more), upper and
+    lower triangular slices that square, and diagonal slices, in one batch."""
+    calls = []
+    real = _lapack._exp_sinch
+    monkeypatch.setattr(_lapack, "_exp_sinch", lambda x: calls.append(x) or real(x))
+    rng = np.random.default_rng(24)
+    skew = rng.standard_normal((3, 3))
+    generic = skew - skew.T - np.eye(3)  # bounded exponentials at every scale
+    upper = np.array([[-3.0, 40.0, 7.0], [0.0, -3.0, 5.0], [0.0, 0.0, 2.0]])
+    diagonal = np.diag([1.0, -2.0, 3.0])
+    batch = np.stack([diagonal, 1e-3 * generic, upper, 1e-1 * generic, 20.0 * upper.T,
+                      generic, 0.0 * diagonal, 1e1 * generic, 20.0 * upper, 1e2 * generic,
+                      upper.T, 1e3 * generic, -diagonal])
+    assert_same_bits(_lapack.expm(batch), scipy.linalg.expm(batch))
+
+    kinds = [branch(a) for a in batch]
+    assert kinds.count("upper") == 2 and kinds.count("lower") == 2
+    kernel_slices = [a for a, kind in zip(batch, kinds) if kind != "diagonal"]
+    assert len(pade_calls) == len(kernel_slices)
+    for (a, _), want in zip(pade_calls, kernel_slices):
+        assert np.array_equal(a, want)
+    kernel_kinds = [kind for kind in kinds if kind != "diagonal"]
+    generic_s = [s for (_, s), kind in zip(pade_calls, kernel_kinds) if kind == "generic"]
+    assert min(generic_s) == 0 and max(generic_s) >= 8
+    triangular_s = [s for (_, s), kind in zip(pade_calls, kernel_kinds) if kind != "generic"]
+    assert min(triangular_s) > 0
+    assert len(calls) == sum(triangular_s)
+
+
+def test_empty_and_non_finite_batches_equal_scipy_expm():
+    empty = np.zeros((0, 3, 3))
+    assert_same_bits(_lapack.expm(empty), scipy.linalg.expm(empty))
+    generic = np.array([[-1.0, 2.0, 0.5], [0.3, -2.0, 1.0], [0.0, 4.0, -1.0]])
+    for value in (np.inf, -np.inf, np.nan):
+        for i, j in ((0, 0), (0, 2), (2, 0)):
+            bad = generic.copy()
+            bad[i, j] = value
+            batch = np.stack([generic, bad, np.triu(bad), np.diag(np.diag(bad)), 8.0 * generic])
+            with np.errstate(all="ignore"):
+                assert_same_bits(_lapack.expm(batch), scipy.linalg.expm(batch))
+
+
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @example(k=2, entries=[1.0] * 18, mask=[True, True, True, False, True, True, False, False, True]
          * 2, exponent=3.0)
@@ -131,6 +178,44 @@ def test_kernel_failures_raise_as_scipy_does(monkeypatch, m, info, error):
     with pytest.raises(error) as got:
         _lapack.expm(batch)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("m, info, error", [
+    (-1, 0, MemoryError),
+    (3, -11, MemoryError),
+    (3, 2, RuntimeError),
+])
+def test_kernel_failure_on_a_middle_slice_raises_there(monkeypatch, m, info, error):
+    """Of five generic slices, the 3rd fails with the given code and the
+    4th with another: the error must be the 3rd's, raised before the
+    kernels see a later slice, as in scipy.linalg.expm."""
+    pick_pade_structure, pade_UV_calc = _lapack._pade_kernels()
+    seen = []
+
+    def pick(Am):
+        seen.append(int(Am[0, 0, 2]))
+        if seen[-1] == 2:
+            return m, 0
+        if seen[-1] == 3:
+            return -2, 0
+        return pick_pade_structure(Am)
+
+    def uv(Am, m):
+        return info if int(Am[0, 0, 2]) == 2 else pade_UV_calc(Am, m)
+
+    monkeypatch.setattr(_lapack, "_pade_kernels", lambda: (pick, uv))
+    monkeypatch.setattr(scipy.linalg._matfuncs, "pick_pade_structure", pick)
+    monkeypatch.setattr(scipy.linalg._matfuncs, "pade_UV_calc", uv)
+    batch = np.ones((5, 3, 3))
+    batch[:, 0, 2] = np.arange(5)  # each slice names itself to the kernels
+    with pytest.raises(error) as want:
+        scipy.linalg.expm(batch)
+    assert seen == [0, 1, 2]
+    del seen[:]
+    with pytest.raises(error) as got:
+        _lapack.expm(batch)
+    assert str(got.value) == str(want.value)
+    assert seen == [0, 1, 2]
 
 
 @pytest.mark.parametrize("load", ["fails", "old_signature"])
