@@ -45,8 +45,9 @@ from .stepper import StepConfig, iter_run, step_count
 # fine reference at h_min / 32 together.
 MAX_STEPS = 10_000_000
 # The most unknowns per field, checked before anything is allocated: a
-# linear reference holds the dense n x n modal basis (8 n^2 bytes, 2 GiB at
-# the limit), and random_smooth evaluates n^2 sines or cosines.
+# linear reference builds the n x n modal basis once and keeps it (8 n^2
+# bytes, 2 GiB at the limit), and random_smooth evaluates n^2 sines or
+# cosines.
 MAX_UNKNOWNS = 2 ** 14
 
 

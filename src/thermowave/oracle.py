@@ -29,9 +29,12 @@ from .operators import (DIRICHLET, Grid1D, OperatorBundle, PicklableError, _mode
 from .stepper import StepConfig, iter_run
 
 
-# Rows (or columns) of the basis per block, 0.5 MB at n = 1024.  Products
-# over blocks of 64 have the bits of the dense one on this OpenBLAS; blocks
-# of 1 or 7, or a tail of 1-3, do not, so the last block takes 64 to 127.
+# Rows (or columns) of the basis per block, 0.5 MB at n = 1024.  On
+# OpenBLAS (0.3.31, Haswell kernels) a product with a block of 64 has the
+# bits of the dense product on one thread, and the same bits under 1, 2 or
+# 4 threads at n = 256, 2049 and 8192, where a dense product's bits move
+# with how a threaded BLAS splits it.  Blocks of 1 or 7, or a tail of 1-3,
+# do not keep the bits, so the last block takes 64 to 127.
 _BLOCK = 64
 
 
@@ -56,15 +59,31 @@ def _basis_block(grid: Grid1D, rows=slice(None), cols=slice(None)) -> np.ndarray
     return B
 
 
-def _synthesize(grid: Grid1D, *coeffs) -> list:
-    """``B @ c`` for every c, in one pass over row blocks of the basis."""
-    n = grid.n_interior
-    out = [np.empty(n) for _ in coeffs]
-    for rows in _blocks(n):
-        B = _basis_block(grid, rows=rows)
-        for u, c in zip(out, coeffs):
-            u[rows] = B @ c
-    return out
+# The two kernels below are the only products with B.  Each takes its
+# blocks from ``basis`` (the whole B) when given, as views, and otherwise
+# builds them one at a time; every vector is its own matrix-vector product
+# with a block, so how many vectors go in one call does not move bits.
+
+def _synthesize(grid: Grid1D, coeffs, basis=None) -> np.ndarray:
+    """``B @ c`` for every coefficient vector c along the last axis of
+    ``coeffs``, in one pass over row blocks of B."""
+    c = np.asarray(coeffs, dtype=float)[..., None]
+    out = np.empty(c.shape)
+    for rows in _blocks(grid.n_interior):
+        B = _basis_block(grid, rows=rows) if basis is None else basis[rows]
+        out[..., rows, :] = B @ c
+    return out[..., 0]
+
+
+def _analyze(grid: Grid1D, u, basis=None) -> np.ndarray:
+    """Coefficients ``dx * (B.T @ u)`` of every vector u along the last
+    axis of ``u``, in one pass over column blocks of B."""
+    u = np.asarray(u, dtype=float)[..., None]
+    c = np.empty(u.shape)
+    for cols in _blocks(grid.n_interior):
+        B = _basis_block(grid, cols=cols) if basis is None else basis[:, cols]
+        c[..., cols, :] = B.T @ u
+    return grid.dx * c[..., 0]
 
 
 def modal_transform(grid: Grid1D, u: np.ndarray) -> np.ndarray:
@@ -72,10 +91,7 @@ def modal_transform(grid: Grid1D, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.n_interior,):
         raise ValueError("dimension mismatch in modal_transform")
-    c = np.empty(grid.n_interior)
-    for cols in _blocks(grid.n_interior):
-        c[cols] = _basis_block(grid, cols=cols).T @ u
-    return grid.dx * c
+    return _analyze(grid, u)
 
 
 def inverse_modal_transform(grid: Grid1D, coeffs: np.ndarray) -> np.ndarray:
@@ -83,7 +99,7 @@ def inverse_modal_transform(grid: Grid1D, coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (grid.n_interior,):
         raise ValueError("dimension mismatch in inverse_modal_transform")
-    return _synthesize(grid, coeffs)[0]
+    return _synthesize(grid, coeffs)
 
 
 def modal_generator(bundle: OperatorBundle, nonlin: Nonlinearity, mu) -> np.ndarray:
@@ -122,28 +138,30 @@ class LinearReference:
     have in common.  The cache is per process: a sweep's forked worker
     inherits what was cached before the fork and pays once more for each
     distinct time it samples.  ``sample(times)`` propagates uniformly
-    spaced requests with the exponential of the spacing; arbitrary times
-    take one cached exponential each.  With a ``chain()`` a uniform grid is sampled in
-    consecutive blocks, one block of rows held at a time, with the rows of
-    the whole grid's call.  The reference keeps the dense basis B (8n²
-    bytes) for its lifetime and maps modal rows to grid values in one
-    product per block.
+    spaced increasing requests with the exponential of the spacing;
+    arbitrary times take one cached exponential each.  With a ``chain()`` a
+    uniform grid is sampled in consecutive blocks, one block of rows held
+    at a time, with the rows of the whole grid's call.  The reference
+    builds the basis B once and keeps it (8n² bytes) for its lifetime; the
+    initial coefficients and every grid value come from the two block
+    kernels over views of it, so its outputs do not depend on the BLAS
+    thread count (see ``_BLOCK``).
     """
 
     EXPM_CACHE_SIZE = 64
+    FIELDS = ("theta", "phi", "v")
 
     def __init__(self, initial, bundle: OperatorBundle, nonlin: Nonlinearity):
         if not nonlin.is_linear:
             raise ValueError("LinearReference requires a linear configuration")
         self.bundle = bundle
         self.grid = bundle.grid
-        theta0, phi0, v0 = (np.asarray(u, dtype=float) for u in initial)
-        self._initial = {"theta": theta0.copy(), "phi": phi0.copy(), "v": v0.copy()}
+        u0 = np.array(initial, dtype=float)
+        self._initial = dict(zip(self.FIELDS, u0))
         mu = laplacian_eigenvalues(self.grid)
         self._mu = mu
-        B = self._basis = _basis_block(self.grid)
-        self._y0 = np.stack([self.grid.dx * (B.T @ u) for u in (theta0, phi0, v0)],
-                            axis=1)  # (n_modes, 3)
+        self._basis = _basis_block(self.grid)
+        self._y0 = np.ascontiguousarray(_analyze(self.grid, u0, self._basis).T)  # (n_modes, 3)
         self._gen = modal_generator(bundle, nonlin, mu)
         self._expm = {}  # t -> (n_modes, 3, 3) exponentials, oldest first
 
@@ -157,12 +175,13 @@ class LinearReference:
         return E
 
     def at(self, t: float) -> FieldSnapshot:
-        """The fields of ``sample([t])`` and the acceleration z at t."""
-        fields = {k: rows[0] for k, rows in self.sample([t]).items()}
-        Y = np.einsum("kij,kj->ki", self._expm_batch(float(t)), self._y0)
-        dY = np.einsum("kij,kj->ki", self._gen, Y)
-        z = self._basis @ dY[:, 2]
-        return FieldSnapshot(fields["theta"], fields["phi"], fields["v"], z)
+        """The fields of ``sample([t])`` and the acceleration z at t, all
+        four from one synthesis pass."""
+        times = np.array([float(t)])
+        Y = self._modal_rows(times)
+        dY = np.einsum("kij,kj->ki", self._gen, Y[0])
+        theta, phi, v, z = self._grid_values(times, np.concatenate([Y, dY[None, :, 2:]], axis=2))
+        return FieldSnapshot(theta[0], phi[0], v[0], z[0])
 
     def chain(self) -> dict:
         """A new, empty chain for ``sample``, which keeps in it the start
@@ -170,19 +189,24 @@ class LinearReference:
         return {}
 
     def sample(self, times, chain=None) -> dict:
-        """Grid values of theta, phi and v, one row per time.
-
-        Two or more times that are ``diagnostics.is_uniform`` are one chain
-        Y[i] = exp(dt G) Y[i - 1] from exp(times[0] G) y0, dt = times[1] -
-        times[0]; any other times take one exponential each.  Given a
-        ``chain``, the times are the next block of one uniform grid whose
-        earlier blocks came with the same chain: it continues across the
-        blocks from the grid's first time and spacing, so each row has the
-        bits of the whole grid's call.  The rows at time zero are the
-        initial data.
-        """
+        """Grid values of theta, phi and v, one row per time: the modal
+        rows of ``_modal_rows`` in one synthesis pass.  The rows at time
+        zero are the initial data."""
         times = np.asarray(times, dtype=float)
-        if chain is None and is_uniform(times):
+        return dict(zip(self.FIELDS, self._grid_values(times, self._modal_rows(times, chain))))
+
+    def _modal_rows(self, times: np.ndarray, chain=None) -> np.ndarray:
+        """Modal rows (times, modes, 3) of theta, phi and v.
+
+        Two or more increasing times that are ``diagnostics.is_uniform``
+        are one chain Y[i] = exp(dt G) Y[i - 1] from exp(times[0] G) y0,
+        dt = times[1] - times[0]; any other times take one exponential
+        each.  Given a ``chain``, the times are the next block of one
+        uniform grid whose earlier blocks came with the same chain: it
+        continues across the blocks from the grid's first time and
+        spacing, so each row has the bits of the whole grid's call.
+        """
+        if chain is None and is_uniform(times) and times[1] > times[0]:
             chain = {}
         Y = np.empty((times.size, self.grid.n_interior, 3))
         for i, t in enumerate(times):
@@ -195,11 +219,15 @@ class LinearReference:
                 if "E" not in chain:
                     chain["E"] = self._expm_batch(float(t - chain["t0"]))
                 chain["y"] = Y[i] = np.einsum("kij,kj->ki", chain["E"], chain["y"])
-        B = self._basis
-        out = {name: (B @ Y[:, :, j, None])[..., 0]
-               for j, name in enumerate(("theta", "phi", "v"))}
-        for name, rows in out.items():
-            rows[times == 0.0] = self._initial[name]
+        return Y
+
+    def _grid_values(self, times: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Grid values (fields, times, points) of the modal rows Y (times,
+        modes, fields), theta, phi and v at time zero replaced by the
+        initial data."""
+        out = _synthesize(self.grid, np.moveaxis(Y, 2, 0), self._basis)
+        for u, name in zip(out, self.FIELDS):
+            u[times == 0.0] = self._initial[name]
         return out
 
 

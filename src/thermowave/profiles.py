@@ -48,7 +48,7 @@ def random_smooth(grid: Grid1D, seed: int, decay: float = 2.0,
     rng = np.random.default_rng(seed)
     weights = (1.0 + np.arange(n)) ** (-float(decay))
     coeffs = [amplitude * rng.standard_normal(n) * weights for _ in range(3)]
-    return tuple(_synthesize(grid, *coeffs))
+    return tuple(_synthesize(grid, coeffs))
 
 
 def make_initial(grid: Grid1D, desc: dict):

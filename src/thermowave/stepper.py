@@ -170,9 +170,10 @@ class StepPlan:
     solve's audit when coupling applies as diffusion.
 
     A plan also records Newton's last solution, made read-only, with the
-    terms of its last residual (see ``solve_phi``); a later computation
-    takes a term from the record only for that very array object, so any
-    other array, however close, gets its own.
+    terms of its last residual and the norm of its right-hand side (see
+    ``solve_phi``); a later computation takes a term from the record only
+    for that very array object, so any other array, however close, gets
+    its own.
     """
 
     def __init__(self, bundle: OperatorBundle, h: float, nonlin: Nonlinearity | None = None):
@@ -219,7 +220,7 @@ class StepPlan:
         self.wave_scale = (bundle.mass.norm_bound() / (h * h) + bundle.damping.norm_bound() / h
                            + bundle.stiffness.norm_bound() + bundle.eta * self.coupling_norm)
         self.heat_scale = 1.0 / h + bundle.diffusion.norm_bound()
-        self._last = (None, None)  # Newton's last solution and its residual terms
+        self._last = (None, None, None)  # Newton's last solution, its residual terms, |g|
 
     def coupling_of(self, x):
         """coupling(x), taken from the audit of the resolvent's last solve
@@ -284,7 +285,7 @@ def phi_equation_rhs(state: State, bundle: OperatorBundle, h: float,
         raise ValueError(f"dimension mismatch: grid has {bundle.grid.n_interior} unknowns, "
                          f"state shape {phi.shape}")
     shifted = plan.solve(bundle.eta * phi + state.theta)
-    last, terms = plan._last
+    last, terms, _ = plan._last
     mass, damping = terms[:2] if phi is last else (plan.mass(phi), plan.damping(phi))
     return mass + h * plan.mass(state.v) + h * damping + h * h * plan.coupling_of(shifted)
 
@@ -356,9 +357,9 @@ def solve_phi(g: np.ndarray, bundle: OperatorBundle, nonlin: Nonlinearity,
     like the direct path.  The iterations of every stage are counted.
 
     The returned phi is made read-only and recorded in the plan with the
-    terms of the last residual, which were evaluated at it, for ``step``'s
-    audit and the next step's right-hand side; a smoothed stage's terms are
-    never recorded.
+    terms of the last residual, which were evaluated at it, and with the
+    grid H norm of g, for ``step``'s audit and the next step's right-hand
+    side; a smoothed stage's terms are never recorded.
     """
     plan = _plan_for(plan, bundle, cfg.h, nonlin)
     n = bundle.grid.n_interior
@@ -372,7 +373,7 @@ def solve_phi(g: np.ndarray, bundle: OperatorBundle, nonlin: Nonlinearity,
         phi, it, res, terms = _newton(g, gn, plan, cfg, lam, phi)
         iters += it
     phi.setflags(write=False)
-    plan._last = (phi, terms)
+    plan._last = (phi, terms, gn)
     return phi, iters, res
 
 
@@ -401,8 +402,8 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
     A step that fails either audit raises ``StepAuditError``.
 
     The audit takes the products that an earlier computation made from the
-    same array from it: stiffness(phi+), beta(phi+) and any pi(phi+) from
-    Newton's last residual when phi+ is the solution the plan records,
+    same array from it: |g|, stiffness(phi+), beta(phi+) and any pi(phi+)
+    from the plan's record of the solution phi+ that ``solve_phi`` returns,
     diffusion(theta+), the resolvent equation's residual and, when coupling
     applies as diffusion, coupling(theta+) from the theta+ solve's own audit.
     """
@@ -410,7 +411,6 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
     h = cfg.h
     norm = plan.norm
     g = phi_equation_rhs(state, bundle, h, plan)
-    gn = norm(g)
     # second-order predictor: phi + h v+ with v+ extrapolated as v + h z
     phi1, iters, res = solve_phi(g, bundle, nonlin, cfg,
                                  phi0=state.phi + h * (state.v + h * state.z), plan=plan)
@@ -426,12 +426,7 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
     z1 = (v1 - state.v) / h
 
     heat_res = norm((theta1 - state.theta) / h + bundle.eta * v1 + diffusion_theta1)
-    last, terms = plan._last
-    if phi1 is last:
-        _, _, stiffness, beta, pi = terms
-    else:
-        stiffness, beta = plan.stiffness(phi1), nonlin.beta(phi1)
-        pi = nonlin.pi(phi1) if plan.has_pi else None
+    _, (_, _, stiffness, beta, pi), gn = plan._last
     wave = plan.mass(z1) + plan.damping(v1) + stiffness + beta
     if plan.has_pi:
         wave += pi

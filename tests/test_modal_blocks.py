@@ -2,8 +2,9 @@
 
 The blocked transforms have the bits of the dense products ``B @ c`` and
 ``dx * (B.T @ u)`` on one BLAS thread (the dense product's own bits depend
-on how a threaded BLAS splits it), a mode vector is one column of B, and
-no set-up path allocates an n x n array.
+on how a threaded BLAS splits it), a mode vector is one column of B, no
+set-up path allocates an n x n array, and the modal reference's outputs
+have the same bytes under 1, 2 and 4 BLAS threads.
 
 Run as a script, the file checks the blocked transforms against the dense
 products; ``test_blocked_transforms_equal_the_dense_products`` runs it in a
@@ -72,6 +73,34 @@ def test_mode_vector_is_the_dense_basis_column(n, bc):
         e = np.zeros(n)
         e[k - lo] = 1.0
         assert np.array_equal(mode_vector(grid, k), B @ e), k
+
+
+THREAD_JOBS = {
+    "oracle-check": {"T": 1 / 32, "h": 1 / 256},
+    "sweep": {"T": 1 / 8, "h_list": [1 / 32, 1 / 64]},
+}
+
+
+@pytest.mark.parametrize("command", list(THREAD_JOBS))
+def test_modal_reference_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, command):
+    # at n = 2049 a dense product with the basis runs threaded and the last
+    # 64-row block holds 65 rows
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "preset": "P1", "bc": "dirichlet", "n_interior": 2049, "m": 1.0,
+        "initial": {"profile": "random_smooth", "seed": 3}, **THREAD_JOBS[command]}))
+    outputs = {}
+    for threads in ("1", "2", "4"):
+        out = tmp_path / threads
+        env = {**os.environ, **{name: threads for name in PINS},
+               "PYTHONPATH": os.path.join(ROOT, "src")}
+        proc = subprocess.run([sys.executable, "-m", "thermowave", command, "--config",
+                               str(config), "--out", str(out)], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        outputs[threads] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    assert len(outputs["1"]) == 2
+    assert outputs["2"] == outputs["1"] and outputs["4"] == outputs["1"]
 
 
 def _peak_traced_bytes(fn):

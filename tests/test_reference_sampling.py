@@ -39,6 +39,10 @@ class PerMatrixReference:
             fields = {k: v.copy() for k, v in self._initial.items()}
         return fields
 
+    def acceleration(self, t):
+        Y = np.einsum("kij,kj->ki", self._expm_batch(float(t)), self._y0)
+        return inverse_modal_transform(self.grid, np.einsum("kij,kj->ki", self._gen, Y)[:, 2])
+
     def sample(self, times):
         times = np.asarray(times, dtype=float)
         out = {name: np.empty((times.size, self.grid.n_interior)) for name in FIELDS}
@@ -111,6 +115,7 @@ def test_at_matches_per_matrix_algorithm(bc):
         snap, want = ref.at(t), old.at(t)
         for name in FIELDS:
             assert np.array_equal(getattr(snap, name), want[name])
+        assert np.array_equal(snap.z, old.acceleration(t))
 
 
 @pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
@@ -183,3 +188,19 @@ def test_exponential_cache_is_bounded():
     times = np.arange(ref.EXPM_CACHE_SIZE + 10) * 0.01 + 0.005
     ref.sample(times[np.argsort(-times)] ** 2)  # non-uniform: one exponential per time
     assert len(ref._expm) == ref.EXPM_CACHE_SIZE
+
+
+@pytest.mark.parametrize("times", [[0.5, 0.25], [0.5, 0.375, 0.25], [0.25, 0.25, 0.25]],
+                         ids=["decreasing-2", "decreasing-3", "constant"])
+def test_grid_without_a_positive_step_takes_one_exponential_per_time(times):
+    # exp(-dt G) of a decreasing grid overflows in the stiff modes; a grid
+    # whose step is not positive is not chained
+    bundle, nl = p1_defaults(n=64, m=1.0)
+    ref = LinearReference(random_smooth(bundle.grid, 3), bundle, nl)
+    with np.errstate(over="raise", invalid="raise"):
+        got = ref.sample(times)
+    for i, t in enumerate(times):
+        want = ref.sample([t])
+        for name in FIELDS:
+            assert np.isfinite(got[name][i]).all(), (name, t)
+            assert np.array_equal(got[name][i], want[name][0]), (name, t)

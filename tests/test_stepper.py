@@ -555,25 +555,26 @@ def test_steps_through_one_plan_equal_the_recomputing_reference(preset, bc, n, b
             assert same_bits(getattr(report, field), getattr(want_report, field)), field
 
 
-def test_step_recomputes_the_products_of_another_phi(monkeypatch):
-    # a phi+ one ulp away from Newton's passes the audit; its products must
-    # be its own, not those recorded for Newton's iterate
-    import thermowave.stepper as stepper
-    bundle, nl = p2_defaults(n=16)
+@pytest.mark.parametrize("path", ["direct", "yosida"])
+def test_solve_phi_records_the_phi_it_returns_with_its_terms_and_the_norm_of_g(path):
+    # step takes |g| and the audit's stiffness(phi+), beta(phi+) and
+    # pi(phi+) from this record of the very array solve_phi returned
+    from thermowave.stepper import _elliptic_residual
+    bundle = preset_bundle("P2", n=16)
+    nl = Nonlinearity("cubic", (1.0,), "scaled_sine", 1.2)
     h = 1.0 / 64
-    cfg = StepConfig(h=h, newton_tol=1e-10)
-
-    def nudged(*args, **kwargs):
-        phi, iters, res = solve_phi(*args, **kwargs)
-        return np.nextafter(phi, np.inf), iters, res
-
-    monkeypatch.setattr(stepper, "solve_phi", nudged)
+    cfg = StepConfig(h=h, solve_path=path)
+    plan = StepPlan(bundle, h, nl)
     state = make_state(bundle.grid, *random_smooth(bundle.grid, 2), h)
-    got, report = step(state, bundle, nl, cfg, StepPlan(bundle, h, nl))
-    want, want_report = reference_step(state, bundle, nl, cfg, solve=nudged)
-    assert same_bits(got.phi, want.phi) and report == want_report
-    _, plain = reference_step(state, bundle, nl, cfg)
-    assert plain.wave_residual != report.wave_residual
+    g = phi_equation_rhs(state, bundle, h, plan)
+    phi, _, _ = solve_phi(g, bundle, nl, cfg, plan=plan)
+    last, terms, gn = plan._last
+    assert last is phi and not phi.flags.writeable
+    assert same_bits(gn, h_norm(bundle.grid, g))
+    _, want = _elliptic_residual(phi.copy(), g, StepPlan(bundle, h, nl), None)
+    assert len(terms) == len(want) == 5
+    for got, expected in zip(terms, want):
+        assert same_bits(got, expected)
 
 
 @pytest.mark.parametrize("sigma, c, fixed, per_iter", [(1.0, 1.0, 9, 5), (0.5, 2.0, 12, 6)],

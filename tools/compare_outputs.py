@@ -10,18 +10,20 @@ with one BLAS thread: the three benchmark configs and the ten P1-P5 x bc
 coverage configs of ``perfbench/workloads.py``, a yosida-path ``run``, a
 scaled-sine ``energy-audit``, an ``energy-audit`` of P3 Neumann with
 sigma = 0.5 and c = 2 (the one P1-P3 job whose coupling, c^2 times the
-Laplacian, is not its diffusion), a P1 ``oracle-check``, a linear P1
-``sweep`` whose first member has two steps, a linear P1 Neumann ``sweep``
-at m = 0 (its constant mode's generator is upper triangular, so its
-exponential batches mix triangular and generic slices), a cubic P2
-``sweep``, and a ``run`` (snapshot stride 7), an ``energy-audit`` and an
-``oracle-check`` of a linear-pi P2 config whose h is above h_threshold, so
-that they diverge (exit 2 at step 74 on a 64-point grid) and leave partial
-outputs.  A ``sweep`` of that config on a 256-point grid, h_list 1/16,
-1/32, 1/64 to T = 2, loses its finest member (exit 2 at step 87 or 88) and
-keeps the two coarser ones; every member spans several blocks of
-``convergence.error_norms``.  ``--n`` puts every job on an N-point grid (a
-quick check).
+Laplacian, is not its diffusion), a P1 ``oracle-check``, one on a
+2049-point grid (where the last 64-row block of the modal basis holds 65
+rows, and a dense product with the basis has bits that depend on the BLAS
+thread count), a linear P1 ``sweep`` whose first member has two steps, a
+linear P1 Neumann ``sweep`` at m = 0 (its constant mode's generator is
+upper triangular, so its exponential batches mix triangular and generic
+slices), a cubic P2 ``sweep``, and a ``run`` (snapshot stride 7), an
+``energy-audit`` and an ``oracle-check`` of a linear-pi P2 config whose h
+is above h_threshold, so that they diverge (exit 2 at step 74 on a
+64-point grid) and leave partial outputs.  A ``sweep`` of that config on
+a 256-point grid, h_list 1/16, 1/32, 1/64 to T = 2, loses its finest
+member (exit 2 at step 87 or 88) and keeps the two coarser ones; every
+member spans several blocks of ``convergence.error_norms``.  ``--n`` puts
+every job on an N-point grid (a quick check).
 
 For every job it prints both exit codes and any ``error:`` line that
 differs, and for every output file whether the two trees wrote the same
@@ -69,6 +71,8 @@ def jobs(seed: int, n: int | None) -> dict:
     linear = {"preset": "P1", "bc": "dirichlet", "n_interior": 64, "T": 0.25, "m": 1.0,
               "initial": {"profile": "random_smooth", "seed": seed}}
     out["p1-oracle-check"] = ("oracle-check", {**linear, "h": 1.0 / 128})
+    out["p1-oracle-check-n2049"] = ("oracle-check", {**linear, "n_interior": 2049,
+                                                     "T": 1.0 / 32, "h": 1.0 / 256})
     out["p1-short-sweep"] = ("sweep", {**linear, "h_list": [0.125, 0.0625, 0.03125]})
     out["p1-neumann-m0-sweep"] = ("sweep", {**linear, "bc": "neumann", "m": 0.0,
                                             "h_list": [0.125, 0.0625, 0.03125]})
