@@ -7,9 +7,9 @@ solve; the discrete flow obeys an exact energy balance, and a refinement
 harness measures the convergence order against modal or nested references.
 """
 
-from .convergence import (ErrorReport, SweepDivergedError, SweepResult,
+from .convergence import (ErrorFigures, ErrorReport, SweepDivergedError, SweepResult,
                           check_h_list, error_norms, pick_reference, sweep, usable_cpus)
-from .diagnostics import (EnergyRecord, apriori_monitor, apriori_ratios,
+from .diagnostics import (AprioriMonitor, EnergyRecord, apriori_monitor, apriori_ratios,
                           build_interpolants, energy, energy_ledger,
                           interpolation_identities_check, iter_ledger, lyapunov_check,
                           step_identity_residual)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import iter_blocks
+from .diagnostics import _Figures, iter_blocks
 from .nonlinearity import Nonlinearity
 from .operators import OperatorBundle, PicklableError, h_inner, v_norm_sq
 from .oracle import LinearReference, fine_reference
@@ -110,6 +110,72 @@ def _interval_rows(reference, sample, lefts, h, ends):
                   sample(lefts + 0.75 * h, 0.75), {name: r[1:] for name, r in ends.items()}]
 
 
+class ErrorFigures(_Figures):
+    """The push form of ``error_norms``: ``add`` blocks of consecutive
+    states in turn, then ``report``.  A reference with ``chain`` takes
+    blocks of any size, one chain per time grid; one with only ``sample``
+    (and ``sample_bar``) takes the whole trajectory as one block."""
+
+    def __init__(self, reference, bundle: OperatorBundle):
+        super().__init__(_FIELDS)
+        grid = self.grid = bundle.grid
+        self.reference, self._ref_last = reference, None  # the last state's reference rows
+        chains = ({w: reference.chain() for w in (None, 0.25, 0.5, 0.75)}
+                  if hasattr(reference, "chain") else None)
+        self._sample = ((lambda times, w=None: reference.sample(times)) if chains is None
+                        else (lambda times, w=None: reference.sample(times, chains[w])))
+        # figure: (field, rowwise form); sups at nodes and midpoints, and
+        # time integrals of the piecewise-constant error
+        self._sup_forms = {"e1": ("v", lambda r: h_inner(grid, bundle.mass.apply(r), r)),
+                           "e3": ("phi", lambda r: v_norm_sq(grid, r)),
+                           "e4": ("theta", lambda r: h_inner(grid, r, r)),
+                           "e6": ("theta", lambda r: h_inner(grid, bundle.coupling.apply(r), r))}
+        self._integral_forms = {
+            "e2": ("v", lambda r: h_inner(grid, bundle.damping.apply(r), r)),
+            "e5": ("theta", lambda r: v_norm_sq(grid, r)),
+            "e7": ("theta", lambda r: h_inner(grid, bundle.coupling.apply(r),
+                                              bundle.diffusion.apply(r)))}
+
+    def _fold(self, rows, times, k):
+        ref_n = self._sample(times[k:])
+        if any(r.shape[1] != self.grid.n_interior for r in ref_n.values()):
+            raise ValueError("reference grid does not match trajectory grid")
+        for key, (name, q_rows) in self._sup_forms.items():
+            self._sup(key, q_rows(rows[name][k:] - ref_n[name]))
+        if len(times) > 1:
+            ends = ref_n if k == 0 else {name: np.concatenate([self._ref_last[name][None], r])
+                                         for name, r in ref_n.items()}
+            ref_m, ref_q = _interval_rows(self.reference, self._sample, times[:-1], self.h, ends)
+            for key, (name, q_rows) in self._sup_forms.items():
+                mids = 0.5 * (rows[name][:-1] + rows[name][1:])
+                self._sup((key, "mid"), q_rows(mids - ref_m[name]))
+            for key, (name, q_rows) in self._integral_forms.items():
+                d = [rows[name][1:] - rq[name] for rq in ref_q]
+                for quarter, (left, right) in enumerate(zip(d[:-1], d[1:])):
+                    mid = 0.5 * (left + right)
+                    self._integral((key, quarter), _simpson_pair(
+                        q_rows(left), q_rows(mid), q_rows(right), self.h / 4.0))
+        self._ref_last = {name: r[-1] for name, r in ref_n.items()}
+
+    def report(self) -> ErrorReport:
+        if self.last is None:
+            raise ValueError("error_norms needs at least one state")
+
+        def sup(key):
+            return math.sqrt(max(self._peak(key), self._peak((key, "mid")), 0.0))
+
+        def integral(key):
+            total = 0.0
+            for quarter in range(4):
+                total += self._total((key, quarter))
+            return float(total)
+
+        return ErrorReport(h=self.last.h if self.h is None else self.h,
+                           e1=sup("e1"), e2=math.sqrt(max(integral("e2"), 0.0)), e3=sup("e3"),
+                           e4=sup("e4"), e5=math.sqrt(max(integral("e5"), 0.0)), e6=sup("e6"),
+                           e7=integral("e7"))
+
+
 def error_norms(states, reference, bundle: OperatorBundle) -> ErrorReport:
     """Error figures of one trajectory against a reference.
 
@@ -117,91 +183,25 @@ def error_norms(states, reference, bundle: OperatorBundle) -> ErrorReport:
     integrals treat the reference as piecewise linear between its samples,
     making every integrand piecewise quadratic and the interval integrals
     exact.  ``states`` is a list or any iterable of consecutive states,
-    read once, each at time ``t_index * h``.  When the reference has
-    ``chain``, they come in the blocks of ``diagnostics.iter_blocks`` and
-    sample it block by block: ``sample(times, chain)`` with one chain per
-    time grid, and a ``sample_bar`` that depends on each time alone.  Each
-    block is stacked with the node before it, its sups fold into running
-    maxima, and its intervals' Simpson values are kept, one scalar per
-    interval and quarter, to be summed once at the end.  Every figure has
-    the bits of the whole trajectory's, and memory does not grow with the
-    trajectory, apart from those scalars.  A reference with only ``sample``
-    (and ``sample_bar``) is sampled over the whole grid, one block.  The
-    figures are computed without floating-point warnings (an overflow reads
-    inf), so the figures of a run that diverges add none to the run's own.
+    read once, each at time ``t_index * h``, and pushed through
+    ``ErrorFigures``.  When the reference has ``chain``, they come in the
+    blocks of ``diagnostics.iter_blocks`` and sample it block by block:
+    ``sample(times, chain)`` with one chain per time grid, and a
+    ``sample_bar`` that depends on each time alone.  Every figure has the
+    bits of the whole trajectory's, and memory does not grow with the
+    trajectory, apart from one scalar per interval, quarter and integral.
+    A reference with only ``sample`` (and ``sample_bar``) is sampled over
+    the whole grid, one block.  The figures are computed without
+    floating-point warnings (an overflow reads inf), so the figures of a
+    run that diverges add none to the run's own.
     """
-    grid = bundle.grid
-    # figure: (field, rowwise form); sups at nodes and midpoints, and time
-    # integrals of the piecewise-constant error
-    sups = {"e1": ("v", lambda r: h_inner(grid, bundle.mass.apply(r), r)),
-            "e3": ("phi", lambda r: v_norm_sq(grid, r)),
-            "e4": ("theta", lambda r: h_inner(grid, r, r)),
-            "e6": ("theta", lambda r: h_inner(grid, bundle.coupling.apply(r), r))}
-    integrals = {"e2": ("v", lambda r: h_inner(grid, bundle.damping.apply(r), r)),
-                 "e5": ("theta", lambda r: v_norm_sq(grid, r)),
-                 "e7": ("theta", lambda r: h_inner(grid, bundle.coupling.apply(r),
-                                                   bundle.diffusion.apply(r)))}
-    peaks = {key: ([], []) for key in sups}  # block maxima at nodes, at midpoints
-    pieces = {key: ([], [], [], []) for key in integrals}  # per quarter of the intervals
-
-    chains = ({w: reference.chain() for w in (None, 0.25, 0.5, 0.75)}
-              if hasattr(reference, "chain") else None)
-    blocks = [list(states)] if chains is None else iter_blocks(states, grid.n_interior)
-
-    def sample(times, w=None):
-        return reference.sample(times) if chains is None else reference.sample(times, chains[w])
-
-    prev = h = None  # the node before the block: its state and reference rows
-
-    def add(block):
-        nonlocal prev, h
-        stack = block if prev is None else [prev[0], *block]
-        k = len(stack) - len(block)  # the block's first row in the stack
-        rows = {name: np.stack([getattr(s, name) for s in stack]) for name in _FIELDS}
-        times = np.array([s.t_index * s.h for s in stack])
-        ref_n = sample(times[k:])
-        for name in _FIELDS:
-            if ref_n[name].shape[1] != grid.n_interior:
-                raise ValueError("reference grid does not match trajectory grid")
-        for key, (name, q_rows) in sups.items():
-            peaks[key][0].append(np.max(q_rows(rows[name][k:] - ref_n[name])))
-        if len(stack) > 1:
-            h = float(times[1] - times[0]) if h is None else h
-            ends = ref_n if k == 0 else {name: np.concatenate([prev[1][name][None], r])
-                                         for name, r in ref_n.items()}
-            ref_m, ref_q = _interval_rows(reference, sample, times[:-1], h, ends)
-            for key, (name, q_rows) in sups.items():
-                mids = 0.5 * (rows[name][:-1] + rows[name][1:])
-                peaks[key][1].append(np.max(q_rows(mids - ref_m[name])))
-            for key, (name, q_rows) in integrals.items():
-                d = [rows[name][1:] - rq[name] for rq in ref_q]
-                for quarter, left, right in zip(pieces[key], d[:-1], d[1:]):
-                    mid = 0.5 * (left + right)
-                    quarter.append(_simpson_pair(q_rows(left), q_rows(mid), q_rows(right),
-                                                 h / 4.0))
-        prev = block[-1], {name: r[-1] for name, r in ref_n.items()}
-
-    for block in blocks:  # the states are read outside the errstate
-        with np.errstate(over="ignore", invalid="ignore"):
-            add(block)
+    figures = ErrorFigures(reference, bundle)
+    blocks = (iter_blocks(states, bundle.grid.n_interior) if hasattr(reference, "chain")
+              else [list(states)])
+    for block in blocks:  # the states are read outside add's errstate
+        figures.add(block)
         del block  # before the next block is read
-    if prev is None:
-        raise ValueError("error_norms needs at least one state")
-
-    def sup(key):
-        at_nodes, at_mids = peaks[key]
-        return math.sqrt(max(np.max(at_nodes), np.max(at_mids, initial=-math.inf), 0.0))
-
-    def integral(key):
-        total = 0.0
-        for quarter in pieces[key]:
-            total += np.sum(np.concatenate(quarter)) if quarter else 0.0
-        return float(total)
-
-    return ErrorReport(h=prev[0].h if h is None else h,
-                       e1=sup("e1"), e2=math.sqrt(max(integral("e2"), 0.0)), e3=sup("e3"),
-                       e4=sup("e4"), e5=math.sqrt(max(integral("e5"), 0.0)), e6=sup("e6"),
-                       e7=integral("e7"))
+    return figures.report()
 
 
 def pick_reference(initial, bundle: OperatorBundle, nonlin: Nonlinearity,

@@ -14,15 +14,16 @@ source of the step into it, in one rowwise pass over blocks of states;
 ``energy`` and ``step_identity_residual`` are its one- and two-state cases, and
 ``iter_ledger`` streams it for a trajectory read once, in the blocks of
 ``iter_blocks`` (about ``BLOCK_VALUES`` values per field) that
-``convergence.error_norms`` and ``oracle.max_deviation`` read too.
-The module also carries the uniform-boundedness monitors used by the
-refinement studies, and the piecewise-constant / piecewise-linear time
-reconstructions of a trajectory with their exact norm identities, on a
-time grid that ``is_uniform``, the spacing test that
-``oracle.LinearReference.sample`` chains by too.
-``build_interpolants`` is the one stacked view of a trajectory: the
-monitors read their per-field rows from it, and ``oracle.fine_reference``
-returns it as the fine-step reference.
+``convergence.error_norms``, ``apriori_monitor`` and
+``oracle.max_deviation`` read too.  ``_Figures`` is the push form of a
+per-trajectory figure, ``add(block)`` then ``report()``, which
+``AprioriMonitor`` (the uniform-boundedness monitors of the refinement
+studies) and ``convergence.ErrorFigures`` share.  The module also carries
+the piecewise-constant / piecewise-linear time reconstructions of a
+trajectory with their exact norm identities, on a time grid that
+``is_uniform``, the spacing test that ``oracle.LinearReference.sample``
+chains by too.  ``build_interpolants`` stacks a whole trajectory into
+them; ``oracle.fine_reference`` returns it as the fine-step reference.
 """
 
 from __future__ import annotations
@@ -159,6 +160,44 @@ def iter_blocks(states, n: int):
         del block
 
 
+class _Figures:
+    """Figures of a trajectory pushed in blocks of consecutive states:
+    ``add`` each block in turn, then ``report``.  ``add`` stacks a block's
+    ``fields`` after the last state added and hands the rows, their times
+    and the block's first row k to ``_fold``, which runs without
+    floating-point warnings (an overflow reads inf).  A sup keeps each
+    block's largest row value and an integral every row value, summed
+    once, so every figure has the bits of the whole trajectory's."""
+
+    def __init__(self, fields):
+        self.fields, self.last, self.h, self._folds = fields, None, None, {}
+
+    def add(self, block):
+        if not block:
+            return
+        stack = block if self.last is None else [self.last, *block]
+        rows = {name: np.stack([getattr(s, name) for s in stack]) for name in self.fields}
+        times = np.array([s.t_index * s.h for s in stack])
+        if self.h is None and len(stack) > 1:
+            self.h = float(times[1] - times[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._fold(rows, times, len(stack) - len(block))
+        self.last = block[-1]
+
+    def _sup(self, key, values):
+        self._folds.setdefault(key, []).append(np.max(values))
+
+    def _integral(self, key, values):
+        self._folds.setdefault(key, []).append(values)
+
+    def _peak(self, key):
+        return np.max(self._folds.get(key, ()), initial=-np.inf)
+
+    def _total(self, key):
+        parts = self._folds.get(key)
+        return np.sum(np.concatenate(parts)) if parts else 0.0
+
+
 def iter_ledger(states, bundle: OperatorBundle, nonlin: Nonlinearity):
     """Energy bookkeeping of a trajectory, one ``LedgerEntry`` per state.
 
@@ -281,8 +320,9 @@ class TrajectoryInterpolants:
 
     ``sample`` and ``sample_bar`` give the theta/phi/v reconstructions at
     an array of times, so a fine-step run serves as a reference solution
-    wherever ``convergence.error_norms`` takes one.  Only the monitors read
-    z, so its rows are stacked on first access.
+    wherever ``convergence.error_norms`` takes one.  Only
+    ``interpolation_identities_check`` reads z, so its rows are stacked on
+    first access.
     """
 
     theta: Interpolant
@@ -397,6 +437,51 @@ def interpolation_identities_check(interp: TrajectoryInterpolants, grid: Grid1D)
 # Uniform-boundedness monitors
 
 
+class AprioriMonitor(_Figures):
+    """``apriori_monitor`` in push form: ``add`` blocks, then ``report``."""
+
+    def __init__(self, bundle: OperatorBundle, nonlin: Nonlinearity):
+        super().__init__(("theta", "phi", "v", "z"))
+        self.bundle, self.nonlin = bundle, nonlin
+
+    def _fold(self, rows, times, k):
+        if len(times) < 2:
+            return
+        bundle, h, sup, integral = self.bundle, self.h, self._sup, self._integral
+        grid, th, ph, vv, zz = bundle.grid, *(rows[name][1:] for name in self.fields)
+        dth = np.diff(rows["theta"], axis=0)
+        beta = self.nonlin.beta(ph)
+        diffusion_th, coupling_th = bundle.diffusion.apply(th), bundle.coupling.apply(th)
+        damping_v, stiffness_ph = bundle.damping.apply(vv), bundle.stiffness.apply(ph)
+        sup("v_sup_H2", h_inner(grid, vv, vv))
+        integral("z_L2H2_h", h * h_inner(grid, zz, zz))
+        integral("damping_v_form_L2", h * h_inner(grid, damping_v, vv))
+        sup("phi_sup_V2", v_norm_sq(grid, ph))
+        integral("v_L2V2_h", h * v_norm_sq(grid, vv))
+        sup("coupling_theta_form_sup", h_inner(grid, coupling_th, th))
+        integral("coupling_dtheta_form_L2_h", h_inner(grid, bundle.coupling.apply(dth), dth) / h)
+        sup("z_sup_H2", h_inner(grid, zz, zz))
+        integral("damping_z_form_L2", h * h_inner(grid, bundle.damping.apply(zz), zz))
+        sup("v_sup_V2", v_norm_sq(grid, vv))
+        integral("z_L2V2_h", h * v_norm_sq(grid, zz))
+        sup("beta_sup_H", np.sqrt(h_inner(grid, beta, beta)))
+        integral("dtheta_L2H2", h_inner(grid, dth, dth) / h)
+        integral("dtheta_L2V2", v_norm_sq(grid, dth) / h)
+        sup("diffusion_theta_sup_H2", h_inner(grid, diffusion_th, diffusion_th))
+        sup("theta_sup_V2", v_norm_sq(grid, th))
+        sup("coupling_theta_sup_H2", h_inner(grid, coupling_th, coupling_th))
+        integral("damping_v_L2H2", h * h_inner(grid, damping_v, damping_v))
+        integral("stiffness_phi_L2H2", h * h_inner(grid, stiffness_ph, stiffness_ph))
+
+    def report(self) -> dict:
+        if not self._folds:
+            raise ValueError("apriori_monitor needs at least two states")
+        # a key holding "_sup" is a sup, any other an integral; "_h" is one more factor h
+        return {key: float(self._peak(key)) if "_sup" in key
+                else self.h * float(self._total(key)) if key.endswith("_h")
+                else float(self._total(key)) for key in self._folds}
+
+
 def apriori_monitor(states, bundle: OperatorBundle, nonlin: Nonlinearity) -> dict:
     """Trajectory quantities that stay bounded under step refinement.
 
@@ -404,42 +489,15 @@ def apriori_monitor(states, bundle: OperatorBundle, nonlin: Nonlinearity) -> dic
     sup-in-time and time-integrated norms of the velocity, acceleration,
     potential, temperature rate, and the images under every operator of the
     bundle.  Scaled variants carry their stabilizing power of h explicitly.
+    Sups run over t >= h, not the initial state.  ``states``, two or more,
+    are read once in the blocks of ``iter_blocks`` and pushed through
+    ``AprioriMonitor``, so only one block of them is held.
     """
-    grid = bundle.grid
-    traj = build_interpolants(states)
-    h = traj.h
-    th, ph, vv, zz = (f.nodes[1:] for f in (traj.theta, traj.phi, traj.v, traj.z))
-    dth = traj.theta.deltas()
-    beta = nonlin.beta(ph)
-    diffusion_th, coupling_th = bundle.diffusion.apply(th), bundle.coupling.apply(th)
-    damping_v, stiffness_ph = bundle.damping.apply(vv), bundle.stiffness.apply(ph)
-
-    out = {}
-    out["v_sup_H2"] = float(np.max(h_inner(grid, vv, vv)))
-    out["z_L2H2_h"] = h * float(np.sum(h * h_inner(grid, zz, zz)))
-    out["damping_v_form_L2"] = float(np.sum(h * h_inner(grid, damping_v, vv)))
-    out["phi_sup_V2"] = float(np.max(v_norm_sq(grid, ph)))
-    out["v_L2V2_h"] = h * float(np.sum(h * v_norm_sq(grid, vv)))
-    out["coupling_theta_form_sup"] = float(np.max(h_inner(grid, coupling_th, th)))
-    out["coupling_dtheta_form_L2_h"] = h * float(np.sum(
-        h_inner(grid, bundle.coupling.apply(dth), dth) / h))
-
-    out["z_sup_H2"] = float(np.max(h_inner(grid, zz, zz)))
-    out["damping_z_form_L2"] = float(np.sum(h * h_inner(grid, bundle.damping.apply(zz), zz)))
-    out["v_sup_V2"] = float(np.max(v_norm_sq(grid, vv)))
-    out["z_L2V2_h"] = h * float(np.sum(h * v_norm_sq(grid, zz)))
-
-    out["beta_sup_H"] = float(np.max(np.sqrt(h_inner(grid, beta, beta))))
-
-    out["dtheta_L2H2"] = float(np.sum(h_inner(grid, dth, dth) / h))
-    out["dtheta_L2V2"] = float(np.sum(v_norm_sq(grid, dth) / h))
-    out["diffusion_theta_sup_H2"] = float(np.max(h_inner(grid, diffusion_th, diffusion_th)))
-    out["theta_sup_V2"] = float(np.max(v_norm_sq(grid, th)))
-
-    out["coupling_theta_sup_H2"] = float(np.max(h_inner(grid, coupling_th, coupling_th)))
-    out["damping_v_L2H2"] = float(np.sum(h * h_inner(grid, damping_v, damping_v)))
-    out["stiffness_phi_L2H2"] = float(np.sum(h * h_inner(grid, stiffness_ph, stiffness_ph)))
-    return out
+    monitor = AprioriMonitor(bundle, nonlin)
+    for block in iter_blocks(states, bundle.grid.n_interior):
+        monitor.add(block)
+        del block  # before the next block is read
+    return monitor.report()
 
 
 def apriori_ratios(per_h: list[dict], floor: float = 1e-12) -> dict:
@@ -448,6 +506,8 @@ def apriori_ratios(per_h: list[dict], floor: float = 1e-12) -> dict:
     ``per_h`` must be ordered from the largest step size down.  Quantities
     below ``floor`` everywhere report ratio 1.
     """
+    if not per_h:
+        raise ValueError("apriori_ratios needs the monitors of at least one step size")
     ratios = {}
     for key in per_h[0]:
         coarse = per_h[0][key]

@@ -185,7 +185,8 @@ class LinearReference:
 
     def chain(self) -> dict:
         """A new, empty chain for ``sample``, which keeps in it the start
-        time, the step exponential and the last modal row of one grid."""
+        time, spacing and last time, the step exponential and the last
+        modal row of one grid."""
         return {}
 
     def sample(self, times, chain=None) -> dict:
@@ -204,10 +205,21 @@ class LinearReference:
         each.  Given a ``chain``, the times are the next block of one
         uniform grid whose earlier blocks came with the same chain: it
         continues across the blocks from the grid's first time and
-        spacing, so each row has the bits of the whole grid's call.
+        spacing, so each row has the bits of the whole grid's call.  The
+        chain's first two times set its spacing dt, which must be
+        positive; each block, led by the time before it (if any) and dt
+        before that, must be ``is_uniform``, or ``ValueError``.
         """
         if chain is None and is_uniform(times) and times[1] > times[0]:
             chain = {}
+        elif chain is not None and times.size:
+            grid = np.concatenate([chain.get("t", []), times])
+            if grid.size > 1:
+                dt = chain.setdefault("dt", grid[1] - grid[0])
+                if not (dt > 0 and is_uniform([grid[0] - dt, *grid])):
+                    raise ValueError(f"sample: chained times {times.tolist()} do not continue "
+                                     f"one increasing uniform grid of step {float(dt)!r}")
+            chain["t"] = grid[-1:]
         Y = np.empty((times.size, self.grid.n_interior, 3))
         for i, t in enumerate(times):
             if chain is None:
@@ -257,6 +269,8 @@ def max_deviation(states, reference: LinearReference, write) -> float:
         for row in rows.tolist():
             write(row)
         peaks.append(np.max(rows[:, 1:], axis=0))
+    if not peaks:
+        raise ValueError("max_deviation needs at least one state")
     return max(0.0, *np.max(peaks, axis=0).tolist())
 
 

@@ -1,10 +1,15 @@
-"""Block-streamed error figures, oracle deviations and reference rows.
+"""Block-streamed error figures, a-priori monitors, oracle deviations and
+reference rows.
 
-``error_norms`` and ``oracle.max_deviation`` read a trajectory in the
-blocks of ``diagnostics.iter_blocks`` and sample a ``LinearReference``
-along one chain per time grid, block by block.  Every row of every block,
-and so every figure, must have the bits of the whole-grid computation, and
-the memory of a member's error pass must not grow with its step count.
+``error_norms``, ``apriori_monitor`` and ``oracle.max_deviation`` read a
+trajectory in the blocks of ``diagnostics.iter_blocks``; the first two push
+them through ``ErrorFigures`` and ``AprioriMonitor``, which take blocks of
+any size, and the error figures sample a ``LinearReference`` along one chain
+per time grid, block by block.  Every row of every block, and so every
+figure, must have the bits of the whole-grid computation (for the monitor,
+of ``whole_run_monitor``'s formulas over one stacked trajectory), and the
+memory of a member's error pass or of a monitor must not grow with its
+step count.
 """
 
 import functools
@@ -14,13 +19,15 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import p1_defaults, p2_defaults
+from conftest import p1_defaults, p2_defaults, preset_bundle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from thermowave import (LinearReference, NewtonDivergedError, StepConfig, SweepDivergedError,
-                        _lapack, build_interpolants, convergence, error_norms, fine_reference,
-                        iter_run, random_smooth, run, stepper, sweep)
+from thermowave import (AprioriMonitor, ErrorFigures, LinearReference, NewtonDivergedError,
+                        StepConfig, SweepDivergedError, _lapack, apriori_monitor, apriori_ratios,
+                        build_interpolants, convergence, cubic_nonlinearity, error_norms,
+                        fine_reference, h_inner, iter_run, random_smooth, run, stepper, sweep,
+                        v_norm_sq)
 from thermowave.cli import main
 from thermowave.diagnostics import BLOCK_VALUES
 from thermowave.oracle import max_deviation
@@ -213,6 +220,122 @@ def test_member_diverging_in_a_worker_raises_as_in_one_process(monkeypatch, fail
     assert str(split) == str(serial)
 
 
+def whole_run_monitor(states, bundle, nonlin):
+    """The a-priori monitor over one stacked trajectory: every field's rows
+    at once, sups over t >= h."""
+    grid = bundle.grid
+    traj = build_interpolants(states)
+    h = traj.h
+    th, ph, vv, zz = (f.nodes[1:] for f in (traj.theta, traj.phi, traj.v, traj.z))
+    dth = traj.theta.deltas()
+    beta = nonlin.beta(ph)
+    diffusion_th, coupling_th = bundle.diffusion.apply(th), bundle.coupling.apply(th)
+    damping_v, stiffness_ph = bundle.damping.apply(vv), bundle.stiffness.apply(ph)
+
+    out = {}
+    out["v_sup_H2"] = float(np.max(h_inner(grid, vv, vv)))
+    out["z_L2H2_h"] = h * float(np.sum(h * h_inner(grid, zz, zz)))
+    out["damping_v_form_L2"] = float(np.sum(h * h_inner(grid, damping_v, vv)))
+    out["phi_sup_V2"] = float(np.max(v_norm_sq(grid, ph)))
+    out["v_L2V2_h"] = h * float(np.sum(h * v_norm_sq(grid, vv)))
+    out["coupling_theta_form_sup"] = float(np.max(h_inner(grid, coupling_th, th)))
+    out["coupling_dtheta_form_L2_h"] = h * float(np.sum(
+        h_inner(grid, bundle.coupling.apply(dth), dth) / h))
+
+    out["z_sup_H2"] = float(np.max(h_inner(grid, zz, zz)))
+    out["damping_z_form_L2"] = float(np.sum(h * h_inner(grid, bundle.damping.apply(zz), zz)))
+    out["v_sup_V2"] = float(np.max(v_norm_sq(grid, vv)))
+    out["z_L2V2_h"] = h * float(np.sum(h * v_norm_sq(grid, zz)))
+
+    out["beta_sup_H"] = float(np.max(np.sqrt(h_inner(grid, beta, beta))))
+
+    out["dtheta_L2H2"] = float(np.sum(h_inner(grid, dth, dth) / h))
+    out["dtheta_L2V2"] = float(np.sum(v_norm_sq(grid, dth) / h))
+    out["diffusion_theta_sup_H2"] = float(np.max(h_inner(grid, diffusion_th, diffusion_th)))
+    out["theta_sup_V2"] = float(np.max(v_norm_sq(grid, th)))
+
+    out["coupling_theta_sup_H2"] = float(np.max(h_inner(grid, coupling_th, coupling_th)))
+    out["damping_v_L2H2"] = float(np.sum(h * h_inner(grid, damping_v, damping_v)))
+    out["stiffness_phi_L2H2"] = float(np.sum(h * h_inner(grid, stiffness_ph, stiffness_ph)))
+    return out
+
+
+def _bits(figures):
+    """Keys and the exact bits of a monitor dict or an ``ErrorReport``."""
+    if isinstance(figures, dict):
+        return [(key, value.hex()) for key, value in figures.items()]
+    return [value.hex() for value in (figures.h, *figures.as_tuple())]
+
+
+def _pushed(figures, states, split):
+    for a, b in _cuts(len(states), split):
+        figures.add(states[a:b])
+    return figures.report()
+
+
+@functools.lru_cache(maxsize=None)
+def _trajectory(kind, bc, steps):
+    """A member's bundle, nonlinearity, states and reference: linear P1
+    against its modal solution, or cubic P2 against ``_fine(bc)``."""
+    if kind == "linear":
+        ref = _linear(bc)
+        bundle, nl = p1_defaults(n=23, bc=bc, m=0.7)
+        h = 1.0 / 64
+    else:
+        ref = _fine(bc)
+        bundle, nl = p2_defaults(n=12, bc=bc)
+        h = 0.005
+    init = random_smooth(bundle.grid, 3 if kind == "linear" else 2)
+    return bundle, nl, run(init, bundle, nl, steps * h, StepConfig(h=h)).states, ref
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["linear", "fine"]), bc=st.sampled_from(["dirichlet", "neumann"]),
+       steps=st.integers(1, 32),
+       split=st.one_of(st.none(), st.integers(1, 7), st.sets(st.integers(1, 32))))
+@example(kind="linear", bc="dirichlet", steps=9, split=1)
+@example(kind="fine", bc="neumann", steps=17, split=4)
+@example(kind="fine", bc="dirichlet", steps=1, split={1})
+def test_pushed_blocks_give_the_one_call_figures(kind, bc, steps, split):
+    # one block, blocks of one state or of a size that does not divide the
+    # trajectory, or cuts anywhere
+    bundle, nl, states, ref = _trajectory(kind, bc, steps)
+    got = _pushed(ErrorFigures(ref, bundle), states, split)
+    assert _bits(got) == _bits(error_norms(states, ref, bundle))
+    monitor = _pushed(AprioriMonitor(bundle, nl), states, split)
+    assert _bits(monitor) == _bits(whole_run_monitor(states, bundle, nl))
+
+
+@pytest.mark.parametrize("preset", ["P1", "P2", "P3", "P4", "P5"])
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_streamed_monitor_equals_the_whole_run_formulas(preset, bc):
+    # n = 300: a block holds 27 states, so 100 steps span four blocks
+    bundle, nl = preset_bundle(preset, n=300, bc=bc), cubic_nonlinearity(1.0)
+    init = random_smooth(bundle.grid, 4)
+    states = run(init, bundle, nl, 0.25, StepConfig(h=1.0 / 400)).states
+    streamed = apriori_monitor((s for s, _ in iter_run(init, bundle, nl, 0.25,
+                                                       StepConfig(h=1.0 / 400))), bundle, nl)
+    assert _bits(streamed) == _bits(whole_run_monitor(states, bundle, nl))
+
+
+def _monitor_peak(T):
+    bundle, nl = p2_defaults(n=64)
+    init = random_smooth(bundle.grid, 1)
+    tracemalloc.start()
+    try:
+        apriori_monitor((s for s, _ in iter_run(init, bundle, nl, T, StepConfig(h=1.0 / 512))),
+                        bundle, nl)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_monitor_memory_does_not_grow_with_the_step_count():
+    # 128 and 1,024 steps; a block holds 128 states
+    small, large = _monitor_peak(0.25), _monitor_peak(2.0)
+    assert large < 1.5 * small, (small, large)
+
+
 @pytest.mark.parametrize("steps", [2, 3, 64, 300])
 def test_oracle_deviations_equal_the_whole_grid_rows(steps):
     bundle, nl, init, ref = _member(64)
@@ -228,10 +351,23 @@ def test_oracle_deviations_equal_the_whole_grid_rows(steps):
     assert peak == max(0.0, *(float(np.max(d)) for d in devs))
 
 
-def test_error_norms_of_no_states_is_a_value_error():
-    bundle, _, _, ref = _member(16)
-    with pytest.raises(ValueError, match="at least one state"):
-        error_norms(iter([]), ref, bundle)
+@pytest.mark.parametrize("call,message", [
+    (lambda b, nl, s, ref: error_norms(iter([]), ref, b), "error_norms needs at least one state"),
+    (lambda b, nl, s, ref: apriori_monitor(iter([]), b, nl),
+     "apriori_monitor needs at least two states"),
+    (lambda b, nl, s, ref: apriori_monitor(s[:1], b, nl),
+     "apriori_monitor needs at least two states"),
+    (lambda b, nl, s, ref: max_deviation(iter([]), ref, print),
+     "max_deviation needs at least one state"),
+    (lambda b, nl, s, ref: apriori_ratios([]),
+     "apriori_ratios needs the monitors of at least one step size")],
+    ids=["error_norms", "apriori_monitor-none", "apriori_monitor-one", "max_deviation",
+         "apriori_ratios"])
+def test_error_norms_of_no_states_is_a_value_error(call, message):
+    bundle, nl, init, ref = _member(16)
+    states = run(init, bundle, nl, 0.25, StepConfig(h=0.125)).states
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(bundle, nl, states, ref)
 
 
 @pytest.mark.parametrize("command,cfg,message", [

@@ -204,3 +204,19 @@ def test_grid_without_a_positive_step_takes_one_exponential_per_time(times):
         for name in FIELDS:
             assert np.isfinite(got[name][i]).all(), (name, t)
             assert np.array_equal(got[name][i], want[name][0]), (name, t)
+
+
+@pytest.mark.parametrize("blocks", [[[0.25, 0.5], [0.5, 0.75]], [[0.25, 0.5], [1.0]],
+                                    [[0.5], [0.25]]],
+                         ids=["repeated-time", "skipped-time", "backwards"])
+def test_chain_rejects_a_block_that_does_not_continue_its_grid(blocks):
+    # the chain advances one row per time, so a block that repeats,
+    # skips or goes back from the grid's next time would sample the rows
+    # of other times (or, going back, take exp(-dt G) and sample NaN)
+    bundle, nl = p1_defaults(n=64, m=1.0)
+    ref = LinearReference(random_smooth(bundle.grid, 3), bundle, nl)
+    chain = ref.chain()
+    first, second = blocks
+    _assert_same(ref.sample(first, chain), ref.sample(first))
+    with pytest.raises(ValueError, match="do not continue one increasing uniform grid"):
+        ref.sample(second, chain)

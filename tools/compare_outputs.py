@@ -16,14 +16,16 @@ rows, and a dense product with the basis has bits that depend on the BLAS
 thread count), a linear P1 ``sweep`` whose first member has two steps, a
 linear P1 Neumann ``sweep`` at m = 0 (its constant mode's generator is
 upper triangular, so its exponential batches mix triangular and generic
-slices), a cubic P2 ``sweep``, and a ``run`` (snapshot stride 7), an
-``energy-audit`` and an ``oracle-check`` of a linear-pi P2 config whose h
-is above h_threshold, so that they diverge (exit 2 at step 74 on a
-64-point grid) and leave partial outputs.  A ``sweep`` of that config on
-a 256-point grid, h_list 1/16, 1/32, 1/64 to T = 2, loses its finest
-member (exit 2 at step 87 or 88) and keeps the two coarser ones; every
-member spans several blocks of ``convergence.error_norms``.  ``--n`` puts
-every job on an N-point grid (a quick check).
+slices), a cubic P2 ``sweep``, one to T = 1 whose finest member spans
+three blocks of ``convergence.error_norms`` against the fine reference,
+and a ``run`` (snapshot stride 7), an ``energy-audit`` and an
+``oracle-check`` of a linear-pi P2 config whose h is above h_threshold,
+so that they diverge (exit 2 at step 74 on a 64-point grid) and leave
+partial outputs.  A ``sweep`` of that config on a 256-point grid, h_list
+1/16, 1/32, 1/64 to T = 2, loses its finest member (exit 2 at step 87 or
+88) and keeps the two coarser ones; every member spans several blocks of
+``convergence.error_norms``.  ``--n`` puts every job on an N-point grid (a
+quick check).
 
 For every job it prints both exit codes and any ``error:`` line that
 differs, and for every output file whether the two trees wrote the same
@@ -78,6 +80,8 @@ def jobs(seed: int, n: int | None) -> dict:
                                             "h_list": [0.125, 0.0625, 0.03125]})
     sweep = {k: v for k, v in cubic.items() if k != "h"}
     out["p2-cubic-sweep"] = ("sweep", {**sweep, "h_list": [1.0 / 16, 1.0 / 32, 1.0 / 64]})
+    out["p2-cubic-sweep-blocks"] = ("sweep", {**sweep, "T": 1.0,
+                                              "h_list": [1.0 / 64, 1.0 / 128, 1.0 / 256]})
     diverging = {"preset": "P2", "bc": "dirichlet", "n_interior": 64, "T": 8.0, "h": 1.0 / 64,
                  "pi": {"kind": "linear", "slope": -1e4},
                  "initial": {"profile": "random_smooth", "seed": seed}}
