@@ -42,7 +42,7 @@ from .stepper import StepConfig, iter_run, step_count
 
 
 # The most steps one job may take: a run's, or a sweep's members and its
-# fine reference at h_min / 32 together.
+# fine reference at h_min / convergence.FINE_STEP_RATIO together.
 MAX_STEPS = 10_000_000
 # The most unknowns per field, checked before anything is allocated: a
 # linear reference builds the n x n modal basis once and keeps it (8 n^2
@@ -237,7 +237,8 @@ def validate_config(raw: dict, need_h_list: bool = False, need_linear: bool = Fa
                 resolved["_cfg"] = cfgs[0]
                 _build(errors, steps, step_count, T, hs[0])
         if len(errors) == start and T is not None:  # a sweep adds its fine reference
-            total = sum(step_count(T, h) for h in hs + ([min(hs) / 32] if need_h_list else []))
+            fine = [min(hs) / convergence.FINE_STEP_RATIO] if need_h_list else []
+            total = sum(step_count(T, h) for h in hs + fine)
             if total > MAX_STEPS:
                 errors.append(f"{steps}: {total:.3g} steps, more than the limit of {MAX_STEPS:.0e}")
 

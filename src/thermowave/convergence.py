@@ -27,6 +27,8 @@ from .operators import OperatorBundle, PicklableError, h_inner, v_norm_sq
 from .oracle import LinearReference, fine_reference
 from .stepper import StepConfig, iter_run, step_count
 
+FINE_STEP_RATIO = 32  # a nonlinear sweep's fine reference steps at h_min / FINE_STEP_RATIO
+
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -207,10 +209,10 @@ def error_norms(states, reference, bundle: OperatorBundle) -> ErrorReport:
 def pick_reference(initial, bundle: OperatorBundle, nonlin: Nonlinearity,
                    T: float, h_min: float):
     """Exact modal reference when the problem is linear, otherwise a nested
-    fine-step run at h_min / 32."""
+    fine-step run at h_min / FINE_STEP_RATIO."""
     if nonlin.is_linear:
         return LinearReference(initial, bundle, nonlin), "modal"
-    return fine_reference(initial, bundle, nonlin, T, h_min / 32), "fine_step"
+    return fine_reference(initial, bundle, nonlin, T, h_min / FINE_STEP_RATIO), "fine_step"
 
 
 def check_h_list(T: float, h_list) -> list:

@@ -251,16 +251,16 @@ def lyapunov_check(states, bundle: OperatorBundle, nonlin: Nonlinearity,
 
 
 def is_uniform(times) -> bool:
-    """Whether two or more times are evenly spaced: every step equals the
-    first to a relative 1e-12, or to four roundings of the largest time,
-    which bound the drift of ``k * h`` and ``k * h + h / 4`` on a long
-    grid."""
+    """Whether two or more finite times are evenly spaced: every step
+    equals the first to a relative 1e-12, or to four roundings of the
+    largest time, which bound the drift of ``k * h`` and ``k * h + h / 4``
+    on a long grid."""
     times = np.asarray(times, dtype=float)
-    if times.size < 2:
+    if times.size < 2 or not np.isfinite(times).all():
         return False
     dt = np.diff(times)
     atol = 4.0 * np.finfo(float).eps * np.max(np.abs(times))
-    return bool(np.allclose(dt, dt[0], rtol=1e-12, atol=atol))
+    return bool((np.abs(dt - dt[0]) <= atol + 1e-12 * abs(dt[0])).all())
 
 
 @dataclass(frozen=True)
@@ -282,7 +282,7 @@ class Interpolant:
         y = np.ascontiguousarray(self.nodes, dtype=float)
         if y.shape[0] != t.size:
             raise ValueError("node array does not match time grid")
-        if t.size > 2 and not is_uniform(t):
+        if t.size > 1 and not is_uniform(t):
             raise ValueError("time grid must be uniform")
         t.setflags(write=False)
         y.setflags(write=False)

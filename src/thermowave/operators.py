@@ -53,7 +53,7 @@ class Grid1D:
     bc: str = DIRICHLET
 
     def __post_init__(self):
-        if int(self.n_interior) != self.n_interior or self.n_interior < 2:
+        if not isinstance(self.n_interior, (int, np.integer)) or self.n_interior < 2:
             raise ValueError(f"n_interior must be an integer >= 2, got {self.n_interior}")
         if self.bc not in BC_NAMES:
             raise ValueError(f"bc must be one of {BC_NAMES}, got {self.bc!r}")
@@ -311,10 +311,9 @@ class Resolvent:
     same two bands is ``ptsv`` = ``pttrf`` + ``pttrs``, so a solve here
     returns the same bits as a one-shot banded solve.
 
-    ``last`` holds the latest solve's x with the products of its audit,
-    ``(x, op x, rhs - (x + h op x))``, for callers that need them again; it
-    makes a resolvent single-threaded.  ``solve`` checks its rhs and calls
-    ``_solve``, the unchecked solve, audit included, that a ``StepPlan`` calls.
+    ``solve`` checks its rhs and returns the x of ``_solve``, the unchecked
+    solve, audit included, that a ``StepPlan`` calls; ``_solve`` returns
+    ``(x, op x, rhs - (x + h op x))``, x with the products of its audit.
     """
 
     def __init__(self, op: DiscreteOperator, h: float):
@@ -330,7 +329,6 @@ class Resolvent:
         # eps * |I + h op| * |x|, which dominates 1e-13 * |rhs| once
         # h * |op| is large and the data is rough.
         self._floor_per_x = 8.0 * _EPS * (1.0 + h * op.norm_bound())
-        self.last = None
 
     def _pttrs(self, b, overwrite_b=0):
         x, info = _PTTRS(self._d, self._e, b, overwrite_b=overwrite_b)
@@ -343,7 +341,7 @@ class Resolvent:
         op = self.op
         if rhs.shape != (op.dim,):
             raise ValueError(f"dimension mismatch: operator dim {op.dim}, rhs shape {rhs.shape}")
-        return self._solve(rhs)
+        return self._solve(rhs)[0]
 
     def _solve(self, rhs):
         """``solve`` of a float vector of the operator's dimension, unchecked."""
@@ -362,8 +360,7 @@ class Resolvent:
         if not rn <= 1e-13 * bn + floor:  # also rejects a NaN residual
             raise ResolventAuditError(f"resolvent residual audit failed: {rn:.3e} > "
                                       f"1e-13 * {bn:.3e} + floor {floor:.3e}")
-        self.last = (x, ax, res)
-        return x
+        return x, ax, res
 
 
 def resolvent_solve(op: DiscreteOperator, h: float, rhs: np.ndarray) -> np.ndarray:
@@ -415,7 +412,9 @@ class ProblemPreset:
 
     P1: linear thermoacoustic coupling; an undamped wave equation with the
         pointwise term -m^2 * phi, forced by the temperature through the
-        same scaled Laplacian that stiffens the wave.
+        same scaled Laplacian that stiffens the wave.  ``build_bundle``
+        never reads m: a run passes ``linear_reaction(-m**2)`` as its
+        nonlinearity, which the CLI builds from the config's m.
     P2: as P1 with friction epsilon * phi' and a monotone nonlinearity
         beta plus Lipschitz perturbation pi in place of the m^2 term.
     P3: as P2 with viscous friction -epsilon * Laplacian(phi').

@@ -164,10 +164,10 @@ class StepPlan:
     single-threaded: concurrent runs each build their own.
 
     It binds the unchecked product kernels of the operators (``mass``,
-    ``damping``, ``stiffness``, ``coupling``, ``shifted``) and the audited
-    ``Resolvent._solve`` (``solve``), with the bits of the checked calls.
-    ``coupling_of`` takes coupling(x) of a resolvent solution x from that
-    solve's audit when coupling applies as diffusion.
+    ``damping``, ``stiffness``, ``coupling``, ``shifted``), with the bits of
+    the checked calls.  ``_solve`` makes the audited resolvent solve and
+    returns its products with coupling(x), which is the audit's diffusion(x)
+    when coupling applies as diffusion.
 
     A plan also records Newton's last solution, made read-only, with the
     terms of its last residual and the norm of its right-hand side (see
@@ -188,7 +188,6 @@ class StepPlan:
         self.mass, self.damping, self.stiffness, self.coupling = (
             op._product for op in (bundle.mass, bundle.damping, bundle.stiffness, bundle.coupling))
         self.shifted = self.resolvent.shifted._product
-        self.solve = self.resolvent._solve
         self.coupling_is_diffusion = bundle.coupling.applies_as(bundle.diffusion)
 
         # Newton Jacobian T1 (I + h diffusion) + eta h^2 coupling with
@@ -222,13 +221,12 @@ class StepPlan:
         self.heat_scale = 1.0 / h + bundle.diffusion.norm_bound()
         self._last = (None, None, None)  # Newton's last solution, its residual terms, |g|
 
-    def coupling_of(self, x):
-        """coupling(x), taken from the audit of the resolvent's last solve
-        when x is its solution and coupling applies as diffusion."""
-        last = self.resolvent.last
-        if self.coupling_is_diffusion and x is last[0]:
-            return last[1]
-        return self.coupling(x)
+    def _solve(self, rhs):
+        """x = (I + h diffusion)^{-1} rhs, audited, with coupling(x) and the
+        audit's diffusion(x) and rhs - (x + h diffusion(x))."""
+        x, diffusion, misfit = self.resolvent._solve(rhs)
+        coupling = diffusion if self.coupling_is_diffusion else self.coupling(x)
+        return x, coupling, diffusion, misfit
 
     def _fill_bands(self, d1):
         """Pentadiagonal bands of T1 (I + h diffusion) + eta h^2 coupling
@@ -284,10 +282,10 @@ def phi_equation_rhs(state: State, bundle: OperatorBundle, h: float,
     if phi.shape != (bundle.grid.n_interior,):
         raise ValueError(f"dimension mismatch: grid has {bundle.grid.n_interior} unknowns, "
                          f"state shape {phi.shape}")
-    shifted = plan.solve(bundle.eta * phi + state.theta)
+    _, coupling, _, _ = plan._solve(bundle.eta * phi + state.theta)
     last, terms, _ = plan._last
     mass, damping = terms[:2] if phi is last else (plan.mass(phi), plan.damping(phi))
-    return mass + h * plan.mass(state.v) + h * damping + h * h * plan.coupling_of(shifted)
+    return mass + h * plan.mass(state.v) + h * damping + h * h * coupling
 
 
 def _elliptic_residual(phi, g, plan, lam):
@@ -302,7 +300,7 @@ def _elliptic_residual(phi, g, plan, lam):
     if plan.has_pi:
         pi = nonlin.pi(phi)
         res += h * h * pi
-    res += plan.bundle.eta * h * h * plan.coupling_of(plan.solve(phi))
+    res += plan.bundle.eta * h * h * plan._solve(phi)[1]
     res -= g
     return res, (mass, damping, stiffness, beta, pi)
 
@@ -416,10 +414,9 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
                                  phi0=state.phi + h * (state.v + h * state.z), plan=plan)
 
     theta_rhs = state.theta + bundle.eta * (state.phi - phi1)
-    theta1 = plan.solve(theta_rhs)
     # the solve's audit evaluated rhs - (theta1 + h diffusion(theta1)): the
     # negated heat resolvent residual, whose norm has the same bits
-    _, diffusion_theta1, theta_misfit = plan.resolvent.last
+    theta1, coupling_theta1, diffusion_theta1, theta_misfit = plan._solve(theta_rhs)
     theta_res = norm(theta_misfit)
 
     v1 = (phi1 - state.phi) / h
@@ -430,7 +427,7 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
     wave = plan.mass(z1) + plan.damping(v1) + stiffness + beta
     if plan.has_pi:
         wave += pi
-    wave -= plan.coupling_of(theta1)
+    wave -= coupling_theta1
     wave_res = norm(wave)
 
     phi1_n = norm(phi1)

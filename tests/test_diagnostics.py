@@ -11,7 +11,7 @@ from thermowave import (Grid1D, State, StepConfig, apriori_monitor,
                         linear_reaction, lyapunov_check, random_smooth, run,
                         single_mode, step_identity_residual,
                         zero_nonlinearity, zero_profile)
-from thermowave.diagnostics import Interpolant, decay_violations
+from thermowave.diagnostics import Interpolant, decay_violations, is_uniform
 
 
 def make_state(grid, theta, phi, v, h, t_index=0, z=None):
@@ -283,10 +283,17 @@ def test_interpolant_evaluators():
 @pytest.mark.parametrize("times", [
     [0.0, 1e-9, 5e-9, 6e-9],  # steps of 1e-9, 4e-9 and 1e-9
     [0.0, 0.1, 0.2 + 1e-6, 0.3 + 1e-6],  # one step longer by a relative 1e-5
-    [0.0, 0.1, 0.2, 0.3 + 1e-12]])
+    [0.0, 0.1, 0.2, 0.3 + 1e-12],
+    [0.0, np.inf],  # an infinite step; a grid of two times is checked too
+    [-np.inf, 0.0, np.inf],  # two infinite steps
+    [0.0, 1e308, np.inf]])  # an infinite largest time, so an infinite tolerance
 def test_interpolant_rejects_a_grid_that_is_not_uniform(times):
     with pytest.raises(ValueError, match="time grid must be uniform"):
         Interpolant(np.array(times), np.zeros((len(times), 3)))
+
+
+def test_a_grid_with_a_time_that_is_not_finite_is_not_uniform():
+    assert not is_uniform([0.0, np.inf])
 
 
 def test_interpolant_accepts_a_long_non_dyadic_grid():

@@ -9,7 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 import scipy.linalg
 
-from thermowave import (DiscreteOperator, Grid1D, ProblemPreset, Resolvent,
+from thermowave import (DiscreteOperator, Grid1D, ProblemPreset, Resolvent, ResolventAuditError,
                         assemble_laplacian, audit_bundle,
                         build_bundle, coupling_relative_bound, cubic_nonlinearity,
                         gradient_inner, h_inner,
@@ -27,7 +27,9 @@ def test_grid_validation():
         Grid1D(1)
     with pytest.raises(ValueError):
         Grid1D(8, bc="periodic")
-    assert Grid1D(3).dx == 0.25
+    with pytest.raises(ValueError, match="integer"):
+        Grid1D(8.0)
+    assert Grid1D(np.int64(3)).dx == Grid1D(3).dx == 0.25
     assert Grid1D(4, bc="neumann").dx == 0.25
 
 
@@ -482,20 +484,53 @@ def test_product_kernel_has_the_bits_of_apply(kind, n, m, coeff, seed):
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(n=st.integers(2, 200), h=st.sampled_from([1e-4, 0.1, 10.0]),
        seed=st.integers(0, 2 ** 32 - 1))
-def test_unchecked_resolvent_solve_has_the_bits_and_last_of_solve(n, h, seed):
+def test_unchecked_resolvent_solve_returns_the_x_of_solve_with_its_audit_products(n, h, seed):
     rng = np.random.default_rng(seed)
     op = random_monotone_operator(rng, n)
     checked, unchecked = Resolvent(op, h), Resolvent(op, h)
     for _ in range(3):
         rhs = rng.standard_normal(n) * rng.uniform(1e-3, 1e3)
         x = checked.solve(rhs.tolist())
-        assert np.array_equal(bits(unchecked._solve(rhs)), bits(x))
-        assert x is checked.last[0] and unchecked.last[0] is not x
-        for got, want in zip(unchecked.last, checked.last):
-            assert np.array_equal(bits(got), bits(want))
+        got, ax, misfit = unchecked._solve(rhs)
+        assert np.array_equal(bits(got), bits(x))
+        assert np.array_equal(bits(ax), bits(op.apply(x)))
+        assert np.array_equal(bits(misfit), bits(rhs - (x + h * op.apply(x))))
     for bad in (rhs[:-1], np.zeros(n + 1), np.zeros((1, n)), 1.0):
         with pytest.raises(ValueError, match="dimension mismatch"):
             checked.solve(bad)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(n=st.integers(2, 60), h=st.sampled_from([1e-4, 0.1, 10.0]),
+       calls=st.lists(st.sampled_from(["solve", "_solve", "non-finite", "mismatch"]),
+                      min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_solves_leave_the_resolvent_unchanged(n, h, calls, seed):
+    # a resolvent holds no per-call state, so one can serve concurrent runs
+    rng = np.random.default_rng(seed)
+    resolvent = Resolvent(random_monotone_operator(rng, n), h)
+    objects = (resolvent, resolvent.op, resolvent.shifted)
+
+    def snapshot():
+        return [{name: (value, value.tobytes() if isinstance(value, np.ndarray) else None)
+                 for name, value in vars(obj).items()} for obj in objects]
+
+    before = snapshot()
+    for call in calls:
+        rhs = rng.standard_normal(n)
+        if call == "non-finite":
+            rhs[rng.integers(n)] = np.nan
+            with pytest.raises(ResolventAuditError):
+                resolvent._solve(rhs)
+        elif call == "mismatch":
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                resolvent.solve(rhs[:-1])
+        else:
+            getattr(resolvent, call)(rhs)
+    for want, got in zip(before, snapshot()):
+        assert got.keys() == want.keys()
+        for name, (value, data) in want.items():
+            assert got[name][0] is value and got[name][1] == data, name
 
 
 @settings(derandomize=True, max_examples=80, deadline=None, database=None)
