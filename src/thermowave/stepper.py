@@ -169,11 +169,10 @@ class StepPlan:
     returns its products with coupling(x), which is the audit's diffusion(x)
     when coupling applies as diffusion.
 
-    A plan also records Newton's last solution, made read-only, with the
-    terms of its last residual and the norm of its right-hand side (see
-    ``solve_phi``); a later computation takes a term from the record only
-    for that very array object, so any other array, however close, gets
-    its own.
+    A plan also carries the last audited step's phi+ with mass(phi+) and
+    damping(phi+), written by ``step`` alone; ``phi_equation_rhs`` takes
+    them from the carry only for that very (sealed) array object, so any
+    other array, however close, gets its own.
     """
 
     def __init__(self, bundle: OperatorBundle, h: float, nonlin: Nonlinearity | None = None):
@@ -219,7 +218,7 @@ class StepPlan:
         self.wave_scale = (bundle.mass.norm_bound() / (h * h) + bundle.damping.norm_bound() / h
                            + bundle.stiffness.norm_bound() + bundle.eta * self.coupling_norm)
         self.heat_scale = 1.0 / h + bundle.diffusion.norm_bound()
-        self._last = (None, None, None)  # Newton's last solution, its residual terms, |g|
+        self._carry = (None, None, None)  # step's last phi+, mass(phi+), damping(phi+)
 
     def _solve(self, rhs):
         """x = (I + h diffusion)^{-1} rhs, audited, with coupling(x) and the
@@ -283,8 +282,9 @@ def phi_equation_rhs(state: State, bundle: OperatorBundle, h: float,
         raise ValueError(f"dimension mismatch: grid has {bundle.grid.n_interior} unknowns, "
                          f"state shape {phi.shape}")
     _, coupling, _, _ = plan._solve(bundle.eta * phi + state.theta)
-    last, terms, _ = plan._last
-    mass, damping = terms[:2] if phi is last else (plan.mass(phi), plan.damping(phi))
+    carried, mass, damping = plan._carry
+    if phi is not carried:
+        mass, damping = plan.mass(phi), plan.damping(phi)
     return mass + h * plan.mass(state.v) + h * damping + h * h * coupling
 
 
@@ -352,27 +352,26 @@ def solve_phi(g: np.ndarray, bundle: OperatorBundle, nonlin: Nonlinearity,
     regularized path first replaces beta by its resolvent smoothing and
     continues the smoothing parameter down ``YOSIDA_LAMBDAS`` with warm
     starts; from its last iterate it then solves the equation as stated,
-    like the direct path.  The iterations of every stage are counted.
-
-    The returned phi is made read-only and recorded in the plan with the
-    terms of the last residual, which were evaluated at it, and with the
-    grid H norm of g, for ``step``'s audit and the next step's right-hand
-    side; a smoothed stage's terms are never recorded.
+    like the direct path.  The iterations of every stage are counted, and
+    nothing but Newton's factor cache is written to the plan.
     """
     plan = _plan_for(plan, bundle, cfg.h, nonlin)
     n = bundle.grid.n_interior
     phi0 = np.zeros(n) if phi0 is None else phi0
     if np.shape(phi0) != (n,):
         raise ValueError(f"dimension mismatch: grid has {n} unknowns, phi0 shape {np.shape(phi0)}")
-    gn = h_norm(bundle.grid, g)
-    smoothed = YOSIDA_LAMBDAS if cfg.solve_path == "yosida" and nonlin.has_beta else ()
+    return _stages(g, h_norm(bundle.grid, g), plan, cfg, phi0)[:3]
+
+
+def _stages(g, gn, plan, cfg, phi0):
+    """``solve_phi``'s stages from phi0, given |g| = gn, and the terms of
+    the last residual, evaluated at phi on the equation as stated."""
+    smoothed = YOSIDA_LAMBDAS if cfg.solve_path == "yosida" and plan.nonlin.has_beta else ()
     phi, iters = phi0, 0
     for lam in (*smoothed, None):
         phi, it, res, terms = _newton(g, gn, plan, cfg, lam, phi)
         iters += it
-    phi.setflags(write=False)
-    plan._last = (phi, terms, gn)
-    return phi, iters, res
+    return phi, iters, res, terms
 
 
 def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
@@ -400,18 +399,18 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
     A step that fails either audit raises ``StepAuditError``.
 
     The audit takes the products that an earlier computation made from the
-    same array from it: |g|, stiffness(phi+), beta(phi+) and any pi(phi+)
-    from the plan's record of the solution phi+ that ``solve_phi`` returns,
-    diffusion(theta+), the resolvent equation's residual and, when coupling
-    applies as diffusion, coupling(theta+) from the theta+ solve's own audit.
+    same array from it: stiffness(phi+), beta(phi+) and any pi(phi+) from
+    Newton's last residual, diffusion(theta+), the resolvent equation's
+    residual and, when coupling applies as diffusion, coupling(theta+) from
+    the theta+ solve's own audit.  Only a step that passes writes the carry.
     """
     plan = _plan_for(plan, bundle, cfg.h, nonlin)
-    h = cfg.h
-    norm = plan.norm
+    h, norm = cfg.h, plan.norm
     g = phi_equation_rhs(state, bundle, h, plan)
+    gn = norm(g)
     # second-order predictor: phi + h v+ with v+ extrapolated as v + h z
-    phi1, iters, res = solve_phi(g, bundle, nonlin, cfg,
-                                 phi0=state.phi + h * (state.v + h * state.z), plan=plan)
+    phi1, iters, res, (mass, damping, stiffness, beta, pi) = _stages(
+        g, gn, plan, cfg, state.phi + h * (state.v + h * state.z))
 
     theta_rhs = state.theta + bundle.eta * (state.phi - phi1)
     # the solve's audit evaluated rhs - (theta1 + h diffusion(theta1)): the
@@ -423,7 +422,6 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
     z1 = (v1 - state.v) / h
 
     heat_res = norm((theta1 - state.theta) / h + bundle.eta * v1 + diffusion_theta1)
-    _, (_, _, stiffness, beta, pi), gn = plan._last
     wave = plan.mass(z1) + plan.damping(v1) + stiffness + beta
     if plan.has_pi:
         wave += pi
@@ -445,6 +443,7 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
                              f"heat {heat_res:.3e} (allowed {heat_allowed:.3e}), "
                              f"wave {wave_res:.3e} (allowed {wave_allowed:.3e})")
 
+    plan._carry = (phi1, mass, damping)
     new_state = State._stepped(theta1, phi1, v1, z1, state.t_index + 1, h)
     report = StepReport(newton_iters=iters, final_residual=res,
                         theta_residual=theta_res, heat_residual=heat_res,

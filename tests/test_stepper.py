@@ -469,13 +469,13 @@ def test_step_audit_rejects_perturbed_phi(monkeypatch):
     # a smooth bump of size 1e3 * floor in the wave equation's mass term
     mode = dirichlet_sine(grid, 1)
     bump = 1e3 * floor * h * h * mode / h_norm(grid, mode)
-    real_solve = stepper.solve_phi
+    real_stages = stepper._stages
 
-    def perturbed(*args, **kwargs):
-        phi, iters, res = real_solve(*args, **kwargs)
-        return phi + bump, iters, res
+    def perturbed(*args):
+        phi, iters, res, terms = real_stages(*args)
+        return phi + bump, iters, res, terms
 
-    monkeypatch.setattr(stepper, "solve_phi", perturbed)
+    monkeypatch.setattr(stepper, "_stages", perturbed)
     with pytest.raises(StepAuditError, match="step 0"):
         step(state, bundle, nl, cfg)
 
@@ -556,9 +556,12 @@ def test_steps_through_one_plan_equal_the_recomputing_reference(preset, bc, n, b
 
 
 @pytest.mark.parametrize("path", ["direct", "yosida"])
-def test_solve_phi_records_the_phi_it_returns_with_its_terms_and_the_norm_of_g(path):
-    # step takes |g| and the audit's stiffness(phi+), beta(phi+) and
-    # pi(phi+) from this record of the very array solve_phi returned
+def test_step_carries_its_phi_with_the_mass_and_damping_of_newtons_last_residual(
+        monkeypatch, path):
+    # the next step's right-hand side takes mass(phi+) and damping(phi+)
+    # from this carry of the very array the step returned; a step that
+    # fails its audit leaves the carry as it was
+    import thermowave.stepper as stepper
     from thermowave.stepper import _elliptic_residual
     bundle = preset_bundle("P2", n=16)
     nl = Nonlinearity("cubic", (1.0,), "scaled_sine", 1.2)
@@ -567,14 +570,65 @@ def test_solve_phi_records_the_phi_it_returns_with_its_terms_and_the_norm_of_g(p
     plan = StepPlan(bundle, h, nl)
     state = make_state(bundle.grid, *random_smooth(bundle.grid, 2), h)
     g = phi_equation_rhs(state, bundle, h, plan)
-    phi, _, _ = solve_phi(g, bundle, nl, cfg, plan=plan)
-    last, terms, gn = plan._last
-    assert last is phi and not phi.flags.writeable
-    assert same_bits(gn, h_norm(bundle.grid, g))
-    _, want = _elliptic_residual(phi.copy(), g, StepPlan(bundle, h, nl), None)
-    assert len(terms) == len(want) == 5
-    for got, expected in zip(terms, want):
-        assert same_bits(got, expected)
+    s1, _ = step(state, bundle, nl, cfg, plan)
+    carry = plan._carry
+    assert carry[0] is s1.phi and not s1.phi.flags.writeable
+    _, want = _elliptic_residual(s1.phi.copy(), g, StepPlan(bundle, h, nl), None)
+    assert same_bits(carry[1], want[0]) and same_bits(carry[2], want[1])
+
+    real_stages = stepper._stages
+
+    def perturbed(*args):
+        phi, iters, res, terms = real_stages(*args)
+        return phi + 1.0, iters, res, terms
+
+    monkeypatch.setattr(stepper, "_stages", perturbed)
+    with pytest.raises(StepAuditError, match="step 1"):
+        step(s1, bundle, nl, cfg, plan)
+    assert plan._carry is carry
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(calls=st.lists(st.lists(st.sampled_from(["solve_phi", "rhs", "rhs_of_a_copy"]),
+                               max_size=3), min_size=3, max_size=3),
+       path=st.sampled_from(["direct", "yosida"]),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_standalone_solves_leave_the_plan_unchanged(calls, path, seed):
+    # only step writes a plan's carry: solve_phi and phi_equation_rhs
+    # calls, in any order, change no attribute but Newton's factor cache,
+    # and between steps they change no step's state or report
+    bundle = preset_bundle("P2", n=16)
+    nl = Nonlinearity("cubic", (1.0,), "scaled_sine", 1.2)
+    h = 1.0 / 64
+    cfg = StepConfig(h=h, solve_path=path)
+    plan, alone = StepPlan(bundle, h, nl), StepPlan(bundle, h, nl)
+    state = want = make_state(bundle.grid, *random_smooth(bundle.grid, seed), h)
+
+    def snapshot():
+        return {name: (value, value.tobytes() if isinstance(value, np.ndarray) else None)
+                for name, value in vars(plan).items() if name not in ("_bands", "_lu", "_piv")}
+
+    for between in calls:
+        before = snapshot()
+        g = phi_equation_rhs(state, bundle, h, plan)
+        for call in between:
+            if call == "solve_phi":
+                phi, _, _ = solve_phi(g, bundle, nl, cfg, phi0=state.phi, plan=plan)
+                assert phi.flags.writeable
+            else:
+                s = state if call == "rhs" else State(state.theta, state.phi.copy(), state.v,
+                                                      state.z, state.t_index, h)
+                assert same_bits(phi_equation_rhs(s, bundle, h, plan), g)
+        after = snapshot()
+        assert after.keys() == before.keys()
+        for name, (value, data) in before.items():
+            assert after[name][0] is value and after[name][1] == data, name
+        state, report = step(state, bundle, nl, cfg, plan)
+        want, want_report = step(want, bundle, nl, cfg, alone)
+        for field in ("theta", "phi", "v", "z"):
+            assert same_bits(getattr(state, field), getattr(want, field)), field
+        for field in StepReport.__dataclass_fields__:
+            assert same_bits(getattr(report, field), getattr(want_report, field)), field
 
 
 @pytest.mark.parametrize("sigma, c, fixed, per_iter", [(1.0, 1.0, 9, 5), (0.5, 2.0, 12, 6)],
