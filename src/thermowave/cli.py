@@ -316,10 +316,8 @@ def _json_meta(resolved, bundle, nonlin):
 # main writes both.
 
 def _ending(trajectory):
-    """How a run ended, as summary entries; its failed step is the one
-    from its last state."""
-    failed = trajectory.failure is not None
-    return {"complete": not failed, "failure_index": trajectory.last.t_index if failed else None}
+    """How a run ended, as summary entries."""
+    return {"complete": trajectory.failure is None, "failure_index": trajectory.failure_index}
 
 
 def cmd_run(resolved: dict, problem, table):

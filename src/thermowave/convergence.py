@@ -365,14 +365,14 @@ def sweep(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
     def measure(i):
         trajectory = trajectories[i]
         report = error_norms((s for s, _ in trajectory), reference, bundle)
-        return report, trajectory.last.t_index, trajectory.failure
+        return report, trajectory.failure_index, trajectory.failure
 
     reports, failures = [], []
-    for h, (report, last, failure) in zip(h_list, _measure_all(measure, h_list, T)):
+    for h, (report, index, failure) in zip(h_list, _measure_all(measure, h_list, T)):
         if failure is None:
             reports.append(report)
         else:  # the figures of the states before the failed step are dropped
-            failures.append((h, last, failure))
+            failures.append((h, index, failure))
     if failures:
         h_bad, idx, cause = failures[0]
         raise SweepDivergedError(h_bad, idx, reports, cause)

@@ -294,5 +294,5 @@ def fine_reference(initial, bundle: OperatorBundle, nonlin: Nonlinearity,
     trajectory = iter_run(initial, bundle, nonlin, T, StepConfig(h=h_ref, newton_tol=1e-13))
     reference = build_interpolants(s for s, _ in trajectory)
     if trajectory.failure is not None:
-        raise ReferenceDivergedError(h_ref, trajectory.last.t_index, trajectory.failure)
+        raise ReferenceDivergedError(h_ref, trajectory.failure_index, trajectory.failure)
     return reference

@@ -476,8 +476,9 @@ def iter_run(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
     pairs run out, the trajectory's ``failure`` is None for a complete run,
     or the exception of the failed step on Newton divergence, a failed
     step audit or a failed resolvent audit (every such message names the
-    step, "at step k"), and its ``last`` is the last state, whose
-    ``t_index`` is the number of steps taken.  Its ``StopIteration``
+    step, "at step k"), its ``last`` is the last state, whose ``t_index``
+    is the number of steps taken, and its ``failure_index`` that index
+    when the run failed.  Its ``StopIteration``
     carries the failure, so ``yield from iter_run(...)`` returns it.  The
     data are checked, and a step at or above ``h_threshold`` warned about,
     when ``iter_run`` is called.  The constant linear algebra of all steps
@@ -504,6 +505,11 @@ def iter_run(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
 class Trajectory:
     """``iter_run``'s run: an iterator of its (state, report) pairs that,
     once they run out, holds how the run ended as ``failure`` and ``last``."""
+
+    @property
+    def failure_index(self) -> int | None:
+        """Index of the failed step, the last state's; None for a complete run."""
+        return None if self.failure is None else self.last.t_index
 
     def __init__(self, state, n_steps, bundle, nonlin, cfg, plan):
         self.failure = self.last = None

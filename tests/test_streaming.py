@@ -299,6 +299,22 @@ def test_iter_run_ends_with_the_failed_step(fail_at):
     assert (fail_at > 0) == bool(np.any(states[0].z))
 
 
+@pytest.mark.parametrize("fail_at", [None, 0, 3])
+def test_trajectory_failure_index_is_that_of_the_run_result(fail_at):
+    # one home for the failed step's index: the CLI, the fine reference and
+    # the sweep's members read it from the trajectory
+    bundle, nl = p2_defaults(n=16)
+    init, cfg = random_smooth(bundle.grid, 2), StepConfig(h=1 / 64)
+    failing = stepper.step if fail_at is None else _failing_at(
+        fail_at, NewtonDivergedError(2, 1.0))
+    with mock.patch.object(stepper, "step", failing):
+        trajectory = thermowave.iter_run(init, bundle, nl, 8 / 64, cfg)
+        for _ in trajectory:
+            pass
+        result = run(init, bundle, nl, 8 / 64, cfg)
+    assert trajectory.failure_index == result.failure_index == fail_at
+
+
 def test_iter_run_checks_its_data_when_called():
     bundle, nl = p2_defaults(n=16)
     theta, phi, v = random_smooth(bundle.grid, 2)
