@@ -313,12 +313,17 @@ def _newton(g, gn, plan, cfg, lam, phi0):
     tridiagonal; writing the update as (I + h diffusion) w eliminates the
     resolvent and leaves one pentadiagonal banded solve per iteration.
     Iterations continue past the tolerance while the residual still drops
-    fast, so accepted steps sit at the attainable floor.  Returns the
+    fast, so accepted steps sit at the attainable floor.  A residual that
+    stalls is accepted within the tolerance or within the rounding of
+    evaluating the equation at the iterate, 8 eps (1 + |g| + |K| |phi|)
+    with |K| <= h^2 wave_scale (see ``step``); on fine grids with viscous
+    damping that rounding exceeds the tolerance.  Returns the
     iterate, the iteration count, the residual norm and the residual's
     terms at the iterate.
     """
     target = cfg.newton_tol * (1.0 + gn)
     floor = 8.0 * _EPS * (1.0 + gn)
+    rounding = 8.0 * _EPS * plan.h * plan.h * plan.wave_scale
 
     phi = np.array(phi0, dtype=float)
     res_vec, terms = _elliptic_residual(phi, g, plan, lam)
@@ -335,10 +340,10 @@ def _newton(g, gn, plan, cfg, lam, phi0):
         res = plan.norm(res_vec)
         if res <= floor:
             return phi, it, res, terms
-        if res <= target and res > 0.125 * prev:
+        if res > 0.125 * prev and res <= max(target, floor + rounding * plan.norm(phi)):
             return phi, it, res, terms
         prev = res
-    if res <= target:
+    if res <= max(target, floor + rounding * plan.norm(phi)):
         return phi, cfg.newton_max_iter, res, terms
     raise NewtonDivergedError(cfg.newton_max_iter, res)
 

@@ -6,7 +6,8 @@ from conftest import (all_preset_bundles, dirichlet_sine, p1_defaults,
                       p2_defaults, preset_bundle)
 
 from thermowave import (Grid1D, NewtonDivergedError, Nonlinearity, State, StepAuditError,
-                        StepConfig, StepPlan, StepReport, cubic_nonlinearity, h_norm,
+                        StepConfig, StepPlan, StepReport, cubic_nonlinearity, energy_ledger,
+                        h_norm,
                         laplacian_eigenvalues, linear_reaction, modal_generator,
                         phi_equation_rhs, random_smooth, run, single_mode,
                         solve_phi, step, step_count, zero_nonlinearity,
@@ -445,6 +446,29 @@ def test_step_audit_floor_covers_viscous_damping(name, bc):
     state = make_state(bundle.grid, *random_smooth(bundle.grid, 7), h)
     _, report = step(state, bundle, nl, StepConfig(h=h))
     assert report.wave_residual > 1e-9 * (1.0 + report.rhs_norm)
+
+
+# P5 Dirichlet, cubic, single_mode data with v_amp 0.5: (n, mode, h as a
+# fraction of min(h_threshold, 1/16)).  Newton's residual stalls at the
+# rounding of h damping(phi) and h^2 stiffness(phi), which grows like
+# h / dx^2; above newton_tol (1 + |g|) that once ran out of iterations at
+# step 0.
+FINE_VISCOUS_CASES = [(1024, 1, 0.4), (1024, 1, 0.9), (1024, 3, 0.9), (2048, 1, 0.1),
+                      (2048, 1, 0.4), (2048, 1, 0.9), (2048, 3, 0.1), (2048, 3, 0.4),
+                      (2048, 3, 0.9), (2048, 7, 0.4), (2048, 7, 0.9)]
+
+
+@pytest.mark.parametrize("n, mode, fraction", FINE_VISCOUS_CASES)
+def test_newton_settles_at_the_rounding_floor_of_fine_viscous_grids(n, mode, fraction):
+    bundle = preset_bundle("P5", n=n)
+    nl = cubic_nonlinearity(1.0)
+    h = fraction * min(bundle.h_threshold(nl.lipschitz_const), 1.0 / 16)
+    result = run(single_mode(bundle.grid, mode, 1.0, 1.0, 0.5), bundle, nl, 20 * h,
+                 StepConfig(h=h))  # each step passes its audit, or the run stops
+    assert result.complete and len(result.reports) == 20
+    ledger = energy_ledger(result.states, bundle, nl)
+    for before, entry in zip(ledger, ledger[1:]):
+        assert entry.identity_residual <= 1e-10 * (1.0 + before.record.total)
 
 
 def test_step_audit_rejects_perturbed_phi(monkeypatch):

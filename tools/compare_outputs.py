@@ -18,7 +18,9 @@ linear P1 Neumann ``sweep`` at m = 0 (its constant mode's generator is
 upper triangular, so its exponential batches mix triangular and generic
 slices), a cubic P2 ``sweep``, one to T = 1 whose finest member spans
 three blocks of ``convergence.error_norms`` against the fine reference,
-and a ``run`` (snapshot stride 7), an ``energy-audit`` and an
+an ``energy-audit`` of P5 on a 1024-point grid at h = 0.025 (0.4 x 1/16,
+well below h_threshold), where Newton's residual stalls at the rounding
+of h damping(phi), and a ``run`` (snapshot stride 7), an ``energy-audit`` and an
 ``oracle-check`` of a linear-pi P2 config whose h is above h_threshold,
 so that they diverge (exit 2 at step 74 on a 64-point grid) and leave
 partial outputs.  A ``sweep`` of that config on a 256-point grid, h_list
@@ -82,6 +84,10 @@ def jobs(seed: int, n: int | None) -> dict:
     out["p2-cubic-sweep"] = ("sweep", {**sweep, "h_list": [1.0 / 16, 1.0 / 32, 1.0 / 64]})
     out["p2-cubic-sweep-blocks"] = ("sweep", {**sweep, "T": 1.0,
                                               "h_list": [1.0 / 64, 1.0 / 128, 1.0 / 256]})
+    out["p5-fine-viscous-audit"] = ("energy-audit", {
+        "preset": "P5", "bc": "dirichlet", "n_interior": 1024, "T": 0.5, "h": 0.025,
+        "beta": {"kind": "cubic", "scale": 1.0},
+        "initial": {"profile": "single_mode", "mode": 1, "v_amp": 0.5}})
     diverging = {"preset": "P2", "bc": "dirichlet", "n_interior": 64, "T": 8.0, "h": 1.0 / 64,
                  "pi": {"kind": "linear", "slope": -1e4},
                  "initial": {"profile": "random_smooth", "seed": seed}}
