@@ -511,14 +511,14 @@ class Trajectory:
     """``iter_run``'s run: an iterator of its (state, report) pairs that,
     once they run out, holds how the run ended as ``failure`` and ``last``."""
 
+    def __init__(self, state, n_steps, bundle, nonlin, cfg, plan):
+        self.failure = self.last = None
+        self._pairs = self._steps(state, n_steps, bundle, nonlin, cfg, plan)
+
     @property
     def failure_index(self) -> int | None:
         """Index of the failed step, the last state's; None for a complete run."""
         return None if self.failure is None else self.last.t_index
-
-    def __init__(self, state, n_steps, bundle, nonlin, cfg, plan):
-        self.failure = self.last = None
-        self._pairs = self._steps(state, n_steps, bundle, nonlin, cfg, plan)
 
     def _steps(self, state, n_steps, bundle, nonlin, cfg, plan):
         initial = state
