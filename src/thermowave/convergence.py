@@ -4,8 +4,8 @@
 reconstructions and a reference solution in the seven quantities the
 scheme's error analysis controls, reading the trajectory in blocks;
 ``sweep`` runs a halving sequence of step sizes against a shared reference,
-its members split over the CPUs the process may use, and fits the observed
-convergence order.
+its finest member in this process and the others in one forked worker when
+two CPUs are usable, and fits the observed convergence order.
 The total over all seven terms decays at least like sqrt(h) (first order
 is what backward differencing typically delivers), and total / sqrt(h)
 stays bounded across the sweep.
@@ -241,18 +241,6 @@ def usable_cpus() -> int:
     return cpus if threads == 1 else 1
 
 
-def _shares(costs, count):
-    """Indices of ``costs`` split into ``count`` shares, longest first, each
-    to the least-loaded share; the first share gets the longest, and each
-    share lists its members in index order."""
-    shares, loads = [[] for _ in range(count)], [0] * count
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        j = loads.index(min(loads))
-        shares[j].append(i)
-        loads[j] += costs[i]
-    return [sorted(share) for share in shares]
-
-
 def _fork(share, measure):
     """A worker process that sends one pickle ``(i, measure(i))`` per member
     ``i`` of ``share``, in order, or ``(i, exception)`` for a member that
@@ -287,25 +275,24 @@ def _fork(share, measure):
         os._exit(code)
 
 
-def _measure_all(measure, h_list, T):
-    """``measure(i)`` of every member of ``h_list``, in its order, over
-    ``min(usable_cpus(), members)`` processes: the ``_shares`` of their
-    step counts, this process running the first and a forked worker each
-    other one.  A member's exception is raised here, as is a
+def _measure_all(measure, h_list):
+    """``measure(i)`` of every member of ``h_list``, in its order.  With
+    two or more usable CPUs a forked worker measures every member but the
+    finest, the last, which has more steps than all the others together,
+    and this process measures the finest; with fewer, this process
+    measures them all.  A member's exception is raised here, as is a
     ``RuntimeError`` for a worker that ends before sending all its results.
-    Every worker is reaped before this returns or raises; one still
-    running when anything raises here is killed first."""
-    costs = [step_count(T, h) for h in h_list]
-    shares = _shares(costs, min(usable_cpus(), len(costs)))
-    results = [None] * len(costs)
-    workers = []  # (pid, pipe, share), each until it is reaped
+    The worker is reaped before this returns or raises, and killed first
+    if it still runs when anything raises here."""
+    last = len(h_list) - 1
+    results, worker = [None] * len(h_list), None  # worker: (pid, pipe) until reaped
     try:
-        for share in shares[1:]:
-            workers.append((*_fork(share, measure), share))
-        for i in shares[0]:
+        if usable_cpus() > 1:
+            worker = _fork(range(last), measure)
+        for i in range(last if worker else 0, last + 1):
             results[i] = measure(i)
-        while workers:
-            pid, pipe, share = workers[0]
+        if worker:
+            pid, pipe = worker
             with pipe:
                 while True:
                     try:
@@ -315,14 +302,14 @@ def _measure_all(measure, h_list, T):
                     if isinstance(result, Exception):
                         raise result
                     results[i] = result
-            status = os.waitpid(pid, 0)[1]
-            del workers[0]
-            lost = [h_list[i] for i in share if results[i] is None]
+            status, worker = os.waitpid(pid, 0)[1], None
+            lost = [h for h, result in zip(h_list, results) if result is None]
             if lost:
                 raise RuntimeError(f"a sweep worker ended with wait status {status} before "
                                    f"sending the results of members h = {lost}")
     finally:
-        for pid, pipe, _ in workers:
+        if worker:
+            pid, pipe = worker
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
@@ -340,11 +327,10 @@ def sweep(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
     member h runs ``StepConfig(h)``.  Each member's ``iter_run`` trajectory
     goes straight into ``error_norms``, so no member's states are
     collected.  The trajectories are all made here first, in ``h_list``
-    order, then the members run over ``min(usable_cpus(), members)``
-    processes, longest first, each member to the least-loaded one by its
-    step count: this process runs the longest member's share, and a forked
-    worker, which inherits the reference, each other share.  With one
-    usable CPU nothing is forked.  A member that diverges still runs
+    order.  With two or more usable CPUs one forked worker, which inherits
+    the reference, then runs every member but the finest, and this process
+    runs the finest, which has more steps than the others together; with
+    one, nothing is forked.  A member that diverges still runs
     through ``error_norms`` up to its failed step, and its figures are
     dropped; the members after it still run, and ``SweepDivergedError``
     names the first failure in ``h_list`` order, with the reports of the
@@ -368,7 +354,7 @@ def sweep(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
         return report, trajectory.failure_index, trajectory.failure
 
     reports, failures = [], []
-    for h, (report, index, failure) in zip(h_list, _measure_all(measure, h_list, T)):
+    for h, (report, index, failure) in zip(h_list, _measure_all(measure, h_list)):
         if failure is None:
             reports.append(report)
         else:  # the figures of the states before the failed step are dropped

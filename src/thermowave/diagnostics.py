@@ -278,8 +278,9 @@ class Interpolant:
     nodes: np.ndarray
 
     def __post_init__(self):
-        t = np.ascontiguousarray(self.times, dtype=float)
-        y = np.ascontiguousarray(self.nodes, dtype=float)
+        # read-only views: the caller's arrays keep their own flags
+        t = np.ascontiguousarray(self.times, dtype=float).view()
+        y = np.ascontiguousarray(self.nodes, dtype=float).view()
         if y.shape[0] != t.size:
             raise ValueError("node array does not match time grid")
         if t.size > 1 and not is_uniform(t):

@@ -91,8 +91,8 @@ class DiscreteOperator:
     coeff: float = 0.0
 
     def __post_init__(self):
-        d = np.ascontiguousarray(self.diag, dtype=float)
-        o = np.ascontiguousarray(self.offdiag, dtype=float)
+        d = np.array(self.diag, dtype=float)  # private copies
+        o = np.array(self.offdiag, dtype=float)
         if d.ndim != 1 or d.size < 2:
             raise ValueError("diag must be a vector of length >= 2")
         if o.shape != (d.size - 1,):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,7 +89,7 @@ class State:
     h: float
 
     def __post_init__(self):
-        arrs = [np.ascontiguousarray(getattr(self, name), dtype=float)
+        arrs = [np.array(getattr(self, name), dtype=float)  # private copies
                 for name in ("theta", "phi", "v", "z")]
         if arrs[0].ndim != 1 or any(a.shape != arrs[0].shape for a in arrs):
             raise ValueError("state vectors must share one dimension")
@@ -103,8 +103,10 @@ class State:
 
     @classmethod
     def _stepped(cls, theta, phi, v, z, t_index, h):
-        """The state of vectors a step computed: 1-D float arrays of one
-        shape by construction, so ``__post_init__``'s checks are skipped."""
+        """The state of vectors no caller can write: a step's results,
+        ``iter_run``'s checked copies or another state's own.  They are 1-D
+        float arrays of one shape by construction, so ``__post_init__``'s
+        checks and copies are skipped."""
         state = object.__new__(cls)
         state.__dict__.update(t_index=t_index, h=h)
         state._seal(theta, phi, v, z)
@@ -503,7 +505,7 @@ def iter_run(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
                       f"{threshold:.6g}; attempting anyway", RuntimeWarning,
                       stacklevel=2)
     plan = StepPlan(bundle, cfg.h, nonlin)
-    state = State(theta0, phi0, v0, np.zeros_like(phi0), 0, cfg.h)
+    state = State._stepped(theta0, phi0, v0, np.zeros_like(phi0), 0, cfg.h)
     return Trajectory(state, n_steps, bundle, nonlin, cfg, plan)
 
 
@@ -533,7 +535,8 @@ class Trajectory:
                 self.failure = exc
                 return exc
             if initial is not None:
-                yield replace(initial, z=state.z), None
+                yield State._stepped(initial.theta, initial.phi, initial.v, state.z,
+                                     0, cfg.h), None
                 initial = None
             yield state, report
 

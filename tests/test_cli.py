@@ -128,6 +128,8 @@ MALFORMED_FIELDS = [
     ("run", {"solver": {"newton_max_iter": True}}, "solver.newton_max_iter"),
     ("run", {"snapshot_stride": True}, "snapshot_stride"),
     ("run", {"initial": {"profile": "random_smooth", "seed": -1}}, "initial.seed"),
+    ("sweep", {"h_list": 0.5}, "h_list"),  # expected a list of numbers, got float
+    ("run", {"beta": {"kind": "odd_poly", "coeffs": 3}}, "beta.coeffs"),  # ... got int
 ]
 
 
@@ -453,11 +455,15 @@ def test_run_divergence_exit_code(tmp_path, capsys):
         assert meta["failure_index"] == 0
 
 
-def test_bad_config_exit_code(tmp_path, capsys):
-    rc = main(["run", "--config", write_config(tmp_path, {"preset": "nope"}),
+@pytest.mark.parametrize("cfg, message", [
+    ({"preset": "nope"}, "config error: preset: "),
+    ([base_config()], "config error: config: expected a JSON object, got list"),
+], ids=["unknown-preset", "json-list"])
+def test_bad_config_exit_code(tmp_path, capsys, cfg, message):
+    rc = main(["run", "--config", write_config(tmp_path, cfg),
                "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert "config error" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path):

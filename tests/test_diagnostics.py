@@ -4,7 +4,7 @@ from conftest import dirichlet_sine, p1_defaults, p2_defaults, preset_bundle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermowave import (Grid1D, State, StepConfig, apriori_monitor,
+from thermowave import (DiscreteOperator, Grid1D, State, StepConfig, apriori_monitor,
                         apriori_ratios, build_interpolants, cubic_nonlinearity,
                         energy, energy_ledger, h_norm,
                         interpolation_identities_check, laplacian_eigenvalues,
@@ -302,6 +302,22 @@ def test_interpolant_accepts_a_long_non_dyadic_grid():
     assert np.ptp(np.diff(times)) > 1e-15
     field = Interpolant(times, np.arange(times.size, dtype=float)[:, None])
     assert field.hat(10.0)[0] == pytest.approx(10000.0, rel=1e-12)
+
+
+def test_constructors_leave_the_callers_arrays_writeable():
+    # a State and an operator keep private read-only copies; an
+    # Interpolant seals a read-only view of the caller's stacks
+    a, b = np.zeros(4), np.zeros(3)
+    state = State(a, a.copy(), a.copy(), a.copy(), 0, 0.1)
+    op = DiscreteOperator(a, b)
+    field = Interpolant(np.arange(4.0), a[:, None])
+    assert a.flags.writeable and b.flags.writeable
+    assert not any(x.flags.writeable for x in (state.theta, op.diag, op.offdiag, field.nodes))
+    a[0], b[0] = 1.0, 2.0
+    assert state.theta[0] == op.diag[0] == op.offdiag[0] == 0.0
+    assert field.nodes[0, 0] == 1.0  # a view, not a copy
+    with pytest.raises(ValueError):
+        field.nodes[0, 0] = 3.0
 
 
 class StackedReference:

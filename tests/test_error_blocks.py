@@ -196,7 +196,6 @@ def test_member_diverging_in_a_worker_raises_as_in_one_process(monkeypatch, fail
     # with two processes this one runs h = 1/256 and a worker the other two
     bundle, nl, init, ref = _member(128)
     h_list = [1.0 / 64, 1.0 / 128, 1.0 / 256]
-    assert convergence._shares([64, 128, 256], 2) == [[2], [0, 1]]
     real_step = stepper.step
 
     def diverging(state, bundle, nonlin, cfg, plan=None):

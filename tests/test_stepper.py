@@ -349,6 +349,17 @@ def test_newton_divergence_reported():
     assert len(result.states) == 1
 
 
+def test_newton_accepts_a_residual_within_tolerance_at_its_iteration_cap():
+    # one iteration leaves the residual at 2.7e-8: it fell too fast to
+    # stop inside the loop, and the cap accepts it within newton_tol
+    bundle, nl = p2_defaults(n=16)
+    theta, phi, v = random_smooth(bundle.grid, 3)
+    cfg = StepConfig(h=1.0 / 64, newton_max_iter=1, newton_tol=1e-5)
+    state, rep = step(make_state(bundle.grid, theta, phi, v, cfg.h), bundle, nl, cfg)
+    assert rep.newton_iters == 1 and state.t_index == 1
+    assert 1e-9 < rep.final_residual <= cfg.newton_tol * (1.0 + rep.rhs_norm)
+
+
 def test_solve_phi_large_h_attempted_and_reported():
     # above the threshold the solve is still attempted; divergence raises
     grid = Grid1D(16)

@@ -1,10 +1,11 @@
-"""A sweep's members split over forked worker processes.
+"""A sweep's members split over two processes.
 
-``sweep`` runs its members over ``min(usable_cpus(), members)`` processes.
-Whatever that count, it must return the ``SweepResult`` of the one-process
-run and raise the same ``SweepDivergedError``; a member's exception must
-reach the caller with its type and message; and no worker may outlive the
-call, however it ends.  The package's exceptions cross the pipe by pickle.
+With two or more usable CPUs ``sweep`` runs its finest member in the
+calling process and every other member in one forked worker; with one it
+forks nothing.  Either way it must return the ``SweepResult`` of the
+one-process run and raise the same ``SweepDivergedError``; a member's
+exception must reach the caller with its type and message; and no worker
+may outlive the call, however it ends.  The package's exceptions cross the pipe by pickle.
 """
 
 import json
@@ -58,13 +59,6 @@ def test_package_exceptions_pickle_whole(exc):
         assert back.__cause__.args == cause.args and vars(back.__cause__) == vars(cause)
 
 
-def test_shares_go_longest_first_to_the_least_loaded():
-    # the benchmark's sweep: 1/512 alone against the other four (240 steps)
-    assert convergence._shares([16, 32, 64, 128, 256], 2) == [[4], [0, 1, 2, 3]]
-    assert convergence._shares([4, 8, 16], 4) == [[2], [1], [0], []]
-    assert convergence._shares([4, 8, 16], 1) == [[0, 1, 2]]
-
-
 def test_usable_cpus_is_one_once_a_second_thread_runs():
     # a fresh process with one BLAS thread runs one thread until it starts one
     probe = ("import os, threading, thermowave.convergence as c; before = c.usable_cpus(); "
@@ -86,10 +80,19 @@ def test_split_sweep_equals_the_one_process_sweep(monkeypatch, problem):
     else:  # cubic P2 against a fine-step reference of 1,024 steps
         bundle, nl = p2_defaults(n=12)
         init, T, h_list = random_smooth(bundle.grid, 3), 0.25, [1.0 / 16, 1.0 / 32, 1.0 / 64]
+    forks, real_fork = [], os.fork
+
+    def counted_fork():
+        forks[-1] += 1
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
     results = []
     for count in (1, 2, 4):
         _cpus(monkeypatch, count)
+        forks.append(0)
         results.append(sweep(init, bundle, nl, T, h_list))
+    assert forks == [0, 1, 1]  # one worker however many CPUs
     assert results[0].reference_kind == problem
     assert results[0] == results[1] == results[2]
     totals = [[float(r.total).hex() for r in result.reports] for result in results]
