@@ -9,10 +9,11 @@ matrix exponential runs on the two Padé kernels of SciPy's extension
 that holds both costs more than the rest of the package together.  So each
 extension is loaded from its file under its own module name and registered
 in ``sys.modules``: ``_flapack`` on import, ``_matfuncs_expm`` on the first
-exponential.  Should the direct load fail for any reason, the routines come
-from ``scipy.linalg.get_lapack_funcs`` and the exponential from
-``scipy.linalg.expm``.  Either way the same compiled code runs on the same
-arrays, so results are the same bits.
+exponential.  The file is found through ``importlib.util.find_spec``, so
+not even SciPy's package ``__init__`` runs.  Should the direct load fail
+for any reason, the routines come from ``scipy.linalg.get_lapack_funcs``
+and the exponential from ``scipy.linalg.expm``.  Either way the same
+compiled code runs on the same arrays, so results are the same bits.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import os
 import sys
 
 import numpy as np
-import scipy
 from numpy.linalg import LinAlgError
 
 _NAMES = ("pttrf", "pttrs", "gbtrf", "gbtrs", "stebz", "stevd")
@@ -37,7 +37,10 @@ def _load_extension(name: str):
     module = sys.modules.get(fullname)
     if module is not None:
         return module
-    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    scipy = importlib.util.find_spec("scipy")  # its location: its __init__ does not run
+    if scipy is None or not scipy.submodule_search_locations:
+        raise ImportError("no scipy package")
+    directory = os.path.join(scipy.submodule_search_locations[0], "linalg")
     paths = [os.path.join(directory, name + suffix)
              for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if os.path.isfile(p)), None)

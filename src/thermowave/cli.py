@@ -33,7 +33,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from . import convergence, diagnostics
+from . import diagnostics
 from .nonlinearity import Nonlinearity
 from .operators import PRESET_NAMES, Grid1D, PicklableError, ProblemPreset, build_bundle
 from .oracle import LinearReference, ReferenceDivergedError, max_deviation
@@ -231,6 +231,7 @@ def validate_config(raw: dict, need_h_list: bool = False, need_linear: bool = Fa
                        s["path"]) for h in hs]
         if len(errors) == start and T is not None:
             if need_h_list:
+                from . import convergence  # loaded by sweeps only
                 resolved["_cfgs"] = cfgs
                 _build(errors, steps, convergence.check_h_list, T, hs)
             else:
@@ -357,6 +358,7 @@ def cmd_run(resolved: dict, problem, table):
 
 def cmd_sweep(resolved: dict, problem, table):
     _, bundle, nonlin, initial, _ = problem
+    from . import convergence
     try:
         result = convergence.sweep(initial, bundle, nonlin, resolved["T"],
                                    resolved["h_list"], configs=resolved["_cfgs"])
@@ -485,7 +487,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-def console_entry():
-    sys.exit(main())

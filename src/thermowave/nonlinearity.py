@@ -37,6 +37,7 @@ class Nonlinearity:
     pi_kind: str = "zero"
     pi_param: float = 0.0
     _poly: tuple = field(init=False, repr=False, default=())
+    _slope_poly: tuple = field(init=False, repr=False, default=())  # beta_prime's
 
     def __post_init__(self):
         if self.beta_kind not in BETA_KINDS:
@@ -63,6 +64,7 @@ class Nonlinearity:
             if any(c < 0.0 for c in poly[::2]):
                 raise ValueError("beta_coeffs must be nonnegative at odd powers for monotonicity")
         object.__setattr__(self, "_poly", poly)
+        object.__setattr__(self, "_slope_poly", tuple((k + 1) * c for k, c in enumerate(poly)))
 
     # -- beta -----------------------------------------------------------
 
@@ -73,7 +75,7 @@ class Nonlinearity:
         return out
 
     def beta_prime(self, r):
-        return _horner([(k + 1) * c for k, c in enumerate(self._poly)], r)
+        return _horner(self._slope_poly, r)
 
     def beta_potential(self, r):
         out = _horner([c / (k + 2) for k, c in enumerate(self._poly)], r)

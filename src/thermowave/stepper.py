@@ -171,16 +171,18 @@ class StepPlan:
     returns its products with coupling(x), which is the audit's diffusion(x)
     when coupling applies as diffusion.
 
-    A plan also carries the last audited step's phi+ with mass(phi+) and
-    damping(phi+), written by ``step`` alone; ``phi_equation_rhs`` takes
-    them from the carry only for that very (sealed) array object, so any
-    other array, however close, gets its own.
+    A plan also carries the last audited step's phi+ with mass(phi+),
+    damping(phi+) and |phi+|, and its theta+ with |theta+|, written by
+    ``step`` alone; ``phi_equation_rhs`` and ``step`` take them from the
+    carry only for that very (sealed) array object, so any other array,
+    however close, gets its own.
     """
 
     def __init__(self, bundle: OperatorBundle, h: float, nonlin: Nonlinearity | None = None):
         self.resolvent = Resolvent(bundle.diffusion, h)  # rejects h <= 0
         self.bundle = bundle
         self.h = h
+        self.h2, self.eta_h2 = h * h, bundle.eta * h * h  # left to right, as written inline
         self.nonlin = nonlin
         self.linear = nonlin is not None and nonlin.is_linear
         self.has_pi = nonlin is not None and nonlin.pi_kind != "zero"
@@ -195,11 +197,11 @@ class StepPlan:
         # T1 = lin + h^2 (beta' + pi'); see _newton.
         self.d2, self.o2 = self.resolvent.shifted.diag, self.resolvent.shifted.offdiag
         self.lin_d = (bundle.mass.diag + h * bundle.damping.diag
-                      + h * h * bundle.stiffness.diag)
+                      + self.h2 * bundle.stiffness.diag)
         self.lin_o = (bundle.mass.offdiag + h * bundle.damping.offdiag
-                      + h * h * bundle.stiffness.offdiag)
-        self.cpl_d = bundle.eta * h * h * bundle.coupling.diag
-        self.cpl_o = bundle.eta * h * h * bundle.coupling.offdiag
+                      + self.h2 * bundle.stiffness.offdiag)
+        self.cpl_d = self.eta_h2 * bundle.coupling.diag
+        self.cpl_o = self.eta_h2 * bundle.coupling.offdiag
         # gbtrf band layout: rows 0-1 hold the LU fill-in, rows 2-6 the
         # pentadiagonal (solve_banded layout); the outermost bands and the
         # T1-independent products are the same for every iteration.
@@ -217,10 +219,11 @@ class StepPlan:
 
         # Rounding scales of the step audit; see step().
         self.coupling_norm = bundle.coupling.norm_bound()
-        self.wave_scale = (bundle.mass.norm_bound() / (h * h) + bundle.damping.norm_bound() / h
+        self.wave_scale = (bundle.mass.norm_bound() / self.h2 + bundle.damping.norm_bound() / h
                            + bundle.stiffness.norm_bound() + bundle.eta * self.coupling_norm)
         self.heat_scale = 1.0 / h + bundle.diffusion.norm_bound()
-        self._carry = (None, None, None)  # step's last phi+, mass(phi+), damping(phi+)
+        # step's last phi+, mass(phi+), damping(phi+), |phi+|, theta+, |theta+|
+        self._carry = (None, None, None, None, None, None)
 
     def _solve(self, rhs):
         """x = (I + h diffusion)^{-1} rhs, audited, with coupling(x) and the
@@ -256,7 +259,7 @@ class StepPlan:
             slope = nonlin.beta_prime(phi) if lam is None else nonlin.yosida_prime(lam, phi)
             if self.has_pi:
                 slope = slope + nonlin.pi_prime(phi)
-            self._fill_bands(self.lin_d + self.h * self.h * slope)
+            self._fill_bands(self.lin_d + self.h2 * slope)
             lu, piv, info = _GBTRF(self._bands, 2, 2, overwrite_ab=1)
             _check_lapack_info(info, "gbtrf", "singular matrix")
             self._lu, self._piv = lu, piv
@@ -278,38 +281,41 @@ def _plan_for(plan, bundle, h, nonlin=None) -> StepPlan:
 def phi_equation_rhs(state: State, bundle: OperatorBundle, h: float,
                      plan: StepPlan | None = None) -> np.ndarray:
     """Right-hand side g of the per-step elliptic equation for phi+."""
-    plan = _plan_for(plan, bundle, h)
-    phi = state.phi
-    if phi.shape != (bundle.grid.n_interior,):
-        raise ValueError(f"dimension mismatch: grid has {bundle.grid.n_interior} unknowns, "
-                         f"state shape {phi.shape}")
-    _, coupling, _, _ = plan._solve(bundle.eta * phi + state.theta)
-    carried, mass, damping = plan._carry
+    return _rhs(state, _plan_for(plan, bundle, h))
+
+
+def _rhs(state, plan):
+    """``phi_equation_rhs`` with a plan already checked against its arguments."""
+    phi, h, n = state.phi, plan.h, plan.bundle.grid.n_interior
+    if phi.shape != (n,):
+        raise ValueError(f"dimension mismatch: grid has {n} unknowns, state shape {phi.shape}")
+    _, coupling, _, _ = plan._solve(plan.bundle.eta * phi + state.theta)
+    carried, mass, damping = plan._carry[:3]
     if phi is not carried:
         mass, damping = plan.mass(phi), plan.damping(phi)
-    return mass + h * plan.mass(state.v) + h * damping + h * h * coupling
+    return mass + h * plan.mass(state.v) + h * damping + plan.h2 * coupling
 
 
 def _elliptic_residual(phi, g, plan, lam):
     """The residual at phi of the equation smoothed with ``lam`` (None: as
     stated), and its terms that depend on phi alone: (mass, damping,
     stiffness, beta, pi), pi None when the plan has no pi term."""
-    h, nonlin = plan.h, plan.nonlin
+    h2, nonlin = plan.h2, plan.nonlin
     mass, damping, stiffness = plan.mass(phi), plan.damping(phi), plan.stiffness(phi)
     beta = nonlin.beta(phi) if lam is None else nonlin.yosida(lam, phi)
-    res = mass + h * damping + h * h * stiffness + h * h * beta
+    res = mass + plan.h * damping + h2 * stiffness + h2 * beta
     pi = None
     if plan.has_pi:
         pi = nonlin.pi(phi)
-        res += h * h * pi
-    res += plan.bundle.eta * h * h * plan._solve(phi)[1]
+        res += h2 * pi
+    res += plan.eta_h2 * plan._solve(phi)[1]
     res -= g
     return res, (mass, damping, stiffness, beta, pi)
 
 
 def _newton(g, gn, plan, cfg, lam, phi0):
     """Newton iteration on the per-step elliptic equation, smoothed with
-    ``lam`` (None: as stated).
+    ``lam`` (None: as stated), from phi0, a float vector it never writes.
 
     The Jacobian is T1 + eta h^2 coupling (I + h diffusion)^{-1} with T1
     tridiagonal; writing the update as (I + h diffusion) w eliminates the
@@ -327,7 +333,7 @@ def _newton(g, gn, plan, cfg, lam, phi0):
     floor = 8.0 * _EPS * (1.0 + gn)
     rounding = 8.0 * _EPS * plan.h * plan.h * plan.wave_scale
 
-    phi = np.array(phi0, dtype=float)
+    phi = phi0
     res_vec, terms = _elliptic_residual(phi, g, plan, lam)
     res = plan.norm(res_vec)
     if res == 0.0:
@@ -364,9 +370,9 @@ def solve_phi(g: np.ndarray, bundle: OperatorBundle, nonlin: Nonlinearity,
     """
     plan = _plan_for(plan, bundle, cfg.h, nonlin)
     n = bundle.grid.n_interior
-    phi0 = np.zeros(n) if phi0 is None else phi0
-    if np.shape(phi0) != (n,):
-        raise ValueError(f"dimension mismatch: grid has {n} unknowns, phi0 shape {np.shape(phi0)}")
+    phi0 = np.zeros(n) if phi0 is None else np.array(phi0, dtype=float)  # never the caller's
+    if phi0.shape != (n,):
+        raise ValueError(f"dimension mismatch: grid has {n} unknowns, phi0 shape {phi0.shape}")
     return _stages(g, h_norm(bundle.grid, g), plan, cfg, phi0)[:3]
 
 
@@ -409,23 +415,27 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
     same array from it: stiffness(phi+), beta(phi+) and any pi(phi+) from
     Newton's last residual, diffusion(theta+), the resolvent equation's
     residual and, when coupling applies as diffusion, coupling(theta+) from
-    the theta+ solve's own audit.  Only a step that passes writes the carry.
+    the theta+ solve's own audit, and |phi| and |theta| of a state the last
+    step made from its carry.  Only a step that passes writes the carry.
     """
     plan = _plan_for(plan, bundle, cfg.h, nonlin)
     h, norm = cfg.h, plan.norm
-    g = phi_equation_rhs(state, bundle, h, plan)
+    g = _rhs(state, plan)
     gn = norm(g)
     # second-order predictor: phi + h v+ with v+ extrapolated as v + h z
     phi1, iters, res, (mass, damping, stiffness, beta, pi) = _stages(
         g, gn, plan, cfg, state.phi + h * (state.v + h * state.z))
 
-    theta_rhs = state.theta + bundle.eta * (state.phi - phi1)
+    d = phi1 - state.phi
+    # the bits of theta + eta (phi - phi1), negation being exact, but for
+    # the sign of a zero entry
+    theta_rhs = state.theta - bundle.eta * d
     # the solve's audit evaluated rhs - (theta1 + h diffusion(theta1)): the
     # negated heat resolvent residual, whose norm has the same bits
     theta1, coupling_theta1, diffusion_theta1, theta_misfit = plan._solve(theta_rhs)
     theta_res = norm(theta_misfit)
 
-    v1 = (phi1 - state.phi) / h
+    v1 = d / h
     z1 = (v1 - state.v) / h
 
     heat_res = norm((theta1 - state.theta) / h + bundle.eta * v1 + diffusion_theta1)
@@ -437,12 +447,16 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
 
     phi1_n = norm(phi1)
     theta1_n = norm(theta1)
+    carried_phi, _, _, phi_n, carried_theta, theta_n = plan._carry  # the last step's
+    if state.phi is not carried_phi:
+        phi_n = norm(state.phi)
+    if state.theta is not carried_theta:
+        theta_n = norm(state.theta)
     solver_term = 10.0 * cfg.newton_tol * (1.0 + gn)
-    wave_floor = 32.0 * _EPS * ((1.0 + gn) / (h * h) + plan.wave_scale * phi1_n
+    wave_floor = 32.0 * _EPS * ((1.0 + gn) / plan.h2 + plan.wave_scale * phi1_n
                                 + plan.coupling_norm * theta1_n)
     heat_floor = 32.0 * _EPS * (plan.heat_scale * theta1_n
-                                + (norm(state.theta) + bundle.eta
-                                   * (norm(state.phi) + phi1_n)) / h)
+                                + (theta_n + bundle.eta * (phi_n + phi1_n)) / h)
     wave_allowed = max(solver_term, wave_floor)
     heat_allowed = max(solver_term, heat_floor)
     if not (wave_res <= wave_allowed and heat_res <= heat_allowed):
@@ -450,7 +464,7 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
                              f"heat {heat_res:.3e} (allowed {heat_allowed:.3e}), "
                              f"wave {wave_res:.3e} (allowed {wave_allowed:.3e})")
 
-    plan._carry = (phi1, mass, damping)
+    plan._carry = (phi1, mass, damping, phi1_n, theta1, theta1_n)
     new_state = State._stepped(theta1, phi1, v1, z1, state.t_index + 1, h)
     report = StepReport(newton_iters=iters, final_residual=res,
                         theta_residual=theta_res, heat_residual=heat_res,

@@ -1,10 +1,11 @@
 """The LAPACK routines of ``thermowave._lapack`` against SciPy's own route.
 
 The package loads SciPy's Fortran LAPACK extension from its file, so that
-no command imports ``scipy.linalg``.  These tests pin that the routines
-and the eigenvalue helper give the bits of ``get_lapack_funcs`` and
-``eigh_tridiagonal``, that the fallback through ``scipy.linalg`` gives the
-same outputs, and that no command loads ``scipy.linalg``.
+no command imports ``scipy.linalg``, or even runs SciPy's package
+``__init__``.  These tests pin that the routines and the eigenvalue helper
+give the bits of ``get_lapack_funcs`` and ``eigh_tridiagonal``, that the
+fallback through ``scipy.linalg`` gives the same outputs, and that no
+command loads ``scipy`` or ``scipy.linalg``.
 """
 
 import json
@@ -171,11 +172,11 @@ def test_eigenvalues_reject_mismatched_bands():
 # ----------------------------------------------------------------------
 # what each command imports, and the fallback
 
-# Runs one CLI command in a fresh interpreter and reports which of the
-# modules a `scipy.linalg` import brings (the package, and the array-API
-# layer that makes most of its cost) were loaded after `import thermowave`,
-# after validate_config and after the command, and whether the command
-# loaded the exponential's kernels.  With "fallback" it first makes every
+# Runs one CLI command in a fresh interpreter and reports which of SciPy's
+# package and the modules a `scipy.linalg` import brings (the package, and
+# the array-API layer that makes most of its cost) were loaded after
+# `import thermowave`, after validate_config and after the command, and
+# whether the command loaded the exponential's kernels.  With "fallback" it first makes every
 # by-path module load fail, so thermowave takes its routines from
 # scipy.linalg; and it gives the kernels the signature of older SciPy's
 # (`pade_UV_calc(Am, n, m)`), so the exponential is scipy.linalg.expm,
@@ -188,7 +189,8 @@ if mode == "fallback":
         raise ImportError("by-path loading refused")
     importlib.util.spec_from_file_location = refuse
 from thermowave import _lapack, cli, operators, stepper
-loaded = lambda: [m for m in ("scipy.linalg", "scipy._lib._array_api") if m in sys.modules]
+loaded = lambda: [m for m in ("scipy", "scipy.linalg", "scipy._lib._array_api")
+                  if m in sys.modules]
 seen = {"import": loaded(), "scipy_expm_calls": 0}
 if mode == "fallback":
     import scipy.linalg, scipy.linalg._matfuncs_expm as kernels

@@ -593,9 +593,10 @@ def test_steps_through_one_plan_equal_the_recomputing_reference(preset, bc, n, b
 @pytest.mark.parametrize("path", ["direct", "yosida"])
 def test_step_carries_its_phi_with_the_mass_and_damping_of_newtons_last_residual(
         monkeypatch, path):
-    # the next step's right-hand side takes mass(phi+) and damping(phi+)
-    # from this carry of the very array the step returned; a step that
-    # fails its audit leaves the carry as it was
+    # the next step's right-hand side takes mass(phi+) and damping(phi+),
+    # and its audit |phi| and |theta|, from this carry of the very arrays
+    # the step returned; a step that fails its audit leaves the carry as
+    # it was
     import thermowave.stepper as stepper
     from thermowave.stepper import _elliptic_residual
     bundle = preset_bundle("P2", n=16)
@@ -610,6 +611,8 @@ def test_step_carries_its_phi_with_the_mass_and_damping_of_newtons_last_residual
     assert carry[0] is s1.phi and not s1.phi.flags.writeable
     _, want = _elliptic_residual(s1.phi.copy(), g, StepPlan(bundle, h, nl), None)
     assert same_bits(carry[1], want[0]) and same_bits(carry[2], want[1])
+    assert carry[4] is s1.theta and not s1.theta.flags.writeable
+    assert carry[3] == h_norm(bundle.grid, s1.phi) and carry[5] == h_norm(bundle.grid, s1.theta)
 
     real_stages = stepper._stages
 
