@@ -42,11 +42,13 @@ YOSIDA_LAMBDAS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 
 class NewtonDivergedError(PicklableError, RuntimeError):
     """Newton ran out of iterations or met a non-finite residual; h may
-    exceed the solvability threshold, or the data the float range."""
+    exceed the solvability threshold, the data the float range, or
+    ``newton_max_iter`` be too small for ``newton_tol``."""
 
-    def __init__(self, iters: int, residual: float):
+    def __init__(self, iters: int, residual: float, allowed: float | None = None):
+        cap = f" above the allowed {allowed:.3e} at newton_max_iter {iters}" if allowed else ""
         super().__init__(f"Newton did not converge in {iters} iterations "
-                         f"(last residual {residual:.3e})")
+                         f"(last residual {residual:.3e}{cap})")
         self.iters = iters
         self.residual = residual
 
@@ -156,14 +158,14 @@ class StepPlan:
 
     It holds the heat resolvent (I + h diffusion) factored once, the
     constant bands of the Newton Jacobian, one band buffer that holds the
-    Jacobian's LU factor, and the operator-norm scales of the step audit
-    (see ``newton_direction`` for when the factor is renewed).  It decides
-    once whether the step has a pi term (``has_pi``: a zero pi adds
-    nothing, so no step evaluates it) and binds ``norm``, the grid H norm
-    of the stepper's own vectors: ``h_norm``'s bits without its shape
-    check.  ``nonlin`` may be omitted by callers that only need the
-    resolvent (``phi_equation_rhs``).  The band buffer makes a plan
-    single-threaded: concurrent runs each build their own.
+    Jacobian's LU factor, and the rounding scales of ``bounds``, the step's
+    acceptance policy (see ``newton_direction`` for when the factor is
+    renewed).  It decides once whether the step has a pi term (``has_pi``:
+    a zero pi adds nothing, so no step evaluates it) and binds ``norm``,
+    the grid H norm of the stepper's own vectors: ``h_norm``'s bits
+    without its shape check.  ``nonlin`` may be omitted by callers that
+    only need the resolvent (``phi_equation_rhs``).  The band buffer makes
+    a plan single-threaded: concurrent runs each build their own.
 
     It binds the unchecked product kernels of the operators (``mass``,
     ``damping``, ``stiffness``, ``coupling``, ``shifted``), with the bits of
@@ -217,13 +219,44 @@ class StepPlan:
         self._rows = (P[3, 1:], P[4], P[4, 1:], P[4, :-1], P[5, :-1])  # what _fill_bands writes
         self._lu = self._piv = None  # the Jacobian's LU factor, once computed, and its pivots
 
-        # Rounding scales of the step audit; see step().
+        # Rounding scales of the step's acceptance policy; see bounds().
         self.coupling_norm = bundle.coupling.norm_bound()
         self.wave_scale = (bundle.mass.norm_bound() / self.h2 + bundle.damping.norm_bound() / h
                            + bundle.stiffness.norm_bound() + bundle.eta * self.coupling_norm)
         self.heat_scale = 1.0 / h + bundle.diffusion.norm_bound()
         # step's last phi+, mass(phi+), damping(phi+), |phi+|, theta+, |theta+|
         self._carry = (None, None, None, None, None, None)
+
+    def bounds(self, tol, gn, phi_n, theta_n=0.0, heat_n=0.0):
+        """The step's acceptance policy (wave, heat, newton) at tolerance
+        ``tol``, |g| = gn, |phi+| = phi_n, |theta+| = theta_n and
+        heat_n = |theta| + eta (|phi| + |phi+|).
+
+        The audit allows each scheme equation max(10 tol (1 + |g|), floor),
+        the floor 32 eps times the rounding scale of evaluating it (|.| the
+        grid H-norm, |op| its ``norm_bound``).  h^2 times the wave equation
+        is the elliptic equation, which rounds at eps (|g| + h^2 wave_scale
+        |phi+|): h^2 wave_scale bounds mass + h damping + h^2 stiffness
+        + eta h^2 coupling, and so the pointwise terms.  Over h^2, with
+        coupling(theta+), the wave scale is (1 + |g|) / h^2 + wave_scale
+        |phi+| + |coupling| |theta+|; z+ and v+ round at it too.  h times
+        the heat equation is theta+'s resolvent equation, which rounds at
+        eps ((1 + h |diffusion|) |theta+| + |theta + eta (phi - phi+)|);
+        over h, heat_scale |theta+| + heat_n / h.
+
+        Newton's residual is h^2 times the wave residual but for rounding,
+        which a margin of half the wave floor covers: Newton accepts within
+        h^2 newton, the wave bound less that margin at theta_n = 0 (which
+        only lowers it), so each step it accepts passes the wave audit.  It
+        stops at once within half of h^2 newton at tol = phi_n = 0, 8 eps
+        (1 + |g|): the rounding of g.
+        """
+        scale = _EPS * ((1.0 + gn) / self.h2 + self.wave_scale * phi_n
+                        + self.coupling_norm * theta_n)
+        solver = 10.0 * tol * (1.0 + gn)
+        heat = max(solver, 32.0 * _EPS * (self.heat_scale * theta_n + heat_n / self.h))
+        # newton is wave - 16 scale, but inf rather than nan for an infinite scale
+        return max(solver, 32.0 * scale), heat, max(solver - 16.0 * scale, 16.0 * scale)
 
     def _solve(self, rhs):
         """x = (I + h diffusion)^{-1} rhs, audited, with coupling(x) and the
@@ -320,19 +353,11 @@ def _newton(g, gn, plan, cfg, lam, phi0):
     The Jacobian is T1 + eta h^2 coupling (I + h diffusion)^{-1} with T1
     tridiagonal; writing the update as (I + h diffusion) w eliminates the
     resolvent and leaves one pentadiagonal banded solve per iteration.
-    Iterations continue past the tolerance while the residual still drops
-    fast, so accepted steps sit at the attainable floor.  A residual that
-    stalls is accepted within the tolerance or within the rounding of
-    evaluating the equation at the iterate, 8 eps (1 + |g| + |K| |phi|)
-    with |K| <= h^2 wave_scale (see ``step``); on fine grids with viscous
-    damping that rounding exceeds the tolerance.  Returns the
-    iterate, the iteration count, the residual norm and the residual's
-    terms at the iterate.
+    Iterations go on while the residual falls by more than 8x, so accepted
+    steps sit at the attainable floor, within ``StepPlan.bounds``.  Returns
+    the iterate, the iteration count and the residual's norm and terms.
     """
-    target = cfg.newton_tol * (1.0 + gn)
-    floor = 8.0 * _EPS * (1.0 + gn)
-    rounding = 8.0 * _EPS * plan.h * plan.h * plan.wave_scale
-
+    stop = 0.5 * plan.h2 * plan.bounds(0.0, gn, 0.0)[2]
     phi = phi0
     res_vec, terms = _elliptic_residual(phi, g, plan, lam)
     res = plan.norm(res_vec)
@@ -346,14 +371,14 @@ def _newton(g, gn, plan, cfg, lam, phi0):
         phi = phi + plan.shifted(w)
         res_vec, terms = _elliptic_residual(phi, g, plan, lam)
         res = plan.norm(res_vec)
-        if res <= floor:
+        if res <= stop:
             return phi, it, res, terms
-        if res > 0.125 * prev and res <= max(target, floor + rounding * plan.norm(phi)):
-            return phi, it, res, terms
+        if res > 0.125 * prev or it == cfg.newton_max_iter:
+            allowed = plan.h2 * plan.bounds(cfg.newton_tol, gn, plan.norm(phi))[2]
+            if res <= allowed:
+                return phi, it, res, terms
         prev = res
-    if res <= max(target, floor + rounding * plan.norm(phi)):
-        return phi, cfg.newton_max_iter, res, terms
-    raise NewtonDivergedError(cfg.newton_max_iter, res)
+    raise NewtonDivergedError(cfg.newton_max_iter, res, allowed)
 
 
 def solve_phi(g: np.ndarray, bundle: OperatorBundle, nonlin: Nonlinearity,
@@ -389,27 +414,8 @@ def _stages(g, gn, plan, cfg, phi0):
 
 def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
          cfg: StepConfig, plan: StepPlan | None = None) -> tuple[State, StepReport]:
-    """Advance one step and audit both scheme equations on the new state.
-
-    Each audit allows max(10 newton_tol (1 + |g|), floor), the floor being
-    32 eps times the rounding scale of evaluating that equation on the
-    computed state (|.| is the grid H-norm, |op| an operator's
-    ``norm_bound``):
-
-    - wave: h^2 times the wave equation is the elliptic equation, whose
-      evaluation rounds at eps (|g| + |K| |phi+|) with
-      |K| <= |mass| + h |damping| + h^2 |stiffness| + eta h^2 |coupling|;
-      its pointwise terms are bounded by the same sum through the equation
-      itself.  Dividing by h^2 and adding the rounding of coupling(theta+)
-      gives (1 + |g|) / h^2 + (|mass|/h^2 + |damping|/h + |stiffness|
-      + eta |coupling|) |phi+| + |coupling| |theta+|.  The difference
-      quotients z+ and v+ round at the same scale.
-    - heat: h times the heat equation is the resolvent equation of theta+,
-      whose evaluation rounds at eps (1 + h |diffusion|) |theta+| plus
-      eps |theta + eta (phi - phi+)|; dividing by h gives
-      (1/h + |diffusion|) |theta+| + (|theta| + eta (|phi| + |phi+|)) / h.
-
-    A step that fails either audit raises ``StepAuditError``.
+    """Advance one step and audit both scheme equations on the new state
+    against ``StepPlan.bounds``, raising ``StepAuditError`` if either fails.
 
     The audit takes the products that an earlier computation made from the
     same array from it: stiffness(phi+), beta(phi+) and any pi(phi+) from
@@ -445,20 +451,14 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
     wave -= coupling_theta1
     wave_res = norm(wave)
 
-    phi1_n = norm(phi1)
-    theta1_n = norm(theta1)
+    phi1_n, theta1_n = norm(phi1), norm(theta1)
     carried_phi, _, _, phi_n, carried_theta, theta_n = plan._carry  # the last step's
     if state.phi is not carried_phi:
         phi_n = norm(state.phi)
     if state.theta is not carried_theta:
         theta_n = norm(state.theta)
-    solver_term = 10.0 * cfg.newton_tol * (1.0 + gn)
-    wave_floor = 32.0 * _EPS * ((1.0 + gn) / plan.h2 + plan.wave_scale * phi1_n
-                                + plan.coupling_norm * theta1_n)
-    heat_floor = 32.0 * _EPS * (plan.heat_scale * theta1_n
-                                + (theta_n + bundle.eta * (phi_n + phi1_n)) / h)
-    wave_allowed = max(solver_term, wave_floor)
-    heat_allowed = max(solver_term, heat_floor)
+    wave_allowed, heat_allowed, _ = plan.bounds(cfg.newton_tol, gn, phi1_n, theta1_n,
+                                                theta_n + bundle.eta * (phi_n + phi1_n))
     if not (wave_res <= wave_allowed and heat_res <= heat_allowed):
         raise StepAuditError(f"scheme residual audit failed at step {state.t_index}: "
                              f"heat {heat_res:.3e} (allowed {heat_allowed:.3e}), "

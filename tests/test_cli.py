@@ -652,20 +652,55 @@ def test_header_embeds_resolved_config(tmp_path):
     ("run", ("energy.csv", "steps.csv", "run.json")),
     ("energy-audit", ("audit.csv", "audit.json")),
 ])
-def test_step_audit_failure_writes_partial_outputs(tmp_path, monkeypatch, command, files):
+def test_step_audit_failure_writes_partial_outputs(tmp_path, monkeypatch, capsys, command,
+                                                  files):
     import thermowave.stepper as stepper
-    # without the rounding floors the audit rejects P3's first step at n = 1024
-    monkeypatch.setattr(stepper, "_EPS", 0.0)
+    # a phi+ off the solution Newton accepted fails P3's first audit at n = 1024
+    real_stages = stepper._stages
+
+    def perturbed(*args):
+        phi, iters, res, terms = real_stages(*args)
+        return phi + 1.0, iters, res, terms
+
+    monkeypatch.setattr(stepper, "_stages", perturbed)
     cfg = base_config(preset="P3", n_interior=1024, h=1.0 / 256, T=8.0 / 256,
                       initial={"profile": "random_smooth", "seed": 7})
     out = tmp_path / "out"
     rc = main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)])
     assert rc == 2
+    assert "error: scheme residual audit failed at step 0" in capsys.readouterr().err
     for name in files:
         assert (out / name).exists()
     meta = json.loads((out / files[-1]).read_text())
     assert meta["complete"] is False
     assert meta["failure_index"] == 0
+
+
+# P2 cubic Dirichlet, random_smooth seed 3, T = 1/4, one Newton iteration:
+# (n_interior, 1/h, newton_tol) of the configs with n_interior in {16, 64,
+# 256}, 1/h in {64, 256} and newton_tol from 1e-3 to 1e-8 whose one iterate
+# lies within newton_tol (1 + |g|) but outside the step audit's bound
+CAPPED_NEWTON_CASES = [(16, 64, 1e-6), (16, 256, 1e-8), (64, 64, 1e-4), (64, 64, 1e-5),
+                       (64, 64, 1e-6), (64, 256, 1e-8), (256, 64, 1e-5), (256, 64, 1e-6),
+                       (256, 256, 1e-8)]
+
+
+@pytest.mark.parametrize("n, steps_per_unit, tol", CAPPED_NEWTON_CASES)
+def test_a_capped_newton_that_misses_the_audits_bound_fails_in_newton(tmp_path, capsys, n,
+                                                                      steps_per_unit, tol):
+    # Newton accepts only an iterate the step audit passes, so the step
+    # fails in Newton, naming the residual allowed and the cap
+    cfg = base_config(n_interior=n, T=0.25, h=1.0 / steps_per_unit,
+                      initial={"profile": "random_smooth", "seed": 3},
+                      solver={"newton_tol": tol, "newton_max_iter": 1})
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error: ")]
+    assert len(errors) == 1, errors
+    assert errors[0].startswith("error: Newton did not converge in 1 iterations (last residual ")
+    assert " above the allowed " in errors[0]
+    assert errors[0].endswith(" at newton_max_iter 1) at step 0"), errors
+    assert json.loads((out / "run.json").read_text())["failure_index"] == 0
 
 
 @pytest.mark.parametrize("kind", ["member", "reference"])

@@ -351,13 +351,17 @@ def test_newton_divergence_reported():
 
 def test_newton_accepts_a_residual_within_tolerance_at_its_iteration_cap():
     # one iteration leaves the residual at 2.7e-8: it fell too fast to
-    # stop inside the loop, and the cap accepts it within newton_tol
+    # stop inside the loop, and the cap accepts it within h^2 times the
+    # plan's Newton bound at phi+ (StepPlan.bounds), which is tighter than
+    # newton_tol (1 + |g|)
     bundle, nl = p2_defaults(n=16)
     theta, phi, v = random_smooth(bundle.grid, 3)
     cfg = StepConfig(h=1.0 / 64, newton_max_iter=1, newton_tol=1e-5)
     state, rep = step(make_state(bundle.grid, theta, phi, v, cfg.h), bundle, nl, cfg)
     assert rep.newton_iters == 1 and state.t_index == 1
-    assert 1e-9 < rep.final_residual <= cfg.newton_tol * (1.0 + rep.rhs_norm)
+    plan = StepPlan(bundle, cfg.h, nl)
+    newton = plan.bounds(cfg.newton_tol, rep.rhs_norm, h_norm(bundle.grid, state.phi))[2]
+    assert 1e-9 < rep.final_residual <= plan.h2 * newton < cfg.newton_tol * (1.0 + rep.rhs_norm)
 
 
 def test_solve_phi_large_h_attempted_and_reported():
@@ -517,18 +521,55 @@ def test_step_audit_rejects_perturbed_phi(monkeypatch):
 
 def test_run_returns_partial_trajectory_on_audit_failure(monkeypatch):
     import thermowave.stepper as stepper
-    # without the rounding floors the audit rejects P3's first step at n = 1024
-    monkeypatch.setattr(stepper, "_EPS", 0.0)
     bundle, nl = preset_case("P3", "dirichlet", 1024)
     h = 1.0 / 256
     init = random_smooth(bundle.grid, 7)
-    with pytest.raises(StepAuditError):
-        step(make_state(bundle.grid, *init, h), bundle, nl, StepConfig(h=h))
-    result = run(init, bundle, nl, T=8 * h, cfg=StepConfig(h=h))
+    real_stages = stepper._stages
+
+    def perturbed(*args):  # a phi+ off the solution Newton accepted
+        phi, iters, res, terms = real_stages(*args)
+        return phi + 1.0, iters, res, terms
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stepper, "_stages", perturbed)
+        with pytest.raises(StepAuditError, match="step 0"):
+            step(make_state(bundle.grid, *init, h), bundle, nl, StepConfig(h=h))
+        result = run(init, bundle, nl, T=8 * h, cfg=StepConfig(h=h))
+    assert isinstance(result.failure, StepAuditError)
     assert not result.complete
     assert result.failure_index == 0
     assert len(result.states) == 1 and result.reports == []
     assert np.array_equal(result.states[0].phi, init[1])
+
+    # without the rounding floors no iterate reaches the bound the audit
+    # would apply, so the run stops in Newton before any audit
+    monkeypatch.setattr(stepper, "_EPS", 0.0)
+    result = run(init, bundle, nl, T=8 * h, cfg=StepConfig(h=h))
+    assert isinstance(result.failure, NewtonDivergedError)
+    assert result.failure_index == 0 and len(result.states) == 1
+    assert str(result.failure).startswith("Newton did not converge in 25 iterations")
+    assert str(result.failure).endswith("at step 0")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(preset=st.sampled_from(["P1", "P2", "P3", "P4", "P5"]),
+       bc=st.sampled_from(["dirichlet", "neumann"]),
+       n=st.integers(min_value=2, max_value=256),
+       scale=st.floats(min_value=-1.0, max_value=1.0).map(lambda e: 10.0 ** e),
+       h_fraction=st.floats(min_value=0.01, max_value=0.95),
+       tol=st.floats(min_value=-12.0, max_value=-3.0).map(lambda e: 10.0 ** e),
+       max_iter=st.integers(min_value=1, max_value=3),
+       seed=st.integers(min_value=0, max_value=2 ** 16))
+def test_an_unperturbed_run_never_fails_its_step_audit(preset, bc, n, scale, h_fraction, tol,
+                                                        max_iter, seed):
+    # Newton accepts only an iterate that the step audit passes, so a run
+    # ends complete or in Newton, whatever its tolerance and iteration cap
+    bundle = preset_bundle(preset, n=n, bc=bc)
+    nl = cubic_nonlinearity(scale)
+    h = h_fraction * min(bundle.h_threshold(nl.lipschitz_const), 1.0 / 16)
+    cfg = StepConfig(h=h, newton_tol=tol, newton_max_iter=max_iter)
+    result = run(random_smooth(bundle.grid, seed), bundle, nl, 3 * h, cfg)
+    assert result.complete or isinstance(result.failure, NewtonDivergedError), result.failure
 
 
 def reference_step(state, bundle, nonlin, cfg, solve=solve_phi):
