@@ -37,7 +37,6 @@ class Nonlinearity:
     pi_kind: str = "zero"
     pi_param: float = 0.0
     _poly: tuple = field(init=False, repr=False, default=())
-    _slope_poly: tuple = field(init=False, repr=False, default=())  # beta_prime's
 
     def __post_init__(self):
         if self.beta_kind not in BETA_KINDS:
@@ -64,21 +63,25 @@ class Nonlinearity:
             if any(c < 0.0 for c in poly[::2]):
                 raise ValueError("beta_coeffs must be nonnegative at odd powers for monotonicity")
         object.__setattr__(self, "_poly", poly)
-        object.__setattr__(self, "_slope_poly", tuple((k + 1) * c for k, c in enumerate(poly)))
+        # _horner's coefficients of beta / r, beta' and the potential / r^2
+        for name, coeffs in (("_beta_terms", poly),
+                             ("_slope_terms", [(k + 1) * c for k, c in enumerate(poly)]),
+                             ("_potential_terms", [c / (k + 2) for k, c in enumerate(poly)])):
+            object.__setattr__(self, name, _horner_terms(coeffs))
 
     # -- beta -----------------------------------------------------------
 
     def beta(self, r):
         # beta = r * (c1 + r*(c2 + ...)) on powers r^1..r^d
-        out = _horner(self._poly, r)
+        out = _horner(self._beta_terms, r)
         out *= r
         return out
 
     def beta_prime(self, r):
-        return _horner(self._slope_poly, r)
+        return _horner(self._slope_terms, r)
 
     def beta_potential(self, r):
-        out = _horner([c / (k + 2) for k, c in enumerate(self._poly)], r)
+        out = _horner(self._potential_terms, r)
         out *= r
         out *= r
         return out
@@ -166,21 +169,31 @@ class Nonlinearity:
         return bp / (1.0 + lam * bp)
 
 
-def _horner(coeffs, r):
-    """sum_k coeffs[k] r^k by Horner's rule, updated in place.
+def _horner_terms(coeffs):
+    """``_horner``'s form of coefficients: up to the highest nonzero one,
+    each a 0-d float64 array."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0.0:
+        coeffs.pop()
+    return tuple(np.array(c, float) for c in coeffs)
 
-    It starts at the highest nonzero coefficient c as c * r: from zero the
-    rule would pass (0 * r + c) * r, the same bits for finite r.  Every
-    later coefficient is added, zeros included, as the rule from zero does.
+
+def _horner(coeffs, r):
+    """sum_k coeffs[k] r^k by Horner's rule, updated in place, for the
+    coefficients of ``_horner_terms``, built once per ``Nonlinearity``.
+    Each is a 0-d float64 array, which multiplies and adds with the bits
+    of the float it holds but without converting that float on every call.
+
+    It starts at the highest nonzero coefficient c, the last, as c * r:
+    from zero the rule would pass (0 * r + c) * r, the same bits for finite
+    r.  Every lower coefficient is added, zeros included, as the rule from
+    zero does.
     """
     r = np.asarray(r, dtype=float)
-    top = len(coeffs) - 1
-    while top >= 0 and coeffs[top] == 0.0:
-        top -= 1
-    if top <= 0:
-        return np.full_like(r, coeffs[0] if top == 0 else 0.0)
-    out = coeffs[top] * r
-    for c in coeffs[top - 1:0:-1]:
+    if len(coeffs) < 2:
+        return np.full_like(r, coeffs[0] if coeffs else 0.0)
+    out = coeffs[-1] * r
+    for c in coeffs[-2:0:-1]:
         out += c
         out *= r
     out += coeffs[0]

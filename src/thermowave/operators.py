@@ -80,9 +80,11 @@ class DiscreteOperator:
     Laplacian operators know their action on Laplacian eigenvectors
     (``symbol``), which the modal reference paths rely on.  ``custom``
     operators support everything else.  A scaled identity or zero operator
-    applies as one multiply by ``coeff``, so its bands must match its tag.
-    ``_product`` is the one product kernel, unchecked: ``apply`` calls it
-    after its check, and a ``StepPlan`` binds it.
+    applies as one multiply by ``coeff``, so its bands must match its tag;
+    the multiply is by a 0-d float64 copy of ``coeff``, which has the
+    float's bits without converting it on every call.  ``_product`` is the
+    one product kernel, unchecked: ``apply`` calls it after its check, and
+    a ``StepPlan`` binds it.  Every product is a new array.
     """
 
     diag: np.ndarray
@@ -105,6 +107,8 @@ class DiscreteOperator:
         o.setflags(write=False)
         object.__setattr__(self, "diag", d)
         object.__setattr__(self, "offdiag", o)
+        if self.kind in _SCALED:
+            object.__setattr__(self, "_coeff", np.array(self.coeff, float))
 
     @property
     def dim(self) -> int:
@@ -127,7 +131,7 @@ class DiscreteOperator:
         return self._scaled if self.kind in _SCALED else self._banded
 
     def _scaled(self, u):
-        return self.coeff * u
+        return self._coeff * u
 
     def _banded(self, u):
         y = self.diag * u
@@ -321,6 +325,7 @@ class Resolvent:
             raise ValueError(f"h must be positive, got {h}")
         self.op = op
         self.h = h
+        self._h = np.array(h, float)  # the audit's multiplier, with the bits of h
         self._product = op._product
         self.shifted = DiscreteOperator(1.0 + h * op.diag, h * op.offdiag)
         self._d, self._e, info = _PTTRF(self.shifted.diag, self.shifted.offdiag)
@@ -345,7 +350,7 @@ class Resolvent:
 
     def _solve(self, rhs):
         """``solve`` of a float vector of the operator's dimension, unchecked."""
-        product, h = self._product, self.h
+        product, h = self._product, self._h
         x = self._pttrs(rhs)
         ax = product(x)
         res = rhs - (x + h * ax)

@@ -31,8 +31,8 @@ import numpy as np
 
 from ._lapack import _check_lapack_info, gbtrf as _GBTRF, gbtrs as _GBTRS
 from .nonlinearity import Nonlinearity
-from .operators import (OperatorBundle, PicklableError, Resolvent, ResolventAuditError,
-                        h_norm)
+from .operators import (IDENTITY, OperatorBundle, PicklableError, Resolvent,
+                        ResolventAuditError, h_norm)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -41,12 +41,16 @@ YOSIDA_LAMBDAS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 
 
 class NewtonDivergedError(PicklableError, RuntimeError):
-    """Newton ran out of iterations or met a non-finite residual; h may
-    exceed the solvability threshold, the data the float range, or
-    ``newton_max_iter`` be too small for ``newton_tol``."""
+    """Newton ran out of iterations, met a non-finite residual or an
+    iterate whose norm |phi+| overflowed (``overflowed``); h may exceed the
+    solvability threshold, the data the float range, or ``newton_max_iter``
+    be too small for ``newton_tol``."""
 
-    def __init__(self, iters: int, residual: float, allowed: float | None = None):
+    def __init__(self, iters: int, residual: float, allowed: float | None = None,
+                 overflowed: bool = False):
         cap = f" above the allowed {allowed:.3e} at newton_max_iter {iters}" if allowed else ""
+        if overflowed:
+            cap = ", |phi+| overflowed"
         super().__init__(f"Newton did not converge in {iters} iterations "
                          f"(last residual {residual:.3e}{cap})")
         self.iters = iters
@@ -169,9 +173,19 @@ class StepPlan:
 
     It binds the unchecked product kernels of the operators (``mass``,
     ``damping``, ``stiffness``, ``coupling``, ``shifted``), with the bits of
-    the checked calls.  ``_solve`` makes the audited resolvent solve and
-    returns its products with coupling(x), which is the audit's diffusion(x)
-    when coupling applies as diffusion.
+    the checked calls.  A unit identity (kind ``identity``, coeff 1.0) is
+    bound as u itself, which has the bits of 1.0 * u without the copy; so
+    a product may be its argument, and no step writes a product, or any
+    array it did not make, in place.  ``_solve`` makes the audited
+    resolvent solve and returns its products with coupling(x), which is
+    the audit's diffusion(x) when coupling applies as diffusion.
+
+    The vector multipliers h, h^2, eta h^2 and eta are held as 0-d float64
+    arrays (``_h``, ``_h2``, ``_eta_h2``, ``_eta``): a product with one has
+    the bits of the product with the float, but converts nothing per call.
+    ``h``, ``h2`` and ``eta_h2`` stay floats, as does every scalar formula
+    (``bounds``, norms), so nothing that reaches a report prints as a NumPy
+    scalar.
 
     A plan also carries the last audited step's phi+ with mass(phi+),
     damping(phi+) and |phi+|, and its theta+ with |theta+|, written by
@@ -185,13 +199,16 @@ class StepPlan:
         self.bundle = bundle
         self.h = h
         self.h2, self.eta_h2 = h * h, bundle.eta * h * h  # left to right, as written inline
+        self._h, self._h2, self._eta_h2, self._eta = (
+            np.array(x, float) for x in (h, self.h2, self.eta_h2, bundle.eta))
         self.nonlin = nonlin
         self.linear = nonlin is not None and nonlin.is_linear
         self.has_pi = nonlin is not None and nonlin.pi_kind != "zero"
         dx = bundle.grid.dx
         self.norm = lambda u: math.sqrt(dx * u.dot(u))
         self.mass, self.damping, self.stiffness, self.coupling = (
-            op._product for op in (bundle.mass, bundle.damping, bundle.stiffness, bundle.coupling))
+            _unit if op.kind == IDENTITY and op.coeff == 1.0 else op._product
+            for op in (bundle.mass, bundle.damping, bundle.stiffness, bundle.coupling))
         self.shifted = self.resolvent.shifted._product
         self.coupling_is_diffusion = bundle.coupling.applies_as(bundle.diffusion)
 
@@ -292,13 +309,18 @@ class StepPlan:
             slope = nonlin.beta_prime(phi) if lam is None else nonlin.yosida_prime(lam, phi)
             if self.has_pi:
                 slope = slope + nonlin.pi_prime(phi)
-            self._fill_bands(self.lin_d + self.h2 * slope)
+            self._fill_bands(self.lin_d + self._h2 * slope)
             lu, piv, info = _GBTRF(self._bands, 2, 2, overwrite_ab=1)
             _check_lapack_info(info, "gbtrf", "singular matrix")
             self._lu, self._piv = lu, piv
         w, info = _GBTRS(self._lu, 2, 2, rhs, self._piv, overwrite_b=1)
         _check_lapack_info(info, "gbtrs", "singular matrix")
         return w
+
+
+def _unit(u):
+    """The product of a unit identity, 1.0 * u: u itself, which has its bits."""
+    return u
 
 
 def _plan_for(plan, bundle, h, nonlin=None) -> StepPlan:
@@ -319,29 +341,29 @@ def phi_equation_rhs(state: State, bundle: OperatorBundle, h: float,
 
 def _rhs(state, plan):
     """``phi_equation_rhs`` with a plan already checked against its arguments."""
-    phi, h, n = state.phi, plan.h, plan.bundle.grid.n_interior
+    phi, h, n = state.phi, plan._h, plan.bundle.grid.n_interior
     if phi.shape != (n,):
         raise ValueError(f"dimension mismatch: grid has {n} unknowns, state shape {phi.shape}")
-    _, coupling, _, _ = plan._solve(plan.bundle.eta * phi + state.theta)
+    _, coupling, _, _ = plan._solve(plan._eta * phi + state.theta)
     carried, mass, damping = plan._carry[:3]
     if phi is not carried:
         mass, damping = plan.mass(phi), plan.damping(phi)
-    return mass + h * plan.mass(state.v) + h * damping + plan.h2 * coupling
+    return mass + h * plan.mass(state.v) + h * damping + plan._h2 * coupling
 
 
 def _elliptic_residual(phi, g, plan, lam):
     """The residual at phi of the equation smoothed with ``lam`` (None: as
     stated), and its terms that depend on phi alone: (mass, damping,
     stiffness, beta, pi), pi None when the plan has no pi term."""
-    h2, nonlin = plan.h2, plan.nonlin
+    h2, nonlin = plan._h2, plan.nonlin
     mass, damping, stiffness = plan.mass(phi), plan.damping(phi), plan.stiffness(phi)
     beta = nonlin.beta(phi) if lam is None else nonlin.yosida(lam, phi)
-    res = mass + plan.h * damping + h2 * stiffness + h2 * beta
+    res = mass + plan._h * damping + h2 * stiffness + h2 * beta
     pi = None
     if plan.has_pi:
         pi = nonlin.pi(phi)
         res += h2 * pi
-    res += plan.eta_h2 * plan._solve(phi)[1]
+    res += plan._eta_h2 * plan._solve(phi)[1]
     res -= g
     return res, (mass, damping, stiffness, beta, pi)
 
@@ -374,7 +396,10 @@ def _newton(g, gn, plan, cfg, lam, phi0):
         if res <= stop:
             return phi, it, res, terms
         if res > 0.125 * prev or it == cfg.newton_max_iter:
-            allowed = plan.h2 * plan.bounds(cfg.newton_tol, gn, plan.norm(phi))[2]
+            phi_n = plan.norm(phi)
+            if not phi_n < math.inf:
+                raise NewtonDivergedError(it, res, overflowed=True)
+            allowed = plan.h2 * plan.bounds(cfg.newton_tol, gn, phi_n)[2]
             if res <= allowed:
                 return phi, it, res, terms
         prev = res
@@ -425,7 +450,7 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
     step made from its carry.  Only a step that passes writes the carry.
     """
     plan = _plan_for(plan, bundle, cfg.h, nonlin)
-    h, norm = cfg.h, plan.norm
+    h, eta, norm = plan._h, plan._eta, plan.norm
     g = _rhs(state, plan)
     gn = norm(g)
     # second-order predictor: phi + h v+ with v+ extrapolated as v + h z
@@ -435,7 +460,7 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
     d = phi1 - state.phi
     # the bits of theta + eta (phi - phi1), negation being exact, but for
     # the sign of a zero entry
-    theta_rhs = state.theta - bundle.eta * d
+    theta_rhs = state.theta - eta * d
     # the solve's audit evaluated rhs - (theta1 + h diffusion(theta1)): the
     # negated heat resolvent residual, whose norm has the same bits
     theta1, coupling_theta1, diffusion_theta1, theta_misfit = plan._solve(theta_rhs)
@@ -444,7 +469,7 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
     v1 = d / h
     z1 = (v1 - state.v) / h
 
-    heat_res = norm((theta1 - state.theta) / h + bundle.eta * v1 + diffusion_theta1)
+    heat_res = norm((theta1 - state.theta) / h + eta * v1 + diffusion_theta1)
     wave = plan.mass(z1) + plan.damping(v1) + stiffness + beta
     if plan.has_pi:
         wave += pi
@@ -459,13 +484,13 @@ def step(state: State, bundle: OperatorBundle, nonlin: Nonlinearity,
         theta_n = norm(state.theta)
     wave_allowed, heat_allowed, _ = plan.bounds(cfg.newton_tol, gn, phi1_n, theta1_n,
                                                 theta_n + bundle.eta * (phi_n + phi1_n))
-    if not (wave_res <= wave_allowed and heat_res <= heat_allowed):
+    if not (wave_res <= wave_allowed < math.inf and heat_res <= heat_allowed < math.inf):
         raise StepAuditError(f"scheme residual audit failed at step {state.t_index}: "
                              f"heat {heat_res:.3e} (allowed {heat_allowed:.3e}), "
                              f"wave {wave_res:.3e} (allowed {wave_allowed:.3e})")
 
     plan._carry = (phi1, mass, damping, phi1_n, theta1, theta1_n)
-    new_state = State._stepped(theta1, phi1, v1, z1, state.t_index + 1, h)
+    new_state = State._stepped(theta1, phi1, v1, z1, state.t_index + 1, cfg.h)
     report = StepReport(newton_iters=iters, final_residual=res,
                         theta_residual=theta_res, heat_residual=heat_res,
                         wave_residual=wave_res, rhs_norm=gn)

@@ -1,13 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from conftest import (all_preset_bundles, dirichlet_sine, p1_defaults,
                       p2_defaults, preset_bundle)
 
+from thermowave import stepper
 from thermowave import (Grid1D, NewtonDivergedError, Nonlinearity, State, StepAuditError,
                         StepConfig, StepPlan, StepReport, cubic_nonlinearity, energy_ledger,
-                        h_norm,
+                        h_norm, iter_run,
                         laplacian_eigenvalues, linear_reaction, modal_generator,
                         phi_equation_rhs, random_smooth, run, single_mode,
                         solve_phi, step, step_count, zero_nonlinearity,
@@ -710,19 +714,21 @@ def test_standalone_solves_leave_the_plan_unchanged(calls, path, seed):
             assert same_bits(getattr(report, field), getattr(want_report, field)), field
 
 
-@pytest.mark.parametrize("sigma, c, fixed, per_iter", [(1.0, 1.0, 9, 5), (0.5, 2.0, 12, 6)],
+@pytest.mark.parametrize("sigma, c, fixed, per_iter", [(1.0, 1.0, 4, 3), (0.5, 2.0, 7, 4)],
                          ids=["sigma-c-squared", "sigma-other"])
 def test_step_computes_each_product_once(monkeypatch, sigma, c, fixed, per_iter):
     # P2 cubic at n = 64, h = 1/1024 (the run-p2-n64 case), counted as
     # calls of the operators' product kernels and of the unchecked
-    # resolvent solve.  Per step: rhs 3 products (mass v, coupling, the
-    # resolvent audit's); Newton 5 per residual, with one residual more
-    # than iterations, and one (I + h diffusion) w per iteration; the
-    # theta+ solve 1; the audit 3 (mass z+, damping v+, coupling theta+):
-    # 12 + 6 per Newton iteration.  With sigma = c^2 coupling applies as
+    # resolvent solve.  Mass and damping (epsilon = 1) are unit
+    # identities, which the plan applies as u itself, with no kernel call.
+    # Per step: rhs 2 products (coupling, the resolvent audit's); Newton 3
+    # per residual (stiffness, coupling, the resolvent audit's), with one
+    # residual more than iterations, and one (I + h diffusion) w per
+    # iteration; the theta+ solve 2 (its audit's, coupling theta+): 7 + 4
+    # per Newton iteration.  With sigma = c^2 coupling applies as
     # diffusion, and each coupling product of a resolvent solution is that
-    # solve's audit product: 9 + 5 per iteration.  One iteration, as at the
-    # defaults after the first step, makes 14 and 18.  The rhs, every
+    # solve's audit product: 4 + 3 per iteration.  One iteration, as at the
+    # defaults after the first step, makes 7 and 11.  The rhs, every
     # residual and the theta+ step make one audited solve each; beta is
     # evaluated at the residuals only.
     from thermowave import DiscreteOperator, Resolvent
@@ -799,3 +805,160 @@ def test_plan_norm_has_the_bits_of_h_norm(bc, n):
     with np.errstate(over="ignore", invalid="ignore"):
         for u in vectors:
             assert bits(norm(u)) == bits(h_norm(grid, u)), u
+
+
+def test_a_step_whose_phi_norm_overflows_is_never_accepted():
+    # the comparison set's diverging config: P2, linear pi with slope -1e4
+    # (h above h_threshold), n = 64.  Step 73's phi+ has entries near 1e154,
+    # so |phi+| overflows and every rounding floor of StepPlan.bounds is
+    # infinite; Newton refuses the iterate at its first bound instead of
+    # accepting it against that floor
+    from thermowave.cli import build_problem, validate_config
+    resolved = validate_config({"preset": "P2", "bc": "dirichlet", "n_interior": 64, "T": 8.0,
+                                "h": 1.0 / 64, "pi": {"kind": "linear", "slope": -1e4},
+                                "initial": {"profile": "random_smooth", "seed": 7}})
+    grid, bundle, nl, initial, cfg = build_problem(resolved)
+    with pytest.warns(RuntimeWarning, match="solvability threshold"):
+        trajectory = iter_run(initial, bundle, nl, 8.0, cfg)
+    with np.errstate(over="ignore"):
+        for state, _ in trajectory:
+            assert h_norm(grid, state.phi) < np.inf and h_norm(grid, state.theta) < np.inf
+    assert isinstance(trajectory.failure, NewtonDivergedError)
+    assert trajectory.failure_index == 73
+    assert re.fullmatch(r"Newton did not converge in 2 iterations \(last residual "
+                        r"\d\.\d{3}e\+\d+, \|phi\+\| overflowed\) at step 73",
+                        str(trajectory.failure))
+
+
+def test_the_step_audit_never_passes_against_an_infinite_bound(monkeypatch):
+    # theta+ whose norm overflows passes the resolvent's own audit (its
+    # floor is infinite too) and every residual comparison; the step audit
+    # refuses it all the same
+    bundle, nl = p2_defaults(n=16)
+    h = 1.0 / 64
+    plan = StepPlan(bundle, h, nl)
+    state = make_state(bundle.grid, *random_smooth(bundle.grid, 3), h)
+    stages, solve = stepper._stages, StepPlan._solve
+    solved = []
+
+    def newton(*args):
+        solved.append(True)
+        return stages(*args)
+
+    def overflowing(self, rhs):  # the solve after Newton's is theta+'s
+        x, coupling, diffusion, misfit = solve(self, rhs)
+        return (np.full_like(x, 1e300) if solved else x), coupling, diffusion, misfit
+    monkeypatch.setattr(stepper, "_stages", newton)
+    monkeypatch.setattr(StepPlan, "_solve", overflowing)
+    with np.errstate(over="ignore"), pytest.raises(StepAuditError, match=r"allowed inf"):
+        step(state, bundle, nl, StepConfig(h=h), plan)
+
+
+_edge = st.one_of(st.floats(allow_nan=False),
+                  st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                                   np.inf, -np.inf, 1e300, -1e300, 1.7e308]))
+
+
+def _float_horner(coeffs, r):
+    """The Horner rule of ``nonlinearity._horner`` on Python floats."""
+    coeffs = [float(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0.0:
+        coeffs.pop()
+    if len(coeffs) < 2:
+        return np.full_like(r, coeffs[0] if coeffs else 0.0)
+    out = coeffs[-1] * r
+    for c in coeffs[-2:0:-1]:
+        out = (out + c) * r
+    return out + coeffs[0]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(preset=st.sampled_from(["P1", "P2", "P3", "P4", "P5"]),
+       bc=st.sampled_from(["dirichlet", "neumann"]),
+       coeffs=st.sampled_from([{}, {"epsilon": 2.5}, {"sigma": 0.5, "c": 3.0, "gamma": 1.5}]),
+       h=st.floats(min_value=1e-8, max_value=2.0),
+       beta=st.sampled_from([(0.5,), (1.0, 0.0, 2.0, 0.0, 0.5)]),
+       data=st.data())
+def test_plan_kernels_and_multipliers_have_the_bits_of_checked_float_products(
+        preset, bc, coeffs, h, beta, data):
+    # each kernel the plan binds (a unit identity as u itself) has the bytes
+    # of the checked apply, and each 0-d multiplier of the plan, the
+    # resolvent, a scaled operator and the Horner rule has the bytes of the
+    # Python float it holds, on zeros of both signs, subnormals, infinities
+    # and entries near the float range
+    n = data.draw(st.integers(min_value=2, max_value=12))
+    bundle = preset_bundle(preset, n=n, bc=bc, **coeffs)
+    nl = Nonlinearity("cubic" if len(beta) == 1 else "odd_poly", beta)
+    plan = StepPlan(bundle, h, nl)
+    u = data.draw(hnp.arrays(float, n, elements=_edge))
+    ops = {name: getattr(bundle, name) for name in ("mass", "damping", "stiffness", "coupling")}
+    ops["shifted"] = plan.resolvent.shifted
+    multipliers = [(plan._h, h), (plan._h2, plan.h2), (plan._eta_h2, plan.eta_h2),
+                   (plan._eta, bundle.eta), (plan.resolvent._h, h)]
+    with np.errstate(all="ignore"):
+        for name, op in ops.items():
+            got = getattr(plan, name)(u)
+            assert np.array_equal(bits(got), bits(op.apply(u))), name
+            if op.kind in ("identity", "zero"):
+                assert np.array_equal(bits(got), bits(op.coeff * u)), name
+                multipliers.append((op._coeff, op.coeff))
+        for zero_d, x in multipliers:
+            assert zero_d.shape == () and zero_d.dtype == np.float64 and float(zero_d) == x
+            assert np.array_equal(bits(zero_d * u), bits(x * u))
+            assert np.array_equal(bits(u / zero_d), bits(u / x))
+        poly = nl._poly
+        for got, want in ((nl.beta(u), _float_horner(poly, u) * u),
+                          (nl.beta_prime(u),
+                           _float_horner([(k + 1) * c for k, c in enumerate(poly)], u)),
+                          (nl.beta_potential(u),
+                           _float_horner([c / (k + 2) for k, c in enumerate(poly)], u) * u * u)):
+            assert np.array_equal(bits(got), bits(want))
+
+
+def read_only(fn):
+    """``fn`` with its array result made a read-only view."""
+    def wrapped(*args):
+        out = fn(*args).view()
+        out.setflags(write=False)
+        return out
+    return wrapped
+
+
+@pytest.mark.parametrize("path", ["direct", "yosida"])
+@pytest.mark.parametrize("name,bc,bundle", all_preset_bundles(n=12))
+def test_no_step_writes_a_product_in_place(monkeypatch, name, bc, bundle, path):
+    # a unit identity's product is its argument itself, so a step that wrote
+    # a product in place would write its input: every product here is
+    # read-only, and the steps still run
+    nl = cubic_nonlinearity(1.0, "linear", -0.5)
+    h = 0.5 * min(bundle.h_threshold(nl.lipschitz_const), 1.0 / 16)
+    plan = StepPlan(bundle, h, nl)
+    for kernel in ("mass", "damping", "stiffness", "coupling", "shifted"):
+        setattr(plan, kernel, read_only(getattr(plan, kernel)))
+    plan.resolvent._product = read_only(plan.resolvent._product)
+    for method in ("beta", "pi", "yosida"):
+        monkeypatch.setattr(Nonlinearity, method, read_only(getattr(Nonlinearity, method)))
+    cfg = StepConfig(h=h, solve_path=path)
+    state = make_state(bundle.grid, *random_smooth(bundle.grid, 5), h)
+    for _ in range(3):
+        state, _ = step(state, bundle, nl, cfg, plan)
+    assert state.t_index == 3
+
+
+@pytest.mark.parametrize("name,bc,bundle", all_preset_bundles(n=12))
+def test_reports_and_plan_scalars_are_builtin_numbers(name, bc, bundle):
+    # what reaches a CSV or JSON file prints as a Python number does, never
+    # as repr(np.float64(...))
+    nl = cubic_nonlinearity(1.0, "scaled_sine", 0.5)
+    h = 0.5 * min(bundle.h_threshold(nl.lipschitz_const), 1.0 / 16)
+    plan = StepPlan(bundle, h, nl)
+    for value in (plan.h, plan.h2, plan.eta_h2, *plan.bounds(1e-12, 1.0, 2.0, 3.0, 4.0)):
+        assert type(value) is float
+    result = run(random_smooth(bundle.grid, 2), bundle, nl, 3 * h, StepConfig(h=h))
+    assert result.complete and len(result.reports) == 3
+    for report in result.reports:
+        assert type(report.newton_iters) is int
+        for field in StepReport.__dataclass_fields__:
+            if field != "newton_iters":
+                assert type(getattr(report, field)) is float, field
+    assert all(type(s.h) is float and type(s.t) is float for s in result.states)

@@ -40,6 +40,7 @@ def _linear():
 @pytest.mark.parametrize("exc", [
     NewtonDivergedError(25, 3.5e-12),
     NewtonDivergedError(1, 2.7e-8, 3.7e-9),
+    NewtonDivergedError(2, 2.5e138, overflowed=True),
     StepAuditError("step 3: wave residual 1e-06 above 1e-09"),
     ResolventAuditError("resolvent residual nan"),
     ReferenceDivergedError(0.001, 7, NewtonDivergedError(0, float("inf"))),

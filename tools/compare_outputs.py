@@ -22,12 +22,12 @@ an ``energy-audit`` of P5 on a 1024-point grid at h = 0.025 (0.4 x 1/16,
 well below h_threshold), where Newton's residual stalls at the rounding
 of h damping(phi), and a ``run`` (snapshot stride 7), an ``energy-audit`` and an
 ``oracle-check`` of a linear-pi P2 config whose h is above h_threshold,
-so that they diverge (exit 2 at step 74 on a 64-point grid) and leave
-partial outputs.  A ``sweep`` of that config on a 256-point grid, h_list
-1/16, 1/32, 1/64 to T = 2, loses its finest member (exit 2 at step 87 or
-88) and keeps the two coarser ones; every member spans several blocks of
-``convergence.error_norms``.  ``--n`` puts every job on an N-point grid (a
-quick check).
+so that they diverge (exit 2 at step 73 on a 64-point grid, where |phi+|
+overflows) and leave partial outputs.  A ``sweep`` of that config on a
+256-point grid, h_list 1/16, 1/32, 1/64 to T = 2, loses its finest member
+(exit 2 at step 86 or 87) and keeps the two coarser ones; every member
+spans several blocks of ``convergence.error_norms``.  ``--n`` puts every
+job on an N-point grid (a quick check).
 
 For every job it prints both exit codes and any ``error:`` line that
 differs, and for every output file whether the two trees wrote the same
