@@ -101,15 +101,17 @@ def _interval_rows(reference, sample, lefts, h, ends):
     points so its piecewise-linear stand-in tracks curvature well below the
     discretization error being measured.  Pointwise values at interval ends
     and midpoints are the node rows ``ends`` (the intervals' left and right
-    ends) and the midpoint rows.
+    ends) and the midpoint rows; at the 1/4 and 3/4 points only the fields
+    of ``ends``, those the integral figures read, are sampled.
     """
     mids = sample(lefts + 0.5 * h, 0.5)
     if hasattr(reference, "sample_bar"):
         return mids, [reference.sample_bar(lefts + w * h, side=(+1 if w == 0.0 else -1))
                       for w in _QUARTERS]
     return mids, [{name: r[:-1] for name, r in ends.items()},
-                  sample(lefts + 0.25 * h, 0.25), mids,
-                  sample(lefts + 0.75 * h, 0.75), {name: r[1:] for name, r in ends.items()}]
+                  sample(lefts + 0.25 * h, 0.25, fields=tuple(ends)), mids,
+                  sample(lefts + 0.75 * h, 0.75, fields=tuple(ends)),
+                  {name: r[1:] for name, r in ends.items()}]
 
 
 class ErrorFigures(_Figures):
@@ -124,40 +126,66 @@ class ErrorFigures(_Figures):
         self.reference, self._ref_last = reference, None  # the last state's reference rows
         chains = ({w: reference.chain() for w in (None, 0.25, 0.5, 0.75)}
                   if hasattr(reference, "chain") else None)
-        self._sample = ((lambda times, w=None: reference.sample(times)) if chains is None
-                        else (lambda times, w=None: reference.sample(times, chains[w])))
-        # figure: (field, rowwise form); sups at nodes and midpoints, and
-        # time integrals of the piecewise-constant error
-        self._sup_forms = {"e1": ("v", lambda r: h_inner(grid, bundle.mass.apply(r), r)),
-                           "e3": ("phi", lambda r: v_norm_sq(grid, r)),
-                           "e4": ("theta", lambda r: h_inner(grid, r, r)),
-                           "e6": ("theta", lambda r: h_inner(grid, bundle.coupling.apply(r), r))}
-        self._integral_forms = {
-            "e2": ("v", lambda r: h_inner(grid, bundle.damping.apply(r), r)),
-            "e5": ("theta", lambda r: v_norm_sq(grid, r)),
-            "e7": ("theta", lambda r: h_inner(grid, bundle.coupling.apply(r),
-                                              bundle.diffusion.apply(r)))}
+        self._sample = ((lambda times, w=None, **kw: reference.sample(times, **kw))
+                        if chains is None else
+                        (lambda times, w=None, **kw: reference.sample(times, chains[w], **kw)))
+        coupling, diffusion = bundle.coupling, bundle.diffusion
+        one_product = coupling.applies_as(diffusion)
+
+        def cross(r):  # one product serves both sides where coupling applies as diffusion
+            c = coupling.apply(r)
+            return h_inner(grid, c, c if one_product else diffusion.apply(r))
+
+        # field: ({figure: rowwise form} of the sups at nodes and midpoints,
+        # {figure: rowwise form} of the time integrals of the
+        # piecewise-constant error)
+        self._forms = {
+            "theta": ({"e4": lambda r: h_inner(grid, r, r),
+                       "e6": lambda r: h_inner(grid, coupling.apply(r), r)},
+                      {"e5": lambda r: v_norm_sq(grid, r), "e7": cross}),
+            "phi": ({"e3": lambda r: v_norm_sq(grid, r)}, {}),
+            "v": ({"e1": lambda r: h_inner(grid, bundle.mass.apply(r), r)},
+                  {"e2": lambda r: h_inner(grid, bundle.damping.apply(r), r)})}
+        self._quarter_fields = tuple(name for name, (_, integrals) in self._forms.items()
+                                     if integrals)
 
     def _fold(self, rows, times, k):
+        """Fold one block one field at a time, holding one field's
+        differences: its node and midpoint differences, each formed once for
+        all of the field's sups, then its piecewise-constant differences at
+        the five quarter points in turn.  Each inner quarter point is the
+        right end of one Simpson pair and the left end of the next, so each
+        integral form is evaluated once per row set: on five quarter-point
+        row sets and four pair midpoints a block."""
         ref_n = self._sample(times[k:])
         if any(r.shape[1] != self.grid.n_interior for r in ref_n.values()):
             raise ValueError("reference grid does not match trajectory grid")
-        for key, (name, q_rows) in self._sup_forms.items():
-            self._sup(key, q_rows(rows[name][k:] - ref_n[name]))
         if len(times) > 1:
-            ends = ref_n if k == 0 else {name: np.concatenate([self._ref_last[name][None], r])
-                                         for name, r in ref_n.items()}
+            ends = {name: ref_n[name] if k == 0 else
+                    np.concatenate([self._ref_last[name][None], ref_n[name]])
+                    for name in self._quarter_fields}
             ref_m, ref_q = _interval_rows(self.reference, self._sample, times[:-1], self.h, ends)
-            for key, (name, q_rows) in self._sup_forms.items():
-                mids = 0.5 * (rows[name][:-1] + rows[name][1:])
-                self._sup((key, "mid"), q_rows(mids - ref_m[name]))
-            for key, (name, q_rows) in self._integral_forms.items():
-                d = [rows[name][1:] - rq[name] for rq in ref_q]
-                for quarter, (left, right) in enumerate(zip(d[:-1], d[1:])):
-                    mid = 0.5 * (left + right)
-                    self._integral((key, quarter), _simpson_pair(
-                        q_rows(left), q_rows(mid), q_rows(right), self.h / 4.0))
+        for name, (sups, integrals) in self._forms.items():
+            u = rows[name]
+            self._sups(sups, u[k:] - ref_n[name])
+            if len(times) < 2:
+                continue
+            self._sups(sups, 0.5 * (u[:-1] + u[1:]) - ref_m[name], "mid")
+            left = None  # the row set at the last quarter point, and its form values
+            for quarter, ref in enumerate(ref_q if integrals else ()):
+                d = u[1:] - ref[name]
+                q = {key: form(d) for key, form in integrals.items()}
+                if left is not None:
+                    mid = 0.5 * (left[0] + d)
+                    for key, form in integrals.items():
+                        self._integral((key, quarter - 1), _simpson_pair(
+                            left[1][key], form(mid), q[key], self.h / 4.0))
+                left = d, q
         self._ref_last = {name: r[-1] for name, r in ref_n.items()}
+
+    def _sups(self, forms, d, where=None):
+        for key, form in forms.items():
+            self._sup(key if where is None else (key, where), form(d))
 
     def report(self) -> ErrorReport:
         if self.last is None:
@@ -189,7 +217,11 @@ def error_norms(states, reference, bundle: OperatorBundle) -> ErrorReport:
     ``ErrorFigures``.  When the reference has ``chain``, they come in the
     blocks of ``diagnostics.iter_blocks`` and sample it block by block:
     ``sample(times, chain)`` with one chain per time grid, and a
-    ``sample_bar`` that depends on each time alone.  Every figure has the
+    ``sample_bar`` that depends on each time alone.  A reference without
+    ``sample_bar`` must take ``fields`` in ``sample``: at the 1/4 and 3/4
+    points it is asked only for the fields that the integral figures read,
+    theta and v (``sample(times, chain, fields=("theta", "v"))``, or
+    ``sample(times, fields=...)`` without ``chain``).  Every figure has the
     bits of the whole trajectory's, and memory does not grow with the
     trajectory, apart from one scalar per interval, quarter and integral.
     A reference with only ``sample`` (and ``sample_bar``) is sampled over
@@ -316,6 +348,19 @@ def _measure_all(measure, h_list):
     return results
 
 
+def _fitted_slope(reports) -> float:
+    """Least-squares slope of log(total) against log(h) over the reports,
+    in closed form: with x = log h - mean, x . (log total - mean) / x . x.
+    It calls no LAPACK (the first ``np.polyfit`` of a process grew its
+    resident set by about 1 MB) and, as ``np.polyfit`` does, reads NaN when
+    a total is infinite."""
+    logs_h = np.log([r.h for r in reports])
+    logs_e = np.log([max(r.total, 1e-300) for r in reports])
+    x = logs_h - logs_h.mean()
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return float(x @ (logs_e - logs_e.mean()) / (x @ x))
+
+
 def sweep(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
           h_list, reference=None, configs=None) -> SweepResult:
     """Refinement study over a halving list of step sizes.
@@ -363,9 +408,6 @@ def sweep(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
         h_bad, idx, cause = failures[0]
         raise SweepDivergedError(h_bad, idx, reports, cause)
 
-    logs_h = np.log([r.h for r in reports])
-    logs_e = np.log([max(r.total, 1e-300) for r in reports])
-    order = float(np.polyfit(logs_h, logs_e, 1)[0])
     m_const = max(r.total / math.sqrt(r.h) for r in reports)
-    return SweepResult(reports=reports, fitted_order=order, fitted_M=m_const,
+    return SweepResult(reports=reports, fitted_order=_fitted_slope(reports), fitted_M=m_const,
                        reference_kind=reference_kind)

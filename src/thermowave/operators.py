@@ -253,20 +253,28 @@ def h_norm(grid: Grid1D, u: np.ndarray) -> float:
     return math.sqrt(max(grid.dx * float(np.dot(u, u)), 0.0))
 
 
+def _ghost_diff(u: np.ndarray) -> np.ndarray:
+    """``np.diff(u, prepend=0.0, append=0.0)`` along the last axis, bit for
+    bit, as three subtractions into one buffer instead of a concatenation."""
+    d = np.empty(u.shape[:-1] + (u.shape[-1] + 1,))
+    np.subtract(u[..., :1], 0.0, out=d[..., :1])
+    np.subtract(u[..., 1:], u[..., :-1], out=d[..., 1:-1])
+    np.subtract(0.0, u[..., -1:], out=d[..., -1:])
+    return d
+
+
 def gradient_inner(grid: Grid1D, u: np.ndarray, w: np.ndarray):
     """Discrete Dirichlet form: dx * sum of (forward differences / dx)
     products, one value per row.
 
     Dirichlet grids include the two boundary differences against ghost
-    zeros; Neumann grids use interior differences only (no boundary flux).
+    zeros (``_ghost_diff``, the bits of ``np.diff`` padded with zeros);
+    Neumann grids use interior differences only (no boundary flux).
     """
     u, w = _rows(grid, u), _rows(grid, w)
-    if grid.bc == DIRICHLET:
-        du = np.diff(u, prepend=0.0, append=0.0)
-        dw = du if w is u else np.diff(w, prepend=0.0, append=0.0)
-    else:
-        du = np.diff(u)
-        dw = du if w is u else np.diff(w)
+    diff = _ghost_diff if grid.bc == DIRICHLET else np.diff
+    du = diff(u)
+    dw = du if w is u else diff(w)
     return (du * dw).sum(axis=-1) / grid.dx
 
 

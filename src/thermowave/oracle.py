@@ -180,7 +180,8 @@ class LinearReference:
         times = np.array([float(t)])
         Y = self._modal_rows(times)
         dY = np.einsum("kij,kj->ki", self._gen, Y[0])
-        theta, phi, v, z = self._grid_values(times, np.concatenate([Y, dY[None, :, 2:]], axis=2))
+        coeffs = np.moveaxis(np.concatenate([Y, dY[None, :, 2:]], axis=2), 2, 0)
+        theta, phi, v, z = self._grid_values(times, coeffs, self.FIELDS)
         return FieldSnapshot(theta[0], phi[0], v[0], z[0])
 
     def chain(self) -> dict:
@@ -189,12 +190,17 @@ class LinearReference:
         modal row of one grid."""
         return {}
 
-    def sample(self, times, chain=None) -> dict:
-        """Grid values of theta, phi and v, one row per time: the modal
-        rows of ``_modal_rows`` in one synthesis pass.  The rows at time
-        zero are the initial data."""
+    def sample(self, times, chain=None, fields=FIELDS) -> dict:
+        """Grid values of the named ``fields`` (theta, phi and v unless
+        told), one row per time: the modal rows of ``_modal_rows`` in one
+        synthesis pass, which synthesizes the named fields alone, each row
+        with the bits it has among all three.  The rows at time zero are
+        the initial data."""
         times = np.asarray(times, dtype=float)
-        return dict(zip(self.FIELDS, self._grid_values(times, self._modal_rows(times, chain))))
+        coeffs = np.moveaxis(self._modal_rows(times, chain), 2, 0)
+        if tuple(fields) != self.FIELDS:
+            coeffs = coeffs[[self.FIELDS.index(name) for name in fields]]
+        return dict(zip(fields, self._grid_values(times, coeffs, fields)))
 
     def _modal_rows(self, times: np.ndarray, chain=None) -> np.ndarray:
         """Modal rows (times, modes, 3) of theta, phi and v.
@@ -233,12 +239,12 @@ class LinearReference:
                 chain["y"] = Y[i] = np.einsum("kij,kj->ki", chain["E"], chain["y"])
         return Y
 
-    def _grid_values(self, times: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Grid values (fields, times, points) of the modal rows Y (times,
-        modes, fields), theta, phi and v at time zero replaced by the
-        initial data."""
-        out = _synthesize(self.grid, np.moveaxis(Y, 2, 0), self._basis)
-        for u, name in zip(out, self.FIELDS):
+    def _grid_values(self, times: np.ndarray, coeffs: np.ndarray, fields) -> np.ndarray:
+        """Grid values (vectors, times, points) of the modal coefficients
+        (vectors, times, modes), the leading vectors, named by ``fields``,
+        at time zero replaced by those fields' initial data."""
+        out = _synthesize(self.grid, coeffs, self._basis)
+        for u, name in zip(out, fields):
             u[times == 0.0] = self._initial[name]
         return out
 

@@ -37,3 +37,24 @@ def test_moved_header_fields_are_reported_one_line_each(tmp_path):
                                        "header coupling_bound: relative difference 0.333"]
     paths[1].write_text(table.format(T=0.5, bound=1.0).replace("1.25", "1.0"))
     assert tool._csv_diffs(*paths) == ["column kinetic: largest relative difference 0.2"]
+
+
+def test_only_runs_the_named_jobs_and_rejects_unknown_names(tmp_path):
+    src = os.path.join(ROOT, "src")
+    tool = [sys.executable, os.path.join(ROOT, "tools", "compare_outputs.py"), src, src,
+            "--n", "16", "--work"]
+    proc = subprocess.run(tool + [str(tmp_path / "known"), "--only", "p1-short-sweep,run-p2-n64"],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    # the set's order, not the order named
+    assert [line for line in lines if not line.startswith("  ")] == [
+        "run-p2-n64 (run): exit 0 / 0", "p1-short-sweep (sweep): exit 0 / 0",
+        "2 jobs, 5 files: identical"]
+    proc = subprocess.run(tool + [str(tmp_path / "unknown"), "--only",
+                                  "p1-short-sweep,no-such-job"],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 2
+    assert "unknown job(s) no-such-job" in proc.stderr
+    assert "diverging-sweep" in proc.stderr and "p1-short-sweep" in proc.stderr
+    assert not os.path.exists(tmp_path / "unknown")  # nothing was run

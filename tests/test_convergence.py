@@ -238,3 +238,21 @@ def test_error_report_nonnegative_and_grid_checked():
                                 other_bundle, other_nl)
     with pytest.raises(ValueError):
         error_norms(result.states, other_ref, bundle)
+
+
+@pytest.mark.parametrize("members", [2, 3, 5, 8])
+def test_fitted_slope_is_the_least_squares_slope(members):
+    # the closed form against np.polyfit's slope, on totals scattered about
+    # a power of h; an infinite total reads NaN in both
+    from thermowave.convergence import ErrorReport, _fitted_slope
+    rng = np.random.default_rng(members)
+    for _ in range(20):
+        hs = 0.25 / 2.0 ** np.arange(members)
+        totals = hs ** rng.uniform(0.3, 2.5) * np.exp(rng.normal(0.0, 0.3, members))
+        reports = [ErrorReport(h, t, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0) for h, t in zip(hs, totals)]
+        want = np.polyfit(np.log(hs), np.log(totals), 1)[0]
+        assert _fitted_slope(reports) == pytest.approx(want, rel=1e-13)
+    reports[-1] = ErrorReport(hs[-1], math.inf, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert math.isnan(np.polyfit(np.log(hs), np.log([r.total for r in reports]), 1)[0])
+    with np.errstate(all="raise"):
+        assert math.isnan(_fitted_slope(reports))

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from thermowave import (DiscreteOperator, Grid1D, ProblemPreset, Resolvent, Reso
                         h_norm, identity_operator, laplacian_eigenvalues, potential_total,
                         resolvent_solve, solvability_threshold, v_norm, v_norm_sq,
                         zero_operator)
+from thermowave.operators import _ghost_diff
 
 
 def mu_k(grid, k):
@@ -268,6 +270,38 @@ def test_forms_on_a_stack_equal_the_vector_calls_per_row(bc, n, m, seed, scale):
             bad = [a[..., :-1] if j == k else a for j, a in enumerate(args)]
             with pytest.raises(ValueError):
                 form(grid, *bad)
+
+
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.5e-308, np.inf, -np.inf, np.nan, 1e308, -1e308,
+               1.5)
+
+
+def _np_diff_gradient_inner(grid, u, w):
+    """The Dirichlet form as it was written with ``np.diff``'s padding."""
+    pad = {"prepend": 0.0, "append": 0.0} if grid.bc == "dirichlet" else {}
+    return (np.diff(u, **pad) * np.diff(w, **pad)).sum(axis=-1) / grid.dx
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "neumann"])
+def test_gradient_inner_has_the_bytes_of_the_np_diff_form_on_edge_values(bc):
+    # every ordered triple of edge values as a 3-point row, and its rows
+    # reversed as a second argument: stacked, one vector at a time, and as
+    # an (11, 121, 3) stack
+    grid = Grid1D(3, bc)
+    u = np.array(list(product(EDGE_VALUES, repeat=3)))
+    w = u[::-1].copy()
+    with np.errstate(all="ignore"):
+        assert _ghost_diff(u).tobytes() == np.diff(u, prepend=0.0, append=0.0).tobytes()
+        for a, b in ((u, w), (u, u), (u.reshape(11, -1, 3), w.reshape(11, -1, 3))):
+            assert gradient_inner(grid, a, b).tobytes() == \
+                _np_diff_gradient_inner(grid, a, b).tobytes()
+            assert v_norm_sq(grid, a).tobytes() == \
+                (h_inner(grid, a, a) + _np_diff_gradient_inner(grid, a, a)).tobytes()
+        for row_u, row_w in zip(u, w):
+            assert _ghost_diff(row_u).tobytes() == \
+                np.diff(row_u, prepend=0.0, append=0.0).tobytes()
+            assert gradient_inner(grid, row_u, row_w).tobytes() == \
+                _np_diff_gradient_inner(grid, row_u, row_w).tobytes()
 
 
 def test_bundle_p1_shares_operators():

@@ -158,7 +158,8 @@ def test_halving_sweep_takes_one_exponential_batch_per_distinct_time(monkeypatch
     ref = LinearReference(init, bundle, nl)
     calls = []
     sample = ref.sample
-    ref.sample = lambda times, chain=None: calls.append(len(times)) or sample(times, chain)
+    ref.sample = lambda times, chain=None, **kw: (calls.append(len(times))
+                                                  or sample(times, chain, **kw))
     h_list = [1.0 / 2 ** k for k in range(5, 10)]
     sweep(init, bundle, nl, T=0.5, h_list=h_list, reference=ref)
     # t = 0, the five step lengths h, and h/2, h/4, 3h/4 of each member:
@@ -176,7 +177,8 @@ def test_short_member_takes_four_samples(N):
     ref, bundle, nl = _reference("dirichlet")
     calls = []
     sample = ref.sample
-    ref.sample = lambda times, chain=None: calls.append(len(times)) or sample(times, chain)
+    ref.sample = lambda times, chain=None, **kw: (calls.append(len(times))
+                                                  or sample(times, chain, **kw))
     states = run(random_smooth(bundle.grid, 3), bundle, nl, T=0.25,
                  cfg=StepConfig(h=0.25 / N)).states
     error_norms(states, ref, bundle)

@@ -3,6 +3,7 @@
 Usage (from anywhere):
 
     python3 tools/compare_outputs.py PARENT_SRC CHANGE_SRC [--n N] [--seed S] [--work DIR]
+                                     [--only NAME[,NAME...]]
 
 PARENT_SRC and CHANGE_SRC are checkouts or their ``src`` directories.  Each
 tree runs the same jobs through ``thermowave.cli.main`` in a fresh process
@@ -27,7 +28,9 @@ overflows) and leave partial outputs.  A ``sweep`` of that config on a
 256-point grid, h_list 1/16, 1/32, 1/64 to T = 2, loses its finest member
 (exit 2 at step 86 or 87) and keeps the two coarser ones; every member
 spans several blocks of ``convergence.error_norms``.  ``--n`` puts every
-job on an N-point grid (a quick check).
+job on an N-point grid (a quick check); ``--only`` runs the named jobs
+alone, in the set's order (an unknown name exits 2 and lists the known
+ones), so a change to one command can be checked in seconds.
 
 For every job it prints both exit codes and any ``error:`` line that
 differs, and for every output file whether the two trees wrote the same
@@ -274,8 +277,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7, help="seed of the random_smooth data")
     parser.add_argument("--work", help="directory of the configs and outputs "
                                          "(default: a temporary one)")
+    parser.add_argument("--only", metavar="NAME[,NAME...]",
+                        help="run only these jobs of the set (default: all)")
     args = parser.parse_args(argv)
     todo = jobs(args.seed, args.n)
+    if args.only is not None:
+        names = args.only.split(",")
+        unknown = [name for name in names if name not in todo]
+        if unknown:
+            parser.error(f"unknown job(s) {', '.join(unknown)}; "
+                         f"the jobs are: {', '.join(todo)}")
+        todo = {name: job for name, job in todo.items() if name in names}
     with contextlib.ExitStack() as stack:
         work = args.work or stack.enter_context(tempfile.TemporaryDirectory())
         jobs_path = os.path.join(work, "jobs.json")
