@@ -44,10 +44,14 @@ from .stepper import StepConfig, iter_run, step_count
 # The most steps one job may take: a run's, or a sweep's members and its
 # fine reference at h_min / convergence.FINE_STEP_RATIO together.
 MAX_STEPS = 10_000_000
-# The most unknowns per field, checked before anything is allocated: a
-# linear reference builds the n x n modal basis once and keeps it (8 n^2
-# bytes, 2 GiB at the limit), and random_smooth evaluates n^2 sines or
-# cosines.
+# The most unknowns per field, checked before anything is allocated.  At
+# this size no command holds an n x n array, and what grows fastest with n
+# is a linear reference's cache of exponentials: up to
+# LinearReference.EXPM_CACHE_SIZE = 64 batches of (n, 3, 3) float64, 4,608 n
+# bytes, each costing 5 to 6 us per mode to compute (one BLAS thread, 2-vCPU
+# x86_64 VM).  At 2^14 a full cache holds 75 MB and each new time takes 0.08
+# to 0.1 s; the limit keeps the cache below 100 MB, which 2^15 (151 MB)
+# would not.
 MAX_UNKNOWNS = 2 ** 14
 
 

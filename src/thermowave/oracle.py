@@ -29,7 +29,7 @@ from .operators import (DIRICHLET, Grid1D, OperatorBundle, PicklableError, _mode
 from .stepper import StepConfig, iter_run
 
 
-# Rows (or columns) of the basis per block, 0.5 MB at n = 1024.  On
+# Rows (or columns) of the basis per block below ``N0``, 0.25 MB at n = 511.  On
 # OpenBLAS (0.3.31, Haswell kernels) a product with a block of 64 has the
 # bits of the dense product on one thread, and the same bits under 1, 2 or
 # 4 threads at n = 256, 2049 and 8192, where a dense product's bits move
@@ -59,15 +59,31 @@ def _basis_block(grid: Grid1D, rows=slice(None), cols=slice(None)) -> np.ndarray
     return B
 
 
-# The two kernels below are the only products with B.  Each takes its
-# blocks from ``basis`` (the whole B) when given, as views, and otherwise
-# builds them one at a time; every vector is its own matrix-vector product
-# with a block, so how many vectors go in one call does not move bits.
+# The two kernels below are the only products with B, in one of two
+# forms chosen by size alone.  Below ``N0`` unknowns each takes its blocks
+# from ``basis`` (the whole B) when given, as views, and otherwise builds
+# them one at a time; every vector is its own matrix-vector product with a
+# block, so how many vectors go in one call does not move bits.  From
+# ``N0`` up each is one real FFT per vector (``_fft_synthesize`` and
+# ``_fft_analyze``), ``basis`` is not read and no block is built: O(n log n)
+# per vector and O(n) memory, no BLAS, and each vector's bits do not depend
+# on the others in the call.  On 3 to 99 vectors (one BLAS thread, 2-vCPU
+# x86_64 VM) the FFT is 2 to 80 times faster than the kept-basis product at
+# n = 384 to 2048, 0.8 to 1.4 times at the prime lengths of n = 520
+# (Dirichlet) and 521 (Neumann), and 2 times slower at n = 256 Dirichlet
+# (length 514 = 2 x 257).  So ``N0`` = 512 leaves every grid of at most 256
+# unknowns on the blocked products.
+N0 = 512
+
 
 def _synthesize(grid: Grid1D, coeffs, basis=None) -> np.ndarray:
     """``B @ c`` for every coefficient vector c along the last axis of
-    ``coeffs``, in one pass over row blocks of B."""
-    c = np.asarray(coeffs, dtype=float)[..., None]
+    ``coeffs``, in one pass over row blocks of B, or by FFT from ``N0``
+    unknowns up."""
+    c = np.asarray(coeffs, dtype=float)
+    if grid.n_interior >= N0:
+        return _fft_synthesize(grid, c)
+    c = c[..., None]
     out = np.empty(c.shape)
     for rows in _blocks(grid.n_interior):
         B = _basis_block(grid, rows=rows) if basis is None else basis[rows]
@@ -77,8 +93,12 @@ def _synthesize(grid: Grid1D, coeffs, basis=None) -> np.ndarray:
 
 def _analyze(grid: Grid1D, u, basis=None) -> np.ndarray:
     """Coefficients ``dx * (B.T @ u)`` of every vector u along the last
-    axis of ``u``, in one pass over column blocks of B."""
-    u = np.asarray(u, dtype=float)[..., None]
+    axis of ``u``, in one pass over column blocks of B, or by FFT from
+    ``N0`` unknowns up."""
+    u = np.asarray(u, dtype=float)
+    if grid.n_interior >= N0:
+        return _fft_analyze(grid, u)
+    u = u[..., None]
     c = np.empty(u.shape)
     for cols in _blocks(grid.n_interior):
         B = _basis_block(grid, cols=cols) if basis is None else basis[:, cols]
@@ -86,8 +106,43 @@ def _analyze(grid: Grid1D, u, basis=None) -> np.ndarray:
     return grid.dx * c[..., 0]
 
 
+def _fft_synthesize(grid: Grid1D, c: np.ndarray) -> np.ndarray:
+    """``B @ c`` along the last axis in O(n log n).  Dirichlet B is sqrt(2)
+    times the DST-I matrix ``sin(pi j k / (n + 1))``, j, k = 1..n: minus the
+    imaginary part of the real FFT of length 2(n + 1) of c behind one zero.
+    Neumann ``B @ c`` is the DCT-III ``c_0 + sqrt(2) sum_k c_k cos(pi k (j +
+    1/2) / n)``, j = 0..n-1: the real part of an inverse FFT of length 2n of
+    the c_k times the half-sample twiddles ``exp(i pi k / 2n)`` (Makhoul
+    1980), taken by ``irfft`` from the half spectrum ``(c_0, c_k t_k /
+    sqrt(2))``, which it doubles."""
+    n = grid.n_interior
+    if grid.bc == DIRICHLET:
+        y = np.zeros(c.shape[:-1] + (2 * (n + 1),))
+        y[..., 1:n + 1] = c
+        return -math.sqrt(2.0) * np.fft.rfft(y).imag[..., 1:n + 1]
+    t = np.exp(np.arange(n) * (0.5j * np.pi / n)) / math.sqrt(2.0)
+    t[0] = 1.0
+    X = np.zeros(c.shape[:-1] + (n + 1,), dtype=complex)
+    X[..., :n] = c * t
+    return np.fft.irfft(X, 2 * n, norm="forward")[..., :n]
+
+
+def _fft_analyze(grid: Grid1D, u: np.ndarray) -> np.ndarray:
+    """``dx * (B.T @ u)`` along the last axis in O(n log n).  Dirichlet B is
+    symmetric, so this is ``dx`` times the synthesis.  Neumann ``B.T @ u``
+    is the DCT-II ``sum_j u_j cos(pi k (j + 1/2) / n)``, scaled by sqrt(2)
+    for k > 0: the real part of the real FFT of length 2n of u times the
+    twiddles ``exp(-i pi k / 2n)`` (Makhoul 1980)."""
+    n = grid.n_interior
+    if grid.bc == DIRICHLET:
+        return grid.dx * _fft_synthesize(grid, u)
+    w = np.exp(np.arange(n) * (-0.5j * np.pi / n)) * (grid.dx * math.sqrt(2.0))
+    w[0] = grid.dx
+    return (np.fft.rfft(u, 2 * n)[..., :n] * w).real
+
+
 def modal_transform(grid: Grid1D, u: np.ndarray) -> np.ndarray:
-    """Coefficients ``dx * (B.T @ u)`` of u, over column blocks of B."""
+    """Coefficients ``dx * (B.T @ u)`` of u, by ``_analyze``."""
     u = np.asarray(u, dtype=float)
     if u.shape != (grid.n_interior,):
         raise ValueError("dimension mismatch in modal_transform")
@@ -95,7 +150,7 @@ def modal_transform(grid: Grid1D, u: np.ndarray) -> np.ndarray:
 
 
 def inverse_modal_transform(grid: Grid1D, coeffs: np.ndarray) -> np.ndarray:
-    """Grid values ``B @ coeffs`` of modal coefficients, over row blocks of B."""
+    """Grid values ``B @ coeffs`` of modal coefficients, by ``_synthesize``."""
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (grid.n_interior,):
         raise ValueError("dimension mismatch in inverse_modal_transform")
@@ -141,11 +196,15 @@ class LinearReference:
     spaced increasing requests with the exponential of the spacing;
     arbitrary times take one cached exponential each.  With a ``chain()`` a
     uniform grid is sampled in consecutive blocks, one block of rows held
-    at a time, with the rows of the whole grid's call.  The reference
-    builds the basis B once and keeps it (8n² bytes) for its lifetime; the
-    initial coefficients and every grid value come from the two block
-    kernels over views of it, so its outputs do not depend on the BLAS
-    thread count (see ``_BLOCK``).
+    at a time, with the rows of the whole grid's call.  The initial
+    coefficients and every grid value come from the two kernels
+    ``_analyze`` and ``_synthesize``, so its outputs do not depend on the
+    BLAS thread count.  Below ``N0`` unknowns the reference builds the
+    basis B once and keeps it (8n² bytes, 2 MB at n = 511) for its
+    lifetime, and the kernels take views of it (see ``_BLOCK``); from
+    ``N0`` up they are FFTs and it keeps no basis, so it holds O(n) values
+    apart from its cache of exponentials, at most ``EXPM_CACHE_SIZE`` times
+    72n bytes.
     """
 
     EXPM_CACHE_SIZE = 64
@@ -160,7 +219,7 @@ class LinearReference:
         self._initial = dict(zip(self.FIELDS, u0))
         mu = laplacian_eigenvalues(self.grid)
         self._mu = mu
-        self._basis = _basis_block(self.grid)
+        self._basis = _basis_block(self.grid) if self.grid.n_interior < N0 else None
         self._y0 = np.ascontiguousarray(_analyze(self.grid, u0, self._basis).T)  # (n_modes, 3)
         self._gen = modal_generator(bundle, nonlin, mu)
         self._expm = {}  # t -> (n_modes, 3, 3) exponentials, oldest first

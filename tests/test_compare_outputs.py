@@ -18,8 +18,8 @@ def test_one_tree_against_itself_is_identical(tmp_path):
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[-1] == "27 jobs, 56 files: identical", lines[-1]
-    assert sum(line.startswith("  ") and line.endswith(": identical") for line in lines) == 56
+    assert lines[-1] == "28 jobs, 58 files: identical", lines[-1]
+    assert sum(line.startswith("  ") and line.endswith(": identical") for line in lines) == 58
     assert not any("stderr" in line or "differs" in line for line in lines)
 
 

@@ -12,9 +12,11 @@ coverage configs of ``perfbench/workloads.py``, a yosida-path ``run``, a
 scaled-sine ``energy-audit``, an ``energy-audit`` of P3 Neumann with
 sigma = 0.5 and c = 2 (the one P1-P3 job whose coupling, c^2 times the
 Laplacian, is not its diffusion), a P1 ``oracle-check``, one on a
-2049-point grid (where the last 64-row block of the modal basis holds 65
-rows, and a dense product with the basis has bits that depend on the BLAS
-thread count), a linear P1 ``sweep`` whose first member has two steps, a
+257-point grid (below ``oracle.N0``, where the last 64-row block of the
+modal basis holds 65 rows), one on a 2049-point grid (from ``oracle.N0``
+up, where the modal transforms are FFTs, and a dense product with the basis
+would have bits that depend on the BLAS thread count), a linear P1
+``sweep`` whose first member has two steps, a
 linear P1 Neumann ``sweep`` at m = 0 (its constant mode's generator is
 upper triangular, so its exponential batches mix triangular and generic
 slices), a cubic P2 ``sweep``, one to T = 1 whose finest member spans
@@ -78,6 +80,8 @@ def jobs(seed: int, n: int | None) -> dict:
     linear = {"preset": "P1", "bc": "dirichlet", "n_interior": 64, "T": 0.25, "m": 1.0,
               "initial": {"profile": "random_smooth", "seed": seed}}
     out["p1-oracle-check"] = ("oracle-check", {**linear, "h": 1.0 / 128})
+    out["p1-oracle-check-n257"] = ("oracle-check", {**linear, "n_interior": 257,
+                                                    "T": 1.0 / 32, "h": 1.0 / 256})
     out["p1-oracle-check-n2049"] = ("oracle-check", {**linear, "n_interior": 2049,
                                                      "T": 1.0 / 32, "h": 1.0 / 256})
     out["p1-short-sweep"] = ("sweep", {**linear, "h_list": [0.125, 0.0625, 0.03125]})
