@@ -5,10 +5,11 @@ reconstructions and a reference solution in the seven quantities the
 scheme's error analysis controls, reading the trajectory in blocks;
 ``sweep`` runs a halving sequence of step sizes against a shared reference,
 its finest member in this process and the others in one forked worker when
-two CPUs are usable, and fits the observed convergence order.
-The total over all seven terms decays at least like sqrt(h) (first order
-is what backward differencing typically delivers), and total / sqrt(h)
-stays bounded across the sweep.
+two CPUs are usable, and fits the observed convergence order.  For data
+inside the paper's (A12), as ``single_mode`` data and criterion 5's cases
+are, the total over all seven terms decays at least like sqrt(h), and
+total / sqrt(h) stays bounded across the sweep; ``random_smooth`` data
+at its default ``decay`` 2 leave (A12) as n grows.
 """
 
 from __future__ import annotations
@@ -116,19 +117,16 @@ def _interval_rows(reference, sample, lefts, h, ends):
 
 class ErrorFigures(_Figures):
     """The push form of ``error_norms``: ``add`` blocks of consecutive
-    states in turn, then ``report``.  A reference with ``chain`` takes
-    blocks of any size, one chain per time grid; one with only ``sample``
-    (and ``sample_bar``) takes the whole trajectory as one block."""
+    states, of any size, in turn, then ``report``.  The reference is
+    sampled block by block along one ``chain()`` per time grid, made here;
+    a reference without ``chain`` raises ``AttributeError``."""
 
     def __init__(self, reference, bundle: OperatorBundle):
         super().__init__(_FIELDS)
         grid = self.grid = bundle.grid
         self.reference, self._ref_last = reference, None  # the last state's reference rows
-        chains = ({w: reference.chain() for w in (None, 0.25, 0.5, 0.75)}
-                  if hasattr(reference, "chain") else None)
-        self._sample = ((lambda times, w=None, **kw: reference.sample(times, **kw))
-                        if chains is None else
-                        (lambda times, w=None, **kw: reference.sample(times, chains[w], **kw)))
+        chains = {w: reference.chain() for w in (None, 0.25, 0.5, 0.75)}
+        self._sample = lambda times, w=None, **kw: reference.sample(times, chains[w], **kw)
         coupling, diffusion = bundle.coupling, bundle.diffusion
         one_product = coupling.applies_as(diffusion)
 
@@ -213,26 +211,23 @@ def error_norms(states, reference, bundle: OperatorBundle) -> ErrorReport:
     integrals treat the reference as piecewise linear between its samples,
     making every integrand piecewise quadratic and the interval integrals
     exact.  ``states`` is a list or any iterable of consecutive states,
-    read once, each at time ``t_index * h``, and pushed through
-    ``ErrorFigures``.  When the reference has ``chain``, they come in the
-    blocks of ``diagnostics.iter_blocks`` and sample it block by block:
-    ``sample(times, chain)`` with one chain per time grid, and a
-    ``sample_bar`` that depends on each time alone.  A reference without
-    ``sample_bar`` must take ``fields`` in ``sample``: at the 1/4 and 3/4
-    points it is asked only for the fields that the integral figures read,
-    theta and v (``sample(times, chain, fields=("theta", "v"))``, or
-    ``sample(times, fields=...)`` without ``chain``).  Every figure has the
-    bits of the whole trajectory's, and memory does not grow with the
+    read once, each at time ``t_index * h``, in the blocks of
+    ``diagnostics.iter_blocks``, and pushed through ``ErrorFigures``,
+    which samples the reference block by block: ``sample(times, chain)``
+    with one ``chain()`` per time grid (None for a reference whose rows
+    depend on their own time alone), and a ``sample_bar``, if any, that
+    depends on each time alone.  A reference without ``sample_bar`` must
+    take ``fields`` in ``sample``: at the 1/4 and 3/4 points it is asked
+    only for the fields that the integral figures read, theta and v
+    (``sample(times, chain, fields=("theta", "v"))``).  Every figure has
+    the bits of the whole trajectory's, and memory does not grow with the
     trajectory, apart from one scalar per interval, quarter and integral.
-    A reference with only ``sample`` (and ``sample_bar``) is sampled over
-    the whole grid, one block.  The figures are computed without
-    floating-point warnings (an overflow reads inf), so the figures of a
-    run that diverges add none to the run's own.
+    The figures are computed without floating-point warnings (an overflow
+    reads inf), so the figures of a run that diverges add none to the
+    run's own.
     """
     figures = ErrorFigures(reference, bundle)
-    blocks = (iter_blocks(states, bundle.grid.n_interior) if hasattr(reference, "chain")
-              else [list(states)])
-    for block in blocks:  # the states are read outside add's errstate
+    for block in iter_blocks(states, bundle.grid.n_interior):  # read outside add's errstate
         figures.add(block)
         del block  # before the next block is read
     return figures.report()
@@ -366,12 +361,13 @@ def sweep(initial, bundle: OperatorBundle, nonlin: Nonlinearity, T: float,
     """Refinement study over a halving list of step sizes.
 
     Runs every member against one shared reference (``pick_reference``'s
-    unless one is supplied), fits the slope of log(total) against log(h),
-    and records the empirical constant max(total / sqrt(h)).  ``configs``
-    gives each member its own StepConfig, in ``h_list`` order; by default
-    member h runs ``StepConfig(h)``.  Each member's ``iter_run`` trajectory
-    goes straight into ``error_norms``, so no member's states are
-    collected.  The trajectories are all made here first, in ``h_list``
+    unless one is supplied, with ``chain()`` as ``error_norms`` reads it),
+    fits the slope of log(total) against log(h), and records the empirical
+    constant max(total / sqrt(h)).  ``configs`` gives each member its own
+    StepConfig, in ``h_list`` order; by default member h runs
+    ``StepConfig(h)``.  Each member's ``iter_run`` trajectory goes
+    straight into ``error_norms``, so no member's states are collected.
+    The trajectories are all made here first, in ``h_list``
     order.  With two or more usable CPUs one forked worker, which inherits
     the reference, then runs every member but the finest, and this process
     runs the finest, which has more steps than the others together; with

@@ -345,8 +345,8 @@ class TrajectoryInterpolants:
 
     def chain(self):
         """None: every row of ``sample`` and ``sample_bar`` depends on its
-        own time alone, so a time grid is sampled block by block with no
-        state carried between the blocks (see ``convergence.error_norms``)."""
+        own time alone, so ``convergence.error_norms``, which samples every
+        reference block by block, carries no state between the blocks."""
         return None
 
     def sample(self, times, chain=None) -> dict:

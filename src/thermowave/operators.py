@@ -591,10 +591,9 @@ def audit_bundle(bundle: OperatorBundle, n_samples: int = 100, seed: int = 0) ->
     out = {}
     for name in ("mass", "diffusion", "damping", "stiffness", "coupling"):
         op = getattr(bundle, name)
-        scale = max(op.norm_bound(), 1.0)
-        out[f"min_eig_{name}"] = op.min_eigenvalue()
-        out[f"min_eig_{name}_scaled"] = op.min_eigenvalue() / scale
-    out["mass_coercivity_slack"] = bundle.mass.min_eigenvalue() - bundle.mass_lb
+        lowest = out[f"min_eig_{name}"] = op.min_eigenvalue()
+        out[f"min_eig_{name}_scaled"] = lowest / max(op.norm_bound(), 1.0)
+    out["mass_coercivity_slack"] = out["min_eig_mass"] - bundle.mass_lb
 
     b1, a2 = bundle.damping, bundle.stiffness
     b2, a1 = bundle.coupling, bundle.diffusion

@@ -72,6 +72,8 @@ class StepConfig:
             raise ValueError(f"h must be large enough that 1/h^2 is finite, got {self.h}")
         if not self.newton_tol > 0:
             raise ValueError(f"newton_tol must be positive, got {self.newton_tol}")
+        if not isinstance(self.newton_max_iter, (int, np.integer)):
+            raise ValueError(f"newton_max_iter must be an integer, got {self.newton_max_iter!r}")
         if self.newton_max_iter < 1:
             raise ValueError(f"newton_max_iter must be at least 1, got {self.newton_max_iter}")
         if self.solve_path not in ("direct", "yosida"):

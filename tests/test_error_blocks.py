@@ -35,9 +35,8 @@ from thermowave.oracle import max_deviation
 FIELDS = ("theta", "phi", "v")
 
 
-class WholeGrid:
-    """A reference with only ``sample`` (and ``sample_bar``), which
-    ``error_norms`` samples over the whole grid at once."""
+class Chainless:
+    """A reference with ``sample`` (and ``sample_bar``) but no ``chain``."""
 
     def __init__(self, ref):
         self.sample = ref.sample
@@ -136,7 +135,7 @@ def test_streamed_sweep_member_equals_the_whole_grid_report(bc):
         states = run(init, bundle, nl, 1.0, StepConfig(h=h)).states
         assert len(states) > BLOCK_VALUES // 64
         assert report == error_norms(states, ref, bundle)
-        assert report == error_norms(states, WholeGrid(ref), bundle)
+        assert report == _pushed(ErrorFigures(ref, bundle), states, None)  # one block
 
 
 def test_streamed_member_against_a_fine_reference_equals_the_whole_grid_report():
@@ -147,7 +146,17 @@ def test_streamed_member_against_a_fine_reference_equals_the_whole_grid_report()
     streamed = error_norms((s for s, _ in iter_run(init, bundle, nl, T, StepConfig(h=h))),
                            ref, bundle)
     states = run(init, bundle, nl, T, StepConfig(h=h)).states
-    assert streamed == error_norms(states, WholeGrid(ref), bundle)
+    assert len(states) > BLOCK_VALUES // 256
+    assert streamed == _pushed(ErrorFigures(ref, bundle), states, None)  # one block
+
+
+@pytest.mark.parametrize("kind", ["linear", "fine"])
+def test_reference_without_chain_is_an_attribute_error(kind):
+    bundle, _, states, ref = _trajectory(kind, "dirichlet", 4)
+    for call in (lambda r: error_norms(states, r, bundle), lambda r: ErrorFigures(r, bundle)):
+        with pytest.raises(AttributeError, match="'chain'") as info:
+            call(Chainless(ref))
+        assert info.value.name == "chain"
 
 
 def _error_pass_peak(steps):

@@ -347,6 +347,30 @@ def test_bundle_structural_audits():
         assert audit["mass_coercivity_slack"] >= -1e-12, (name, bc)
 
 
+def test_bundle_audit_takes_one_lowest_eigenvalue_per_operator(monkeypatch):
+    # one LAPACK stebz call each, with the figures of fresh calls
+    names = ("mass", "diffusion", "damping", "stiffness", "coupling")
+    real, calls = DiscreteOperator.min_eigenvalue, []
+
+    def counted(op):
+        calls.append(op)
+        return real(op)
+
+    for preset, bc, bundle in all_preset_bundles(n=24):
+        want = {name: real(getattr(bundle, name)) for name in names}
+        monkeypatch.setattr(DiscreteOperator, "min_eigenvalue", counted)
+        audit = audit_bundle(bundle, n_samples=4, seed=3)
+        monkeypatch.undo()
+        assert [id(op) for op in calls] == [id(getattr(bundle, name)) for name in names], (
+            preset, bc)
+        calls.clear()
+        for name in names:
+            scale = max(getattr(bundle, name).norm_bound(), 1.0)
+            assert audit[f"min_eig_{name}"] == want[name], (preset, bc, name)
+            assert audit[f"min_eig_{name}_scaled"] == want[name] / scale, (preset, bc, name)
+        assert audit["mass_coercivity_slack"] == want["mass"] - bundle.mass_lb, (preset, bc)
+
+
 def test_bundle_audit_matches_the_loop_over_probe_pairs():
     # reference: a loop that draws one (w, z) pair per probe and uses one-vector forms
     def loop_audit(bundle, n_samples, seed):

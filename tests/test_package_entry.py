@@ -161,3 +161,33 @@ def test_a_users_blas_thread_count_wins(tmp_path):
     assert seen["threads"] > 1  # the pool runs
     assert seen["usable"] == 1
     assert seen["variables"] == ["2", "1", "1"]
+
+
+# Runs one command through the entry, and reports at exit whether NumPy's
+# FFT module was loaded.
+FFT_PROBE = """
+import atexit, json, sys
+import thermowave.__main__ as entry
+
+atexit.register(lambda: print(json.dumps("numpy.fft" in sys.modules)))
+sys.argv = ["thermowave", *sys.argv[1:]]
+entry.main()
+"""
+
+
+@pytest.mark.parametrize("command,config,loads", [
+    # the sizes of the benchmark's run and sweep workloads, below oracle.N0 = 512
+    ("run", {"preset": "P2", "n_interior": 64, "T": 0.125, "h": 1.0 / 1024,
+             "beta": {"kind": "cubic", "scale": 1.0}}, False),
+    ("sweep", {"preset": "P1", "n_interior": 256, "T": 0.125, "m": 1.0,
+               "h_list": [1.0 / 32, 1.0 / 64, 1.0 / 128], "solver": {"newton_tol": 1e-11}},
+     False),
+    ("oracle-check", {"preset": "P1", "n_interior": 512, "T": 0.125, "h": 1.0 / 64,
+                      "m": 1.0}, True)], ids=["run-n64", "sweep-n256", "oracle-check-n512"])
+def test_numpy_fft_loads_from_n0_unknowns_up(tmp_path, command, config, loads):
+    # loading numpy.fft raised the peak resident set by about 0.5 MB
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps({**config, "initial": {"profile": "random_smooth", "seed": 1}}))
+    assert fresh(FFT_PROBE, command, "--config", str(path), "--out", str(out)) is loads
+    summary = {"run": "run.json", "sweep": "sweep.json", "oracle-check": "oracle.json"}[command]
+    assert json.loads((out / summary).read_text())["complete"] is True

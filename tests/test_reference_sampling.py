@@ -6,7 +6,10 @@ replaced: one ``expm`` per (mode, time) with no cache, one
 per ``error_norms`` (its ``sample_bar`` is the pointwise ``sample``, which
 sends ``error_norms`` down the path that samples every quarter-point offset
 anew).  Like the cached reference, it chains any two or more evenly spaced
-times.  Every figure of the cached reference must equal it exactly.
+times, but only within one ``sample`` call: its ``chain()`` is None.  Each
+trajectory it is compared on fits in one ``iter_blocks`` block, so
+``error_norms`` samples each of its time grids whole.  Every figure of the
+cached reference must equal it exactly.
 """
 
 import numpy as np
@@ -16,6 +19,7 @@ from conftest import p1_defaults
 
 from thermowave import (LinearReference, StepConfig, _lapack, convergence, error_norms,
                         inverse_modal_transform, random_smooth, run, sweep)
+from thermowave.diagnostics import BLOCK_VALUES
 
 FIELDS = ("theta", "phi", "v")
 
@@ -43,7 +47,10 @@ class PerMatrixReference:
         Y = np.einsum("kij,kj->ki", self._expm_batch(float(t)), self._y0)
         return inverse_modal_transform(self.grid, np.einsum("kij,kj->ki", self._gen, Y)[:, 2])
 
-    def sample(self, times):
+    def chain(self):
+        return None
+
+    def sample(self, times, chain=None):
         times = np.asarray(times, dtype=float)
         out = {name: np.empty((times.size, self.grid.n_interior)) for name in FIELDS}
         if times.size == 0:
@@ -124,6 +131,7 @@ def test_error_norms_match_seven_sample_algorithm(bc, N):
     ref, bundle, nl = _reference(bc)
     h = 0.25 / N
     states = run(random_smooth(bundle.grid, 3), bundle, nl, T=0.25, cfg=StepConfig(h=h)).states
+    assert len(states) <= BLOCK_VALUES // bundle.grid.n_interior  # one block
     assert error_norms(states, ref, bundle) == error_norms(states, PerMatrixReference(ref),
                                                            bundle)
 
@@ -134,6 +142,7 @@ def test_sweep_matches_seven_sample_algorithm(bc):
     ref, bundle, nl = _reference(bc, n=20)
     init = random_smooth(bundle.grid, 3)
     h_list = [0.125, 0.0625, 0.03125, 0.015625]
+    assert 0.25 / h_list[-1] + 1 <= BLOCK_VALUES // 20  # every member in one block
     got = sweep(init, bundle, nl, T=0.25, h_list=h_list)
     want = sweep(init, bundle, nl, T=0.25, h_list=h_list, reference=PerMatrixReference(ref))
     assert got.reports == want.reports

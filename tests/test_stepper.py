@@ -179,6 +179,8 @@ def test_step_count():
 @pytest.mark.parametrize("kwargs, param", [
     ({"h": float("nan")}, "h"), ({"h": 0.1, "newton_tol": float("nan")}, "newton_tol"),
     ({"h": 0.1, "newton_max_iter": 0}, "newton_max_iter"),
+    ({"h": 0.1, "newton_max_iter": 2.5}, "newton_max_iter"),
+    ({"h": 0.1, "newton_max_iter": 3.0}, "newton_max_iter"),
     ({"h": 0.1, "solve_path": "bogus"}, "solve_path"),
 ])
 def test_step_config_messages_name_the_parameter(kwargs, param):

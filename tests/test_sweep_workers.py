@@ -15,15 +15,16 @@ import signal
 import subprocess
 import sys
 import time
+import types
 
 import numpy as np
 import pytest
 from conftest import p1_defaults, p2_defaults
 
 import thermowave.cli as cli
-from thermowave import (NewtonDivergedError, ReferenceDivergedError, ResolventAuditError,
-                        StepAuditError, SweepDivergedError, convergence, random_smooth,
-                        stepper, sweep)
+from thermowave import (LinearReference, NewtonDivergedError, ReferenceDivergedError,
+                        ResolventAuditError, StepAuditError, SweepDivergedError, convergence,
+                        random_smooth, stepper, sweep)
 
 H_LIST = [1.0 / 8, 1.0 / 16, 1.0 / 32]  # 4, 8 and 16 steps to T = 0.5
 
@@ -192,6 +193,19 @@ def test_error_in_this_process_kills_the_running_worker(monkeypatch, reaped):
     with pytest.raises(ValueError, match="this process's member failed"):
         sweep(init, bundle, nl, 0.5, H_LIST)
     assert time.monotonic() - start < 20
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_reference_without_chain_raises_in_the_caller(monkeypatch, reaped, count):
+    bundle, nl, init = _linear()
+    _cpus(monkeypatch, count)
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    with pytest.raises(AttributeError, match="'chain'") as info:
+        sweep(init, bundle, nl, 0.5, H_LIST,
+              reference=types.SimpleNamespace(sample=LinearReference(init, bundle, nl).sample))
+    assert info.value.name == "chain"
+    assert len(forks) == count - 1  # with two CPUs a worker ran, and is reaped
 
 
 @pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
